@@ -26,7 +26,7 @@ def main():
         verdict = is_cut_set(model, "system_dead", candidate)
         print(f"  faults {sorted(candidate)} -> cut set: {verdict}")
 
-    print("\nanytime enumeration, one snapshot per cardinality layer:")
+    print("\nminimal cut sets, one view per cardinality layer:")
     final = None
     for report in enumerate_mcs(model, "system_dead"):
         print(f"  layer {report.completed_cardinality}: "

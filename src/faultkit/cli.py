@@ -99,7 +99,7 @@ def cmd_mcs(args) -> int:
     _require(args, "model", "tle")
     _check_format(args, {"json", "text"})
     m = _model(args)
-    reports = list(cutsets.enumerate_mcs(m, args.tle, jobs=args.jobs))
+    reports = list(cutsets.enumerate_mcs(m, args.tle))
     final = reports[-1]
     doc = cutsets.mcs_to_json(final.mcs)
     if args.format == "text":
@@ -124,7 +124,7 @@ def cmd_fault_tree(args) -> int:
     else:
         _require(args, "model", "tle")
         m = _model(args)
-        groups = list(cutsets.final_mcs(m, args.tle, jobs=args.jobs).mcs)
+        groups = list(cutsets.final_mcs(m, args.tle).mcs)
         name = args.name or args.tle
     tree = cutsets.build_fault_tree(groups, name)
     if args.format == "dot":
@@ -141,13 +141,12 @@ def cmd_ft_prob(args) -> int:
         groups = cutsets.mcs_from_json(_load_json(args.mcs))
     else:
         _require(args, "model", "tle")
-        groups = list(cutsets.final_mcs(_model(args), args.tle, jobs=args.jobs).mcs)
+        groups = list(cutsets.final_mcs(_model(args), args.tle).mcs)
     probs = _load_json(args.probs)
-    value = cutsets.evaluate_probability(groups, probs)
+    by_enum, value = cutsets.probability_routes(groups, probs)
     doc = {"probability": value,
-           "by_enumeration": cutsets.probability_by_enumeration(groups, probs),
-           "by_inclusion_exclusion": cutsets.probability_by_inclusion_exclusion(
-               groups, probs),
+           "by_enumeration": by_enum,
+           "by_inclusion_exclusion": value,
            "assumption": "basic events are statistically independent"}
     if args.format == "text":
         _emit(args, f"P(top level event) = {value!r}\n"
@@ -301,8 +300,7 @@ def cmd_tfpg_behavioral(args) -> int:
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
     m = _model(args)
-    result = tfpg.behavioral_validate(g, m, _node_map(args), args.horizon,
-                                      jobs=args.jobs)
+    result = tfpg.behavioral_validate(g, m, _node_map(args), args.horizon)
     if args.format == "text":
         if result.complete:
             _emit(args, "complete\n")
@@ -320,7 +318,7 @@ def cmd_tfpg_tighten(args) -> int:
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
     m = _model(args)
-    result = tfpg.tighten_edges(g, m, _node_map(args), args.horizon, jobs=args.jobs)
+    result = tfpg.tighten_edges(g, m, _node_map(args), args.horizon)
     if args.format == "text":
         lines = [json.dumps(c.to_json(), sort_keys=True) for c in result.changes]
         _emit(args, "\n".join(lines) + "\n")
@@ -391,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int, help="analysis horizon (steps)")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap")
     return parser
 
 

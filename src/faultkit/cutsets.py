@@ -1,30 +1,31 @@
-"""Cut sets, anytime minimal-cut-set enumeration, fault trees, and exact
+"""Cut sets, minimal-cut-set enumeration, fault trees, and exact
 quantitative evaluation of a top level event.
 
 A set of faults S is a *cut set* for a top level event when some state
 satisfying the event is reachable once every fault outside S is pinned
-false (transitions that would activate such a fault are dropped).  Because
-faults are permanent this property is monotone in S, so minimality is
-well-defined and supersets of confirmed minimal cut sets can be pruned
-without a reachability call.
+false (states where such a fault holds are never entered).  This property
+is monotone in S, so minimality is well-defined.  The minimal cut sets are
+the minimal sets of faults that hold somewhere along a path to the event,
+which one search over (state, faults held so far) finds exactly: no
+fault-persistence assumption is needed, so models whose faults clear get
+exact answers too.  The cardinality-layer reports are views over that one
+family.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from .boolexpr import Expr, as_expr
+from .boolexpr import Atom, Expr, as_expr
 from .errors import ExpressionError
 from .model import SystemModel
 
 
 @dataclass(frozen=True)
 class CutSetReport:
-    """Anytime snapshot after finishing one cardinality layer.
+    """The minimal-cut-set family cut off at one cardinality layer.
 
     `mcs` holds every confirmed minimal cut set of cardinality <= the
     completed layer; the guarantee field states exactly that.  When
@@ -73,100 +74,73 @@ def is_cut_set(m: SystemModel, tle, faults: Iterable[str]) -> bool:
     stray = allowed - m.fault_atoms
     if stray:
         raise ExpressionError(f"not fault atoms: {sorted(stray)}")
-    fault_sets = {sid: m.fault_set(sid) for sid in m.states}
-    seen = set()
-    queue = deque()
-    for sid in m.initial:
-        if fault_sets[sid] <= allowed:
-            seen.add(sid)
-            queue.append(sid)
-    while queue:
-        sid = queue.popleft()
-        if expr.evaluate(m.states[sid]):
-            return True
-        for nxt in m.successors(sid):
-            if nxt not in seen and fault_sets[nxt] <= allowed:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return bool(minimal_cause_sets(m, expr, {f: Atom(f) for f in allowed}))
 
 
-def enumerate_minimal_sets(universe: Iterable[str],
-                           is_sat: Callable[[frozenset[str]], bool],
-                           jobs: int = 1) -> Iterator[tuple[int, tuple[frozenset[str], ...], bool]]:
-    """Layered enumeration of minimal satisfying sets of a monotone predicate.
+def minimal_cause_sets(m: SystemModel, target: Expr,
+                       causes: dict[str, Expr]) -> list[frozenset[str]]:
+    """Minimal sets of causes under which a target state is reachable.
 
-    Yields (completed cardinality k, minimal sets of size <= k, exhausted)
-    after each layer.  Candidates containing an already-confirmed minimal
-    set are skipped without calling the predicate.
+    `causes` maps each cause name to its predicate.  A path needs exactly
+    the causes that hold somewhere along it, so one search over (state,
+    mask of causes held so far) reaches every such set at the target states.
+    A state carrying a fault atom outside `causes` is never entered.  The
+    result is sorted by (size, sorted names); it is empty when no target
+    state is reachable and holds the empty set when no cause is needed.
     """
-    items = sorted(set(universe))
-    confirmed: list[frozenset[str]] = []
-    for k in range(len(items) + 1):
-        candidates = [frozenset(c) for c in itertools.combinations(items, k)
-                      if not any(mcs <= frozenset(c) for mcs in confirmed)]
-        if jobs > 1 and candidates:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(is_sat, candidates))
-        else:
-            results = [is_sat(c) for c in candidates]
-        for cand, sat in zip(candidates, results):
-            if sat:
-                confirmed.append(cand)
-        confirmed.sort(key=lambda s: (len(s), sorted(s)))
-        yield k, tuple(confirmed), k == len(items)
+    names = sorted(causes)
+    forbidden = m.fault_atoms - set(names)
+    held: dict[str, int] = {}
+    hits: set[str] = set()
+    for sid, val in m.states.items():
+        if any(val.get(f, False) for f in forbidden):
+            continue
+        held[sid] = sum(1 << i for i, name in enumerate(names)
+                        if causes[name].evaluate(val))
+        if target.evaluate(val):
+            hits.add(sid)
+    seen = {(sid, held[sid]) for sid in m.initial if sid in held}
+    work = list(seen)
+    found = set()
+    while work:
+        sid, mask = work.pop()
+        if sid in hits:
+            found.add(mask)  # extending the path only adds causes
+            continue
+        for nxt in m.successors(sid):
+            if nxt in held:
+                pair = (nxt, mask | held[nxt])
+                if pair not in seen:
+                    seen.add(pair)
+                    work.append(pair)
+    minimal: list[int] = []
+    for mask in sorted(found, key=lambda k: bin(k).count("1")):
+        if not any(k & mask == k for k in minimal):
+            minimal.append(mask)
+    sets = [frozenset(name for i, name in enumerate(names) if mask >> i & 1)
+            for mask in minimal]
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
-def enumerate_mcs(m: SystemModel, tle, jobs: int = 1) -> Iterator[CutSetReport]:
-    """Anytime minimal-cut-set enumeration, one report per cardinality layer."""
+def enumerate_mcs(m: SystemModel, tle) -> Iterator[CutSetReport]:
+    """Minimal cut sets, one report per cardinality layer 0..|faults|.
+
+    Every layer is a view over the one family that `minimal_cause_sets`
+    computes with every fault atom as a cause: layer k holds the minimal
+    cut sets of cardinality <= k.  Faults need not be permanent.
+    """
     expr = _check_tle(m, tle)
-    fault_masks = _prepare_masks(m)
-
-    def sat(S: frozenset[str]) -> bool:
-        return _reach_restricted(m, expr, fault_masks, S)
-
-    for k, confirmed, exhausted in enumerate_minimal_sets(m.fault_atoms, sat, jobs=jobs):
-        yield CutSetReport(k, confirmed, exhausted)
+    family = minimal_cause_sets(m, expr, {f: Atom(f) for f in m.fault_atoms})
+    top = len(m.fault_atoms)
+    for k in range(top + 1):
+        yield CutSetReport(k, tuple(s for s in family if len(s) <= k), k == top)
 
 
-def final_mcs(m: SystemModel, tle, jobs: int = 1) -> CutSetReport:
+def final_mcs(m: SystemModel, tle) -> CutSetReport:
     report = None
-    for report in enumerate_mcs(m, tle, jobs=jobs):
+    for report in enumerate_mcs(m, tle):
         pass
     return report
-
-
-def _prepare_masks(m: SystemModel):
-    bits = {f: 1 << i for i, f in enumerate(sorted(m.fault_atoms))}
-    masks = {}
-    for sid in m.states:
-        mask = 0
-        for f in m.fault_set(sid):
-            mask |= bits[f]
-        masks[sid] = mask
-    return bits, masks
-
-
-def _reach_restricted(m: SystemModel, expr: Expr, fault_masks, allowed: frozenset[str]) -> bool:
-    bits, masks = fault_masks
-    allowed_mask = 0
-    for f in allowed:
-        allowed_mask |= bits[f]
-    seen = set()
-    queue = deque()
-    for sid in m.initial:
-        if masks[sid] & ~allowed_mask == 0:
-            seen.add(sid)
-            queue.append(sid)
-    while queue:
-        sid = queue.popleft()
-        if expr.evaluate(m.states[sid]):
-            return True
-        for nxt in m.successors(sid):
-            if nxt not in seen and masks[nxt] & ~allowed_mask == 0:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
 
 
 # -- fault trees -----------------------------------------------------------
@@ -269,16 +243,15 @@ def probability_by_inclusion_exclusion(mcs, probabilities) -> float:
         for combo in itertools.combinations(sets, r):
             union = frozenset().union(*combo)
             term = 1.0
-            for f in union:
+            for f in sorted(union):
                 term *= probabilities[f]
             total += term if r % 2 == 1 else -term
     return total
 
 
-def evaluate_probability(mcs, probabilities) -> float:
-    """Probability that at least one minimal cut set fully occurs, assuming
-    statistically independent basic events.  Both exact routes are computed
-    and must agree; the inclusion-exclusion value is returned."""
+def probability_routes(mcs, probabilities) -> tuple[float, float]:
+    """(by enumeration, by inclusion-exclusion): both exact routes, each
+    computed once; they must agree."""
     sets = [frozenset(s) for s in mcs]
     by_enum = probability_by_enumeration(sets, probabilities)
     by_ie = probability_by_inclusion_exclusion(sets, probabilities)
@@ -286,4 +259,11 @@ def evaluate_probability(mcs, probabilities) -> float:
         raise AssertionError(
             f"probability routes disagree: enumeration={by_enum!r}, "
             f"inclusion-exclusion={by_ie!r}")
-    return by_ie
+    return by_enum, by_ie
+
+
+def evaluate_probability(mcs, probabilities) -> float:
+    """Probability that at least one minimal cut set fully occurs, assuming
+    statistically independent basic events.  Both exact routes are computed
+    and must agree; the inclusion-exclusion value is returned."""
+    return probability_routes(mcs, probabilities)[1]

@@ -28,7 +28,7 @@ from .errors import TraceError
 from .fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, GLOBAL,
                       Once, OnceWithin, PastShift, eval_knowledge,
                       knowledge_counterexample)
-from .graphs import find_reachable_cycle, lexleast_shortest_paths
+from .graphs import find_reachable_cycle, lexleast_shortest_paths, path_to
 from .model import SystemModel, Trace
 
 
@@ -98,20 +98,18 @@ def _check_exact(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
     def succ(pair):
         return _pair_successors(m, pair)
 
-    paths = lexleast_shortest_paths(_initial_pairs(m), succ)
-    reachable = set(paths)
+    parent = lexleast_shortest_paths(_initial_pairs(m), succ)
+    reachable = set(parent)
     # extendable[k] = pairs from which k more synchronized steps are possible
     extendable = [set(reachable)]
     for _ in range(n):
         prev = extendable[-1]
         extendable.append({p for p in reachable if any(q in prev for q in succ(p))})
-    violating = sorted(
-        p for p in reachable
-        if m.holds(beta, p[0]) and not m.holds(beta, p[1]) and p in extendable[n])
-    if not violating:
+    best = next((p for p in parent if m.holds(beta, p[0]) and not m.holds(beta, p[1])
+                 and p in extendable[n]), None)
+    if best is None:
         return DiagnosabilityVerdict(True)
-    best = min(violating, key=lambda p: (len(paths[p]), paths[p]))
-    stem = list(paths[best])
+    stem = list(path_to(parent, best))
     t = len(stem) - 1
     current = best
     for k in range(n, 0, -1):
@@ -142,13 +140,12 @@ def _check_bounded(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
             out.append((x, y, nw, nc))
         return sorted(out)
 
-    paths = lexleast_shortest_paths(init_nodes(), succ)
-    violating = sorted(node for node in paths
-                       if len(node[2]) == n + 1 and node[2][0] and node[3] == cap)
-    if not violating:
+    parent = lexleast_shortest_paths(init_nodes(), succ)
+    best = next((node for node in parent
+                 if len(node[2]) == n + 1 and node[2][0] and node[3] == cap), None)
+    if best is None:
         return DiagnosabilityVerdict(True)
-    best = min(violating, key=lambda p: (len(paths[p]), paths[p]))
-    stem = [(x[0], x[1]) for x in paths[best]]
+    stem = [(x[0], x[1]) for x in path_to(parent, best)]
     t = len(stem) - 1 - n
     return DiagnosabilityVerdict(False, _pair_from(stem, t))
 
@@ -165,8 +162,8 @@ def _check_finite(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
         return sorted((x, y, b1 or m.holds(beta, x), b2 or m.holds(beta, y))
                       for x, y in _pair_successors(m, (s1, s2)))
 
-    paths = lexleast_shortest_paths(init_nodes(), succ)
-    confusable = {node for node in paths if node[2] and not node[3]}
+    parent = lexleast_shortest_paths(init_nodes(), succ)
+    confusable = {node for node in parent if node[2] and not node[3]}
 
     def succ_inside(node):
         return [q for q in succ(node) if q in confusable]
@@ -176,7 +173,7 @@ def _check_finite(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
         return DiagnosabilityVerdict(True)
     _, loop = found
     entry = loop[0]
-    stem = [(x[0], x[1]) for x in paths[entry]]
+    stem = [(x[0], x[1]) for x in path_to(parent, entry)]
     full = stem + [(x[0], x[1]) for x in loop[1:]]
     t = next(i for i, (a, _) in enumerate(full) if m.holds(beta, a))
     return DiagnosabilityVerdict(False, _pair_from(full, t))

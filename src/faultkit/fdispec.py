@@ -92,12 +92,14 @@ def parse_specs(text: str) -> list[AlarmSpec]:
             beta = as_expr(item["beta"])
             delay_doc = item["delay"]
             kind = delay_doc["kind"]
+            if kind in ("exact", "bound"):
+                n = int(delay_doc["n"])
         except KeyError as err:
             raise ModelFormatError(f"alarm entry missing key {err}") from None
         if kind == "exact":
-            delay: Delay = ExactDelay(int(delay_doc["n"]))
+            delay: Delay = ExactDelay(n)
         elif kind == "bound":
-            delay = BoundedDelay(int(delay_doc["n"]))
+            delay = BoundedDelay(n)
         elif kind == "finite":
             delay = FiniteDelay()
         else:

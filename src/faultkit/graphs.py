@@ -47,27 +47,83 @@ def find_reachable_cycle(roots: Iterable, successors: Callable):
     return None
 
 
-def lexleast_shortest_paths(roots: Iterable, successors: Callable):
-    """BFS computing, for every reachable node, the lexicographically least
-    among its shortest paths (as a node tuple from a root).
+def lexleast_shortest_paths(roots: Iterable, successors: Callable,
+                            key: Callable | None = None,
+                            stop: Callable | None = None) -> dict:
+    """BFS recording, for every reachable node, its parent on the
+    lexicographically least of its shortest paths (None for a root).
 
-    Frontier entries are processed in path order per layer, so the first
-    claim on a node is the least path of minimal length.
+    Nodes are ordered by `key` (the node itself when None), which must be
+    injective.  Roots are sorted, every layer is expanded in the order it
+    was generated and successors in sorted order, so nodes are claimed, and
+    the returned dict is ordered, by (path length, path).  Nodes for which
+    `stop` holds are recorded but not expanded.
     """
-    paths: dict = {}
-    layer = sorted({(root,) for root in roots})
-    for p in layer:
-        node = p[-1]
-        if node not in paths:
-            paths[node] = p
-    layer = [paths[node] for node in sorted({p[-1] for p in layer})]
+    parent: dict = dict.fromkeys(sorted(set(roots), key=key))
+    layer = list(parent)
     while layer:
-        next_paths = []
-        for path in sorted(layer):
-            for nxt in sorted(set(successors(path[-1]))):
-                if nxt not in paths:
-                    candidate = path + (nxt,)
-                    paths[nxt] = candidate
-                    next_paths.append(candidate)
-        layer = next_paths
-    return paths
+        next_layer = []
+        for node in layer:
+            if stop is not None and stop(node):
+                continue
+            for nxt in sorted(set(successors(node)), key=key):
+                if nxt not in parent:
+                    parent[nxt] = node
+                    next_layer.append(nxt)
+        layer = next_layer
+    return parent
+
+
+def path_to(parent: dict, node) -> tuple:
+    """The node path from a root to `node` in a parent map."""
+    path = [node]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def nodes_on_cycles(nodes: Iterable, successors: Callable) -> set:
+    """Nodes lying on a cycle of the subgraph induced by `nodes`: members of
+    a strongly connected component with more than one node or with a
+    self-loop.  Iterative Tarjan."""
+    nodes = set(nodes)
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    cyclic: set = set()
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            node, succ = work[-1]
+            for nxt in succ:
+                if nxt not in nodes:
+                    continue
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(successors(nxt))))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+                if nxt == node:
+                    cyclic.add(node)
+            else:
+                work.pop()
+                if work:
+                    up = work[-1][0]
+                    low[up] = min(low[up], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    if len(component) > 1:
+                        cyclic.update(component)
+    return cyclic

@@ -238,12 +238,11 @@ class _DuplicateKey(Exception):
 
 
 def _no_duplicate_keys(pairs):
-    seen = set()
+    """json object_pairs_hook that rejects an object with a repeated key."""
     out = {}
     for key, value in pairs:
-        if key in seen:
+        if key in out:
             raise _DuplicateKey(key)
-        seen.add(key)
         out[key] = value
     return out
 

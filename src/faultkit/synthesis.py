@@ -28,8 +28,9 @@ from .fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, TRACE,
                       belief_certain, belief_step, initial_beliefs,
                       memory_init, memory_satisfies, memory_update,
                       past_formula, trackers_for, instantiate_pattern)
-from .graphs import find_reachable_cycle, lexleast_shortest_paths
-from .model import SystemModel, Trace
+from .graphs import (find_reachable_cycle, lexleast_shortest_paths,
+                     nodes_on_cycles, path_to)
+from .model import SystemModel, Trace, _DuplicateKey, _no_duplicate_keys
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,8 @@ def diagnoser_from_json(doc) -> Diagnoser:
 
 def parse_diagnoser(text: str) -> Diagnoser:
     try:
-        doc = json.loads(text, object_pairs_hook=_dup_checking_pairs)
-    except _DuplicateJsonKey as dup:
+        doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
+    except _DuplicateKey as dup:
         raise ModelFormatError(
             f"nondeterministic candidate: duplicate key {dup.key!r}") from None
     except json.JSONDecodeError as err:
@@ -210,20 +211,6 @@ def parse_diagnoser(text: str) -> Diagnoser:
 def load_diagnoser(path) -> Diagnoser:
     with open(path, encoding="utf-8") as fh:
         return parse_diagnoser(fh.read())
-
-
-class _DuplicateJsonKey(Exception):
-    def __init__(self, key):
-        self.key = key
-
-
-def _dup_checking_pairs(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise _DuplicateJsonKey(key)
-        out[key] = value
-    return out
 
 
 def export_diagnoser_dot(d: Diagnoser) -> str:
@@ -375,41 +362,11 @@ def _search_safety(walker: _ProductWalker, init_extra, step_extra, violated):
             out.append((nsid, nnode, nbelief, step_extra(extra, nsid, nnode, nbelief)))
         return out
 
-    paths = _lexleast_paths(roots, succ, stop=violated)
-    bad = [state for state in paths if violated(state)]
-    if not bad:
+    parent = lexleast_shortest_paths(roots, succ, key=_sort_key, stop=violated)
+    best = next((state for state in parent if violated(state)), None)
+    if best is None:
         return ConjunctResult(True)
-    best = min(bad, key=lambda s: (len(paths[s]), _path_key(paths[s])))
-    trace = Trace(tuple(s[0] for s in paths[best]))
-    return ConjunctResult(False, trace)
-
-
-def _path_key(path):
-    return tuple(_sort_key(s) for s in path)
-
-
-def _lexleast_paths(roots, succ, stop=None):
-    """Layered BFS keeping the least shortest path per augmented state.
-    States for which `stop` holds are not expanded further."""
-    paths = {}
-    layer = []
-    for root in sorted(roots, key=_sort_key):
-        if root not in paths:
-            paths[root] = (root,)
-            layer.append((root,))
-    while layer:
-        nxt_layer = []
-        for path in sorted(layer, key=_path_key):
-            state = path[-1]
-            if stop is not None and stop(state):
-                continue
-            for nxt in sorted(succ(state), key=_sort_key):
-                if nxt not in paths:
-                    candidate = path + (nxt,)
-                    paths[nxt] = candidate
-                    nxt_layer.append(candidate)
-        layer = nxt_layer
-    return paths
+    return ConjunctResult(False, Trace(tuple(s[0] for s in path_to(parent, best))))
 
 
 def _check_correctness(walker: _ProductWalker) -> ConjunctResult:
@@ -493,8 +450,8 @@ def _check_completeness_finite(walker: _ProductWalker) -> ConjunctResult:
         return [(nsid, nnode, nbelief, pending_bit(bit, nsid, nnode))
                 for nsid, nnode, nbelief in walker.successors((sid, node, belief))]
 
-    paths = _lexleast_paths(roots, succ)
-    pending = {s for s in paths if s[3]}
+    parent = lexleast_shortest_paths(roots, succ, key=_sort_key)
+    pending = {s for s in parent if s[3]}
 
     def succ_pending(state):
         return [t for t in succ(state) if t in pending]
@@ -504,7 +461,7 @@ def _check_completeness_finite(walker: _ProductWalker) -> ConjunctResult:
         return ConjunctResult(True)
     _, loop = found
     entry = loop[0]
-    stem = paths[entry]
+    stem = path_to(parent, entry)
     states = [s[0] for s in stem] + [s[0] for s in loop[1:]]
     return ConjunctResult(False, Trace(tuple(states)), loop_start=len(stem) - 1)
 
@@ -577,58 +534,46 @@ def _check_completeness_trace_finite(walker: _ProductWalker) -> ConjunctResult:
         return [(nsid, nnode, nbelief, None)
                 for nsid, nnode, nbelief in walker.successors((sid, node, belief))]
 
-    paths = _lexleast_paths(roots, succ)
-    alarm_free = {s for s in paths if not walker.alarm_on(s[1])}
+    parent = lexleast_shortest_paths(roots, succ, key=_sort_key)
+    alarm_free = {s for s in parent if not walker.alarm_on(s[1])}
+    succ_free = {s: [t for t in succ(s) if t in alarm_free] for s in alarm_free}
+    preds: dict = {}
+    for s, ts in succ_free.items():
+        for t in ts:
+            preds.setdefault(t, set()).add(s)
 
-    def succ_free(state):
-        return [t for t in succ(state) if t in alarm_free]
+    def backward(seeds):
+        """States of the alarm-free region that can reach a seed inside it."""
+        reached = set(seeds)
+        frontier = list(reached)
+        while frontier:
+            for p in preds.get(frontier.pop(), ()):
+                if p not in reached:
+                    reached.add(p)
+                    frontier.append(p)
+        return reached
 
     # states inside the alarm-free region with an infinite alarm-free path
-    live = set(alarm_free)
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(live, key=_sort_key):
-            if not any(t in live for t in succ_free(s)):
-                live.discard(s)
-                changed = True
+    live = backward(nodes_on_cycles(alarm_free, succ_free.__getitem__))
     targets = {s for s in live if walker.known(s[2])}
-    if not targets:
+    can_reach = backward(targets)
+    start = next((s for s in parent if s in can_reach and walker.beta(s[0])), None)
+    if start is None:
         return ConjunctResult(True)
-    # backward reachability of targets inside the alarm-free region
-    preds: dict = {}
-    for s in alarm_free:
-        for t in succ_free(s):
-            preds.setdefault(t, set()).add(s)
-    can_reach = set(targets)
-    frontier = sorted(targets, key=_sort_key)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for p in preds.get(t, ()):
-                if p not in can_reach:
-                    can_reach.add(p)
-                    nxt.append(p)
-        frontier = sorted(nxt, key=_sort_key)
-    starts = [s for s in can_reach if walker.beta(s[0])]
-    if not starts:
-        return ConjunctResult(True)
-    start = min(starts, key=lambda s: (len(paths[s]), _path_key(paths[s])))
     # forward: shortest path from start to a certainty state, then unroll a cycle
-    inner = _lexleast_paths([start], lambda s: [t for t in succ_free(s)])
-    goal = min((s for s in inner if s in targets),
-               key=lambda s: (len(inner[s]), _path_key(inner[s])))
-    middle = inner[goal]
-    tail = [goal]
-    seen = {goal: 0}
+    inner = lexleast_shortest_paths([start], succ_free.__getitem__, key=_sort_key)
+    middle = path_to(inner, next(s for s in inner if s in targets))
+    stem = path_to(parent, start)
+    tail = [middle[-1]]
+    seen = {middle[-1]: 0}
     while True:
-        nxt = min((t for t in succ_free(tail[-1]) if t in live), key=_sort_key)
+        nxt = min((t for t in succ_free[tail[-1]] if t in live), key=_sort_key)
         if nxt in seen:
             loop_start_inner = seen[nxt]
             tail.append(nxt)
             break
         seen[nxt] = len(tail)
         tail.append(nxt)
-    full = list(paths[start]) + list(middle[1:]) + tail[1:]
-    loop_start = len(paths[start]) - 1 + len(middle) - 1 + loop_start_inner
+    full = list(stem) + list(middle[1:]) + tail[1:]
+    loop_start = len(stem) - 1 + len(middle) - 1 + loop_start_inner
     return ConjunctResult(False, Trace(tuple(s[0] for s in full)), loop_start=loop_start)

@@ -29,6 +29,7 @@ from typing import Iterator
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
+from .graphs import nodes_on_cycles
 from .model import SystemModel, Trace
 
 FM = "FM"
@@ -145,6 +146,8 @@ def parse_tfpg(text: str) -> Tfpg:
     modes = doc["modes"]
     if not isinstance(modes, list) or not modes:
         raise ModelFormatError("modes must be a nonempty list")
+    if not isinstance(doc["nodes"], dict):
+        raise ModelFormatError("nodes must be an object")
     nodes = {}
     for name, entry in doc["nodes"].items():
         kind = entry.get("kind") if isinstance(entry, dict) else entry
@@ -247,8 +250,10 @@ def validate_structure(g: Tfpg) -> list[StructureFinding]:
         findings.append(StructureFinding(
             "possibility", node,
             "not reachable from any failure mode through edges sharing a common mode"))
-    cycle_nodes = _nodes_on_cycles(g)
-    for node in cycle_nodes:
+    succ: dict[str, set[str]] = {n: set() for n in g.nodes}
+    for e in g.edges:
+        succ[e.src].add(e.dst)
+    for node in sorted(nodes_on_cycles(g.nodes, succ.__getitem__)):
         findings.append(StructureFinding(
             "cycle-warning", node, "node lies on a propagation cycle"))
     return findings
@@ -268,23 +273,6 @@ def _impossible_nodes(g: Tfpg) -> list[str]:
                     changed = True
         possible |= reach
     return sorted(set(g.nodes) - possible)
-
-
-def _nodes_on_cycles(g: Tfpg) -> list[str]:
-    succ: dict[str, set[str]] = {n: set() for n in g.nodes}
-    for e in g.edges:
-        succ[e.src].add(e.dst)
-    on_cycle = []
-    for node in sorted(g.nodes):
-        seen = set()
-        frontier = set(succ[node])
-        while frontier:
-            if node in frontier:
-                on_cycle.append(node)
-                break
-            seen |= frontier
-            frontier = {t for s in frontier for t in succ[s]} - seen
-    return on_cycle
 
 
 # -- trace semantics ------------------------------------------------------------
@@ -555,32 +543,18 @@ def induced_activation_trace(g: Tfpg, m: SystemModel, nm: NodeMap,
     return ActivationTrace(horizon, timeline, times)
 
 
-def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int,
-                        jobs: int = 1) -> BehavioralResult:
+def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
+                        horizon: int) -> BehavioralResult:
     """The TFPG is complete for the model at this horizon when the induced
     activation trace of every system run is consistent.  The witness is the
     lexicographically least violating run."""
     _check_map(g, m, nm)
-    for tr, at in _induced_traces(g, m, nm, horizon, jobs):
+    for tr in m.enumerate_traces(horizon + 1):
+        at = induced_activation_trace(g, m, nm, tr)
         ok, violations = check_trace_consistency(g, at)
         if not ok:
             return BehavioralResult(False, tr, tuple(violations))
     return BehavioralResult(True)
-
-
-def _induced_traces(g, m, nm, horizon, jobs=1):
-    traces = m.enumerate_traces(horizon + 1)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(tr):
-            return tr, induced_activation_trace(g, m, nm, tr)
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(work, traces)
-    else:
-        for tr in traces:
-            yield tr, induced_activation_trace(g, m, nm, tr)
 
 
 # -- edge tightening -------------------------------------------------------------
@@ -612,15 +586,16 @@ class TightenResult:
         return tuple(c.description for c in self.changes if not c.exercised)
 
 
-def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int,
-                  jobs: int = 1) -> TightenResult:
+def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
+                  horizon: int) -> TightenResult:
     """Shrink every exercised edge's interval to the observed activation
     delays, then relax upper bounds back to infinity wherever a bounded
     window would force propagations the model does not guarantee.  The
     result is re-validated; tightening never breaks completeness and is
     idempotent at a fixed horizon."""
     _check_map(g, m, nm)
-    induced = [at for _, at in _induced_traces(g, m, nm, horizon, jobs)]
+    induced = [induced_activation_trace(g, m, nm, tr)
+               for tr in m.enumerate_traces(horizon + 1)]
     observed: dict[int, list[int]] = {i: [] for i in range(len(g.edges))}
     for at in induced:
         for i, e in enumerate(g.edges):

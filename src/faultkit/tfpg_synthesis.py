@@ -17,12 +17,12 @@ synthesis horizon by construction.  Finally the edge bounds are tightened.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .boolexpr import Expr, as_expr
-from .cutsets import enumerate_minimal_sets
+from .cutsets import minimal_cause_sets
 from .errors import ModelFormatError
+from .graphs import nodes_on_cycles
 from .model import SystemModel
 from .tfpg import (AND, FM, INF, OR, NodeMap, Tfpg, TfpgEdge, TfpgError,
                    behavioral_validate, tighten_edges)
@@ -145,37 +145,18 @@ def _check_config(m: SystemModel, config: SynthesisConfig) -> None:
         raise TfpgError("model declares no mode atoms; mode map must be empty")
 
 
-def _reachable_with(m: SystemModel, allowed_faults: frozenset[str],
-                    excluded: list[Expr], target: Expr) -> bool:
-    """Reachability of the target predicate with faults restricted to the
-    allowed set and every excluded pseudo-event forbidden to ever occur."""
-    def ok(sid):
-        if not m.fault_set(sid) <= allowed_faults:
-            return False
-        return not any(m.holds(e, sid) for e in excluded)
-
-    seen = set()
-    queue = deque(sid for sid in m.initial if ok(sid))
-    seen.update(queue)
-    while queue:
-        sid = queue.popleft()
-        if m.holds(target, sid):
-            return True
-        for nxt in m.successors(sid):
-            if nxt not in seen and ok(nxt):
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+def _fm_causes(config) -> dict[str, Expr]:
+    return {atom: as_expr(atom) for atom in config.fm_atoms}
 
 
 def _reachability_filter(m, config, findings) -> list[str]:
     kept = []
-    all_faults = frozenset(config.fm_atoms)
     for d in config.discrepancies:
-        if not _reachable_with(m, all_faults, [], d.expr):
+        family = minimal_cause_sets(m, d.expr, _fm_causes(config))
+        if not family:
             findings.append(f"{d.name}: predicate unreachable even with all "
                             f"declared faults; excluded")
-        elif _reachable_with(m, frozenset(), [], d.expr):
+        elif frozenset() in family:
             findings.append(f"{d.name}: predicate reachable without any fault; "
                             f"excluded")
         else:
@@ -185,46 +166,20 @@ def _reachability_filter(m, config, findings) -> list[str]:
 
 def _cause_families(m, config, kept, findings) -> dict[str, list[frozenset[str]]]:
     decls = {d.name: d for d in config.discrepancies}
-    fm_set = frozenset(config.fm_atoms)
 
     def family_over(name: str, cause_discs: list[str]) -> list[frozenset[str]]:
-        universe = sorted(fm_set) + sorted(cause_discs)
-
-        def sat(S: frozenset[str]) -> bool:
-            allowed = S & fm_set
-            excluded = [decls[c].expr for c in cause_discs if c not in S]
-            return _reachable_with(m, allowed, excluded, decls[name].expr)
-
-        final = None
-        for _, confirmed, exhausted in enumerate_minimal_sets(universe, sat):
-            if exhausted:
-                final = list(confirmed)
-        return final
+        causes = {**_fm_causes(config), **{c: decls[c].expr for c in cause_discs}}
+        return minimal_cause_sets(m, decls[name].expr, causes)
 
     families = {name: family_over(name, [c for c in kept if c != name])
                 for name in kept}
-    cyclic = _cyclic_discrepancies(families)
+    cyclic = nodes_on_cycles(families, lambda name: {
+        c for S in families[name] for c in S if c in families})
     for name in sorted(cyclic):
         findings.append(f"{name}: involved in a cause cycle; recomputed over "
                         f"fault causes only")
         families[name] = family_over(name, [])
     return families
-
-
-def _cyclic_discrepancies(families) -> set[str]:
-    succ = {name: {c for S in family for c in S if c in families}
-            for name, family in families.items()}
-    cyclic = set()
-    for name in families:
-        seen = set()
-        frontier = set(succ[name])
-        while frontier:
-            if name in frontier:
-                cyclic.add(name)
-                break
-            seen |= frontier
-            frontier = {t for s in frontier for t in succ[s]} - seen
-    return cyclic
 
 
 # -- static simplification ------------------------------------------------------

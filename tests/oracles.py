@@ -241,3 +241,74 @@ def naive_enumerate_consistent(g: Tfpg, horizon: int):
 def trace_signature(at: ActivationTrace):
     return (tuple(at.mode_timeline),
             tuple(sorted((n, t) for n, t in at.times.items())))
+
+
+# -- graph search ----------------------------------------------------------------
+
+def brute_force_lexleast_paths(roots, adjacency, key=None, stop=frozenset()):
+    """For every node reachable from `roots`, the lexicographically least
+    (under `key`) of its shortest paths, found by listing every walk of at
+    most len(adjacency) nodes that expands no node in `stop`."""
+    key = key or (lambda node: node)
+    walks = [(root,) for root in set(roots)]
+    best: dict = {}
+    for _ in range(len(adjacency)):
+        for walk in walks:
+            node = walk[-1]
+            rank = (len(walk), tuple(key(x) for x in walk))
+            if node not in best or rank < best[node][0]:
+                best[node] = (rank, walk)
+        walks = [walk + (nxt,) for walk in walks if walk[-1] not in stop
+                 for nxt in adjacency[walk[-1]]]
+    return {node: walk for node, (_, walk) in best.items()}
+
+
+def brute_force_cycle_nodes(adjacency) -> set:
+    """Nodes from which some walk of at least one edge returns to them."""
+    on_cycle = set()
+    for start in adjacency:
+        seen: set = set()
+        work = list(adjacency[start])
+        while work:
+            node = work.pop()
+            if node == start:
+                on_cycle.add(start)
+                break
+            if node not in seen:
+                seen.add(node)
+                work.extend(adjacency[node])
+    return on_cycle
+
+
+# -- TFPG cause families ----------------------------------------------------------
+
+def brute_force_cause_family(m: SystemModel, fm_atoms, target, cause_exprs):
+    """Minimal cause sets of `target` by testing every subset S of the
+    declared faults plus the named cause predicates: the target must be
+    reachable while faults outside S stay false and no predicate outside S
+    ever holds."""
+    target = as_expr(target)
+    exprs = {name: as_expr(e) for name, e in cause_exprs.items()}
+    universe = sorted(fm_atoms) + sorted(exprs)
+    adjacency: dict[str, list[str]] = {sid: [] for sid in m.states}
+    for a, b in m.transitions:
+        adjacency[a].append(b)
+    # what each state needs: its true fault atoms and its true predicates
+    needs = {sid: frozenset(f for f in m.fault_atoms if val.get(f, False)) |
+             frozenset(name for name, e in exprs.items() if e.evaluate(val))
+             for sid, val in m.states.items()}
+    sat = []
+    for r in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, r):
+            S = frozenset(combo)
+            reach = {sid for sid in m.initial if needs[sid] <= S}
+            work = list(reach)
+            while work:
+                for nxt in adjacency[work.pop()]:
+                    if nxt not in reach and needs[nxt] <= S:
+                        reach.add(nxt)
+                        work.append(nxt)
+            if any(target.evaluate(m.states[sid]) for sid in reach):
+                sat.append(S)
+    return sorted((S for S in sat if not any(T < S for T in sat)),
+                  key=lambda s: (len(s), sorted(s)))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -70,6 +71,25 @@ class TestExitCodes:
         assert run_cli("mcs", "--model", MODEL, "--tle", "system_dead",
                        "--format", "dot") == 2
 
+    @pytest.mark.parametrize("command,flag,doc", [
+        ("diag-check", "--spec",
+         [{"alarm": "x", "beta": "fault", "delay": {"kind": "exact"}}]),
+        ("diag-check", "--spec",
+         [{"alarm": "x", "beta": "fault", "delay": {"kind": "bound"}}]),
+        ("tfpg-validate", "--tfpg",
+         {"modes": ["m"], "nodes": ["f", "d"], "edges": []}),
+    ], ids=["exact-without-n", "bound-without-n", "tfpg-nodes-list"])
+    def test_malformed_input_is_exit_2_without_traceback(self, tmp_path, command,
+                                                          flag, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "faultkit.cli", command, "--model", SENSOR,
+             flag, str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestDeterminismAndRoundTrip:
     def _bytes_of(self, tmp_path, name, *argv):
@@ -115,6 +135,23 @@ class TestDeterminismAndRoundTrip:
         doc = json.loads(out)
         assert doc["probability"] == pytest.approx(0.25)
         assert "independent" in doc["assumption"]
+
+    def test_ft_prob_bytes_do_not_depend_on_string_hashing(self, tmp_path):
+        # with these probabilities the product a*b*c rounds differently
+        # depending on the order of its factors
+        mcs = tmp_path / "mcs.json"
+        mcs.write_text(json.dumps([["a", "b", "c"]]))
+        probs = tmp_path / "p.json"
+        probs.write_text(json.dumps({"a": 0.69, "b": 0.2, "c": 0.6}))
+        outputs = set()
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "faultkit.cli", "ft-prob",
+                 "--mcs", str(mcs), "--probs", str(probs)],
+                capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_diagnoser_round_trip(self, tmp_path, capsys):
         dfile = tmp_path / "diagnoser.json"

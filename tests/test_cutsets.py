@@ -66,10 +66,16 @@ class TestEnumerateMcs:
             assert set(earlier.mcs) <= set(later.mcs)
         assert "cardinality <= 1" in reports[1].guarantee
 
-    def test_matches_brute_force(self, battery):
-        for tle in ("system_dead", "power_low", "b1_fail | system_dead"):
-            expected = brute_force_mcs(battery, tle)
-            got = list(final_mcs(battery, tle).mcs)
+    def test_matches_brute_force(self, battery, intermittent):
+        cases = [(battery, tle) for tle in
+                 ("system_dead", "power_low", "b1_fail | system_dead")]
+        cases += [(intermittent, atom) for atom in sorted(intermittent.atoms)]
+        # a fault that clears before the event still had to occur
+        cases += [(parse_model(json.dumps(FAULT_CLEARS)), tle)
+                  for tle in ("x", "x & !f1", "f2")]
+        for m, tle in cases:
+            expected = brute_force_mcs(m, tle)
+            got = list(final_mcs(m, tle).mcs)
             assert sorted(got, key=lambda s: (len(s), sorted(s))) == expected
 
     def test_minimality_witnessed(self, battery):
@@ -79,10 +85,16 @@ class TestEnumerateMcs:
             for x in S:
                 assert not is_cut_set(battery, "system_dead", S - {x})
 
-    def test_jobs_do_not_change_result(self, battery):
-        sequential = [r.mcs for r in enumerate_mcs(battery, "power_low", jobs=1)]
-        parallel = [r.mcs for r in enumerate_mcs(battery, "power_low", jobs=4)]
-        assert sequential == parallel
+
+FAULT_CLEARS = {
+    "atoms": ["f1", "f2", "x"],
+    "faults": ["f1", "f2"],
+    "states": {"n": {}, "a": {"f1": True}, "b": {"x": True},
+               "c": {"f2": True}, "d": {"f2": True, "x": True}},
+    "initial": ["n"],
+    "transitions": [["n", "a"], ["a", "b"], ["b", "b"], ["n", "c"],
+                    ["c", "d"], ["d", "n"]],
+}
 
 
 class TestFaultTree:

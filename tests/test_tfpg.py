@@ -233,12 +233,6 @@ class TestBehavioral:
         widened = parse_tfpg(json.dumps(doc))
         assert behavioral_validate(widened, battery, battery_map, 6).complete
 
-    def test_worker_count_does_not_change_verdict(self, battery, battery_map,
-                                                  tfpg_battery):
-        one = behavioral_validate(tfpg_battery, battery, battery_map, 6, jobs=1)
-        many = behavioral_validate(tfpg_battery, battery, battery_map, 6, jobs=4)
-        assert (one.complete, one.witness) == (many.complete, many.witness)
-
 
 EXACT_TWO_STEP = {
     "atoms": ["fault", "warn"],

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,10 +8,13 @@ from faultkit.model import parse_model
 from faultkit.tfpg import (AND, FM, INF, OR, NodeMap, Tfpg, TfpgEdge, TfpgError,
                            behavioral_validate, tfpg_to_json, validate_structure)
 from faultkit.tfpg_synthesis import (DiscrepancyDecl, SynthesisConfig,
-                                     _drop_mode_subsumed, _merge_duplicate_ands,
+                                     _cause_families, _drop_mode_subsumed,
+                                     _merge_duplicate_ands, _reachability_filter,
                                      _reduce_or_edges, synthesize_tfpg)
 
 from .conftest import corpus_json
+from .oracles import brute_force_cause_family, brute_force_cycle_nodes
+from .test_acceptance import random_model
 
 
 def decl(name, expr, kind=OR):
@@ -194,3 +198,34 @@ class TestStaticRules:
         reduced = _reduce_or_edges(g, m, nm, 6)
         # dropping f->w would orphan the runs through sw
         assert any(e.src == "f" and e.dst == "w" for e in reduced.edges)
+
+
+class TestCauseFamiliesOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_families_match_subset_enumeration(self, seed):
+        m, _ = random_model(seed)
+        rng = random.Random(seed)
+        atoms = sorted(m.atoms)
+        decls = [decl(f"d{i}", rng.choice([" & ", " | "]).join(
+                      rng.sample(atoms, rng.randint(1, 2))))
+                 for i in range(rng.randint(2, 3))]
+        fms = sorted(m.fault_atoms)
+        config = SynthesisConfig(fms, decls, {})
+        exprs = {d.name: d.expr for d in decls}
+
+        kept = _reachability_filter(m, config, [])
+        alone = {name: brute_force_cause_family(m, fms, e, {})
+                 for name, e in exprs.items()}
+        assert kept == [name for name, fam in alone.items()
+                        if fam and frozenset() not in fam]
+
+        families = _cause_families(m, config, kept, [])
+        expected = {name: brute_force_cause_family(
+                        m, fms, exprs[name],
+                        {c: exprs[c] for c in kept if c != name})
+                    for name in kept}
+        adjacency = {name: {c for S in fam for c in S if c in expected}
+                     for name, fam in expected.items()}
+        for name in brute_force_cycle_nodes(adjacency):
+            expected[name] = alone[name]
+        assert families == expected
