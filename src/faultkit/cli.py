@@ -15,6 +15,7 @@ import sys
 from . import cutsets, diagnosability, fdispec, synthesis, tfpg, tfpg_synthesis
 from .boolexpr import parse_expr
 from .errors import FaultkitError
+from .jsonio import expect, read_json
 from .model import Trace, load_model, validate_model
 
 
@@ -34,25 +35,10 @@ class CliInputError(Exception):
     pass
 
 
-def _load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise CliInputError(f"{path}: {err}") from None
-
-
 def _require(args, *names):
     for name in names:
         if getattr(args, name.replace("-", "_"), None) in (None, []):
             raise CliInputError(f"--{name} is required for this subcommand")
-
-
-def _model(args):
-    try:
-        return load_model(args.model)
-    except OSError as err:
-        raise CliInputError(str(err)) from None
 
 
 def _specs(args):
@@ -63,13 +49,6 @@ def _specs(args):
             raise CliInputError(f"no alarm named {args.alarm!r} in {args.spec}")
         return matching
     return specs
-
-
-def _load_trace(args) -> Trace:
-    doc = _load_json(args.trace)
-    if not isinstance(doc, dict) or "steps" not in doc:
-        raise CliInputError(f"{args.trace}: trace file must contain 'steps'")
-    return Trace(tuple(doc["steps"]))
 
 
 def _check_format(args, allowed):
@@ -83,7 +62,7 @@ def _check_format(args, allowed):
 
 def cmd_validate_model(args) -> int:
     _require(args, "model")
-    report = validate_model(_model(args))
+    report = validate_model(load_model(args.model))
     _check_format(args, {"json", "text"})
     if args.format == "text":
         lines = [str(v) for v in report] or ["model is valid"]
@@ -98,7 +77,7 @@ def cmd_validate_model(args) -> int:
 def cmd_mcs(args) -> int:
     _require(args, "model", "tle")
     _check_format(args, {"json", "text"})
-    m = _model(args)
+    m = load_model(args.model)
     reports = list(cutsets.enumerate_mcs(m, args.tle))
     final = reports[-1]
     doc = cutsets.mcs_to_json(final.mcs)
@@ -120,10 +99,10 @@ def cmd_fault_tree(args) -> int:
     _check_format(args, {"json", "dot"})
     name = args.name or "TLE"
     if args.mcs:
-        groups = cutsets.mcs_from_json(_load_json(args.mcs))
+        groups = cutsets.mcs_from_json(read_json(args.mcs))
     else:
         _require(args, "model", "tle")
-        m = _model(args)
+        m = load_model(args.model)
         groups = list(cutsets.final_mcs(m, args.tle).mcs)
         name = args.name or args.tle
     tree = cutsets.build_fault_tree(groups, name)
@@ -138,11 +117,11 @@ def cmd_ft_prob(args) -> int:
     _require(args, "probs")
     _check_format(args, {"json", "text"})
     if args.mcs:
-        groups = cutsets.mcs_from_json(_load_json(args.mcs))
+        groups = cutsets.mcs_from_json(read_json(args.mcs))
     else:
         _require(args, "model", "tle")
-        groups = list(cutsets.final_mcs(_model(args), args.tle).mcs)
-    probs = _load_json(args.probs)
+        groups = list(cutsets.final_mcs(load_model(args.model), args.tle).mcs)
+    probs = expect(read_json(args.probs), dict, f"probability file {args.probs}")
     by_enum, value = cutsets.probability_routes(groups, probs)
     doc = {"probability": value,
            "by_enumeration": by_enum,
@@ -159,7 +138,7 @@ def cmd_ft_prob(args) -> int:
 def cmd_diag_check(args) -> int:
     _require(args, "model", "spec")
     _check_format(args, {"json", "text"})
-    m = _model(args)
+    m = load_model(args.model)
     specs = [s for s in _specs(args) if s.diag == fdispec.GLOBAL]
     if not specs:
         raise CliInputError("no global-row alarm specifications selected "
@@ -182,8 +161,8 @@ def cmd_diag_check(args) -> int:
 def cmd_trace_diag(args) -> int:
     _require(args, "model", "spec", "trace", "time")
     _check_format(args, {"json", "text"})
-    m = _model(args)
-    tr = _load_trace(args)
+    m = load_model(args.model)
+    tr = Trace.from_json(read_json(args.trace))
     results = {}
     ok = True
     for spec in _specs(args):
@@ -202,7 +181,7 @@ def cmd_trace_diag(args) -> int:
 def cmd_synth_diagnoser(args) -> int:
     _require(args, "model", "spec")
     _check_format(args, {"json", "dot"})
-    m = _model(args)
+    m = load_model(args.model)
     d = synthesis.synthesize_diagnoser(m, _specs(args))
     if args.format == "dot":
         _emit(args, synthesis.export_diagnoser_dot(d))
@@ -215,9 +194,7 @@ def cmd_run_diagnoser(args) -> int:
     _require(args, "diagnoser", "obs")
     _check_format(args, {"json", "text"})
     d = synthesis.load_diagnoser(args.diagnoser)
-    observations = _load_json(args.obs)
-    if not isinstance(observations, list):
-        raise CliInputError(f"{args.obs}: observation file must be a list")
+    observations = expect(read_json(args.obs), list, f"observation file {args.obs}")
     alarms = synthesis.run_diagnoser(d, observations)
     doc = [sorted(a) for a in alarms]
     if args.format == "text":
@@ -231,7 +208,7 @@ def cmd_run_diagnoser(args) -> int:
 def cmd_verify_diagnoser(args) -> int:
     _require(args, "model", "spec", "diagnoser")
     _check_format(args, {"json", "text"})
-    m = _model(args)
+    m = load_model(args.model)
     d = synthesis.load_diagnoser(args.diagnoser)
     results = {}
     ok = True
@@ -273,7 +250,7 @@ def cmd_tfpg_check_trace(args) -> int:
     _require(args, "tfpg", "trace")
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
-    at = tfpg.activation_trace_from_json(_load_json(args.trace), g)
+    at = tfpg.activation_trace_from_json(read_json(args.trace), g)
     ok, violations = tfpg.check_trace_consistency(g, at)
     if args.format == "text":
         lines = ["consistent"] if ok else [str(v) for v in violations]
@@ -284,7 +261,7 @@ def cmd_tfpg_check_trace(args) -> int:
 
 
 def _node_map(args):
-    doc = _load_json(args.map)
+    doc = read_json(args.map)
     if isinstance(doc, dict) and "fm" in doc:
         # Synthesis configs double as node maps for behavioral checks.
         config = tfpg_synthesis.SynthesisConfig.from_json(doc)
@@ -299,7 +276,7 @@ def cmd_tfpg_behavioral(args) -> int:
     _require(args, "tfpg", "model", "map", "horizon")
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
-    m = _model(args)
+    m = load_model(args.model)
     result = tfpg.behavioral_validate(g, m, _node_map(args), args.horizon)
     if args.format == "text":
         if result.complete:
@@ -317,7 +294,7 @@ def cmd_tfpg_tighten(args) -> int:
     _require(args, "tfpg", "model", "map", "horizon")
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
-    m = _model(args)
+    m = load_model(args.model)
     result = tfpg.tighten_edges(g, m, _node_map(args), args.horizon)
     if args.format == "text":
         lines = [json.dumps(c.to_json(), sort_keys=True) for c in result.changes]
@@ -330,8 +307,8 @@ def cmd_tfpg_tighten(args) -> int:
 def cmd_tfpg_synth(args) -> int:
     _require(args, "model", "map", "horizon")
     _check_format(args, {"json", "dot", "text"})
-    m = _model(args)
-    config = tfpg_synthesis.SynthesisConfig.from_json(_load_json(args.map))
+    m = load_model(args.model)
+    config = tfpg_synthesis.SynthesisConfig.from_json(read_json(args.map))
     result = tfpg_synthesis.synthesize_tfpg(m, config, args.horizon)
     if args.format == "dot":
         _emit(args, tfpg.export_tfpg_dot(result.tfpg))
@@ -400,7 +377,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args)
-    except (CliInputError, FaultkitError, ValueError, FileNotFoundError) as err:
+    except (CliInputError, FaultkitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

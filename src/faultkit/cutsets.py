@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 from .boolexpr import Atom, Expr, as_expr
 from .errors import ExpressionError
+from .jsonio import NAMES, expect
 from .model import SystemModel
 
 
@@ -187,22 +188,14 @@ def export_fault_tree_dot(ft: FaultTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fault_tree_from_json(doc) -> FaultTree:
-    if not isinstance(doc, dict) or "top" not in doc or "gates" not in doc:
-        raise ValueError("fault tree document must have 'top' and 'gates'")
-    gates = [frozenset(g) for g in doc["gates"]]
-    return build_fault_tree(gates, doc["top"])
-
-
 def mcs_to_json(mcs: Iterable[frozenset[str]]) -> list[list[str]]:
     """Canonical form: sorted fault-name lists, sorted by (size, lexicographic)."""
     return [sorted(s) for s in sorted(mcs, key=lambda s: (len(s), sorted(s)))]
 
 
 def mcs_from_json(doc) -> list[frozenset[str]]:
-    if not isinstance(doc, list) or not all(isinstance(g, list) for g in doc):
-        raise ValueError("minimal-cut-set document must be a list of name lists")
-    return [frozenset(g) for g in doc]
+    return [frozenset(expect(group, NAMES, f"cut set {i}"))
+            for i, group in enumerate(expect(doc, list, "minimal-cut-set document"))]
 
 
 # -- quantitative evaluation -----------------------------------------------
@@ -213,7 +206,7 @@ def _check_probs(mcs, probabilities) -> list[str]:
         if f not in probabilities:
             raise ValueError(f"missing probability for basic event {f!r}")
     for f, p in probabilities.items():
-        if not (0.0 <= p <= 1.0):
+        if not 0.0 <= expect(p, (int, float), f"probability of {f!r}") <= 1.0:
             raise ValueError(f"probability of {f!r} out of [0,1]: {p}")
     return events
 

@@ -10,7 +10,7 @@ class ExpressionError(FaultkitError):
 
 
 class ModelFormatError(FaultkitError):
-    """Model/spec/diagnoser/TFPG file does not conform to its format."""
+    """An input file cannot be read or does not conform to its format."""
 
     def __init__(self, message, line=None, column=None):
         self.line = line

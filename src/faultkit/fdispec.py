@@ -19,12 +19,12 @@ Knowledge is computed by propagating belief states, i.e. sets of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
 from .boolexpr import Expr, as_expr
 from .errors import ExpressionError, ModelFormatError, TraceError
+from .jsonio import decode_json, expect, field, read_text
 from .model import SystemModel, Trace
 
 GLOBAL = "global"
@@ -76,30 +76,18 @@ class AlarmSpec:
 def parse_specs(text: str) -> list[AlarmSpec]:
     """Parse the JSON alarm-spec format: a list of
     {alarm, beta, delay: {kind, n}, diag, maximal} objects."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(f"syntax error: {err.msg}", err.lineno, err.colno) from None
-    if not isinstance(doc, list):
-        raise ModelFormatError("spec file must be a list of alarm objects")
     specs = []
     names = set()
-    for item in doc:
-        if not isinstance(item, dict):
-            raise ModelFormatError(f"alarm entry must be an object, got {item!r}")
-        try:
-            name = item["alarm"]
-            beta = as_expr(item["beta"])
-            delay_doc = item["delay"]
-            kind = delay_doc["kind"]
-            if kind in ("exact", "bound"):
-                n = int(delay_doc["n"])
-        except KeyError as err:
-            raise ModelFormatError(f"alarm entry missing key {err}") from None
-        if kind == "exact":
-            delay: Delay = ExactDelay(n)
-        elif kind == "bound":
-            delay = BoundedDelay(n)
+    for i, item in enumerate(expect(decode_json(text), list, "spec file")):
+        where = f"alarm entry {i}"
+        expect(item, dict, where)
+        name = field(item, "alarm", str, where)
+        beta = as_expr(field(item, "beta", str, where))
+        delay_doc = field(item, "delay", dict, where)
+        kind = field(delay_doc, "kind", str, f"{where} delay")
+        if kind in ("exact", "bound"):
+            n = field(delay_doc, "n", int, f"{where} delay")
+            delay: Delay = ExactDelay(n) if kind == "exact" else BoundedDelay(n)
         elif kind == "finite":
             delay = FiniteDelay()
         else:
@@ -107,14 +95,13 @@ def parse_specs(text: str) -> list[AlarmSpec]:
         if name in names:
             raise ModelFormatError(f"duplicate alarm name {name!r}")
         names.add(name)
-        specs.append(AlarmSpec(name, beta, delay,
-                               item.get("diag", GLOBAL), bool(item.get("maximal", False))))
+        specs.append(AlarmSpec(name, beta, delay, field(item, "diag", str, where, GLOBAL),
+                               field(item, "maximal", bool, where, False)))
     return specs
 
 
 def load_specs(path) -> list[AlarmSpec]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_specs(fh.read())
+    return parse_specs(read_text(path))
 
 
 # -- past formulas -----------------------------------------------------------

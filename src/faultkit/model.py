@@ -9,12 +9,12 @@ diagnosable configuration).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, TraceError
+from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_text
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,11 @@ class Trace:
 
     def to_json(self):
         return {"steps": list(self.steps)}
+
+    @staticmethod
+    def from_json(doc) -> "Trace":
+        expect(doc, dict, "trace")
+        return Trace(tuple(field(doc, "steps", NAMES, "trace")))
 
 
 @dataclass(frozen=True)
@@ -143,63 +148,44 @@ class SystemModel:
 def parse_model(text: str) -> SystemModel:
     """Parse the JSON model format.  Referential well-formedness is checked
     here; the behavioral invariants are checked by :func:`validate_model`."""
-    try:
-        doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
-    except _DuplicateKey as dup:
-        raise ModelFormatError(f"duplicate state id {dup.key!r}") from None
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(f"syntax error: {err.msg}", err.lineno, err.colno) from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("top level must be an object")
-    for key in ("atoms", "states", "initial", "transitions"):
-        if key not in doc:
-            raise ModelFormatError(f"missing top-level key {key!r}")
-    atoms = _name_list(doc["atoms"], "atoms")
-    faults = _name_list(doc.get("faults", []), "faults")
-    observables = _name_list(doc.get("observables", []), "observables")
-    modes = _name_list(doc.get("modes", []), "modes")
+    doc = expect(decode_json(text), dict, "model")
+    atoms = field(doc, "atoms", NAMES, "model")
+    faults = field(doc, "faults", NAMES, "model", [])
+    observables = field(doc, "observables", NAMES, "model", [])
+    modes = field(doc, "modes", NAMES, "model", [])
     atom_set = set(atoms)
     for group, names in (("faults", faults), ("observables", observables), ("modes", modes)):
         for name in names:
             if name not in atom_set:
                 raise ModelFormatError(f"unknown atom {name!r} in {group}")
-    if not isinstance(doc["states"], dict) or not doc["states"]:
+    if not field(doc, "states", dict, "model"):
         raise ModelFormatError("states must be a nonempty object")
     states = {}
     for sid, val in doc["states"].items():
-        if not isinstance(val, dict):
-            raise ModelFormatError(f"state {sid!r}: valuation must be an object")
-        for a, b in val.items():
-            if a not in atom_set:
-                raise ModelFormatError(f"state {sid!r}: unknown atom {a!r}")
-            if not isinstance(b, bool):
-                raise ModelFormatError(f"state {sid!r}: atom {a!r} must be a boolean")
+        if not expect(val, FLAGS, f"state {sid!r}").keys() <= atom_set:
+            raise ModelFormatError(f"state {sid!r}: unknown atom {min(val.keys() - atom_set)!r}")
         # Unlisted atoms default to false.
-        states[sid] = {a: bool(val.get(a, False)) for a in atoms}
-    initial = doc["initial"]
-    if not isinstance(initial, list) or not initial:
+        states[sid] = {a: val.get(a, False) for a in atoms}
+    initial = field(doc, "initial", NAMES, "model")
+    if not initial:
         raise ModelFormatError("initial must be a nonempty list")
     for sid in initial:
         if sid not in states:
             raise ModelFormatError(f"unknown state {sid!r} in initial")
-    transitions = doc["transitions"]
-    if not isinstance(transitions, list):
-        raise ModelFormatError("transitions must be a list")
     pairs = []
-    for item in transitions:
-        if not (isinstance(item, list) and len(item) == 2):
+    for item in field(doc, "transitions", list, "model"):
+        # Checked inline: a model has many transitions.
+        if type(item) is not list or len(item) != 2:
             raise ModelFormatError(f"transition must be a [from, to] pair, got {item!r}")
         a, b = item
-        for sid in (a, b):
-            if sid not in states:
-                raise ModelFormatError(f"unknown state {sid!r} in transition {item!r}")
+        if type(a) is not str or type(b) is not str or a not in states or b not in states:
+            raise ModelFormatError(f"unknown state in transition {item!r}")
         pairs.append((a, b))
     return SystemModel(atoms, faults, observables, modes, states, initial, pairs)
 
 
 def load_model(path) -> SystemModel:
-    with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    return parse_model(read_text(path))
 
 
 def validate_model(m: SystemModel) -> list[Violation]:
@@ -228,26 +214,3 @@ def validate_model(m: SystemModel) -> list[Violation]:
                     "mode-uniqueness", sid,
                     f"expected exactly one mode atom true, found {active or 'none'}"))
     return report
-
-
-# -- parsing helpers -------------------------------------------------------
-
-class _DuplicateKey(Exception):
-    def __init__(self, key):
-        self.key = key
-
-
-def _no_duplicate_keys(pairs):
-    """json object_pairs_hook that rejects an object with a repeated key."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise _DuplicateKey(key)
-        out[key] = value
-    return out
-
-
-def _name_list(value, label):
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ModelFormatError(f"{label} must be a list of names")
-    return list(value)

@@ -21,7 +21,7 @@ producible observations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ModelFormatError, ObservationError
 from .fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, TRACE,
@@ -30,7 +30,8 @@ from .fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, TRACE,
                       past_formula, trackers_for, instantiate_pattern)
 from .graphs import (find_reachable_cycle, lexleast_shortest_paths,
                      nodes_on_cycles, path_to)
-from .model import SystemModel, Trace, _DuplicateKey, _no_duplicate_keys
+from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_text
+from .model import SystemModel, Trace
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,11 @@ class Diagnoser:
     stats: DiagnoserStats | None = None
 
     def obs_tuple(self, obs: dict[str, bool]) -> tuple:
-        if set(obs) != set(self.obs_atoms):
+        if set(expect(obs, FLAGS, "observation")) != set(self.obs_atoms):
             raise ObservationError(
                 None, f"observation domain {sorted(obs)} does not equal "
                       f"observable atoms {list(self.obs_atoms)}")
-        return tuple(bool(obs[a]) for a in self.obs_atoms)
+        return tuple(obs[a] for a in self.obs_atoms)
 
     def obs_dict(self, obs: tuple) -> dict[str, bool]:
         return dict(zip(self.obs_atoms, obs))
@@ -72,10 +73,11 @@ def _obs_key(atoms: tuple[str, ...], obs: tuple) -> str:
 
 
 def _obs_from_key(atoms: tuple[str, ...], key: str) -> tuple:
-    doc = json.loads(key)
+    what = f"observation key {key!r}"
+    doc = expect(decode_json(key, source=what), FLAGS, what)
     if set(doc) != set(atoms):
-        raise ModelFormatError(f"observation key {key!r} does not match alphabet")
-    return tuple(bool(doc[a]) for a in atoms)
+        raise ModelFormatError(f"{what} does not match alphabet")
+    return tuple(doc[a] for a in atoms)
 
 
 def synthesize_diagnoser(m: SystemModel, specs: list[AlarmSpec]) -> Diagnoser:
@@ -169,48 +171,43 @@ def diagnoser_to_json(d: Diagnoser) -> dict:
 
 
 def diagnoser_from_json(doc) -> Diagnoser:
-    if not isinstance(doc, dict):
-        raise ModelFormatError("diagnoser document must be an object")
-    for key in ("observables", "nodes", "entry", "delta"):
-        if key not in doc:
-            raise ModelFormatError(f"diagnoser document missing key {key!r}")
-    atoms = tuple(doc["observables"])
-    nodes = {nid: frozenset(alarms) for nid, alarms in doc["nodes"].items()}
-    entry = {}
-    for key, nid in doc["entry"].items():
-        if nid not in nodes:
-            raise ModelFormatError(f"entry target {nid!r} is not a node")
-        entry[_obs_from_key(atoms, key)] = nid
+    expect(doc, dict, "diagnoser")
+    atoms = tuple(field(doc, "observables", NAMES, "diagnoser"))
+    nodes_doc = field(doc, "nodes", dict, "diagnoser")
+    nodes = {nid: frozenset(field(nodes_doc, nid, NAMES, "diagnoser nodes"))
+             for nid in nodes_doc}
+    decoded: dict[str, tuple] = {}  # a diagnoser repeats few distinct keys
+
+    def moves_of(doc, where: str) -> dict[tuple, str]:
+        moves = {}
+        for key, tgt in expect(doc, dict, where).items():
+            if type(tgt) is not str or tgt not in nodes:
+                raise ModelFormatError(f"{where}: target {tgt!r} is not a node")
+            if key not in decoded:
+                decoded[key] = _obs_from_key(atoms, key)
+            if decoded[key] in moves:
+                raise ModelFormatError(
+                    f"nondeterministic candidate: {where} has two "
+                    f"transitions for observation {key}")
+            moves[decoded[key]] = tgt
+        return moves
+
+    entry = moves_of(field(doc, "entry", dict, "diagnoser"), "entry")
     delta: dict[str, dict[tuple, str]] = {nid: {} for nid in nodes}
-    for nid, moves in doc["delta"].items():
+    for nid, moves in field(doc, "delta", dict, "diagnoser").items():
         if nid not in nodes:
             raise ModelFormatError(f"delta source {nid!r} is not a node")
-        for key, tgt in moves.items():
-            if tgt not in nodes:
-                raise ModelFormatError(f"delta target {tgt!r} is not a node")
-            obs = _obs_from_key(atoms, key)
-            if obs in delta[nid]:
-                raise ModelFormatError(
-                    f"nondeterministic candidate: node {nid!r} has two "
-                    f"transitions for observation {key}")
-            delta[nid][obs] = tgt
+        delta[nid] = moves_of(moves, f"delta of {nid!r}")
     return Diagnoser(atoms, nodes, entry, delta)
 
 
 def parse_diagnoser(text: str) -> Diagnoser:
-    try:
-        doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
-    except _DuplicateKey as dup:
-        raise ModelFormatError(
-            f"nondeterministic candidate: duplicate key {dup.key!r}") from None
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(f"syntax error: {err.msg}", err.lineno, err.colno) from None
-    return diagnoser_from_json(doc)
+    return diagnoser_from_json(
+        decode_json(text, duplicate="nondeterministic candidate: duplicate key"))
 
 
 def load_diagnoser(path) -> Diagnoser:
-    with open(path, encoding="utf-8") as fh:
-        return parse_diagnoser(fh.read())
+    return parse_diagnoser(read_text(path))
 
 
 def export_diagnoser_dot(d: Diagnoser) -> str:

@@ -22,7 +22,6 @@ re-entering restarts the clock at the re-entry step.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -30,6 +29,7 @@ from typing import Iterator
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
 from .graphs import nodes_on_cycles
+from .jsonio import NAME_MAP, NAMES, decode_json, expect, field, read_json, read_text
 from .model import SystemModel, Trace
 
 FM = "FM"
@@ -134,44 +134,32 @@ class TraceViolation:
 # -- parsing -----------------------------------------------------------------
 
 def parse_tfpg(text: str) -> Tfpg:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(f"syntax error: {err.msg}", err.lineno, err.colno) from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("TFPG document must be an object")
-    for key in ("modes", "nodes", "edges"):
-        if key not in doc:
-            raise ModelFormatError(f"TFPG document missing key {key!r}")
-    modes = doc["modes"]
-    if not isinstance(modes, list) or not modes:
+    doc = expect(decode_json(text), dict, "TFPG")
+    modes = field(doc, "modes", NAMES, "TFPG")
+    if not modes:
         raise ModelFormatError("modes must be a nonempty list")
-    if not isinstance(doc["nodes"], dict):
-        raise ModelFormatError("nodes must be an object")
     nodes = {}
-    for name, entry in doc["nodes"].items():
+    for name, entry in field(doc, "nodes", dict, "TFPG").items():
         kind = entry.get("kind") if isinstance(entry, dict) else entry
         if kind not in (FM, OR, AND):
             raise ModelFormatError(f"node {name!r}: unknown kind {kind!r}")
         nodes[name] = kind
     edges = []
-    for item in doc["edges"]:
-        for key in ("from", "to", "tmin", "tmax", "modes"):
-            if key not in item:
-                raise ModelFormatError(f"edge missing key {key!r}: {item!r}")
-        src, dst = item["from"], item["to"]
+    for i, item in enumerate(field(doc, "edges", list, "TFPG")):
+        where = f"edge {i}"
+        expect(item, dict, where)
+        src, dst = field(item, "from", str, where), field(item, "to", str, where)
         for endpoint in (src, dst):
             if endpoint not in nodes:
                 raise ModelFormatError(f"edge references unknown node {endpoint!r}")
-        tmax = INF if item["tmax"] == "inf" else int(item["tmax"])
-        edges.append(TfpgEdge(src, dst, int(item["tmin"]), tmax,
-                              tuple(sorted(item["modes"]))))
+        tmax = INF if item.get("tmax") == "inf" else field(item, "tmax", int, where)
+        edges.append(TfpgEdge(src, dst, field(item, "tmin", int, where), tmax,
+                              tuple(sorted(field(item, "modes", NAMES, where)))))
     return Tfpg(modes, nodes, edges)
 
 
 def load_tfpg(path) -> Tfpg:
-    with open(path, encoding="utf-8") as fh:
-        return parse_tfpg(fh.read())
+    return parse_tfpg(read_text(path))
 
 
 def tfpg_to_json(g: Tfpg) -> dict:
@@ -186,16 +174,15 @@ def tfpg_to_json(g: Tfpg) -> dict:
 
 
 def activation_trace_from_json(doc, g: Tfpg) -> ActivationTrace:
-    if not isinstance(doc, dict) or "horizon" not in doc or "mode_timeline" not in doc:
-        raise ModelFormatError("activation trace needs 'horizon' and 'mode_timeline'")
-    horizon = int(doc["horizon"])
-    timeline = tuple(doc["mode_timeline"])
-    acts = doc.get("activations", {})
+    where = "activation trace"
+    expect(doc, dict, where)
+    horizon = field(doc, "horizon", int, where)
+    timeline = tuple(field(doc, "mode_timeline", NAMES, where))
     times = {n: None for n in g.nodes}
-    for node, t in acts.items():
+    for node, t in field(doc, "activations", dict, where, {}).items():
         if node not in g.nodes:
             raise ModelFormatError(f"activation for unknown node {node!r}")
-        times[node] = None if t is None else int(t)
+        times[node] = expect(t, (int, type(None)), f"activation of {node!r}")
     return ActivationTrace(horizon, timeline, times)
 
 
@@ -460,10 +447,10 @@ class NodeMap:
 
     @staticmethod
     def from_json(doc) -> "NodeMap":
-        if not isinstance(doc, dict) or "nodes" not in doc:
-            raise ModelFormatError("node map document must contain 'nodes'")
-        exprs = {n: as_expr(e) for n, e in doc["nodes"].items()}
-        return NodeMap(exprs, dict(doc.get("modes", {})))
+        expect(doc, dict, "node map")
+        exprs = field(doc, "nodes", NAME_MAP, "node map")
+        return NodeMap({n: as_expr(e) for n, e in exprs.items()},
+                       dict(field(doc, "modes", NAME_MAP, "node map", {})))
 
     def to_json(self):
         return {"nodes": {n: str(e) for n, e in sorted(self.exprs.items())},
@@ -471,8 +458,7 @@ class NodeMap:
 
 
 def load_node_map(path) -> NodeMap:
-    with open(path, encoding="utf-8") as fh:
-        return NodeMap.from_json(json.load(fh))
+    return NodeMap.from_json(read_json(path))
 
 
 @dataclass

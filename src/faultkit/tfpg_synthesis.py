@@ -16,13 +16,12 @@ synthesis horizon by construction.  Finally the edge bounds are tightened.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .boolexpr import Expr, as_expr
 from .cutsets import minimal_cause_sets
-from .errors import ModelFormatError
 from .graphs import nodes_on_cycles
+from .jsonio import NAME_MAP, NAMES, expect, field, read_json
 from .model import SystemModel
 from .tfpg import (AND, FM, INF, OR, NodeMap, Tfpg, TfpgEdge, TfpgError,
                    behavioral_validate, tighten_edges)
@@ -47,18 +46,20 @@ class SynthesisConfig:
 
     @staticmethod
     def from_json(doc) -> "SynthesisConfig":
-        if not isinstance(doc, dict) or "fm" not in doc or "discrepancies" not in doc:
-            raise ModelFormatError("synthesis config needs 'fm' and 'discrepancies'")
+        where = "synthesis config"
+        expect(doc, dict, where)
+        fm = field(doc, "fm", NAMES, where)
         decls = []
-        for name, item in doc["discrepancies"].items():
-            decls.append(DiscrepancyDecl(name, as_expr(item["expr"]),
-                                         item.get("kind", OR)))
-        return SynthesisConfig(list(doc["fm"]), decls, dict(doc.get("modes", {})))
+        for name, item in field(doc, "discrepancies", dict, where).items():
+            what = f"discrepancy {name!r}"
+            expect(item, dict, what)
+            decls.append(DiscrepancyDecl(name, as_expr(field(item, "expr", str, what)),
+                                         field(item, "kind", str, what, OR)))
+        return SynthesisConfig(fm, decls, dict(field(doc, "modes", NAME_MAP, where, {})))
 
 
 def load_synthesis_config(path) -> SynthesisConfig:
-    with open(path, encoding="utf-8") as fh:
-        return SynthesisConfig.from_json(json.load(fh))
+    return SynthesisConfig.from_json(read_json(path))
 
 
 @dataclass

@@ -1,13 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultkit.cli import main
 
-from .conftest import corpus_path
+from .conftest import corpus_json, corpus_path
 
 
 def run_cli(*argv, out=None):
@@ -28,6 +32,7 @@ SPECS = str(corpus_path("alarms_sensor.json"))
 TFPG = str(corpus_path("tfpg_battery.json"))
 MAP = str(corpus_path("battery_map.json"))
 SYNTH = str(corpus_path("battery_synth.json"))
+POWER = str(corpus_path("tfpg_power.json"))
 
 
 class TestExitCodes:
@@ -71,21 +76,55 @@ class TestExitCodes:
         assert run_cli("mcs", "--model", MODEL, "--tle", "system_dead",
                        "--format", "dot") == 2
 
-    @pytest.mark.parametrize("command,flag,doc", [
-        ("diag-check", "--spec",
+    @pytest.mark.parametrize("argv,flag,doc", [
+        (["diag-check", "--model", SENSOR], "--spec",
          [{"alarm": "x", "beta": "fault", "delay": {"kind": "exact"}}]),
-        ("diag-check", "--spec",
+        (["diag-check", "--model", SENSOR], "--spec",
          [{"alarm": "x", "beta": "fault", "delay": {"kind": "bound"}}]),
-        ("tfpg-validate", "--tfpg",
+        (["tfpg-validate", "--model", SENSOR], "--tfpg",
          {"modes": ["m"], "nodes": ["f", "d"], "edges": []}),
-    ], ids=["exact-without-n", "bound-without-n", "tfpg-nodes-list"])
-    def test_malformed_input_is_exit_2_without_traceback(self, tmp_path, command,
+        (["diag-check", "--model", SENSOR], "--spec",
+         [{"alarm": "x", "beta": "fault", "delay": {"kind": "exact", "n": None}}]),
+        (["diag-check", "--model", SENSOR], "--spec",
+         [{"alarm": "x", "beta": "fault", "delay": "exact"}]),
+        (["tfpg-validate"], "--tfpg",
+         {"modes": ["m"], "nodes": {"f": "FM", "d": "OR"},
+          "edges": [{"from": "f", "to": "d", "tmin": 0, "tmax": None, "modes": ["m"]}]}),
+        (["diag-check", "--model", SENSOR], "--spec",
+         [{"alarm": ["x"], "beta": "fault", "delay": {"kind": "finite"}}]),
+        (["validate-model"], "--model",
+         {"atoms": [], "states": {"s": {}}, "initial": [["s"]], "transitions": [["s", "s"]]}),
+        (["validate-model"], "--model",
+         {"atoms": [], "states": {"s": {}}, "initial": ["s"], "transitions": [[["s"], "s"]]}),
+        (["verify-diagnoser", "--model", SENSOR, "--spec", SPECS], "--diagnoser",
+         {"observables": ["warn"], "nodes": [], "entry": {}, "delta": {}}),
+        (["verify-diagnoser", "--model", SENSOR, "--spec", SPECS], "--diagnoser",
+         {"observables": ["warn"], "nodes": {"q": []}, "entry": {"1": "q"}, "delta": {}}),
+        (["tfpg-check-trace", "--tfpg", POWER], "--trace",
+         {"horizon": 1, "mode_timeline": ["primary", "primary"], "activations": []}),
+        (["tfpg-synth", "--model", MODEL, "--horizon", "4"], "--map",
+         {"fm": ["b1_fail"], "discrepancies": []}),
+        (["tfpg-synth", "--model", MODEL, "--horizon", "4"], "--map",
+         {"fm": ["b1_fail"], "discrepancies": {"d": "x"}}),
+        (["ft-prob", "--model", MODEL, "--tle", "system_dead"], "--probs",
+         {"b1_fail": "0.5", "b2_fail": 0.2}),
+        # None: the flag names a directory instead of a file.
+        (["diag-check", "--model", SENSOR], "--spec", None),
+    ], ids=["exact-without-n", "bound-without-n", "tfpg-nodes-list", "n-null",
+            "delay-string", "tmax-null", "alarm-name-list", "initial-nested-list",
+            "transition-nested-list", "diagnoser-nodes-list", "diagnoser-key-1",
+            "activations-list", "discrepancies-list", "discrepancy-string",
+            "probability-string", "spec-directory"])
+    def test_malformed_input_is_exit_2_without_traceback(self, tmp_path, argv,
                                                           flag, doc):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
+        if doc is None:
+            path = tmp_path
+        else:
+            path.write_text(json.dumps(doc))
         proc = subprocess.run(
-            [sys.executable, "-m", "faultkit.cli", command, "--model", SENSOR,
-             flag, str(path)], capture_output=True, text=True)
+            [sys.executable, "-m", "faultkit.cli", *argv, flag, str(path)],
+            capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
@@ -216,3 +255,113 @@ class TestReports:
                                 "--format", "text")
         assert code == 0
         assert "valid" in out
+
+
+# Inputs for the fuzz test: corpus files, plus the formats the corpus has no
+# file for.  Each request reads the file named in braces from the fuzz
+# directory and every other file unchanged.
+OBS_KEY = {False: '{"warn":false}', True: '{"warn":true}'}
+FUZZ_INPUTS = {
+    "battery.json": corpus_json("battery.json"),
+    "sensor_delay.json": corpus_json("sensor_delay.json"),
+    "alarms_sensor.json": corpus_json("alarms_sensor.json"),
+    "tfpg_power.json": corpus_json("tfpg_power.json"),
+    "power_trace_ok.json": corpus_json("power_trace_ok.json"),
+    "tfpg_battery.json": corpus_json("tfpg_battery.json"),
+    "battery_map.json": corpus_json("battery_map.json"),
+    "battery_synth.json": corpus_json("battery_synth.json"),
+    "trace.json": {"steps": ["n", "n", "f0", "f1", "f2", "f2"]},
+    "obs.json": [{"warn": False}, {"warn": False}, {"warn": True}],
+    "probs.json": {"b1_fail": 0.1, "b2_fail": 0.2},
+    "mcs.json": [["b1_fail", "b2_fail"]],
+    "diagnoser.json": {
+        "observables": ["warn"],
+        "nodes": {"b0": [], "b1": ["a_bound3"]},
+        "entry": {OBS_KEY[False]: "b0"},
+        "delta": {"b0": {OBS_KEY[False]: "b0", OBS_KEY[True]: "b1"},
+                  "b1": {OBS_KEY[True]: "b1"}}},
+}
+FUZZ_REQUESTS = [
+    ("battery.json", ["validate-model", "--model", "{battery.json}"]),
+    ("battery.json", ["mcs", "--model", "{battery.json}", "--tle", "system_dead"]),
+    ("sensor_delay.json", ["diag-check", "--model", "{sensor_delay.json}",
+                           "--spec", "{alarms_sensor.json}"]),
+    ("alarms_sensor.json", ["diag-check", "--model", "{sensor_delay.json}",
+                            "--spec", "{alarms_sensor.json}"]),
+    ("trace.json", ["trace-diag", "--model", "{sensor_delay.json}", "--spec",
+                    "{alarms_sensor.json}", "--trace", "{trace.json}", "--time", "2"]),
+    ("diagnoser.json", ["verify-diagnoser", "--model", "{sensor_delay.json}", "--spec",
+                        "{alarms_sensor.json}", "--alarm", "a_bound3",
+                        "--diagnoser", "{diagnoser.json}"]),
+    ("diagnoser.json", ["run-diagnoser", "--diagnoser", "{diagnoser.json}",
+                        "--obs", "{obs.json}"]),
+    ("obs.json", ["run-diagnoser", "--diagnoser", "{diagnoser.json}",
+                  "--obs", "{obs.json}"]),
+    ("probs.json", ["ft-prob", "--model", "{battery.json}", "--tle", "system_dead",
+                    "--probs", "{probs.json}"]),
+    ("mcs.json", ["fault-tree", "--mcs", "{mcs.json}"]),
+    ("tfpg_power.json", ["tfpg-validate", "--tfpg", "{tfpg_power.json}"]),
+    ("power_trace_ok.json", ["tfpg-check-trace", "--tfpg", "{tfpg_power.json}",
+                             "--trace", "{power_trace_ok.json}"]),
+    ("tfpg_battery.json", ["tfpg-tighten", "--tfpg", "{tfpg_battery.json}", "--model",
+                           "{battery.json}", "--map", "{battery_map.json}",
+                           "--horizon", "4"]),
+    ("battery_map.json", ["tfpg-behavioral", "--tfpg", "{tfpg_battery.json}", "--model",
+                          "{battery.json}", "--map", "{battery_map.json}",
+                          "--horizon", "4"]),
+    ("battery_synth.json", ["tfpg-synth", "--model", "{battery.json}",
+                            "--map", "{battery_synth.json}", "--horizon", "4"]),
+]
+# One value of each JSON type.
+REPLACEMENTS = [None, True, 2, "x", ["x"], {"x": "x"}]
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _value_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _value_paths(value, path + (key,))
+
+
+def _value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FUZZ_INPUTS.items():
+        (root / name).write_text(json.dumps(doc))
+    return root
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_input_exits_0_1_or_2(self, fuzz_dir, data):
+        name, argv = data.draw(st.sampled_from(FUZZ_REQUESTS))
+        doc = copy.deepcopy(FUZZ_INPUTS[name])
+        path = data.draw(st.sampled_from(list(_value_paths(doc))))
+        old = _value_at(doc, path)
+        new = data.draw(st.sampled_from(
+            [v for v in REPLACEMENTS if _json_type(v) != _json_type(old)]))
+        if path:
+            _value_at(doc, path[:-1])[path[-1]] = new
+        else:
+            doc = new
+        mutated = fuzz_dir / "mutated.json"
+        mutated.write_text(json.dumps(doc))
+        files = {n: str(fuzz_dir / n) for n in FUZZ_INPUTS}
+        files[name] = str(mutated)
+        args = [files[a[1:-1]] if a.startswith("{") else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(args)
+        assert code in (0, 1, 2)

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from faultkit.cutsets import (build_fault_tree, enumerate_mcs, evaluate_probability,
                               export_fault_tree_dot, final_mcs, is_cut_set,
-                              mcs_to_json, probability_by_enumeration,
+                              mcs_from_json, mcs_to_json,
+                              probability_by_enumeration,
                               probability_by_inclusion_exclusion)
-from faultkit.errors import ExpressionError
+from faultkit.errors import ExpressionError, ModelFormatError
 from faultkit.model import parse_model
 
 from .oracles import brute_force_mcs
@@ -105,6 +106,12 @@ class TestFaultTree:
     def test_two_gates_sorted(self):
         tree = build_fault_tree([frozenset({"f2", "f3"}), frozenset({"f1"})], "boom")
         assert tree.gates == (("f1",), ("f2", "f3"))
+
+    @pytest.mark.parametrize("doc", [[[1, 2]], [["a"], "b"], {"a": ["b"]}],
+                             ids=["integer-events", "bare-name", "object"])
+    def test_malformed_mcs_document_rejected(self, doc):
+        with pytest.raises(ModelFormatError):
+            mcs_from_json(doc)
 
     def test_non_antichain_rejected(self):
         with pytest.raises(ValueError, match="antichain"):

@@ -30,6 +30,17 @@ class TestSpecParsing:
         with pytest.raises(ModelFormatError, match="duplicate"):
             parse_specs(text)
 
+    @pytest.mark.parametrize("text", [
+        '[{"alarm": "a", "beta": "x", "delay": {"kind": "exact", "n": "3"}}]',
+        '[{"alarm": "a", "beta": "x", "delay": {"kind": "bound", "n": true}}]',
+        '[{"alarm": "a", "beta": "x", "delay": {"kind": "exact", "n": 2}, '
+        '"diag": "trace", "diag": "global"}]',
+        '[{"alarm": "a", "beta": "x", "delay": {"kind": "finite"}, "maximal": 1}]',
+    ], ids=["n-string", "n-bool", "repeated-key", "maximal-int"])
+    def test_mistyped_entry_rejected(self, text):
+        with pytest.raises(ModelFormatError):
+            parse_specs(text)
+
     def test_delay_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             AlarmSpec("a", FAULT, ExactDelay(0))

@@ -42,6 +42,11 @@ class TestParsing:
         with pytest.raises(ModelFormatError, match="line 1"):
             parse_model("{nope}")
 
+    def test_trace_file_steps_must_be_names(self):
+        assert Trace.from_json({"steps": ["a", "b"]}) == Trace(("a", "b"))
+        with pytest.raises(ModelFormatError, match="steps"):
+            Trace.from_json({"steps": "n"})
+
     def test_unlisted_atoms_default_false(self):
         m = parse_model(MINIMAL)
         assert m.states["s0"]["x"] is False

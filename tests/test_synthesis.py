@@ -237,6 +237,12 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="[Nn]ondeterministic"):
             parse_diagnoser(text)
 
+    def test_malformed_observation_key_is_named(self):
+        doc = {"observables": ["w"], "nodes": {"q": []},
+               "entry": {"{w:false}": "q"}, "delta": {}}
+        with pytest.raises(ModelFormatError, match="observation key '{w:false}'"):
+            parse_diagnoser(json.dumps(doc))
+
     def test_dot_export_mentions_alarms(self, sensor_delay, sensor_specs):
         d = synthesize_diagnoser(sensor_delay, [sensor_specs["a_bound3"]])
         dot = export_diagnoser_dot(d)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from faultkit.boolexpr import parse_expr
+from faultkit.errors import ModelFormatError
 from faultkit.model import Trace, parse_model
 from faultkit.tfpg import (INF, ActivationTrace, NodeMap, Tfpg, TfpgEdge,
                            TfpgError, activation_trace_from_json,
@@ -322,6 +323,36 @@ class TestSerialization:
     def test_round_trip(self, tfpg_power):
         doc = tfpg_to_json(tfpg_power)
         assert tfpg_to_json(parse_tfpg(json.dumps(doc))) == doc
+
+    @pytest.mark.parametrize("edge", [
+        {"tmin": 0, "tmax": 1, "modes": "on"},
+        {"tmin": "0", "tmax": 1, "modes": ["on"]},
+        {"tmin": 0, "tmax": None, "modes": ["on"]},
+        {"tmin": True, "tmax": 1, "modes": ["on"]},
+    ], ids=["modes-string", "tmin-string", "tmax-null", "tmin-bool"])
+    def test_mistyped_edge_rejected(self, edge):
+        doc = {"modes": ["on"], "nodes": {"f": "FM", "d": "OR"},
+               "edges": [{"from": "f", "to": "d", **edge}]}
+        with pytest.raises(ModelFormatError):
+            parse_tfpg(json.dumps(doc))
+
+    def test_repeated_key_rejected(self):
+        text = ('{"modes": ["on"], "nodes": {"f": "FM", "d": "OR", "d": "AND"}, '
+                '"edges": []}')
+        with pytest.raises(ModelFormatError, match="duplicate key 'd'"):
+            parse_tfpg(text)
+
+    @pytest.mark.parametrize("doc", [
+        {"horizon": "1", "mode_timeline": ["primary", "primary"]},
+        {"horizon": 1, "mode_timeline": "pp"},
+        {"horizon": 1, "mode_timeline": ["primary", "primary"], "activations": []},
+        {"horizon": 1, "mode_timeline": ["primary", "primary"],
+         "activations": {"fm_gen": "0"}},
+    ], ids=["horizon-string", "timeline-string", "activations-list",
+            "activation-string"])
+    def test_mistyped_activation_trace_rejected(self, tfpg_power, doc):
+        with pytest.raises(ModelFormatError):
+            activation_trace_from_json(doc, tfpg_power)
 
     def test_infinite_bound_round_trip(self):
         g = tiny_graph(0, INF)

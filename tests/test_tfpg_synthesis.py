@@ -4,6 +4,7 @@ import random
 import pytest
 
 from faultkit.boolexpr import parse_expr
+from faultkit.errors import ModelFormatError
 from faultkit.model import parse_model
 from faultkit.tfpg import (AND, FM, INF, OR, NodeMap, Tfpg, TfpgEdge, TfpgError,
                            behavioral_validate, tfpg_to_json, validate_structure)
@@ -80,6 +81,15 @@ class TestSynthesizeCorpus:
         config = SynthesisConfig(["warn"], [decl("d", "warn")], {})
         with pytest.raises(TfpgError, match="fault atom"):
             synthesize_tfpg(sensor_delay, config, 4)
+
+    @pytest.mark.parametrize("doc", [
+        {"fm": "ab", "discrepancies": {}},
+        {"fm": ["a"], "discrepancies": {"d": "a"}},
+        {"fm": ["a"], "discrepancies": {"d": {"expr": "a"}}, "modes": {"m": ["a"]}},
+    ], ids=["fm-string", "discrepancy-string", "mode-atom-list"])
+    def test_mistyped_config_rejected(self, doc):
+        with pytest.raises(ModelFormatError):
+            SynthesisConfig.from_json(doc)
 
 
 CO_OCCUR = {
