@@ -18,6 +18,14 @@ observations; each delay kind needs a different bounded memory per side:
 
 Witnesses are deterministic: the lexicographically least shortest path in
 the twin plant, extended by least choices.
+
+The search runs over ints (:class:`faultkit.model.StateIndex`).  A node is
+a state pair ``a * size + b``, scaled up to make room for the memory of
+its delay kind, and a pair's successors are the products of the two
+states' successors within each observation class they share.  The witness
+order rests on numbering the states in sorted-id order: nodes then sort
+as their (state id, state id, memory) tuples do, so the least path over
+ints is the least path over ids.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, GLOBAL,
                       Once, OnceWithin, PastShift, eval_knowledge,
                       knowledge_counterexample)
 from .graphs import find_reachable_cycle, lexleast_shortest_paths, path_to
-from .model import SystemModel, Trace
+from .model import StateIndex, SystemModel, Trace
 
 
 @dataclass(frozen=True)
@@ -69,17 +77,6 @@ class TraceDiagnosabilityVerdict:
         return doc
 
 
-def _initial_pairs(m: SystemModel):
-    return sorted((a, b) for a in m.initial for b in m.initial
-                  if m.observation(a) == m.observation(b))
-
-
-def _pair_successors(m: SystemModel, pair):
-    s1, s2 = pair
-    return sorted((x, y) for x in m.successors(s1) for y in m.successors(s2)
-                  if m.observation(x) == m.observation(y))
-
-
 def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
     """Decide system-level diagnosability of one alarm specification."""
     if spec.diag != GLOBAL:
@@ -91,79 +88,160 @@ def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdi
     return _check_finite(m, spec)
 
 
+def _nodes(ix: StateIndex, moves1: dict, moves2: dict, flags, scale: int,
+           memory1, memory2) -> list[int]:
+    """The twin-plant nodes ``(x * size + y) * scale + memory1[flags[x]] +
+    memory2[flags[y]]`` for x in moves1[c] and y in moves2[c], over the
+    observation classes c of both: a synchronised state pair, plus what each
+    side remembers, which depends on whether the condition holds in its new
+    state."""
+    row = ix.size * scale
+    out: list[int] = []
+    for c, xs in moves1.items():
+        ys = moves2.get(c)
+        if ys:
+            ends = [y * scale + memory2[flags[y]] for y in ys]
+            for x in xs:
+                start = x * row + memory1[flags[x]]
+                out += [start + end for end in ends]
+    return out
+
+
 def _check_exact(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
     n = spec.delay.n
-    beta = spec.beta
+    ix = m.index
+    flags = ix.condition(spec.beta)
+    size = ix.size
+    moves = ix.succ_by_class
+    start = ix.initial_by_class
+    # A node is a pair; nothing is remembered.
+    none = (0, 0)
 
     def succ(pair):
-        return _pair_successors(m, pair)
+        a, b = divmod(pair, size)
+        return _nodes(ix, moves[a], moves[b], flags, 1, none, none)
 
-    parent = lexleast_shortest_paths(_initial_pairs(m), succ)
-    reachable = set(parent)
-    # extendable[k] = pairs from which k more synchronized steps are possible
-    extendable = [set(reachable)]
-    for _ in range(n):
-        prev = extendable[-1]
-        extendable.append({p for p in reachable if any(q in prev for q in succ(p))})
-    best = next((p for p in parent if m.holds(beta, p[0]) and not m.holds(beta, p[1])
-                 and p in extendable[n]), None)
+    parent = lexleast_shortest_paths(_nodes(ix, start, start, flags, 1, none, none), succ)
+    extends = _walk_exists(succ)
+    best = next((p for p in parent if flags[p // size] and not flags[p % size]
+                 and extends(p, n)), None)
     if best is None:
         return DiagnosabilityVerdict(True)
     stem = list(path_to(parent, best))
     t = len(stem) - 1
     current = best
     for k in range(n, 0, -1):
-        current = min(q for q in succ(current) if q in extendable[k - 1])
+        current = next(q for q in sorted(succ(current)) if extends(q, k - 1))
         stem.append(current)
-    return DiagnosabilityVerdict(False, _pair_from(stem, t))
+    return DiagnosabilityVerdict(False, _pair_from(ix, stem, 1, t))
+
+
+def _walk_exists(successors):
+    """extends(node, k): whether some walk of k steps leaves `node`.
+
+    Depth-first and iterative, so k may exceed the recursion limit.  Results
+    are kept across calls: proven[q] is the longest walk proven to leave q,
+    refuted[q] the shortest proven not to.  Meeting a node on the current
+    path closes a cycle, from which every walk length is possible.
+    """
+    proven: dict = {}
+    refuted: dict = {}
+
+    def known(node, k):
+        if k <= proven.get(node, 0):
+            return True
+        if k >= refuted.get(node, k + 1):
+            return False
+        return None
+
+    def extends(node, k):
+        found = known(node, k)
+        if found is not None:
+            return found
+        frames = [(node, k, iter(successors(node)))]
+        on_path = {node}
+        found = False  # the answer of the frame closed last
+        while frames:
+            q, j, rest = frames[-1]
+            if not found:
+                for nxt in rest:
+                    found = True if nxt in on_path else known(nxt, j - 1)
+                    if found is not False:
+                        break
+                if found is None:
+                    frames.append((nxt, j - 1, iter(successors(nxt))))
+                    on_path.add(nxt)
+                    found = False
+                    continue
+            frames.pop()
+            on_path.discard(q)
+            if found:
+                proven[q] = max(proven.get(q, 0), j)
+            else:
+                refuted[q] = min(refuted.get(q, j), j)
+        return found
+
+    return extends
 
 
 def _check_bounded(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
     n = spec.delay.n
-    beta = spec.beta
+    ix = m.index
+    flags = ix.condition(spec.beta)
+    size = ix.size
+    moves = ix.succ_by_class
+    start = ix.initial_by_class
     cap = 2 * n + 1
+    # A node is (pair * windows + window) * counts + count.  The window holds
+    # side 1's last (at most n + 1) condition values as bits, oldest highest,
+    # below a leading 1 that marks its length; windows of one length, the
+    # only ones ever compared, sort like the tuples of values.  The count is
+    # side 2's steps since the condition last held, saturating at cap.
+    full = 1 << (n + 1)
+    windows = 2 * full
+    counts = cap + 1
+    scale = windows * counts
 
-    def init_nodes():
-        nodes = []
-        for a, b in _initial_pairs(m):
-            w1 = (m.holds(beta, a),)
-            c2 = 0 if m.holds(beta, b) else cap
-            nodes.append((a, b, w1, c2))
-        return nodes
+    def shifted(window, value):
+        window = 2 * window + value
+        return window if window < windows else window % full + full
 
     def succ(node):
-        s1, s2, w1, c2 = node
-        out = []
-        for x, y in _pair_successors(m, (s1, s2)):
-            nw = (w1 + (m.holds(beta, x),))[-(n + 1):]
-            nc = 0 if m.holds(beta, y) else min(c2 + 1, cap)
-            out.append((x, y, nw, nc))
-        return sorted(out)
+        pair, memory = divmod(node, scale)
+        window, count = divmod(memory, counts)
+        a, b = divmod(pair, size)
+        return _nodes(ix, moves[a], moves[b], flags, scale,
+                      (shifted(window, 0) * counts, shifted(window, 1) * counts),
+                      (min(count + 1, cap), 0))
 
-    parent = lexleast_shortest_paths(init_nodes(), succ)
+    roots = _nodes(ix, start, start, flags, scale, (2 * counts, 3 * counts), (cap, 0))
+    parent = lexleast_shortest_paths(roots, succ)
+    # a full window whose oldest value is set, and a saturated count
     best = next((node for node in parent
-                 if len(node[2]) == n + 1 and node[2][0] and node[3] == cap), None)
+                 if node % scale // counts >> n == 3 and node % counts == cap), None)
     if best is None:
         return DiagnosabilityVerdict(True)
-    stem = [(x[0], x[1]) for x in path_to(parent, best)]
-    t = len(stem) - 1 - n
-    return DiagnosabilityVerdict(False, _pair_from(stem, t))
+    stem = path_to(parent, best)
+    return DiagnosabilityVerdict(False, _pair_from(ix, stem, scale, len(stem) - 1 - n))
 
 
 def _check_finite(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
-    beta = spec.beta
-
-    def init_nodes():
-        return [(a, b, m.holds(beta, a), m.holds(beta, b))
-                for a, b in _initial_pairs(m)]
+    ix = m.index
+    flags = ix.condition(spec.beta)
+    size = ix.size
+    moves = ix.succ_by_class
+    start = ix.initial_by_class
+    # A node is pair * 4 + 2 * latch1 + latch2: whether the condition has
+    # held on each side.
 
     def succ(node):
-        s1, s2, b1, b2 = node
-        return sorted((x, y, b1 or m.holds(beta, x), b2 or m.holds(beta, y))
-                      for x, y in _pair_successors(m, (s1, s2)))
+        pair, latches = divmod(node, 4)
+        a, b = divmod(pair, size)
+        return _nodes(ix, moves[a], moves[b], flags, 4,
+                      (2, 2) if latches & 2 else (0, 2), (1, 1) if latches & 1 else (0, 1))
 
-    parent = lexleast_shortest_paths(init_nodes(), succ)
-    confusable = {node for node in parent if node[2] and not node[3]}
+    parent = lexleast_shortest_paths(_nodes(ix, start, start, flags, 4, (0, 2), (0, 1)), succ)
+    confusable = {node for node in parent if node & 3 == 2}
 
     def succ_inside(node):
         return [q for q in succ(node) if q in confusable]
@@ -172,16 +250,16 @@ def _check_finite(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
     if found is None:
         return DiagnosabilityVerdict(True)
     _, loop = found
-    entry = loop[0]
-    stem = [(x[0], x[1]) for x in path_to(parent, entry)]
-    full = stem + [(x[0], x[1]) for x in loop[1:]]
-    t = next(i for i, (a, _) in enumerate(full) if m.holds(beta, a))
-    return DiagnosabilityVerdict(False, _pair_from(full, t))
+    full = list(path_to(parent, loop[0])) + loop[1:]
+    t = next(i for i, node in enumerate(full) if flags[node // 4 // size])
+    return DiagnosabilityVerdict(False, _pair_from(ix, full, 4, t))
 
 
-def _pair_from(pair_path, t):
-    trace1 = Trace(tuple(a for a, _ in pair_path))
-    trace2 = Trace(tuple(b for _, b in pair_path))
+def _pair_from(ix: StateIndex, nodes, scale: int, t: int) -> CriticalPair:
+    """The critical pair along twin-plant nodes of the given scale."""
+    pairs = [divmod(node // scale, ix.size) for node in nodes]
+    trace1 = Trace(tuple(ix.ids[a] for a, _ in pairs))
+    trace2 = Trace(tuple(ix.ids[b] for _, b in pairs))
     return CriticalPair(trace1, trace2, t)
 
 

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .boolexpr import Expr, as_expr
 from .errors import ExpressionError, ModelFormatError, TraceError
-from .jsonio import decode_json, expect, field, read_text
+from .jsonio import decode_json, expect, field, read_json
 from .model import SystemModel, Trace
 
 GLOBAL = "global"
@@ -76,9 +76,17 @@ class AlarmSpec:
 def parse_specs(text: str) -> list[AlarmSpec]:
     """Parse the JSON alarm-spec format: a list of
     {alarm, beta, delay: {kind, n}, diag, maximal} objects."""
+    return _specs_from(decode_json(text))
+
+
+def load_specs(path) -> list[AlarmSpec]:
+    return _specs_from(read_json(path))
+
+
+def _specs_from(doc) -> list[AlarmSpec]:
     specs = []
     names = set()
-    for i, item in enumerate(expect(decode_json(text), list, "spec file")):
+    for i, item in enumerate(expect(doc, list, "spec file")):
         where = f"alarm entry {i}"
         expect(item, dict, where)
         name = field(item, "alarm", str, where)
@@ -98,10 +106,6 @@ def parse_specs(text: str) -> list[AlarmSpec]:
         specs.append(AlarmSpec(name, beta, delay, field(item, "diag", str, where, GLOBAL),
                                field(item, "maximal", bool, where, False)))
     return specs
-
-
-def load_specs(path) -> list[AlarmSpec]:
-    return parse_specs(read_text(path))
 
 
 # -- past formulas -----------------------------------------------------------

@@ -66,10 +66,9 @@ def lexleast_shortest_paths(roots: Iterable, successors: Callable,
         for node in layer:
             if stop is not None and stop(node):
                 continue
-            for nxt in sorted(set(successors(node)), key=key):
-                if nxt not in parent:
-                    parent[nxt] = node
-                    next_layer.append(nxt)
+            fresh = sorted(set(successors(node)).difference(parent), key=key)
+            parent.update(dict.fromkeys(fresh, node))
+            next_layer += fresh
         layer = next_layer
     return parent
 

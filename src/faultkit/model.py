@@ -10,11 +10,12 @@ diagnosable configuration).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, TraceError
-from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_text
+from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_json
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,11 @@ class SystemModel:
             sid: tuple(bool(self.states[sid].get(a, False)) for a in self._obs_atoms_sorted)
             for sid in self.states
         }
+
+    @cached_property
+    def index(self) -> StateIndex:
+        """The integer view of this model, built on first use."""
+        return StateIndex(self)
 
     # -- queries -----------------------------------------------------------
 
@@ -145,10 +151,57 @@ class SystemModel:
             yield from walk()
 
 
+class StateIndex:
+    """A model's states as ints, for searches over many states or pairs.
+
+    States are numbered in sorted-id order, so comparing numbers compares
+    ids, and a pair (a, b) encoded as ``a * size + b`` sorts exactly like the
+    pair of ids.  Observations are interned to class ids, and each state's
+    successors are grouped by observation class.
+    """
+
+    def __init__(self, m: SystemModel):
+        self.ids = tuple(sorted(m.states))
+        self.size = len(self.ids)
+        number = {sid: i for i, sid in enumerate(self.ids)}
+        classes: dict[tuple, int] = {}
+        obs_class = [classes.setdefault(m.observation(sid), len(classes)) for sid in self.ids]
+        # succ_by_class[a][c]: successors of state a in observation class c,
+        # ascending
+        self.succ_by_class: list[dict[int, list[int]]] = []
+        for sid in self.ids:
+            groups: dict[int, list[int]] = {}
+            for nxt in m.successors(sid):
+                groups.setdefault(obs_class[number[nxt]], []).append(number[nxt])
+            self.succ_by_class.append(groups)
+        # the initial states, grouped the same way
+        self.initial_by_class: dict[int, list[int]] = {}
+        for sid in m.initial:
+            self.initial_by_class.setdefault(obs_class[number[sid]], []).append(number[sid])
+        self._valuations = [m.states[sid] for sid in self.ids]
+        self._conditions: dict[Expr, list[bool]] = {}
+
+    def condition(self, expr: Expr | str) -> list[bool]:
+        """Whether `expr` holds, per state number; evaluated once per model."""
+        expr = as_expr(expr)
+        flags = self._conditions.get(expr)
+        if flags is None:
+            flags = self._conditions[expr] = [expr.evaluate(v) for v in self._valuations]
+        return flags
+
+
 def parse_model(text: str) -> SystemModel:
     """Parse the JSON model format.  Referential well-formedness is checked
     here; the behavioral invariants are checked by :func:`validate_model`."""
-    doc = expect(decode_json(text), dict, "model")
+    return _model_from(decode_json(text))
+
+
+def load_model(path) -> SystemModel:
+    return _model_from(read_json(path))
+
+
+def _model_from(doc) -> SystemModel:
+    expect(doc, dict, "model")
     atoms = field(doc, "atoms", NAMES, "model")
     faults = field(doc, "faults", NAMES, "model", [])
     observables = field(doc, "observables", NAMES, "model", [])
@@ -182,10 +235,6 @@ def parse_model(text: str) -> SystemModel:
             raise ModelFormatError(f"unknown state in transition {item!r}")
         pairs.append((a, b))
     return SystemModel(atoms, faults, observables, modes, states, initial, pairs)
-
-
-def load_model(path) -> SystemModel:
-    return parse_model(read_text(path))
 
 
 def validate_model(m: SystemModel) -> list[Violation]:

@@ -64,9 +64,6 @@ class Diagnoser:
                       f"observable atoms {list(self.obs_atoms)}")
         return tuple(obs[a] for a in self.obs_atoms)
 
-    def obs_dict(self, obs: tuple) -> dict[str, bool]:
-        return dict(zip(self.obs_atoms, obs))
-
 
 def _obs_key(atoms: tuple[str, ...], obs: tuple) -> str:
     return json.dumps(dict(zip(atoms, obs)), sort_keys=True, separators=(",", ":"))
@@ -201,13 +198,15 @@ def diagnoser_from_json(doc) -> Diagnoser:
     return Diagnoser(atoms, nodes, entry, delta)
 
 
+_DUPLICATE = "nondeterministic candidate: duplicate key"
+
+
 def parse_diagnoser(text: str) -> Diagnoser:
-    return diagnoser_from_json(
-        decode_json(text, duplicate="nondeterministic candidate: duplicate key"))
+    return diagnoser_from_json(decode_json(text, duplicate=_DUPLICATE))
 
 
 def load_diagnoser(path) -> Diagnoser:
-    return parse_diagnoser(read_text(path))
+    return diagnoser_from_json(decode_json(read_text(path), str(path), _DUPLICATE))
 
 
 def export_diagnoser_dot(d: Diagnoser) -> str:

@@ -29,7 +29,7 @@ from typing import Iterator
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
 from .graphs import nodes_on_cycles
-from .jsonio import NAME_MAP, NAMES, decode_json, expect, field, read_json, read_text
+from .jsonio import NAME_MAP, NAMES, decode_json, expect, field, read_json
 from .model import SystemModel, Trace
 
 FM = "FM"
@@ -134,7 +134,15 @@ class TraceViolation:
 # -- parsing -----------------------------------------------------------------
 
 def parse_tfpg(text: str) -> Tfpg:
-    doc = expect(decode_json(text), dict, "TFPG")
+    return _tfpg_from(decode_json(text))
+
+
+def load_tfpg(path) -> Tfpg:
+    return _tfpg_from(read_json(path))
+
+
+def _tfpg_from(doc) -> Tfpg:
+    expect(doc, dict, "TFPG")
     modes = field(doc, "modes", NAMES, "TFPG")
     if not modes:
         raise ModelFormatError("modes must be a nonempty list")
@@ -156,10 +164,6 @@ def parse_tfpg(text: str) -> Tfpg:
         edges.append(TfpgEdge(src, dst, field(item, "tmin", int, where), tmax,
                               tuple(sorted(field(item, "modes", NAMES, where)))))
     return Tfpg(modes, nodes, edges)
-
-
-def load_tfpg(path) -> Tfpg:
-    return parse_tfpg(read_text(path))
 
 
 def tfpg_to_json(g: Tfpg) -> dict:

@@ -173,6 +173,71 @@ def oracle_diagnosable_finite(m: SystemModel, beta, horizon: int) -> bool:
     return True
 
 
+def brute_force_critical_pair(m: SystemModel, beta, delay):
+    """The critical pair the library must return for an exact or bounded
+    delay, as {"trace1", "trace2", "t"}, or None when there is none.
+
+    The twin plant is built from the transitions and the observable atoms.
+    Its nodes are state pairs with equal observations, plus, for bound(n),
+    side 1's last n + 1 condition values and the steps since side 2's
+    condition last held, counted up to 2n + 1.  The witness is the least
+    of the least shortest walks to a critical node: for exact(n), a pair
+    with the condition on side 1 only from which some n steps go on,
+    followed by the least such n steps; for bound(n), n + 1 side-1 values,
+    the oldest set, while side 2's condition held in none of the last
+    2n + 1 steps.
+    """
+    from faultkit.fdispec import BoundedDelay, ExactDelay
+
+    beta = as_expr(beta)
+    n = delay.n
+    bounded = isinstance(delay, BoundedDelay)
+    assert bounded or isinstance(delay, ExactDelay)
+    shown = sorted(m.observable_atoms)
+    seen = {sid: tuple(val.get(a, False) for a in shown) for sid, val in m.states.items()}
+    flag = {sid: beta.evaluate(val) for sid, val in m.states.items()}
+    moves: dict[str, list[str]] = {sid: [] for sid in m.states}
+    for a, b in m.transitions:
+        moves[a].append(b)
+
+    def node(a, b, last1=(), since2=2 * n):
+        if not bounded:
+            return (a, b)
+        return (a, b, (last1 + (flag[a],))[-(n + 1):], 0 if flag[b] else min(since2 + 1, 2 * n + 1))
+
+    roots = [node(a, b) for a in m.initial for b in m.initial if seen[a] == seen[b]]
+    adjacency: dict = {}
+    work = list(roots)
+    while work:
+        here = work.pop()
+        if here in adjacency:
+            continue
+        adjacency[here] = [node(x, y, *here[2:]) for x in moves[here[0]]
+                           for y in moves[here[1]] if seen[x] == seen[y]]
+        work.extend(adjacency[here])
+    least = brute_force_lexleast_paths(roots, adjacency)
+
+    def runs(start, steps):
+        walks = [(start,)]
+        for _ in range(steps):
+            walks = [walk + (nxt,) for walk in walks for nxt in adjacency[walk[-1]]]
+        return walks
+
+    if bounded:
+        found = [walk for (_, _, last1, since2), walk in least.items()
+                 if len(last1) == n + 1 and last1[0] and since2 > 2 * n]
+    else:
+        found = [walk for (a, b), walk in least.items() if flag[a] and not flag[b]]
+    found.sort(key=lambda w: (len(w), w))
+    walk = next((w for w in found if bounded or runs(w[-1], n)), None)
+    if walk is None:
+        return None
+    t = len(walk) - 1 - n if bounded else len(walk) - 1
+    if not bounded:
+        walk += min(runs(walk[-1], n))[1:]
+    return {"trace1": [x[0] for x in walk], "trace2": [x[1] for x in walk], "t": t}
+
+
 # -- TFPG semantics ----------------------------------------------------------------
 
 def naive_trace_consistent(g: Tfpg, at: ActivationTrace) -> bool:
@@ -247,20 +312,26 @@ def trace_signature(at: ActivationTrace):
 
 def brute_force_lexleast_paths(roots, adjacency, key=None, stop=frozenset()):
     """For every node reachable from `roots`, the lexicographically least
-    (under `key`) of its shortest paths, found by listing every walk of at
-    most len(adjacency) nodes that expands no node in `stop`."""
-    key = key or (lambda node: node)
-    walks = [(root,) for root in set(roots)]
+    (under `key`) of its shortest paths.  Walks grow one node at a time from
+    every root and are compared whole.  A walk is dropped when a shorter
+    walk reached its last node, or a lesser walk of its length did: no
+    extension of it can then be least.  Nodes in `stop` are reached but
+    never extended."""
     best: dict = {}
-    for _ in range(len(adjacency)):
+    walks = [(root,) for root in set(roots)]
+    while walks:
+        layer: dict = {}
         for walk in walks:
             node = walk[-1]
-            rank = (len(walk), tuple(key(x) for x in walk))
-            if node not in best or rank < best[node][0]:
-                best[node] = (rank, walk)
-        walks = [walk + (nxt,) for walk in walks if walk[-1] not in stop
+            if node in best:
+                continue
+            rank = walk if key is None else [key(x) for x in walk]
+            if node not in layer or rank < layer[node][0]:
+                layer[node] = (rank, walk)
+        best.update((node, walk) for node, (_, walk) in layer.items())
+        walks = [walk + (nxt,) for _, walk in layer.values() if walk[-1] not in stop
                  for nxt in adjacency[walk[-1]]]
-    return {node: walk for node, (_, walk) in best.items()}
+    return best
 
 
 def brute_force_cycle_nodes(adjacency) -> set:

@@ -130,6 +130,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["validate-model"], "--model"),
+        (["diag-check", "--model", SENSOR], "--spec"),
+        (["tfpg-validate"], "--tfpg"),
+        (["verify-diagnoser", "--model", SENSOR, "--spec", SPECS], "--diagnoser"),
+    ], ids=["model", "spec", "tfpg", "diagnoser"])
+    def test_syntax_error_names_the_file(self, tmp_path, capsys, argv, flag):
+        path = tmp_path / "broken.json"
+        path.write_text("{\n")
+        assert run_cli(*argv, flag, str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: syntax error:")
+
+
 class TestDeterminismAndRoundTrip:
     def _bytes_of(self, tmp_path, name, *argv):
         out = tmp_path / name

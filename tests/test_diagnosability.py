@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from faultkit.boolexpr import parse_expr
@@ -6,10 +8,11 @@ from faultkit.diagnosability import (check_diagnosability,
 from faultkit.errors import TraceError
 from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
                               eval_past, Once, OnceWithin, PastShift)
-from faultkit.model import Trace
+from faultkit.model import Trace, load_model, parse_model
 
-from .oracles import (oracle_diagnosable_bounded, oracle_diagnosable_exact,
-                      oracle_diagnosable_finite)
+from .conftest import corpus_path
+from .oracles import (brute_force_critical_pair, oracle_diagnosable_bounded,
+                      oracle_diagnosable_exact, oracle_diagnosable_finite)
 
 FAULT = parse_expr("fault")
 
@@ -118,6 +121,53 @@ class TestOracleAgreement:
             else:
                 want = oracle_diagnosable_finite(battery, beta, 6)
             assert got == want
+
+
+class TestWitness:
+    @pytest.mark.parametrize("source", [
+        "battery.json", "fully_obs.json", "intermittent.json", "sensor_delay.json",
+        "unobservable.json", *range(20)])
+    def test_critical_pair_is_brute_force_least(self, source):
+        # imported here: test_acceptance imports this module
+        from .test_acceptance import random_model
+
+        if isinstance(source, int):
+            m = random_model(source)[0]
+        else:
+            m = load_model(corpus_path(source))
+        for atom in sorted(m.atoms):
+            beta = parse_expr(atom)
+            for delay in (ExactDelay(1), ExactDelay(2), ExactDelay(3),
+                          BoundedDelay(1), BoundedDelay(2)):
+                verdict = check_diagnosability(m, spec(delay, beta=beta))
+                got = None if verdict.diagnosable else verdict.pair.to_json()
+                assert got == brute_force_critical_pair(m, beta, delay), (atom, delay)
+
+    def test_deep_exact_delay(self, unobservable):
+        # 1,500 steps after the fault, by least choices; the search for
+        # them must not recurse per step
+        verdict = check_diagnosability(unobservable, spec(ExactDelay(1500)))
+        assert verdict.pair.to_json() == {
+            "trace1": ["n"] + ["f"] * 1501, "trace2": ["n", "n"] + ["f"] * 1500, "t": 1}
+
+    def test_deep_exact_delay_along_a_chain(self):
+        # No cycle until the end of two 1,600-state chains: deciding that
+        # 1,500 more steps exist walks 1,500 pairs deep.
+        k = 1600
+        states = {"n": {}}
+        transitions = [["n", "a0"], ["n", "b0"], [f"a{k}", f"a{k}"], [f"b{k}", f"b{k}"]]
+        for i in range(k + 1):
+            states[f"a{i}"] = {"fault": True}
+            states[f"b{i}"] = {}
+        for i in range(k):
+            transitions += [[f"a{i}", f"a{i + 1}"], [f"b{i}", f"b{i + 1}"]]
+        m = parse_model(json.dumps({"atoms": ["fault"], "faults": ["fault"],
+                                    "states": states, "initial": ["n"],
+                                    "transitions": transitions}))
+        s = spec(ExactDelay(1500))
+        verdict = check_diagnosability(m, s)
+        assert verdict.pair.t == 1 and len(verdict.pair.trace1) == 1502
+        assert_pair_replays(m, FAULT, s, verdict)
 
 
 class TestTraceDiagnosability:
