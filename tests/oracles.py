@@ -9,6 +9,7 @@ second, structurally different route to the same answer.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -236,6 +237,141 @@ def brute_force_critical_pair(m: SystemModel, beta, delay):
     if not bounded:
         walk += min(runs(walk[-1], n))[1:]
     return {"trace1": [x[0] for x in walk], "trace2": [x[1] for x in walk], "t": t}
+
+
+class PartialCandidate(Exception):
+    """The product reaches a point where the candidate diagnoser has no move
+    for the observation of the next state."""
+
+
+def brute_force_product_counterexample(m: SystemModel, diagnoser_doc, beta, delay,
+                                       conjunct: str, alarm: str = "A"):
+    """The result `verify_diagnoser` must give for one safety conjunct of a
+    global alarm on `beta`, as `ConjunctResult.to_json()`: {"holds": True},
+    or {"holds": False, "counterexample": run} with the shortest run that
+    reaches a violation, least by its sequence of state ids.  `conjunct` is
+    "correctness", "maximality" or, for an exact or bounded delay,
+    "completeness".  Raises PartialCandidate when the search expands a
+    product state whose successor the candidate cannot consume.
+
+    The product is built from the transitions, the observable atoms and the
+    diagnoser document.  A node is (state, candidate node, belief, extra).
+    A belief is the set of (state, past) consistent with the observations,
+    where a past is the run's last n + 1 condition values (exact and
+    bounded) or whether the condition ever held (finite).  The extra is the
+    run's own past for correctness and exact completeness, and its last
+    n + 1 (condition, alarm) values for bounded completeness.  Violating
+    nodes are not expanded.
+    """
+    from faultkit.fdispec import BoundedDelay, ExactDelay
+
+    beta = as_expr(beta)
+    exact = isinstance(delay, ExactDelay)
+    bounded = isinstance(delay, BoundedDelay)
+    width = delay.n + 1 if exact or bounded else None
+    assert conjunct in ("correctness", "maximality") or width is not None
+    shown = sorted(m.observable_atoms)
+    seen = {sid: tuple(val.get(a, False) for a in shown) for sid, val in m.states.items()}
+    flag = {sid: beta.evaluate(val) for sid, val in m.states.items()}
+    moves: dict[str, list[str]] = {sid: [] for sid in m.states}
+    for a, b in m.transitions:
+        moves[a].append(b)
+
+    def read(key):
+        doc = json.loads(key)
+        return tuple(doc[a] for a in shown)
+
+    entry = {read(key): q for key, q in diagnoser_doc["entry"].items()}
+    delta = {q: {read(key): tgt for key, tgt in edges.items()}
+             for q, edges in diagnoser_doc["delta"].items()}
+    raised = {q: alarm in names for q, names in diagnoser_doc["nodes"].items()}
+
+    def remember(past, sid):
+        if width is None:
+            return past or flag[sid]
+        return (past + (flag[sid],))[-width:]
+
+    def satisfied(past):
+        if exact:
+            return len(past) == width and past[0]
+        if bounded:
+            return any(past)
+        return past
+
+    def extra_after(extra, sid, q):
+        if conjunct == "maximality":
+            return None
+        if conjunct == "completeness" and bounded:
+            return (extra + ((flag[sid], raised[q]),))[-width:]
+        return remember(extra, sid)
+
+    def violated(node):
+        sid, q, belief, extra = node
+        if conjunct == "correctness":
+            return raised[q] and not satisfied(extra)
+        if conjunct == "maximality":
+            return all(satisfied(past) for _, past in belief) and not raised[q]
+        if exact:
+            return len(extra) == width and extra[0] and not raised[q]
+        return len(extra) == width and extra[0][0] and not any(r for _, r in extra)
+
+    # Only maximality reads the belief; the other conjuncts leave it None.
+    beliefs: dict = {}  # (belief, observation) -> the belief after it
+
+    def belief_after(belief, obs):
+        if conjunct != "maximality":
+            return None
+        if (belief, obs) not in beliefs:
+            beliefs[belief, obs] = frozenset((z, remember(past, z)) for x, past in belief
+                                             for z in moves[x] if seen[z] == obs)
+        return beliefs[belief, obs]
+
+    nothing = False if width is None else ()
+    roots = []
+    for sid in m.initial:
+        if seen[sid] not in entry:
+            raise PartialCandidate(sid)
+        q = entry[seen[sid]]
+        belief = None
+        if conjunct == "maximality":
+            belief = frozenset((x, remember(nothing, x)) for x in m.initial
+                               if seen[x] == seen[sid])
+        roots.append((sid, q, belief, extra_after(nothing, sid, q)))
+    adjacency: dict = {}
+    bad = set()
+    work = list(roots)
+    while work:
+        node = work.pop()
+        if node in adjacency:
+            continue
+        adjacency[node] = []
+        if violated(node):
+            bad.add(node)
+            continue
+        sid, q, belief, extra = node
+        for y in moves[sid]:
+            tgt = delta.get(q, {}).get(seen[y])
+            if tgt is None:
+                raise PartialCandidate(q, y)
+            adjacency[node].append((y, tgt, belief_after(belief, seen[y]),
+                                    extra_after(extra, y, tgt)))
+        work.extend(adjacency[node])
+    # Layer by layer, each node's least run among the shortest: a least run
+    # of length k + 1 extends a least run of length k.
+    least = {node: (node[0],) for node in roots}
+    layer = dict(least)
+    while layer:
+        reached: dict = {}
+        for node, run in layer.items():
+            for nxt in adjacency[node]:
+                if nxt not in least and (nxt not in reached or run + (nxt[0],) < reached[nxt]):
+                    reached[nxt] = run + (nxt[0],)
+        least.update(reached)
+        layer = reached
+    runs = [run for node, run in least.items() if node in bad]
+    if not runs:
+        return {"holds": True}
+    return {"holds": False, "counterexample": list(min(runs, key=lambda run: (len(run), run)))}
 
 
 # -- TFPG semantics ----------------------------------------------------------------
