@@ -20,10 +20,12 @@ Knowledge is computed by propagating belief states, i.e. sets of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 from typing import Iterable
 
 from .boolexpr import Expr, as_expr
-from .errors import ExpressionError, ModelFormatError, TraceError
+from .errors import ModelFormatError, SizeGuardExceeded, TraceError
 from .jsonio import decode_json, expect, field, read_json
 from .model import SystemModel, Trace
 
@@ -207,11 +209,62 @@ def memory_satisfies(delay: Delay, mem) -> bool:
     return bool(mem)
 
 
+# -- delay monitors -------------------------------------------------------------
+
+# A monitor with more values is refused rather than built: exact(n) has
+# 2 ** (n + 2) - 2 memories.
+MONITOR_LIMIT = 1 << 16
+
+
+@dataclass(frozen=True)
+class Monitor:
+    """A delay kind's per-run memory as an int automaton.
+
+    Its values are the memories that `memory_init` and `memory_update`
+    reach, numbered in sorted order, so numbers compare like memories.
+    ``init[b]`` and ``next[k][b]`` are the value after a step whose state
+    has the condition b, and ``sat[k]`` is `memory_satisfies` of value k.
+    """
+
+    values: tuple
+    init: tuple[int, int]
+    next: tuple[tuple[int, int], ...]
+    sat: tuple[bool, ...]
+
+
+@lru_cache(maxsize=32)
+def compile_monitor(delay: Delay) -> Monitor:
+    """Explore a delay kind's memory from both initial values."""
+    found = {memory_init(delay, False), memory_init(delay, True)}
+    work = list(found)
+    while work:
+        mem = work.pop()
+        for beta_now in (False, True):
+            after = memory_update(delay, mem, beta_now)
+            if after not in found:
+                if len(found) == MONITOR_LIMIT:
+                    raise SizeGuardExceeded(
+                        f"the memory of delay {delay} has more than {MONITOR_LIMIT} values")
+                found.add(after)
+                work.append(after)
+    values = tuple(sorted(found))
+    number = {mem: k for k, mem in enumerate(values)}
+    return Monitor(values,
+                   (number[memory_init(delay, False)], number[memory_init(delay, True)]),
+                   tuple((number[memory_update(delay, mem, False)],
+                          number[memory_update(delay, mem, True)]) for mem in values),
+                   tuple(memory_satisfies(delay, mem) for mem in values))
+
+
 # -- belief propagation -------------------------------------------------------
 
-# A tracker is a (delay, beta) pair; a belief member is (state id, memories)
-# with one memory value per tracker.  All members of a belief share the
-# observation of the step that produced them.
+# A tracker is a (delay, beta) pair.  A belief member is a state together
+# with one memory per tracker; decoded, it is (state id, memories).  Over
+# ints it is ``state * K + memory``: the state's number in the model's
+# StateIndex, and the trackers' monitor values in mixed radix with the
+# first tracker most significant, so members sort like their decoded
+# tuples.  A belief is the sorted tuple of its members.  All members of a
+# belief share the observation of the step that produced them.
 
 Tracker = tuple[Delay, Expr]
 BeliefMember = tuple[str, tuple]
@@ -222,58 +275,117 @@ def trackers_for(specs: Iterable[AlarmSpec]) -> tuple[Tracker, ...]:
     return tuple((s.delay, s.beta) for s in specs)
 
 
-def _init_member(m: SystemModel, sid: str, trackers: tuple[Tracker, ...]) -> BeliefMember:
-    val = m.states[sid]
-    return sid, tuple(memory_init(d, b.evaluate(val)) for d, b in trackers)
+class BeliefTracker:
+    """Belief states of one model under a tuple of trackers, over ints.
 
+    A belief steps by walking each member's successors of one observation
+    class (`StateIndex.succ_by_class`); each member's successors are worked
+    out once.
+    """
 
-def _step_member(m: SystemModel, member: BeliefMember, nxt: str,
-                 trackers: tuple[Tracker, ...]) -> BeliefMember:
-    val = m.states[nxt]
-    _, mems = member
-    return nxt, tuple(memory_update(d, mem, b.evaluate(val))
-                      for (d, b), mem in zip(trackers, mems))
+    def __init__(self, m: SystemModel, trackers: tuple[Tracker, ...]):
+        self.index = ix = m.index
+        self.monitors = [compile_monitor(delay) for delay, _ in trackers]
+        self.K = prod(len(mon.values) for mon in self.monitors)
+        flags = [ix.condition(beta) for _, beta in trackers]
+        # labels[state]: bit i set when tracker i's condition holds
+        self._labels = [sum(f[s] << i for i, f in enumerate(flags)) for s in range(ix.size)]
+        self._digits: dict[int, tuple[int, ...]] = {}
+        self._memories: dict[int, tuple] = {}
+        self._after: dict[tuple, int] = {}
+        self._moves: dict[int, dict[int, tuple[int, ...]]] = {}
 
+    def _values(self, memory: int) -> tuple[int, ...]:
+        """The trackers' monitor values in a memory, first tracker first."""
+        values = self._digits.get(memory)
+        if values is None:
+            rest, out = memory, []
+            for mon in reversed(self.monitors):
+                rest, value = divmod(rest, len(mon.values))
+                out.append(value)
+            values = self._digits[memory] = tuple(reversed(out))
+        return values
 
-def initial_beliefs(m: SystemModel, trackers: tuple[Tracker, ...]) -> dict[tuple, Belief]:
-    """Initial states grouped by observation; one belief per observation."""
-    groups: dict[tuple, set] = {}
-    for sid in m.initial:
-        groups.setdefault(m.observation(sid), set()).add(_init_member(m, sid, trackers))
-    return {obs: frozenset(members) for obs, members in groups.items()}
+    def _memory_after(self, memory: int | None, label: int) -> int:
+        """The trackers' memory after a step into a state with `label`;
+        `memory` is None before the first step."""
+        key = memory, label
+        after = self._after.get(key)
+        if after is None:
+            rows = ([mon.init for mon in self.monitors] if memory is None else
+                    [mon.next[value] for mon, value in zip(self.monitors, self._values(memory))])
+            after = 0
+            for i, (mon, row) in enumerate(zip(self.monitors, rows)):
+                after = after * len(mon.values) + row[label >> i & 1]
+            self._after[key] = after
+        return after
 
+    def initial(self) -> dict[int, tuple[int, ...]]:
+        """The belief of each observation class of the initial states."""
+        K, labels = self.K, self._labels
+        return {c: tuple(sorted({s * K + self._memory_after(None, labels[s]) for s in states}))
+                for c, states in self.index.initial_by_class.items()}
 
-def belief_step(m: SystemModel, belief: Belief, obs: tuple,
-                trackers: tuple[Tracker, ...]) -> Belief:
-    """Successor belief under the next observation; may be empty."""
-    out = set()
-    for member in belief:
-        sid = member[0]
-        for nxt in m.successors(sid):
-            if m.observation(nxt) == obs:
-                out.add(_step_member(m, member, nxt, trackers))
-    return frozenset(out)
+    def moves(self, member: int) -> dict[int, tuple[int, ...]]:
+        """A member's successor members, by observation class, ascending."""
+        found = self._moves.get(member)
+        if found is None:
+            K, labels = self.K, self._labels
+            state, memory = divmod(member, K)
+            found = self._moves[member] = {
+                c: tuple(nxt * K + self._memory_after(memory, labels[nxt]) for nxt in nxts)
+                for c, nxts in self.index.succ_by_class[state].items()}
+        return found
+
+    def successors(self, belief: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+        """The nonempty beliefs one step on, by observation class."""
+        if len(belief) == 1:
+            return self.moves(belief[0])
+        grouped: dict[int, set] = {}
+        for member in belief:
+            for c, members in self.moves(member).items():
+                grouped.setdefault(c, set()).update(members)
+        return {c: tuple(sorted(members)) for c, members in grouped.items()}
+
+    def holds(self, member: int, i: int = 0) -> bool:
+        """Whether tracker i's past formula holds in a member."""
+        return self.monitors[i].sat[self._values(member % self.K)[i]]
+
+    def certain(self, belief: tuple[int, ...], i: int = 0) -> bool:
+        """Tracker i's condition is known iff it holds in every member."""
+        return all(self.holds(member, i) for member in belief)
+
+    def decode(self, member: int) -> BeliefMember:
+        state, memory = divmod(member, self.K)
+        memories = self._memories.get(memory)
+        if memories is None:
+            memories = self._memories[memory] = tuple(
+                mon.values[value] for mon, value in zip(self.monitors, self._values(memory)))
+        return self.index.ids[state], memories
 
 
 def belief_certain(belief: Belief, index: int, trackers: tuple[Tracker, ...]) -> bool:
-    """The tracked condition is known iff it holds in every belief member."""
+    """The tracked condition is known iff it holds in every decoded member."""
     delay = trackers[index][0]
     return all(memory_satisfies(delay, mems[index]) for _, mems in belief)
 
 
-def belief_chain(m: SystemModel, obs_seq: list[tuple],
-                 trackers: tuple[Tracker, ...]) -> list[Belief]:
+def belief_chain(beliefs: BeliefTracker, obs_seq: list[tuple]) -> list[tuple[int, ...]]:
     """Beliefs after each prefix of an observation sequence."""
-    entries = initial_beliefs(m, trackers)
-    if obs_seq[0] not in entries:
+    classes = {obs: c for c, obs in enumerate(beliefs.index.observations)}
+    chain = [beliefs.initial().get(classes.get(obs_seq[0]), ())]
+    if not chain[0]:
         raise TraceError("no initial state matches the first observation")
-    chain = [entries[obs_seq[0]]]
     for i, obs in enumerate(obs_seq[1:], start=1):
-        nxt = belief_step(m, chain[-1], obs, trackers)
-        if not nxt:
+        chain.append(beliefs.successors(chain[-1]).get(classes.get(obs), ()))
+        if not chain[-1]:
             raise TraceError(f"observation at step {i} is not producible")
-        chain.append(nxt)
     return chain
+
+
+def _knowledge_chain(m: SystemModel, tr: Trace, t: int, phi: PastFormula):
+    beliefs = BeliefTracker(m, ((_delay_of(phi), as_expr(phi.beta)),))
+    return beliefs, belief_chain(beliefs, [m.observation(s) for s in tr.steps[: t + 1]])
 
 
 def eval_knowledge(m: SystemModel, tr: Trace, t: int, phi: PastFormula) -> bool:
@@ -282,43 +394,31 @@ def eval_knowledge(m: SystemModel, tr: Trace, t: int, phi: PastFormula) -> bool:
     m.require_trace(tr)
     if not (0 <= t < len(tr)):
         raise IndexError(f"time index {t} out of range for trace of length {len(tr)}")
-    delay = _delay_of(phi)
-    trackers = ((delay, as_expr(phi.beta)),)
-    obs_seq = [m.observation(s) for s in tr.steps[: t + 1]]
-    chain = belief_chain(m, obs_seq, trackers)
-    return belief_certain(chain[-1], 0, trackers)
+    beliefs, chain = _knowledge_chain(m, tr, t, phi)
+    return beliefs.certain(chain[-1])
 
 
 def knowledge_counterexample(m: SystemModel, tr: Trace, t: int,
                              phi: PastFormula) -> Trace | None:
     """The lexicographically least obs-equivalent run on which phi fails at
     t, or None when phi is known (no such run exists)."""
-    delay = _delay_of(phi)
-    trackers = ((delay, as_expr(phi.beta)),)
-    obs_seq = [m.observation(s) for s in tr.steps[: t + 1]]
-    chain = belief_chain(m, obs_seq, trackers)
-    bad = sorted(member for member in chain[-1]
-                 if not memory_satisfies(delay, member[1][0]))
-    if not bad:
+    beliefs, chain = _knowledge_chain(m, tr, t, phi)
+    bad = next((member for member in chain[-1] if not beliefs.holds(member)), None)
+    if bad is None:
         return None
-    return _reconstruct(m, chain, trackers, bad[0])
+    return _reconstruct(beliefs, chain, bad)
 
 
-def _reconstruct(m: SystemModel, chain: list[Belief],
-                 trackers: tuple[Tracker, ...], target: BeliefMember) -> Trace:
+def _reconstruct(beliefs: BeliefTracker, chain: list[tuple[int, ...]], target: int) -> Trace:
     """Walk a belief chain backwards to a concrete witness run ending in the
-    target member, choosing lexicographically least predecessors."""
-    states = [target[0]]
-    current = target
+    target member, choosing least predecessors."""
+    ix = beliefs.index
+    members = [target]
     for i in range(len(chain) - 1, 0, -1):
-        preds = sorted(
-            member for member in chain[i - 1]
-            if (member[0], current[0]) in m.transitions
-            and _step_member(m, member, current[0], trackers) == current)
-        current = preds[0]
-        states.append(current[0])
-    states.reverse()
-    return Trace(tuple(states))
+        c = ix.obs_class[members[-1] // beliefs.K]
+        members.append(next(member for member in chain[i - 1]
+                            if members[-1] in beliefs.moves(member).get(c, ())))
+    return Trace(tuple(ix.ids[member // beliefs.K] for member in reversed(members)))
 
 
 # -- pattern instantiation ----------------------------------------------------

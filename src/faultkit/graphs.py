@@ -1,7 +1,9 @@
 """Deterministic graph search helpers over implicit graphs.
 
-Nodes must be hashable and mutually comparable; roots and successors are
-explored in sorted order so that every returned witness is reproducible.
+Nodes must be hashable and mutually comparable; successors are explored
+in sorted order, and roots in sorted order or, for `find_reachable_cycle`,
+in the order the caller gives, so that every returned witness is
+reproducible.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ def find_reachable_cycle(roots: Iterable, successors: Callable):
     Returns (stem, loop) where stem is the node path from a root up to and
     including the loop entry, and loop is the cycle starting and ending at
     that entry (entry repeated at the end).  Returns None when the
-    reachable subgraph is acyclic.  Three-color iterative DFS.
+    reachable subgraph is acyclic.  Three-color iterative DFS; roots are
+    tried in the order given, successors in sorted order.
     """
     colors: dict = {}
-    for root in sorted(set(roots)):
+    for root in roots:
         if colors.get(root) == "done":
             continue
         path = [root]

@@ -156,16 +156,18 @@ class StateIndex:
 
     States are numbered in sorted-id order, so comparing numbers compares
     ids, and a pair (a, b) encoded as ``a * size + b`` sorts exactly like the
-    pair of ids.  Observations are interned to class ids, and each state's
-    successors are grouped by observation class.
+    pair of ids.  Observations are numbered in sorted order as class ids,
+    and each state's successors are grouped by observation class.
     """
 
     def __init__(self, m: SystemModel):
         self.ids = tuple(sorted(m.states))
         self.size = len(self.ids)
-        number = {sid: i for i, sid in enumerate(self.ids)}
-        classes: dict[tuple, int] = {}
-        obs_class = [classes.setdefault(m.observation(sid), len(classes)) for sid in self.ids]
+        self.number = number = {sid: i for i, sid in enumerate(self.ids)}
+        # observations[c]: the observation of class c
+        self.observations = tuple(sorted({m.observation(sid) for sid in self.ids}))
+        classes = {obs: c for c, obs in enumerate(self.observations)}
+        self.obs_class = obs_class = [classes[m.observation(sid)] for sid in self.ids]
         # succ_by_class[a][c]: successors of state a in observation class c,
         # ascending
         self.succ_by_class: list[dict[int, list[int]]] = []

@@ -16,6 +16,15 @@ subformulas are evaluated by pairing the product with the synthesized
 belief tracker.  Candidates only need to speak the model's observation
 alphabet; they are rejected when nondeterministic or partial on
 producible observations.
+
+Counterexamples are canonical.  The candidate is deterministic, so every
+component of a product path is a function of its sequence of state ids,
+and the successors of a product node differ in their state.  A safety
+counterexample is therefore the shortest violating run, least among those
+by its state-id sequence.  The finite-delay lasso is the first cycle a
+depth-first search finds from the pending product nodes taken in (state
+id, candidate node name, belief) order, so it does not depend on the
+string hash seed either.
 """
 
 from __future__ import annotations
@@ -24,10 +33,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import ModelFormatError, ObservationError
-from .fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, TRACE,
-                      belief_certain, belief_step, initial_beliefs,
-                      memory_init, memory_satisfies, memory_update,
-                      past_formula, trackers_for, instantiate_pattern)
+from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
+                      compile_monitor, trackers_for)
 from .graphs import (find_reachable_cycle, lexleast_shortest_paths,
                      nodes_on_cycles, path_to)
 from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_text
@@ -37,8 +44,8 @@ from .model import SystemModel, Trace
 @dataclass(frozen=True)
 class DiagnoserStats:
     nodes: int
+    # states times the trackers' monitor sizes: the possible belief members
     member_space: int
-    node_bound: int
 
 
 @dataclass
@@ -84,55 +91,39 @@ def synthesize_diagnoser(m: SystemModel, specs: list[AlarmSpec]) -> Diagnoser:
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValueError("alarm names must be unique")
-    trackers = trackers_for(specs)
-    entries = initial_beliefs(m, trackers)
+    beliefs = BeliefTracker(m, trackers_for(specs))
+    # class ids are numbered in sorted observation order
+    observations = beliefs.index.observations
 
-    ids: dict[frozenset, str] = {}
+    ids: dict[tuple, str] = {}
     nodes: dict[str, frozenset[str]] = {}
-    beliefs: dict[str, frozenset] = {}
     delta: dict[str, dict[tuple, str]] = {}
-    order: list[frozenset] = []
+    order: list[tuple] = []
 
-    def intern(belief: frozenset) -> str:
-        if belief not in ids:
-            nid = f"b{len(ids)}"
-            ids[belief] = nid
-            nodes[nid] = frozenset(
-                spec.name for i, spec in enumerate(specs)
-                if belief_certain(belief, i, trackers))
-            beliefs[nid] = belief
+    def intern(belief: tuple) -> str:
+        nid = ids.get(belief)
+        if nid is None:
+            nid = ids[belief] = f"b{len(ids)}"
+            nodes[nid] = frozenset(spec.name for i, spec in enumerate(specs)
+                                   if beliefs.certain(belief, i))
             delta[nid] = {}
             order.append(belief)
-        return ids[belief]
+        return nid
 
-    entry = {obs: intern(belief) for obs, belief in sorted(entries.items())}
+    entries = beliefs.initial()
+    entry = {observations[c]: intern(entries[c]) for c in sorted(entries)}
     cursor = 0
     while cursor < len(order):
         belief = order[cursor]
         cursor += 1
-        nid = ids[belief]
-        next_obs = sorted({m.observation(nxt)
-                           for member in belief for nxt in m.successors(member[0])})
-        for obs in next_obs:
-            succ = belief_step(m, belief, obs, trackers)
-            if succ:
-                delta[nid][obs] = intern(succ)
+        moves = delta[ids[belief]]
+        after = beliefs.successors(belief)
+        for c in sorted(after):
+            moves[observations[c]] = intern(after[c])
 
-    member_space = len(m.states) * _memory_value_count(specs)
-    stats = DiagnoserStats(len(nodes), member_space, 2 ** member_space)
-    return Diagnoser(m.observable_atoms_sorted, nodes, entry, delta, beliefs, stats)
-
-
-def _memory_value_count(specs) -> int:
-    total = 1
-    for spec in specs:
-        if isinstance(spec.delay, ExactDelay):
-            total *= 2 ** (spec.delay.n + 2) - 2
-        elif isinstance(spec.delay, BoundedDelay):
-            total *= spec.delay.n + 2
-        else:
-            total *= 2
-    return total
+    decoded = {nid: frozenset(map(beliefs.decode, belief)) for belief, nid in ids.items()}
+    stats = DiagnoserStats(len(nodes), beliefs.index.size * beliefs.K)
+    return Diagnoser(m.observable_atoms_sorted, nodes, entry, delta, decoded, stats)
 
 
 def run_diagnoser(d: Diagnoser, observations: list[dict[str, bool]]) -> list[frozenset[str]]:
@@ -157,14 +148,20 @@ def run_diagnoser(d: Diagnoser, observations: list[dict[str, bool]]) -> list[fro
 # -- file format ---------------------------------------------------------------
 
 def diagnoser_to_json(d: Diagnoser) -> dict:
+    keys = {obs: _obs_key(d.obs_atoms, obs) for obs in _observations(d)}
     return {
         "observables": list(d.obs_atoms),
         "nodes": {nid: sorted(d.nodes[nid]) for nid in sorted(d.nodes)},
-        "entry": {_obs_key(d.obs_atoms, obs): nid for obs, nid in sorted(d.entry.items())},
-        "delta": {nid: {_obs_key(d.obs_atoms, obs): tgt
-                        for obs, tgt in sorted(d.delta[nid].items())}
+        "entry": {keys[obs]: nid for obs, nid in sorted(d.entry.items())},
+        "delta": {nid: {keys[obs]: tgt for obs, tgt in sorted(d.delta[nid].items())}
                   for nid in sorted(d.delta)},
     }
+
+
+def _observations(d: Diagnoser) -> set[tuple]:
+    """The distinct observations on a diagnoser's edges: few, against many
+    edges, so each is rendered once."""
+    return {obs for moves in (d.entry, *d.delta.values()) for obs in moves}
 
 
 def diagnoser_from_json(doc) -> Diagnoser:
@@ -210,16 +207,17 @@ def load_diagnoser(path) -> Diagnoser:
 
 
 def export_diagnoser_dot(d: Diagnoser) -> str:
+    labels = {obs: _edge_label(d, obs) for obs in _observations(d)}
     lines = ["digraph diagnoser {", "  rankdir=LR;"]
     for nid in sorted(d.nodes):
         alarms = ",".join(sorted(d.nodes[nid])) or "-"
         lines.append(f'  "{nid}" [label="{nid}\\n{{{alarms}}}", shape=ellipse];')
     for i, (obs, nid) in enumerate(sorted(d.entry.items())):
         lines.append(f'  "entry{i}" [shape=point];')
-        lines.append(f'  "entry{i}" -> "{nid}" [label="{_edge_label(d, obs)}"];')
+        lines.append(f'  "entry{i}" -> "{nid}" [label="{labels[obs]}"];')
     for nid in sorted(d.delta):
         for obs, tgt in sorted(d.delta[nid].items()):
-            lines.append(f'  "{nid}" -> "{tgt}" [label="{_edge_label(d, obs)}"];')
+            lines.append(f'  "{nid}" -> "{tgt}" [label="{labels[obs]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -271,272 +269,328 @@ class Verdict:
         return doc
 
 
-class _ProductWalker:
-    """Synchronous product of the model, a candidate automaton, and the
-    synthesized belief tracker for one alarm specification."""
+class _Product:
+    """The synchronous product of the model, a candidate automaton and the
+    belief tracker of one alarm specification, over ints.
+
+    The candidate's node and the belief depend only on the observation
+    sequence, so the (candidate node, belief) pairs that runs reach are
+    built once, over observation classes, and numbered in (node name,
+    belief) order.  A product state is ``state * P + pair``; each search
+    appends its own bookkeeping as ``* X + extra``.  The successors of a
+    product node differ in their model state, which is the most significant
+    part of their number, so every search below claims nodes in the order
+    of the state-id sequences of their paths.
+    """
 
     def __init__(self, m: SystemModel, d: Diagnoser, spec: AlarmSpec):
         if tuple(d.obs_atoms) != m.observable_atoms_sorted:
             raise ObservationError(
                 None, "observation alphabet mismatch between model and diagnoser")
-        self.m = m
-        self.d = d
-        self.spec = spec
-        self.trackers = trackers_for([spec])
-        self.entry_beliefs = initial_beliefs(m, self.trackers)
-        self._belief_succ: dict[tuple, frozenset] = {}
+        self.index = ix = m.index
+        beliefs = BeliefTracker(m, trackers_for([spec]))
+        observations = ix.observations
+        found: dict[tuple, int] = {}
+        pairs: list[tuple] = []
 
-    def alarm_on(self, node: str) -> bool:
-        return self.spec.name in self.d.nodes[node]
+        def intern(pair: tuple) -> int:
+            if pair not in found:
+                found[pair] = len(pairs)
+                pairs.append(pair)
+            return found[pair]
 
-    def beta(self, sid: str) -> bool:
-        return self.m.holds(self.spec.beta, sid)
-
-    def known(self, belief: frozenset) -> bool:
-        return belief_certain(belief, 0, self.trackers)
-
-    def initial(self):
-        out = []
-        for sid in self.m.initial:
-            obs = self.m.observation(sid)
-            node = self.d.entry.get(obs)
+        entries = beliefs.initial()
+        start = []
+        for sid in m.initial:
+            c = ix.obs_class[ix.number[sid]]
+            node = d.entry.get(observations[c])
             if node is None:
                 raise ObservationError(
                     0, f"candidate has no entry for the observation of initial "
                        f"state {sid!r}")
-            out.append((sid, node, self.entry_beliefs[obs]))
-        return sorted(out)
+            start.append((ix.number[sid], intern((node, entries[c]))))
+        moves = []
+        # whether the candidate can consume every observation runs make; a
+        # gap is reported when a search meets it
+        self.total = True
+        while len(moves) < len(pairs):
+            node, belief = pairs[len(moves)]
+            out = d.delta[node]
+            row = {}
+            for c, after in beliefs.successors(belief).items():
+                tgt = out.get(observations[c])
+                if tgt is None:
+                    self.total = False
+                else:
+                    row[c] = intern((tgt, after))
+            moves.append(row)
+        rank = sorted(range(len(pairs)), key=pairs.__getitem__)
+        number = [0] * len(pairs)
+        for p, old in enumerate(rank):
+            number[old] = p
+        self.P = P = len(pairs)
+        self.names = [pairs[old][0] for old in rank]
+        self.moves = [{c: number[q] for c, q in moves[old].items()} for old in rank]
+        self.alarm = [spec.name in d.nodes[name] for name in self.names]
+        # the delay's past formula in every member of the belief, and in some
+        self.known = [beliefs.certain(pairs[old][1]) for old in rank]
+        self.possible = [any(map(beliefs.holds, pairs[old][1])) for old in rank]
+        self.beta = ix.condition(spec.beta)
+        self.roots = [s * P + number[q] for s, q in start]
+        self._pair_label = [2 * alarm + 4 * known for alarm, known in zip(self.alarm, self.known)]
+        self._edges: dict[int, tuple[list[int], list[int]]] = {}
 
-    def successors(self, core):
-        sid, node, belief = core
-        out = []
-        for nxt in self.m.successors(sid):
-            obs = self.m.observation(nxt)
-            tgt = self.d.delta[node].get(obs)
-            if tgt is None:
-                raise ObservationError(
-                    None, f"candidate is partial: node {node!r} cannot consume "
-                          f"the observation of state {nxt!r}")
-            key = (belief, obs)
-            if key not in self._belief_succ:
-                self._belief_succ[key] = belief_step(self.m, belief, obs, self.trackers)
-            out.append((nxt, tgt, self._belief_succ[key]))
-        return sorted(out, key=lambda c: (c[0], c[1], sorted(c[2])))
+    def label(self, sp: int) -> int:
+        """Bit 0: the condition holds in the state; bit 1: the pair raises
+        the alarm; bit 2: the pair's belief makes the condition certain."""
+        return self.beta[sp // self.P] | self._pair_label[sp % self.P]
+
+    def edges(self, sp: int) -> tuple[list[int], list[int]]:
+        """The successors of a product state, and their labels."""
+        found = self._edges.get(sp)
+        if found is None:
+            P, beta = self.P, self.beta
+            state, pair = divmod(sp, P)
+            row = self.moves[pair]
+            targets: list[int] = []
+            labels: list[int] = []
+            for c, nxts in self.index.succ_by_class[state].items():
+                q = row.get(c)
+                if q is None:
+                    self._partial(state, pair)
+                targets += [nxt * P + q for nxt in nxts]
+                labels += [beta[nxt] | self._pair_label[q] for nxt in nxts]
+            found = self._edges[sp] = (targets, labels)
+        return found
+
+    def _partial(self, state: int, pair: int):
+        groups = self.index.succ_by_class[state]
+        nxt = min(nxts[0] for c, nxts in groups.items() if c not in self.moves[pair])
+        raise ObservationError(
+            None, f"candidate is partial: node {self.names[pair]!r} cannot consume "
+                  f"the observation of state {self.index.ids[nxt]!r}")
+
+    def trace(self, nodes, scale: int) -> Trace:
+        """The run along product nodes of the given scale."""
+        return Trace(tuple(self.index.ids[node // scale // self.P] for node in nodes))
 
 
 def verify_diagnoser(m: SystemModel, d: Diagnoser, spec: AlarmSpec) -> Verdict:
     """Evaluate each conjunct of the instantiated pattern on the product."""
-    walker = _ProductWalker(m, d, spec)
-    correctness = _check_correctness(walker)
+    product = _Product(m, d, spec)
+    correctness = _check_correctness(product, spec)
     if spec.diag == TRACE:
-        completeness = _check_completeness_trace(walker)
+        completeness = _check_completeness_trace(product, spec)
     else:
-        completeness = _check_completeness_global(walker)
-    maximality = _check_maximality(walker) if spec.maximal else None
+        completeness = _check_completeness_global(product, spec)
+    maximality = _check_maximality(product) if spec.maximal else None
     return Verdict(spec.name, correctness, completeness, maximality)
 
 
-def _sort_key(node):
-    # Product nodes mix strings, tuples, and frozensets; compare via repr of
-    # a normalized form to keep exploration order total and deterministic.
-    sid, q, belief, extra = node
-    return (sid, q, sorted(belief), repr(extra))
+# A search's bookkeeping is an int automaton over the labels of
+# `_Product.label`: (X, start, row), where start(label) is the extra of a
+# root, row(extra)[label] the extra after a step into a node with that
+# label, and X bounds the extras.
+
+_LABELS = range(8)
+_NO_EXTRA = (1, None, None)
 
 
-def _search_safety(walker: _ProductWalker, init_extra, step_extra, violated):
-    """Reachability of a violating augmented product state; returns the
-    lexicographically least shortest counterexample as a model trace."""
-    roots = []
-    for sid, node, belief in walker.initial():
-        extra = init_extra(sid, node, belief)
-        roots.append((sid, node, belief, extra))
+def _monitor_extras(delay):
+    """The run's own memory of the condition: the delay's monitor."""
+    mon = compile_monitor(delay)
+    start = [mon.init[label & 1] for label in _LABELS]
+    rows = [[after[label & 1] for label in _LABELS] for after in mon.next]
+    return len(mon.values), start.__getitem__, rows.__getitem__
 
-    def succ(state):
-        sid, node, belief, extra = state
-        out = []
-        for nsid, nnode, nbelief in walker.successors((sid, node, belief)):
-            out.append((nsid, nnode, nbelief, step_extra(extra, nsid, nnode, nbelief)))
-        return out
 
-    parent = lexleast_shortest_paths(roots, succ, key=_sort_key, stop=violated)
-    best = next((state for state in parent if violated(state)), None)
+def _searcher(product: _Product, extras):
+    """The roots and the successor function of a search with these extras."""
+    X, start, row = extras
+    edges = product.edges
+    if X == 1:
+        return product.roots, lambda sp: edges(sp)[0]
+
+    def succ(node):
+        sp, extra = divmod(node, X)
+        after = row(extra)
+        targets, labels = edges(sp)
+        return [t * X + after[label] for t, label in zip(targets, labels)]
+
+    return [sp * X + start(product.label(sp)) for sp in product.roots], succ
+
+
+def _search_safety(product: _Product, extras, violated, bad_pairs=None) -> ConjunctResult:
+    """Reachability of a violating product node, which is not expanded;
+    returns the shortest counterexample least by its state-id sequence.
+
+    bad_pairs[p], where given, tells whether some product node of pair p
+    violates.  Every member of a pair's belief is the state and memory of
+    a run that reaches the pair, so with no such pair and a candidate
+    without gaps the conjunct holds, and no search is needed."""
+    if bad_pairs is not None and product.total and not any(bad_pairs):
+        return ConjunctResult(True)
+    roots, succ = _searcher(product, extras)
+    parent = lexleast_shortest_paths(roots, succ, stop=violated)
+    best = next((node for node in parent if violated(node)), None)
     if best is None:
         return ConjunctResult(True)
-    return ConjunctResult(False, Trace(tuple(s[0] for s in path_to(parent, best))))
+    return ConjunctResult(False, product.trace(path_to(parent, best), extras[0]))
 
 
-def _check_correctness(walker: _ProductWalker) -> ConjunctResult:
-    delay = walker.spec.delay
+def _check_correctness(product: _Product, spec: AlarmSpec) -> ConjunctResult:
+    # the alarm while the run's own memory, the extra, fails the formula
+    mon = compile_monitor(spec.delay)
+    X, P, alarm = len(mon.values), product.P, product.alarm
 
-    def init_extra(sid, node, belief):
-        return memory_init(delay, walker.beta(sid))
+    def violated(node):
+        return alarm[node // X % P] and not mon.sat[node % X]
 
-    def step_extra(mem, sid, node, belief):
-        return memory_update(delay, mem, walker.beta(sid))
-
-    def violated(state):
-        sid, node, belief, mem = state
-        return walker.alarm_on(node) and not memory_satisfies(delay, mem)
-
-    return _search_safety(walker, init_extra, step_extra, violated)
+    bad = [alarm and not known for alarm, known in zip(product.alarm, product.known)]
+    return _search_safety(product, _monitor_extras(spec.delay), violated, bad)
 
 
-def _check_maximality(walker: _ProductWalker) -> ConjunctResult:
-    def violated(state):
-        sid, node, belief, _ = state
-        return walker.known(belief) and not walker.alarm_on(node)
+def _check_maximality(product: _Product) -> ConjunctResult:
+    # certainty without the alarm
+    bad = [known and not alarm for known, alarm in zip(product.known, product.alarm)]
+    P = product.P
+    return _search_safety(product, _NO_EXTRA, lambda sp: bad[sp % P], bad)
 
-    return _search_safety(walker, lambda *a: None, lambda e, *a: None, violated)
 
-
-def _check_completeness_global(walker: _ProductWalker) -> ConjunctResult:
-    delay = walker.spec.delay
+def _check_completeness_global(product: _Product, spec: AlarmSpec) -> ConjunctResult:
+    delay = spec.delay
+    P, alarm = product.P, product.alarm
     if isinstance(delay, ExactDelay):
-        n = delay.n
+        # the condition held exactly n steps ago and the alarm is off
+        mon = compile_monitor(delay)
+        X = len(mon.values)
 
-        def init_extra(sid, node, belief):
-            return (walker.beta(sid),)
+        def violated(node):
+            return mon.sat[node % X] and not alarm[node // X % P]
 
-        def step_extra(window, sid, node, belief):
-            return (window + (walker.beta(sid),))[-(n + 1):]
-
-        def violated(state):
-            sid, node, belief, window = state
-            return len(window) == n + 1 and window[0] and not walker.alarm_on(node)
-
-        return _search_safety(walker, init_extra, step_extra, violated)
+        bad = [possible and not alarm for possible, alarm in zip(product.possible, alarm)]
+        return _search_safety(product, _monitor_extras(delay), violated, bad)
 
     if isinstance(delay, BoundedDelay):
         n = delay.n
 
-        def age_step(age, beta_now, alarm_now):
+        def age_step(age, label):
+            # steps since the oldest condition not yet served by an alarm
             age = age + 1 if age >= 0 else -1
-            if beta_now and age < 0:
+            if label & 1 and age < 0:
                 age = 0
-            if alarm_now:
+            if label & 2:
                 age = -1
             return age
 
-        def init_extra(sid, node, belief):
-            return age_step(-1, walker.beta(sid), walker.alarm_on(node))
+        # extra = age + 1; an age of n is a violation, never expanded
+        start = [age_step(-1, label) + 1 for label in _LABELS]
+        rows = [[age_step(extra - 1, label) + 1 for label in _LABELS]
+                for extra in range(n + 1)]
+        X = n + 2
+        return _search_safety(product, (X, start.__getitem__, rows.__getitem__),
+                              lambda node: node % X > n)
 
-        def step_extra(age, sid, node, belief):
-            return age_step(age, walker.beta(sid), walker.alarm_on(node))
-
-        def violated(state):
-            return state[3] >= n
-
-        return _search_safety(walker, init_extra, step_extra, violated)
-
-    return _check_completeness_finite(walker)
+    return _check_completeness_finite(product)
 
 
-def _check_completeness_finite(walker: _ProductWalker) -> ConjunctResult:
+def _check_completeness_finite(product: _Product) -> ConjunctResult:
     """G(condition -> F alarm): look for a reachable cycle along which an
     obligation stays pending (condition occurred, alarm never after)."""
 
-    def pending_bit(prev, sid, node):
-        return (prev or walker.beta(sid)) and not walker.alarm_on(node)
+    def pending(was, label):
+        return int(bool(was or label & 1) and not label & 2)
 
-    roots = [(sid, node, belief, pending_bit(False, sid, node))
-             for sid, node, belief in walker.initial()]
+    start = [pending(0, label) for label in _LABELS]
+    rows = [[pending(was, label) for label in _LABELS] for was in (0, 1)]
+    roots, succ = _searcher(product, (2, start.__getitem__, rows.__getitem__))
+    parent = lexleast_shortest_paths(roots, succ)
+    pending_nodes = {node for node in parent if node % 2}
 
-    def succ(state):
-        sid, node, belief, bit = state
-        return [(nsid, nnode, nbelief, pending_bit(bit, nsid, nnode))
-                for nsid, nnode, nbelief in walker.successors((sid, node, belief))]
+    def succ_pending(node):
+        return [t for t in succ(node) if t in pending_nodes]
 
-    parent = lexleast_shortest_paths(roots, succ, key=_sort_key)
-    pending = {s for s in parent if s[3]}
-
-    def succ_pending(state):
-        return [t for t in succ(state) if t in pending]
-
-    found = find_reachable_cycle(sorted(pending, key=_sort_key), succ_pending)
+    found = find_reachable_cycle(sorted(pending_nodes), succ_pending)
     if found is None:
         return ConjunctResult(True)
     _, loop = found
-    entry = loop[0]
-    stem = path_to(parent, entry)
-    states = [s[0] for s in stem] + [s[0] for s in loop[1:]]
-    return ConjunctResult(False, Trace(tuple(states)), loop_start=len(stem) - 1)
+    stem = path_to(parent, loop[0])
+    return ConjunctResult(False, product.trace(stem + tuple(loop[1:]), 2),
+                          loop_start=len(stem) - 1)
 
 
-def _check_completeness_trace(walker: _ProductWalker) -> ConjunctResult:
-    delay = walker.spec.delay
+def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctResult:
+    delay = spec.delay
     if isinstance(delay, ExactDelay):
         # condition at t with certainty achievable at t+n but no alarm at
         # t+n; by veridicality this is exactly: certainty without alarm.
-        def violated(state):
-            sid, node, belief, _ = state
-            return walker.known(belief) and not walker.alarm_on(node)
-
-        return _search_safety(walker, lambda *a: None, lambda e, *a: None, violated)
-
+        return _check_maximality(product)
     if isinstance(delay, BoundedDelay):
-        return _check_completeness_trace_bounded(walker)
-    return _check_completeness_trace_finite(walker)
+        return _check_completeness_trace_bounded(product, delay.n)
+    return _check_completeness_trace_finite(product)
 
 
 _VIOLATED = "violated"
 
 
-def _check_completeness_trace_bounded(walker: _ProductWalker) -> ConjunctResult:
+def _check_completeness_trace_bounded(product: _Product, n: int) -> ConjunctResult:
     """Obligations carry a 'certainty seen' flag per age; an obligation that
     expires with the flag set and no alarm served is a violation."""
-    n = walker.spec.delay.n
 
-    def process(slots, beta_now, known_now, alarm_now):
+    def process(slots, label):
         if slots == _VIOLATED:
             return _VIOLATED
         aged = (None,) + slots[:-1]
         expired = slots[-1]
         if expired is True:
             return _VIOLATED
-        if beta_now:
+        if label & 1:
             aged = (False,) + aged[1:]
-        if known_now:
+        if label & 4:
             aged = tuple(True if v is not None else None for v in aged)
-        if alarm_now:
+        if label & 2:
             aged = (None,) * (n + 1)
         return aged
 
-    def init_extra(sid, node, belief):
-        return process((None,) * (n + 1), walker.beta(sid), walker.known(belief),
-                       walker.alarm_on(node))
+    # Slot tuples are numbered as the search meets them; each of the n + 1
+    # slots is None, False or True, which bounds their count.
+    values: list = []
+    ids: dict = {}
+    rows: dict[int, list[int]] = {}
 
-    def step_extra(slots, sid, node, belief):
-        return process(slots, walker.beta(sid), walker.known(belief),
-                       walker.alarm_on(node))
+    def number(value) -> int:
+        if value not in ids:
+            ids[value] = len(values)
+            values.append(value)
+        return ids[value]
 
-    def violated(state):
-        return state[3] == _VIOLATED
+    def row(extra: int) -> list[int]:
+        if extra not in rows:
+            rows[extra] = [number(process(values[extra], label)) for label in _LABELS]
+        return rows[extra]
 
-    return _search_safety(walker, init_extra, step_extra, violated)
+    empty = (None,) * (n + 1)
+    violated_id = number(_VIOLATED)
+    X = 3 ** (n + 1) + 1
+    return _search_safety(product, (X, lambda label: number(process(empty, label)), row),
+                          lambda node: node % X == violated_id)
 
 
-def _check_completeness_trace_finite(walker: _ProductWalker) -> ConjunctResult:
+def _check_completeness_trace_finite(product: _Product) -> ConjunctResult:
     """Violation run: the condition occurs at t, certainty is eventually
     reached at or after t, yet the alarm never fires from t on.  Search:
     from a condition-and-alarm-free product state, stay in the alarm-free
     region, reach certainty, and keep an infinite alarm-free continuation
     (certainty is monotone, so any cycle reached after it inherits it)."""
-    roots = []
-    for sid, node, belief in walker.initial():
-        roots.append((sid, node, belief, None))
-
-    def succ(state):
-        sid, node, belief, _ = state
-        return [(nsid, nnode, nbelief, None)
-                for nsid, nnode, nbelief in walker.successors((sid, node, belief))]
-
-    parent = lexleast_shortest_paths(roots, succ, key=_sort_key)
-    alarm_free = {s for s in parent if not walker.alarm_on(s[1])}
-    succ_free = {s: [t for t in succ(s) if t in alarm_free] for s in alarm_free}
+    P, alarm, known, beta = product.P, product.alarm, product.known, product.beta
+    roots, succ = _searcher(product, _NO_EXTRA)
+    parent = lexleast_shortest_paths(roots, succ)
+    alarm_free = {sp for sp in parent if not alarm[sp % P]}
+    succ_free = {sp: [t for t in succ(sp) if t in alarm_free] for sp in alarm_free}
     preds: dict = {}
-    for s, ts in succ_free.items():
+    for sp, ts in succ_free.items():
         for t in ts:
-            preds.setdefault(t, set()).add(s)
+            preds.setdefault(t, set()).add(sp)
 
     def backward(seeds):
         """States of the alarm-free region that can reach a seed inside it."""
@@ -551,19 +605,19 @@ def _check_completeness_trace_finite(walker: _ProductWalker) -> ConjunctResult:
 
     # states inside the alarm-free region with an infinite alarm-free path
     live = backward(nodes_on_cycles(alarm_free, succ_free.__getitem__))
-    targets = {s for s in live if walker.known(s[2])}
+    targets = {sp for sp in live if known[sp % P]}
     can_reach = backward(targets)
-    start = next((s for s in parent if s in can_reach and walker.beta(s[0])), None)
+    start = next((sp for sp in parent if sp in can_reach and beta[sp // P]), None)
     if start is None:
         return ConjunctResult(True)
     # forward: shortest path from start to a certainty state, then unroll a cycle
-    inner = lexleast_shortest_paths([start], succ_free.__getitem__, key=_sort_key)
-    middle = path_to(inner, next(s for s in inner if s in targets))
+    inner = lexleast_shortest_paths([start], succ_free.__getitem__)
+    middle = path_to(inner, next(sp for sp in inner if sp in targets))
     stem = path_to(parent, start)
     tail = [middle[-1]]
     seen = {middle[-1]: 0}
     while True:
-        nxt = min((t for t in succ_free[tail[-1]] if t in live), key=_sort_key)
+        nxt = min(t for t in succ_free[tail[-1]] if t in live)
         if nxt in seen:
             loop_start_inner = seen[nxt]
             tail.append(nxt)
@@ -572,4 +626,4 @@ def _check_completeness_trace_finite(walker: _ProductWalker) -> ConjunctResult:
         tail.append(nxt)
     full = list(stem) + list(middle[1:]) + tail[1:]
     loop_start = len(stem) - 1 + len(middle) - 1 + loop_start_inner
-    return ConjunctResult(False, Trace(tuple(s[0] for s in full)), loop_start=loop_start)
+    return ConjunctResult(False, product.trace(full, 1), loop_start=loop_start)

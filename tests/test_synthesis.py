@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -68,7 +71,8 @@ class TestSynthesize:
         second = AlarmSpec("B", FAULT, FiniteDelay(), "global", True)
         for m in (sensor_delay, intermittent):
             d = synthesize_diagnoser(m, [spec(ExactDelay(2)), second])
-            assert d.stats.nodes <= d.stats.node_bound
+            # one node per distinct belief
+            assert d.stats.nodes == len(d.nodes) == len(set(d.beliefs.values()))
 
     def test_duplicate_alarm_names_rejected(self, sensor_delay):
         with pytest.raises(ValueError):
@@ -212,6 +216,34 @@ class TestVerify:
         assert not verdict.correctness.holds
         cx = verdict.correctness.counterexample
         assert sensor_delay.is_trace(cx)
+
+    @pytest.mark.parametrize("seed", [3, 4, 6])
+    def test_finite_lasso_does_not_depend_on_string_hashing(self, seed, tmp_path):
+        # Several pending product nodes share the lasso's first state here;
+        # which of them the cycle search tries first must not follow the
+        # iteration order of a set.
+        from .test_acceptance import random_model
+
+        m, tle = random_model(seed)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "atoms": sorted(m.atoms), "faults": sorted(m.fault_atoms),
+            "observables": sorted(m.observable_atoms), "states": m.states,
+            "initial": list(m.initial), "transitions": sorted(m.transitions)}))
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps([{"alarm": "A", "beta": tle,
+                                          "delay": {"kind": "finite"}}]))
+        candidate = tmp_path / "mute.json"
+        candidate.write_text(json.dumps(diagnoser_to_json(mute_diagnoser(m))))
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "faultkit.cli", "verify-diagnoser", "--model", str(model),
+                 "--spec", str(spec_file), "--alarm", "A", "--diagnoser", str(candidate)],
+                capture_output=True, env={**os.environ, "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 1, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_alphabet_mismatch_rejected(self, sensor_delay, fully_obs,
                                         sensor_specs):
