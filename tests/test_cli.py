@@ -47,6 +47,14 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out) == [["b1_fail", "b2_fail"]]
 
+    def test_oversized_delay_memory_is_exit_2(self, tmp_path, capsys):
+        # exact(15) remembers 131,070 windows, beyond the monitor's guard
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"alarm": "big", "beta": "fault",
+                                     "delay": {"kind": "exact", "n": 15}}]))
+        assert run_cli("synth-diagnoser", "--model", SENSOR, "--spec", str(spec)) == 2
+        assert "more than 65536 values" in capsys.readouterr().err
+
     def test_diag_check_negative_verdict_is_exit_1(self, capsys):
         code, out = run_capture(capsys, "diag-check", "--model", SENSOR,
                                 "--spec", SPECS, "--alarm", "a_exact1")
