@@ -20,12 +20,10 @@ Knowledge is computed by propagating belief states, i.e. sets of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import prod
 from typing import Iterable
 
 from .boolexpr import Expr, as_expr
-from .errors import ModelFormatError, SizeGuardExceeded, TraceError
+from .errors import ModelFormatError, TraceError
 from .jsonio import decode_json, expect, field, read_json
 from .model import SystemModel, Trace
 
@@ -209,62 +207,16 @@ def memory_satisfies(delay: Delay, mem) -> bool:
     return bool(mem)
 
 
-# -- delay monitors -------------------------------------------------------------
-
-# A monitor with more values is refused rather than built: exact(n) has
-# 2 ** (n + 2) - 2 memories.
-MONITOR_LIMIT = 1 << 16
-
-
-@dataclass(frozen=True)
-class Monitor:
-    """A delay kind's per-run memory as an int automaton.
-
-    Its values are the memories that `memory_init` and `memory_update`
-    reach, numbered in sorted order, so numbers compare like memories.
-    ``init[b]`` and ``next[k][b]`` are the value after a step whose state
-    has the condition b, and ``sat[k]`` is `memory_satisfies` of value k.
-    """
-
-    values: tuple
-    init: tuple[int, int]
-    next: tuple[tuple[int, int], ...]
-    sat: tuple[bool, ...]
-
-
-@lru_cache(maxsize=32)
-def compile_monitor(delay: Delay) -> Monitor:
-    """Explore a delay kind's memory from both initial values."""
-    found = {memory_init(delay, False), memory_init(delay, True)}
-    work = list(found)
-    while work:
-        mem = work.pop()
-        for beta_now in (False, True):
-            after = memory_update(delay, mem, beta_now)
-            if after not in found:
-                if len(found) == MONITOR_LIMIT:
-                    raise SizeGuardExceeded(
-                        f"the memory of delay {delay} has more than {MONITOR_LIMIT} values")
-                found.add(after)
-                work.append(after)
-    values = tuple(sorted(found))
-    number = {mem: k for k, mem in enumerate(values)}
-    return Monitor(values,
-                   (number[memory_init(delay, False)], number[memory_init(delay, True)]),
-                   tuple((number[memory_update(delay, mem, False)],
-                          number[memory_update(delay, mem, True)]) for mem in values),
-                   tuple(memory_satisfies(delay, mem) for mem in values))
-
-
 # -- belief propagation -------------------------------------------------------
 
 # A tracker is a (delay, beta) pair.  A belief member is a state together
 # with one memory per tracker; decoded, it is (state id, memories).  Over
-# ints it is ``state * K + memory``: the state's number in the model's
-# StateIndex, and the trackers' monitor values in mixed radix with the
-# first tracker most significant, so members sort like their decoded
-# tuples.  A belief is the sorted tuple of its members.  All members of a
-# belief share the observation of the step that produced them.
+# ints it is ``memory * N + state``: the trackers' memories numbered as
+# steps first reach them, and the state's number in the model's StateIndex
+# of N states.  A belief is the sorted tuple of its members.  That order is
+# not the order of the decoded members, so a search for a least member
+# compares `BeliefTracker.decode`.  All members of a belief share the
+# observation of the step that produced them.
 
 Tracker = tuple[Delay, Expr]
 BeliefMember = tuple[str, tuple]
@@ -278,62 +230,58 @@ def trackers_for(specs: Iterable[AlarmSpec]) -> tuple[Tracker, ...]:
 class BeliefTracker:
     """Belief states of one model under a tuple of trackers, over ints.
 
-    A belief steps by walking each member's successors of one observation
-    class (`StateIndex.succ_by_class`); each member's successors are worked
-    out once.
+    `memory_init`, `memory_update` and `memory_satisfies` define the
+    memories; only those that runs reach are numbered, in `memories`, with
+    each tracker's past formula in `sat`.  A belief steps by walking each
+    member's successors of one observation class
+    (`StateIndex.succ_by_class`); each member's successors are worked out
+    once.
     """
 
     def __init__(self, m: SystemModel, trackers: tuple[Tracker, ...]):
         self.index = ix = m.index
-        self.monitors = [compile_monitor(delay) for delay, _ in trackers]
-        self.K = prod(len(mon.values) for mon in self.monitors)
+        self._delays = [delay for delay, _ in trackers]
         flags = [ix.condition(beta) for _, beta in trackers]
         # labels[state]: bit i set when tracker i's condition holds
         self._labels = [sum(f[s] << i for i, f in enumerate(flags)) for s in range(ix.size)]
-        self._digits: dict[int, tuple[int, ...]] = {}
-        self._memories: dict[int, tuple] = {}
+        self.memories: list[tuple] = []
+        self.sat: list[tuple[bool, ...]] = []
+        self._numbers: dict[tuple, int] = {}
         self._after: dict[tuple, int] = {}
         self._moves: dict[int, dict[int, tuple[int, ...]]] = {}
 
-    def _values(self, memory: int) -> tuple[int, ...]:
-        """The trackers' monitor values in a memory, first tracker first."""
-        values = self._digits.get(memory)
-        if values is None:
-            rest, out = memory, []
-            for mon in reversed(self.monitors):
-                rest, value = divmod(rest, len(mon.values))
-                out.append(value)
-            values = self._digits[memory] = tuple(reversed(out))
-        return values
-
-    def _memory_after(self, memory: int | None, label: int) -> int:
-        """The trackers' memory after a step into a state with `label`;
-        `memory` is None before the first step."""
+    def memory_after(self, memory: int | None, label: int) -> int:
+        """The trackers' memory after a step into a state whose conditions
+        are the bits of `label`; `memory` is None before the first step."""
         key = memory, label
         after = self._after.get(key)
         if after is None:
-            rows = ([mon.init for mon in self.monitors] if memory is None else
-                    [mon.next[value] for mon, value in zip(self.monitors, self._values(memory))])
-            after = 0
-            for i, (mon, row) in enumerate(zip(self.monitors, rows)):
-                after = after * len(mon.values) + row[label >> i & 1]
+            now = [bool(label >> i & 1) for i in range(len(self._delays))]
+            mems = (tuple(map(memory_init, self._delays, now)) if memory is None else
+                    tuple(map(memory_update, self._delays, self.memories[memory], now)))
+            after = self._numbers.get(mems)
+            if after is None:
+                after = self._numbers[mems] = len(self.memories)
+                self.memories.append(mems)
+                self.sat.append(tuple(map(memory_satisfies, self._delays, mems)))
             self._after[key] = after
         return after
 
     def initial(self) -> dict[int, tuple[int, ...]]:
         """The belief of each observation class of the initial states."""
-        K, labels = self.K, self._labels
-        return {c: tuple(sorted({s * K + self._memory_after(None, labels[s]) for s in states}))
+        N, labels = self.index.size, self._labels
+        return {c: tuple(sorted(self.memory_after(None, labels[s]) * N + s for s in states))
                 for c, states in self.index.initial_by_class.items()}
 
     def moves(self, member: int) -> dict[int, tuple[int, ...]]:
         """A member's successor members, by observation class, ascending."""
         found = self._moves.get(member)
         if found is None:
-            K, labels = self.K, self._labels
-            state, memory = divmod(member, K)
+            N, labels = self.index.size, self._labels
+            memory, state = divmod(member, N)
             found = self._moves[member] = {
-                c: tuple(nxt * K + self._memory_after(memory, labels[nxt]) for nxt in nxts)
+                c: tuple(sorted(self.memory_after(memory, labels[nxt]) * N + nxt
+                                for nxt in nxts))
                 for c, nxts in self.index.succ_by_class[state].items()}
         return found
 
@@ -349,19 +297,15 @@ class BeliefTracker:
 
     def holds(self, member: int, i: int = 0) -> bool:
         """Whether tracker i's past formula holds in a member."""
-        return self.monitors[i].sat[self._values(member % self.K)[i]]
+        return self.sat[member // self.index.size][i]
 
     def certain(self, belief: tuple[int, ...], i: int = 0) -> bool:
         """Tracker i's condition is known iff it holds in every member."""
         return all(self.holds(member, i) for member in belief)
 
     def decode(self, member: int) -> BeliefMember:
-        state, memory = divmod(member, self.K)
-        memories = self._memories.get(memory)
-        if memories is None:
-            memories = self._memories[memory] = tuple(
-                mon.values[value] for mon, value in zip(self.monitors, self._values(memory)))
-        return self.index.ids[state], memories
+        memory, state = divmod(member, self.index.size)
+        return self.index.ids[state], self.memories[memory]
 
 
 def belief_certain(belief: Belief, index: int, trackers: tuple[Tracker, ...]) -> bool:
@@ -403,10 +347,10 @@ def knowledge_counterexample(m: SystemModel, tr: Trace, t: int,
     """The lexicographically least obs-equivalent run on which phi fails at
     t, or None when phi is known (no such run exists)."""
     beliefs, chain = _knowledge_chain(m, tr, t, phi)
-    bad = next((member for member in chain[-1] if not beliefs.holds(member)), None)
-    if bad is None:
+    bad = [member for member in chain[-1] if not beliefs.holds(member)]
+    if not bad:
         return None
-    return _reconstruct(beliefs, chain, bad)
+    return _reconstruct(beliefs, chain, min(bad, key=beliefs.decode))
 
 
 def _reconstruct(beliefs: BeliefTracker, chain: list[tuple[int, ...]], target: int) -> Trace:
@@ -415,10 +359,11 @@ def _reconstruct(beliefs: BeliefTracker, chain: list[tuple[int, ...]], target: i
     ix = beliefs.index
     members = [target]
     for i in range(len(chain) - 1, 0, -1):
-        c = ix.obs_class[members[-1] // beliefs.K]
-        members.append(next(member for member in chain[i - 1]
-                            if members[-1] in beliefs.moves(member).get(c, ())))
-    return Trace(tuple(ix.ids[member // beliefs.K] for member in reversed(members)))
+        c = ix.obs_class[members[-1] % ix.size]
+        members.append(min((member for member in chain[i - 1]
+                            if members[-1] in beliefs.moves(member).get(c, ())),
+                           key=beliefs.decode))
+    return Trace(tuple(ix.ids[member % ix.size] for member in reversed(members)))
 
 
 # -- pattern instantiation ----------------------------------------------------

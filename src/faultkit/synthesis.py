@@ -33,8 +33,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ModelFormatError, ObservationError
-from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
-                      compile_monitor, trackers_for)
+from .fdispec import AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE, trackers_for
 from .graphs import (find_reachable_cycle, lexleast_shortest_paths,
                      nodes_on_cycles, path_to)
 from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_text
@@ -44,7 +43,8 @@ from .model import SystemModel, Trace
 @dataclass(frozen=True)
 class DiagnoserStats:
     nodes: int
-    # states times the trackers' monitor sizes: the possible belief members
+    # states times the trackers' memories that runs reach: the possible
+    # belief members
     member_space: int
 
 
@@ -122,7 +122,7 @@ def synthesize_diagnoser(m: SystemModel, specs: list[AlarmSpec]) -> Diagnoser:
             moves[observations[c]] = intern(after[c])
 
     decoded = {nid: frozenset(map(beliefs.decode, belief)) for belief, nid in ids.items()}
-    stats = DiagnoserStats(len(nodes), beliefs.index.size * beliefs.K)
+    stats = DiagnoserStats(len(nodes), beliefs.index.size * len(beliefs.memories))
     return Diagnoser(m.observable_atoms_sorted, nodes, entry, delta, decoded, stats)
 
 
@@ -276,11 +276,11 @@ class _Product:
     The candidate's node and the belief depend only on the observation
     sequence, so the (candidate node, belief) pairs that runs reach are
     built once, over observation classes, and numbered in (node name,
-    belief) order.  A product state is ``state * P + pair``; each search
-    appends its own bookkeeping as ``* X + extra``.  The successors of a
-    product node differ in their model state, which is the most significant
-    part of their number, so every search below claims nodes in the order
-    of the state-id sequences of their paths.
+    decoded belief) order.  A product state is ``state * P + pair``; each
+    search appends its own bookkeeping as ``* X + extra``.  The successors
+    of a product node differ in their model state, which is the most
+    significant part of their number, so every search below claims nodes in
+    the order of the state-id sequences of their paths.
     """
 
     def __init__(self, m: SystemModel, d: Diagnoser, spec: AlarmSpec):
@@ -288,7 +288,7 @@ class _Product:
             raise ObservationError(
                 None, "observation alphabet mismatch between model and diagnoser")
         self.index = ix = m.index
-        beliefs = BeliefTracker(m, trackers_for([spec]))
+        self.beliefs = beliefs = BeliefTracker(m, trackers_for([spec]))
         observations = ix.observations
         found: dict[tuple, int] = {}
         pairs: list[tuple] = []
@@ -324,7 +324,9 @@ class _Product:
                 else:
                     row[c] = intern((tgt, after))
             moves.append(row)
-        rank = sorted(range(len(pairs)), key=pairs.__getitem__)
+        decode = beliefs.decode
+        rank = sorted(range(len(pairs)),
+                      key=lambda old: (pairs[old][0], sorted(map(decode, pairs[old][1]))))
         number = [0] * len(pairs)
         for p, old in enumerate(rank):
             number[old] = p
@@ -378,7 +380,7 @@ class _Product:
 def verify_diagnoser(m: SystemModel, d: Diagnoser, spec: AlarmSpec) -> Verdict:
     """Evaluate each conjunct of the instantiated pattern on the product."""
     product = _Product(m, d, spec)
-    correctness = _check_correctness(product, spec)
+    correctness = _check_correctness(product)
     if spec.diag == TRACE:
         completeness = _check_completeness_trace(product, spec)
     else:
@@ -396,12 +398,22 @@ _LABELS = range(8)
 _NO_EXTRA = (1, None, None)
 
 
-def _monitor_extras(delay):
-    """The run's own memory of the condition: the delay's monitor."""
-    mon = compile_monitor(delay)
-    start = [mon.init[label & 1] for label in _LABELS]
-    rows = [[after[label & 1] for label in _LABELS] for after in mon.next]
-    return len(mon.values), start.__getitem__, rows.__getitem__
+def _memory_extras(product: _Product):
+    """The run's own memory of the condition, numbered like the memories of
+    the product's beliefs.  A run's state and memory is a member of the
+    belief of its pair, and building the pair product stepped every such
+    member, so the memories the searches meet are numbered already; a
+    number made here belongs to a step no run takes."""
+    beliefs = product.beliefs
+    X, after = len(beliefs.memories), beliefs.memory_after
+    rows: dict[int, list[int]] = {}
+
+    def row(memory: int) -> list[int]:
+        if memory not in rows:
+            rows[memory] = [after(memory, label & 1) for label in _LABELS]
+        return rows[memory]
+
+    return X, lambda label: after(None, label & 1), row
 
 
 def _searcher(product: _Product, extras):
@@ -438,16 +450,16 @@ def _search_safety(product: _Product, extras, violated, bad_pairs=None) -> Conju
     return ConjunctResult(False, product.trace(path_to(parent, best), extras[0]))
 
 
-def _check_correctness(product: _Product, spec: AlarmSpec) -> ConjunctResult:
+def _check_correctness(product: _Product) -> ConjunctResult:
     # the alarm while the run's own memory, the extra, fails the formula
-    mon = compile_monitor(spec.delay)
-    X, P, alarm = len(mon.values), product.P, product.alarm
+    extras = _memory_extras(product)
+    X, P, alarm, sat = extras[0], product.P, product.alarm, product.beliefs.sat
 
     def violated(node):
-        return alarm[node // X % P] and not mon.sat[node % X]
+        return alarm[node // X % P] and not sat[node % X][0]
 
     bad = [alarm and not known for alarm, known in zip(product.alarm, product.known)]
-    return _search_safety(product, _monitor_extras(spec.delay), violated, bad)
+    return _search_safety(product, extras, violated, bad)
 
 
 def _check_maximality(product: _Product) -> ConjunctResult:
@@ -462,14 +474,14 @@ def _check_completeness_global(product: _Product, spec: AlarmSpec) -> ConjunctRe
     P, alarm = product.P, product.alarm
     if isinstance(delay, ExactDelay):
         # the condition held exactly n steps ago and the alarm is off
-        mon = compile_monitor(delay)
-        X = len(mon.values)
+        extras = _memory_extras(product)
+        X, sat = extras[0], product.beliefs.sat
 
         def violated(node):
-            return mon.sat[node % X] and not alarm[node // X % P]
+            return sat[node % X][0] and not alarm[node // X % P]
 
         bad = [possible and not alarm for possible, alarm in zip(product.possible, alarm)]
-        return _search_safety(product, _monitor_extras(delay), violated, bad)
+        return _search_safety(product, extras, violated, bad)
 
     if isinstance(delay, BoundedDelay):
         n = delay.n

@@ -251,8 +251,10 @@ def brute_force_product_counterexample(m: SystemModel, diagnoser_doc, beta, dela
     or {"holds": False, "counterexample": run} with the shortest run that
     reaches a violation, least by its sequence of state ids.  `conjunct` is
     "correctness", "maximality" or, for an exact or bounded delay,
-    "completeness".  Raises PartialCandidate when the search expands a
-    product state whose successor the candidate cannot consume.
+    "completeness".  Raises PartialCandidate(state) when the candidate has
+    no entry for an initial state, and PartialCandidate(node, state) at the
+    first product state the search expands in which candidate node `node`
+    cannot consume the observation of successor `state`, the least such.
 
     The product is built from the transitions, the observable atoms and the
     diagnoser document.  A node is (state, candidate node, belief, extra).
@@ -337,38 +339,34 @@ def brute_force_product_counterexample(m: SystemModel, diagnoser_doc, beta, dela
             belief = frozenset((x, remember(nothing, x)) for x in m.initial
                                if seen[x] == seen[sid])
         roots.append((sid, q, belief, extra_after(nothing, sid, q)))
-    adjacency: dict = {}
-    bad = set()
-    work = list(roots)
-    while work:
-        node = work.pop()
-        if node in adjacency:
-            continue
-        adjacency[node] = []
-        if violated(node):
-            bad.add(node)
-            continue
+
+    def successors(node):
         sid, q, belief, extra = node
-        for y in moves[sid]:
-            tgt = delta.get(q, {}).get(seen[y])
-            if tgt is None:
-                raise PartialCandidate(q, y)
-            adjacency[node].append((y, tgt, belief_after(belief, seen[y]),
-                                    extra_after(extra, y, tgt)))
-        work.extend(adjacency[node])
+        gaps = [y for y in moves[sid] if seen[y] not in delta.get(q, {})]
+        if gaps:
+            raise PartialCandidate(q, min(gaps))
+        return [(y, delta[q][seen[y]], belief_after(belief, seen[y]),
+                 extra_after(extra, y, delta[q][seen[y]])) for y in moves[sid]]
+
     # Layer by layer, each node's least run among the shortest: a least run
-    # of length k + 1 extends a least run of length k.
+    # of length k + 1 extends a least run of length k.  Each layer is
+    # expanded in the order of those runs, so a gap is met at the first
+    # node, in (length, run) order, whose successor the candidate cannot
+    # consume.
     least = {node: (node[0],) for node in roots}
-    layer = dict(least)
+    layer = sorted(least, key=least.get)
     while layer:
         reached: dict = {}
-        for node, run in layer.items():
-            for nxt in adjacency[node]:
-                if nxt not in least and (nxt not in reached or run + (nxt[0],) < reached[nxt]):
-                    reached[nxt] = run + (nxt[0],)
+        for node in layer:
+            if violated(node):
+                continue
+            for nxt in successors(node):
+                run = least[node] + (nxt[0],)
+                if nxt not in least and (nxt not in reached or run < reached[nxt]):
+                    reached[nxt] = run
         least.update(reached)
-        layer = reached
-    runs = [run for node, run in least.items() if node in bad]
+        layer = sorted(reached, key=reached.get)
+    runs = [run for node, run in least.items() if violated(node)]
     if not runs:
         return {"holds": True}
     return {"holds": False, "counterexample": list(min(runs, key=lambda run: (len(run), run)))}

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -46,14 +47,6 @@ class TestExitCodes:
                                 "--tle", "system_dead")
         assert code == 0
         assert json.loads(out) == [["b1_fail", "b2_fail"]]
-
-    def test_oversized_delay_memory_is_exit_2(self, tmp_path, capsys):
-        # exact(15) remembers 131,070 windows, beyond the monitor's guard
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([{"alarm": "big", "beta": "fault",
-                                     "delay": {"kind": "exact", "n": 15}}]))
-        assert run_cli("synth-diagnoser", "--model", SENSOR, "--spec", str(spec)) == 2
-        assert "more than 65536 values" in capsys.readouterr().err
 
     def test_diag_check_negative_verdict_is_exit_1(self, capsys):
         code, out = run_capture(capsys, "diag-check", "--model", SENSOR,
@@ -257,6 +250,26 @@ class TestReports:
                                 "--trace", str(trace), "--time", "1")
         assert code == 0
         assert json.loads(out)["t_bound2"]["trace_diagnosable"]
+
+    def test_deep_exact_delay(self, tmp_path, capsys):
+        # exact(20) has 2 ** 22 - 2 windows; only those runs reach are
+        # numbered.  The digest pins the bytes of the diagnoser document.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"alarm": "deep", "beta": "fault", "diag": "trace",
+                                     "delay": {"kind": "exact", "n": 20}}]))
+        code, out = run_capture(capsys, "synth-diagnoser", "--model", SENSOR,
+                                "--spec", str(spec))
+        assert code == 0 and len(json.loads(out)["nodes"]) == 193
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "59980069d08433bba7e7a4211c06e9485ddd4b81f03b53723fea16f427dc120e"
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"steps": ["n"] * 3 + ["fh"] * 30 + ["fr"] * 10}))
+        code, out = run_capture(capsys, "trace-diag", "--model",
+                                str(corpus_path("intermittent.json")), "--spec", str(spec),
+                                "--trace", str(trace), "--time", "5")
+        assert code == 1
+        assert json.loads(out) == {"deep": {"confuser": ["n"] * 25 + ["fh"],
+                                            "trace_diagnosable": False}}
 
     def test_tfpg_check_trace(self, capsys):
         code, out = run_capture(

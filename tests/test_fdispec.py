@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultkit.boolexpr import Const, parse_expr
-from faultkit.errors import ModelFormatError, SizeGuardExceeded, TraceError
-from faultkit.fdispec import (AlarmRef, AlarmSpec, Always, BoundedDelay, Cond,
-                              Eventually, ExactDelay, FiniteDelay, Implies,
+from faultkit.errors import ModelFormatError, TraceError
+from faultkit.fdispec import (AlarmRef, AlarmSpec, Always, BeliefTracker, BoundedDelay,
+                              Cond, Eventually, ExactDelay, FiniteDelay, Implies,
                               KnowThat, NextShift, Once, OnceWithin, PastShift,
-                              WithinFuture, compile_monitor, eval_knowledge, eval_past,
+                              WithinFuture, belief_chain, eval_knowledge, eval_past,
                               instantiate_pattern, knowledge_counterexample,
                               memory_init, memory_satisfies, memory_update,
                               parse_specs, timed_verdict)
@@ -98,23 +98,22 @@ class TestMemory:
                 assert memory_satisfies(delay, mem) == \
                     eval_past(sensor_delay, tr, phi, t)
 
-    @pytest.mark.parametrize("delay,size", [
-        (ExactDelay(1), 6), (ExactDelay(3), 30), (BoundedDelay(3), 5), (FiniteDelay(), 2)])
-    def test_monitor_is_the_memory_numbered_in_order(self, delay, size):
-        mon = compile_monitor(delay)
-        assert len(mon.values) == size and list(mon.values) == sorted(mon.values)
-        for b in (False, True):
-            assert mon.values[mon.init[b]] == memory_init(delay, b)
-        for k, mem in enumerate(mon.values):
-            assert mon.sat[k] == memory_satisfies(delay, mem)
-            for b in (False, True):
-                assert mon.values[mon.next[k][b]] == memory_update(delay, mem, b)
-
-    def test_monitor_size_is_guarded(self):
-        # exact(n) remembers 2 ** (n + 2) - 2 windows; 65,534 at n = 14
-        assert len(compile_monitor(ExactDelay(14)).values) == 65534
-        with pytest.raises(SizeGuardExceeded):
-            compile_monitor(ExactDelay(15))
+    def test_tracker_numbers_only_the_memories_runs_reach(self, sensor_delay):
+        # exact(20) has 2 ** 22 - 2 windows; runs of up to 6 states reach few
+        delays = (ExactDelay(20), BoundedDelay(3), FiniteDelay())
+        beliefs = BeliefTracker(sensor_delay, tuple((d, FAULT) for d in delays))
+        reached = set()
+        for horizon in range(1, 7):
+            for tr in sensor_delay.enumerate_traces(horizon):
+                flags = [sensor_delay.holds(FAULT, s) for s in tr.steps]
+                mems = tuple(memory_init(d, flags[0]) for d in delays)
+                for b in flags[1:]:
+                    mems = tuple(memory_update(d, mem, b) for d, mem in zip(delays, mems))
+                reached.add(mems)
+                belief_chain(beliefs, [sensor_delay.observation(s) for s in tr.steps])
+        assert sorted(beliefs.memories) == sorted(reached)
+        for mems, sat in zip(beliefs.memories, beliefs.sat):
+            assert sat == tuple(memory_satisfies(d, mem) for d, mem in zip(delays, mems))
 
 
 class TestKnowledge:

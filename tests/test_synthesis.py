@@ -13,8 +13,9 @@ from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
                               Once, OnceWithin, PastShift, belief_certain,
                               memory_satisfies, trackers_for)
 from faultkit.model import Trace, load_model
-from faultkit.synthesis import (Diagnoser, diagnoser_to_json, export_diagnoser_dot,
-                                parse_diagnoser, run_diagnoser,
+from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_correctness,
+                                _check_maximality, _Product, diagnoser_to_json,
+                                export_diagnoser_dot, parse_diagnoser, run_diagnoser,
                                 synthesize_diagnoser, verify_diagnoser)
 
 from .conftest import corpus_path
@@ -305,30 +306,39 @@ class TestCounterexampleOracle:
 
     @staticmethod
     def check(m, doc, s):
-        conjuncts = ["correctness"]
+        d = parse_diagnoser(json.dumps(doc))
+        conjuncts = {"correctness": _check_correctness}
         if not isinstance(s.delay, FiniteDelay):
-            conjuncts.append("completeness")
+            conjuncts["completeness"] = lambda product: _check_completeness_global(product, s)
         if s.maximal:
-            conjuncts.append("maximality")
-        expected = {}
-        for conjunct in conjuncts:
+            conjuncts["maximality"] = _check_maximality
+        expected, gaps = {}, False
+        for conjunct, library in conjuncts.items():
             try:
                 expected[conjunct] = brute_force_product_counterexample(
                     m, doc, s.beta, s.delay, conjunct)
-            except PartialCandidate:
-                expected[conjunct] = None
-                break
+            except PartialCandidate as gap:
+                # the library's search meets the same gap first
+                gaps = True
+                with pytest.raises(ObservationError) as err:
+                    library(_Product(m, d, s))
+                if len(gap.args) == 1:
+                    where = f"initial state {gap.args[0]!r}"
+                else:
+                    where = (f"node {gap.args[0]!r} cannot consume the observation "
+                             f"of state {gap.args[1]!r}")
+                assert where in str(err.value), (conjunct, doc)
+            else:
+                got = library(_Product(m, d, s)).to_json()
+                assert got == expected[conjunct], (conjunct, str(s.delay), doc)
         try:
-            verdict = verify_diagnoser(m, parse_diagnoser(json.dumps(doc)), s)
+            verdict = verify_diagnoser(m, d, s).to_json()
         except ObservationError:
-            # the library raises in the first conjunct whose search meets the
-            # gap; the finite-delay completeness search is not covered here
-            assert None in expected.values() or isinstance(s.delay, FiniteDelay), doc
-            return
-        got = verdict.to_json()
-        for conjunct, want in expected.items():
-            assert want is not None, (conjunct, doc)
-            assert got[conjunct] == want, (conjunct, str(s.delay), doc)
+            # finite-delay completeness, not covered here, meets every gap
+            assert gaps or isinstance(s.delay, FiniteDelay), doc
+        else:
+            assert not gaps, doc
+            assert all(verdict[c] == want for c, want in expected.items()), doc
 
 
 class TestSerialization:
