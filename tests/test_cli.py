@@ -263,6 +263,10 @@ class TestReports:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "59980069d08433bba7e7a4211c06e9485ddd4b81f03b53723fea16f427dc120e"
         trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"steps": ["n"] * 5 + ["f0", "f1"] + ["f2"] * 40}))
+        code, out = run_capture(capsys, "trace-diag", "--model", SENSOR, "--spec", str(spec),
+                                "--trace", str(trace), "--time", "5")
+        assert code == 0 and json.loads(out) == {"deep": {"trace_diagnosable": True}}
         trace.write_text(json.dumps({"steps": ["n"] * 3 + ["fh"] * 30 + ["fr"] * 10}))
         code, out = run_capture(capsys, "trace-diag", "--model",
                                 str(corpus_path("intermittent.json")), "--spec", str(spec),

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,7 @@ from faultkit.fdispec import (AlarmRef, AlarmSpec, Always, BeliefTracker, Bounde
                               instantiate_pattern, knowledge_counterexample,
                               memory_init, memory_satisfies, memory_update,
                               parse_specs, timed_verdict)
-from faultkit.model import Trace
+from faultkit.model import Trace, parse_model
 
 from .oracles import knowledge_by_enumeration, naive_past, obs_buckets
 
@@ -164,6 +166,19 @@ class TestKnowledge:
                         for t2 in range(t + 1, len(tr)):
                             shifted = PastShift(FAULT, n + (t2 - t))
                             assert eval_knowledge(sensor_delay, tr, t2, shifted)
+
+    def test_counterexample_walks_back_through_least_states(self):
+        # Nothing is observable.  Two runs end in c with no fault in the last
+        # two steps: i f d c and i i e c.  Their members at d and at e carry
+        # different memories; the walk back takes d, the lesser state.
+        m = parse_model(json.dumps({
+            "atoms": ["fault"], "faults": ["fault"], "observables": [],
+            "states": {"i": {}, "f": {"fault": True}, "d": {}, "e": {}, "c": {}, "s": {}},
+            "initial": ["i"],
+            "transitions": [["i", "i"], ["i", "e"], ["i", "f"], ["f", "d"], ["d", "c"],
+                            ["e", "c"], ["c", "s"], ["s", "s"]]}))
+        witness = knowledge_counterexample(m, Trace(("i", "i", "e", "c")), 3, OnceWithin(FAULT, 1))
+        assert witness == Trace(("i", "f", "d", "c"))
 
     def test_counterexample_is_obs_equivalent_violator(self, sensor_delay):
         tr = Trace(("n", "f0", "f1"))

@@ -218,6 +218,23 @@ class TestVerify:
         cx = verdict.correctness.counterexample
         assert sensor_delay.is_trace(cx)
 
+    @pytest.mark.parametrize("seed,run,loop_start", [
+        (3, ["m0_l0", "m0_l0", "m1_l0", "m9_l1", "m9_l0", "m11_l0", "m11_l0"], 5),
+        (4, ["m0_l0", "m0_l1", "m0_l2", "m0_l2", "m2_l2", "m10_l1", "m10_l1", "m10_l1",
+             "m10_l1"], 7),
+        (6, ["m0_l0", "m0_l0", "m2_l1", "m2_l0", "m2_l0", "m2_l1", "m10_l0", "m10_l0",
+             "m10_l0", "m10_l0"], 8)])
+    def test_finite_lasso_tries_pending_nodes_in_order(self, seed, run, loop_start):
+        # The cycle search starts from the pending product nodes in (state
+        # id, candidate node name, decoded belief) order.
+        from .test_acceptance import random_model
+
+        m, tle = random_model(seed)
+        verdict = verify_diagnoser(m, mute_diagnoser(m),
+                                   AlarmSpec("A", parse_expr(tle), FiniteDelay()))
+        assert verdict.completeness.to_json() == {
+            "holds": False, "counterexample": run, "loop_start": loop_start}
+
     @pytest.mark.parametrize("seed", [3, 4, 6])
     def test_finite_lasso_does_not_depend_on_string_hashing(self, seed, tmp_path):
         # Several pending product nodes share the lasso's first state here;
