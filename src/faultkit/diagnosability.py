@@ -34,9 +34,11 @@ from dataclasses import dataclass
 
 from .errors import TraceError
 from .fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, GLOBAL,
-                      Once, OnceWithin, PastShift, eval_knowledge,
-                      knowledge_counterexample)
-from .graphs import find_reachable_cycle, lexleast_shortest_paths, path_to
+                      chain_counterexample, knowledge_chain, past_formula)
+# Not called here, but the benchmark's spans (perfbench/probes.py) wrap
+# them under this module.
+from .fdispec import eval_knowledge, knowledge_counterexample  # noqa: F401
+from .graphs import lasso, lexleast_shortest_paths, path_to
 from .model import StateIndex, SystemModel, Trace
 
 
@@ -241,16 +243,10 @@ def _check_finite(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
                       (2, 2) if latches & 2 else (0, 2), (1, 1) if latches & 1 else (0, 1))
 
     parent = lexleast_shortest_paths(_nodes(ix, start, start, flags, 4, (0, 2), (0, 1)), succ)
-    confusable = {node for node in parent if node & 3 == 2}
-
-    def succ_inside(node):
-        return [q for q in succ(node) if q in confusable]
-
-    found = find_reachable_cycle(sorted(confusable), succ_inside)
+    found = lasso(parent, {node for node in parent if node & 3 == 2}, succ)
     if found is None:
         return DiagnosabilityVerdict(True)
-    _, loop = found
-    full = list(path_to(parent, loop[0])) + loop[1:]
+    full, _ = found
     t = next(i for i, node in enumerate(full) if flags[node // 4 // size])
     return DiagnosabilityVerdict(False, _pair_from(ix, full, 4, t))
 
@@ -278,25 +274,13 @@ def check_trace_diagnosability(m: SystemModel, spec: AlarmSpec, tr: Trace,
         raise IndexError(f"time index {t} out of range")
     if not m.holds(spec.beta, tr[t]):
         raise TraceError(f"condition does not hold at step {t}")
-    if isinstance(spec.delay, ExactDelay):
-        n = spec.delay.n
-        if t + n >= len(tr):
-            raise TraceError(f"trace too short: need step {t + n}, have {len(tr) - 1}")
-        phi = PastShift(spec.beta, n)
-        if eval_knowledge(m, tr, t + n, phi):
-            return TraceDiagnosabilityVerdict(True)
-        return TraceDiagnosabilityVerdict(False, knowledge_counterexample(m, tr, t + n, phi))
-    if isinstance(spec.delay, BoundedDelay):
-        n = spec.delay.n
-        if t + n >= len(tr):
-            raise TraceError(f"trace too short: need step {t + n}, have {len(tr) - 1}")
-        phi = OnceWithin(spec.beta, n)
-        for u in range(t, t + n + 1):
-            if eval_knowledge(m, tr, u, phi):
-                return TraceDiagnosabilityVerdict(True)
-        return TraceDiagnosabilityVerdict(False, knowledge_counterexample(m, tr, t + n, phi))
-    phi = Once(spec.beta)
-    for u in range(t, len(tr)):
-        if eval_knowledge(m, tr, u, phi):
-            return TraceDiagnosabilityVerdict(True)
-    return TraceDiagnosabilityVerdict(False, knowledge_counterexample(m, tr, len(tr) - 1, phi))
+    end = len(tr) - 1 if isinstance(spec.delay, FiniteDelay) else t + spec.delay.n
+    if end >= len(tr):
+        raise TraceError(f"trace too short: need step {end}, have {len(tr) - 1}")
+    # certainty is needed at t + n for exact(n), within [t, t + n] for
+    # bound(n), and from t to the end of the run for finite
+    first = end if isinstance(spec.delay, ExactDelay) else t
+    beliefs, chain = knowledge_chain(m, tr, end, past_formula(spec.delay, spec.beta))
+    if any(map(beliefs.certain, chain[first:])):
+        return TraceDiagnosabilityVerdict(True)
+    return TraceDiagnosabilityVerdict(False, chain_counterexample(beliefs, chain))

@@ -327,7 +327,9 @@ def belief_chain(beliefs: BeliefTracker, obs_seq: list[tuple]) -> list[tuple[int
     return chain
 
 
-def _knowledge_chain(m: SystemModel, tr: Trace, t: int, phi: PastFormula):
+def knowledge_chain(m: SystemModel, tr: Trace, t: int, phi: PastFormula):
+    """The belief tracker of phi, and its beliefs after each of the steps
+    0..t of tr."""
     beliefs = BeliefTracker(m, ((_delay_of(phi), as_expr(phi.beta)),))
     return beliefs, belief_chain(beliefs, [m.observation(s) for s in tr.steps[: t + 1]])
 
@@ -338,26 +340,34 @@ def eval_knowledge(m: SystemModel, tr: Trace, t: int, phi: PastFormula) -> bool:
     m.require_trace(tr)
     if not (0 <= t < len(tr)):
         raise IndexError(f"time index {t} out of range for trace of length {len(tr)}")
-    beliefs, chain = _knowledge_chain(m, tr, t, phi)
+    beliefs, chain = knowledge_chain(m, tr, t, phi)
     return beliefs.certain(chain[-1])
 
 
 def knowledge_counterexample(m: SystemModel, tr: Trace, t: int,
                              phi: PastFormula) -> Trace | None:
-    """The lexicographically least obs-equivalent run on which phi fails at
-    t, or None when phi is known (no such run exists)."""
-    beliefs, chain = _knowledge_chain(m, tr, t, phi)
+    """An obs-equivalent run on which phi fails at t, or None when phi is
+    known (no such run exists); see `chain_counterexample` for which."""
+    return chain_counterexample(*knowledge_chain(m, tr, t, phi))
+
+
+def chain_counterexample(beliefs: BeliefTracker,
+                         chain: list[tuple[int, ...]]) -> Trace | None:
+    """A run along a belief chain on which the tracked formula fails at the
+    last step, or None when it is known there.
+
+    The run is chosen from its end: it ends in the least failing member of
+    the last belief, and each earlier step is the least member of its
+    belief that moves to the step after it, members ordered by (state id,
+    memories).  This is not always the lexicographically least such run:
+    with nothing observable, initial states a and b, and a -> z -> c,
+    b -> y -> c, the run is b y c, not a z c.
+    """
     bad = [member for member in chain[-1] if not beliefs.holds(member)]
     if not bad:
         return None
-    return _reconstruct(beliefs, chain, min(bad, key=beliefs.decode))
-
-
-def _reconstruct(beliefs: BeliefTracker, chain: list[tuple[int, ...]], target: int) -> Trace:
-    """Walk a belief chain backwards to a concrete witness run ending in the
-    target member, choosing least predecessors."""
     ix = beliefs.index
-    members = [target]
+    members = [min(bad, key=beliefs.decode)]
     for i in range(len(chain) - 1, 0, -1):
         c = ix.obs_class[members[-1] % ix.size]
         members.append(min((member for member in chain[i - 1]

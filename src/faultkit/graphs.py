@@ -1,53 +1,12 @@
 """Deterministic graph search helpers over implicit graphs.
 
-Nodes must be hashable and mutually comparable; successors are explored
-in sorted order, and roots in sorted order or, for `find_reachable_cycle`,
-in the order the caller gives, so that every returned witness is
-reproducible.
+Nodes must be hashable and mutually comparable; roots and successors are
+explored in sorted order, so that every returned witness is reproducible.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
-
-
-def find_reachable_cycle(roots: Iterable, successors: Callable):
-    """Find a cycle reachable from the given roots.
-
-    Returns (stem, loop) where stem is the node path from a root up to and
-    including the loop entry, and loop is the cycle starting and ending at
-    that entry (entry repeated at the end).  Returns None when the
-    reachable subgraph is acyclic.  Three-color iterative DFS; roots are
-    tried in the order given, successors in sorted order.
-    """
-    colors: dict = {}
-    for root in roots:
-        if colors.get(root) == "done":
-            continue
-        path = [root]
-        iters = [iter(sorted(set(successors(root))))]
-        colors[root] = "active"
-        index = {root: 0}
-        while path:
-            try:
-                nxt = next(iters[-1])
-            except StopIteration:
-                dead = path.pop()
-                iters.pop()
-                colors[dead] = "done"
-                del index[dead]
-                continue
-            state = colors.get(nxt)
-            if state == "active":
-                entry = index[nxt]
-                return path[: entry + 1], path[entry:] + [nxt]
-            if state == "done":
-                continue
-            colors[nxt] = "active"
-            index[nxt] = len(path)
-            path.append(nxt)
-            iters.append(iter(sorted(set(successors(nxt)))))
-    return None
 
 
 def lexleast_shortest_paths(roots: Iterable, successors: Callable,
@@ -82,6 +41,39 @@ def path_to(parent: dict, node) -> tuple:
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     return tuple(reversed(path))
+
+
+def lasso(parent: dict, region: set, successors: Callable):
+    """A run that ends in a cycle inside `region`, a set of nodes of the
+    parent map `parent` (from `lexleast_shortest_paths`).
+
+    Returns (run, loop_start): the path in `parent` to the cycle's entry,
+    then the cycle, so that run[loop_start] == run[-1]; or None when no
+    cycle lies inside the region.  The cycle is the first that a
+    three-colour iterative DFS inside the region closes, trying roots and
+    successors in sorted order.
+    """
+    done: set = set()
+    for root in sorted(region):
+        if root in done:
+            continue
+        path = [root]
+        index = {root: 0}  # the nodes on the path: active
+        iters = [iter(sorted(region.intersection(successors(root))))]
+        while path:
+            nxt = next(iters[-1], None)
+            if nxt is None:
+                done.add(path[-1])
+                del index[path.pop()]
+                iters.pop()
+            elif nxt in index:
+                stem = path_to(parent, nxt)
+                return stem + tuple(path[index[nxt] + 1:]) + (nxt,), len(stem) - 1
+            elif nxt not in done:
+                index[nxt] = len(path)
+                path.append(nxt)
+                iters.append(iter(sorted(region.intersection(successors(nxt)))))
+    return None
 
 
 def nodes_on_cycles(nodes: Iterable, successors: Callable) -> set:

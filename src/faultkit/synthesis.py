@@ -8,23 +8,29 @@ exactly when the alarm's condition holds in every member, i.e. when the
 condition is known; the construction is therefore maximal by definition.
 
 Verification evaluates each conjunct of an instantiated pattern on the
-synchronous product of the model with a candidate automaton.  Safety
-conjuncts reduce to reachability of a violating product state; the
-eventuality conjuncts of the finite-delay kind reduce to searching for a
-reachable alarm-free cycle with an unserved obligation.  Knowledge
+synchronous product of the model with a candidate automaton.  Knowledge
 subformulas are evaluated by pairing the product with the synthesized
-belief tracker.  Candidates only need to speak the model's observation
-alphabet; they are rejected when nondeterministic or partial on
-producible observations.
+belief tracker.  A product node is labelled with the condition, the alarm
+and certainty, and each completeness conjunct keeps its obligations in a
+small deterministic automaton over those labels: the age of the oldest
+unserved condition (global bound(n)), whether one is pending (global
+finite), one slot per age recording whether certainty has been reached
+(trace-local bound(n)), and a phase -- nothing pending, pending, pending
+after certainty -- (trace-local finite).  Safety conjuncts reduce to
+reachability of a violating product node; the eventualities of the
+finite delay to a reachable cycle of nodes with an obligation pending.
+Candidates only need to speak the model's observation alphabet; they are
+rejected when nondeterministic or partial on producible observations.
 
 Counterexamples are canonical.  The candidate is deterministic, so every
 component of a product path is a function of its sequence of state ids,
 and the successors of a product node differ in their state.  A safety
 counterexample is therefore the shortest violating run, least among those
-by its state-id sequence.  The finite-delay lasso is the first cycle a
+by its state-id sequence.  A finite-delay lasso is the first cycle a
 depth-first search finds from the pending product nodes taken in (state
-id, candidate node name, belief) order, so it does not depend on the
-string hash seed either.
+id, candidate node name, belief) order, reached by the shortest path to
+its entry that is least by state ids, so it does not depend on the string
+hash seed either.
 """
 
 from __future__ import annotations
@@ -34,8 +40,7 @@ from dataclasses import dataclass
 
 from .errors import ModelFormatError, ObservationError
 from .fdispec import AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE, trackers_for
-from .graphs import (find_reachable_cycle, lexleast_shortest_paths,
-                     nodes_on_cycles, path_to)
+from .graphs import lasso, lexleast_shortest_paths, path_to
 from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_text
 from .model import SystemModel, Trace
 
@@ -416,6 +421,32 @@ def _memory_extras(product: _Product):
     return X, lambda label: after(None, label & 1), row
 
 
+def _automaton(bound: int, initial, step, bad):
+    """The extras of a deterministic automaton over labels, and whether a
+    search node's value is bad.  step(value, label) is the value after a
+    step into a node with that label, from `initial` at a root; values are
+    numbered as the search reaches them, at most `bound` of them."""
+    values: list = []
+    ids: dict = {}
+    flags: list[bool] = []
+    rows: dict[int, list[int]] = {}
+
+    def number(value) -> int:
+        if value not in ids:
+            ids[value] = len(values)
+            values.append(value)
+            flags.append(bad(value))
+        return ids[value]
+
+    def row(extra: int) -> list[int]:
+        if extra not in rows:
+            rows[extra] = [number(step(values[extra], label)) for label in _LABELS]
+        return rows[extra]
+
+    return ((bound, lambda label: number(step(initial, label)), row),
+            lambda node: flags[node % bound])
+
+
 def _searcher(product: _Product, extras):
     """The roots and the successor function of a search with these extras."""
     X, start, row = extras
@@ -450,6 +481,19 @@ def _search_safety(product: _Product, extras, violated, bad_pairs=None) -> Conju
     return ConjunctResult(False, product.trace(path_to(parent, best), extras[0]))
 
 
+def _search_lasso(product: _Product, extras, pending) -> ConjunctResult:
+    """An eventuality fails on an infinite run that stays, from some point
+    on, in product nodes where an obligation is pending: a reachable cycle
+    of them.  Returns that run as a lasso."""
+    roots, succ = _searcher(product, extras)
+    parent = lexleast_shortest_paths(roots, succ)
+    found = lasso(parent, {node for node in parent if pending(node)}, succ)
+    if found is None:
+        return ConjunctResult(True)
+    run, loop_start = found
+    return ConjunctResult(False, product.trace(run, extras[0]), loop_start=loop_start)
+
+
 def _check_correctness(product: _Product) -> ConjunctResult:
     # the alarm while the run's own memory, the extra, fails the formula
     extras = _memory_extras(product)
@@ -471,11 +515,10 @@ def _check_maximality(product: _Product) -> ConjunctResult:
 
 def _check_completeness_global(product: _Product, spec: AlarmSpec) -> ConjunctResult:
     delay = spec.delay
-    P, alarm = product.P, product.alarm
     if isinstance(delay, ExactDelay):
         # the condition held exactly n steps ago and the alarm is off
         extras = _memory_extras(product)
-        X, sat = extras[0], product.beliefs.sat
+        X, P, alarm, sat = extras[0], product.P, product.alarm, product.beliefs.sat
 
         def violated(node):
             return sat[node % X][0] and not alarm[node // X % P]
@@ -486,49 +529,22 @@ def _check_completeness_global(product: _Product, spec: AlarmSpec) -> ConjunctRe
     if isinstance(delay, BoundedDelay):
         n = delay.n
 
-        def age_step(age, label):
-            # steps since the oldest condition not yet served by an alarm
-            age = age + 1 if age >= 0 else -1
-            if label & 1 and age < 0:
-                age = 0
+        def age(was, label):
+            # steps since the oldest condition no alarm has served, or -1
             if label & 2:
-                age = -1
-            return age
+                return -1
+            if was >= 0:
+                return was + 1
+            return 0 if label & 1 else -1
 
-        # extra = age + 1; an age of n is a violation, never expanded
-        start = [age_step(-1, label) + 1 for label in _LABELS]
-        rows = [[age_step(extra - 1, label) + 1 for label in _LABELS]
-                for extra in range(n + 1)]
-        X = n + 2
-        return _search_safety(product, (X, start.__getitem__, rows.__getitem__),
-                              lambda node: node % X > n)
-
-    return _check_completeness_finite(product)
-
-
-def _check_completeness_finite(product: _Product) -> ConjunctResult:
-    """G(condition -> F alarm): look for a reachable cycle along which an
-    obligation stays pending (condition occurred, alarm never after)."""
+        # an age of n is a violation, never expanded
+        return _search_safety(product, *_automaton(n + 2, -1, age, lambda age: age == n))
 
     def pending(was, label):
-        return int(bool(was or label & 1) and not label & 2)
+        # a condition no alarm has served since
+        return bool(was or label & 1) and not label & 2
 
-    start = [pending(0, label) for label in _LABELS]
-    rows = [[pending(was, label) for label in _LABELS] for was in (0, 1)]
-    roots, succ = _searcher(product, (2, start.__getitem__, rows.__getitem__))
-    parent = lexleast_shortest_paths(roots, succ)
-    pending_nodes = {node for node in parent if node % 2}
-
-    def succ_pending(node):
-        return [t for t in succ(node) if t in pending_nodes]
-
-    found = find_reachable_cycle(sorted(pending_nodes), succ_pending)
-    if found is None:
-        return ConjunctResult(True)
-    _, loop = found
-    stem = path_to(parent, loop[0])
-    return ConjunctResult(False, product.trace(stem + tuple(loop[1:]), 2),
-                          loop_start=len(stem) - 1)
+    return _search_lasso(product, *_automaton(2, False, pending, bool))
 
 
 def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctResult:
@@ -537,105 +553,31 @@ def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctRes
         # condition at t with certainty achievable at t+n but no alarm at
         # t+n; by veridicality this is exactly: certainty without alarm.
         return _check_maximality(product)
+
     if isinstance(delay, BoundedDelay):
-        return _check_completeness_trace_bounded(product, delay.n)
-    return _check_completeness_trace_finite(product)
+        n = delay.n
+        empty = (None,) * (n + 1)
 
+        def slots(was, label):
+            # slot k: the obligation of the condition k steps ago, None when
+            # there is none or an alarm has served it, else whether
+            # certainty has been reached since
+            if label & 2:
+                return empty
+            now = (False if label & 1 else None,) + was[:-1]
+            if label & 4:
+                now = tuple(None if slot is None else True for slot in now)
+            return now
 
-_VIOLATED = "violated"
+        # an obligation n steps old with certainty reached is a violation
+        return _search_safety(product, *_automaton(3 ** (n + 1), empty, slots,
+                                                   lambda slots: slots[n] is True))
 
+    def phase(was, label):
+        # 1: a condition no alarm has served since; 2: and certainty has
+        # been reached since
+        if label & 2 or not (was or label & 1):
+            return 0
+        return 2 if was == 2 or label & 4 else 1
 
-def _check_completeness_trace_bounded(product: _Product, n: int) -> ConjunctResult:
-    """Obligations carry a 'certainty seen' flag per age; an obligation that
-    expires with the flag set and no alarm served is a violation."""
-
-    def process(slots, label):
-        if slots == _VIOLATED:
-            return _VIOLATED
-        aged = (None,) + slots[:-1]
-        expired = slots[-1]
-        if expired is True:
-            return _VIOLATED
-        if label & 1:
-            aged = (False,) + aged[1:]
-        if label & 4:
-            aged = tuple(True if v is not None else None for v in aged)
-        if label & 2:
-            aged = (None,) * (n + 1)
-        return aged
-
-    # Slot tuples are numbered as the search meets them; each of the n + 1
-    # slots is None, False or True, which bounds their count.
-    values: list = []
-    ids: dict = {}
-    rows: dict[int, list[int]] = {}
-
-    def number(value) -> int:
-        if value not in ids:
-            ids[value] = len(values)
-            values.append(value)
-        return ids[value]
-
-    def row(extra: int) -> list[int]:
-        if extra not in rows:
-            rows[extra] = [number(process(values[extra], label)) for label in _LABELS]
-        return rows[extra]
-
-    empty = (None,) * (n + 1)
-    violated_id = number(_VIOLATED)
-    X = 3 ** (n + 1) + 1
-    return _search_safety(product, (X, lambda label: number(process(empty, label)), row),
-                          lambda node: node % X == violated_id)
-
-
-def _check_completeness_trace_finite(product: _Product) -> ConjunctResult:
-    """Violation run: the condition occurs at t, certainty is eventually
-    reached at or after t, yet the alarm never fires from t on.  Search:
-    from a condition-and-alarm-free product state, stay in the alarm-free
-    region, reach certainty, and keep an infinite alarm-free continuation
-    (certainty is monotone, so any cycle reached after it inherits it)."""
-    P, alarm, known, beta = product.P, product.alarm, product.known, product.beta
-    roots, succ = _searcher(product, _NO_EXTRA)
-    parent = lexleast_shortest_paths(roots, succ)
-    alarm_free = {sp for sp in parent if not alarm[sp % P]}
-    succ_free = {sp: [t for t in succ(sp) if t in alarm_free] for sp in alarm_free}
-    preds: dict = {}
-    for sp, ts in succ_free.items():
-        for t in ts:
-            preds.setdefault(t, set()).add(sp)
-
-    def backward(seeds):
-        """States of the alarm-free region that can reach a seed inside it."""
-        reached = set(seeds)
-        frontier = list(reached)
-        while frontier:
-            for p in preds.get(frontier.pop(), ()):
-                if p not in reached:
-                    reached.add(p)
-                    frontier.append(p)
-        return reached
-
-    # states inside the alarm-free region with an infinite alarm-free path
-    live = backward(nodes_on_cycles(alarm_free, succ_free.__getitem__))
-    targets = {sp for sp in live if known[sp % P]}
-    can_reach = backward(targets)
-    start = next((sp for sp in parent if sp in can_reach and beta[sp // P]), None)
-    if start is None:
-        return ConjunctResult(True)
-    # forward: shortest path from start to a certainty state, then unroll a cycle
-    inner = lexleast_shortest_paths([start], succ_free.__getitem__)
-    middle = path_to(inner, next(sp for sp in inner if sp in targets))
-    stem = path_to(parent, start)
-    tail = [middle[-1]]
-    seen = {middle[-1]: 0}
-    while True:
-        nxt = min(t for t in succ_free[tail[-1]] if t in live)
-        if nxt in seen:
-            loop_start_inner = seen[nxt]
-            tail.append(nxt)
-            break
-        seen[nxt] = len(tail)
-        tail.append(nxt)
-    full = list(stem) + list(middle[1:]) + tail[1:]
-    loop_start = len(stem) - 1 + len(middle) - 1 + loop_start_inner
-    return ConjunctResult(False, product.trace(full, 1), loop_start=loop_start)
+    return _search_lasso(product, *_automaton(3, 0, phase, lambda phase: phase == 2))

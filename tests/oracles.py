@@ -8,6 +8,7 @@ second, structurally different route to the same answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -244,6 +245,28 @@ class PartialCandidate(Exception):
     for the observation of the next state."""
 
 
+def _product_parts(m: SystemModel, diagnoser_doc, beta, alarm: str):
+    """What the product oracles read from the transitions, the observable
+    atoms and the diagnoser document: each state's observation, condition
+    and successors, and the candidate's entry, moves and alarms."""
+    shown = sorted(m.observable_atoms)
+    seen = {sid: tuple(val.get(a, False) for a in shown) for sid, val in m.states.items()}
+    flag = {sid: beta.evaluate(val) for sid, val in m.states.items()}
+    moves: dict[str, list[str]] = {sid: [] for sid in m.states}
+    for a, b in m.transitions:
+        moves[a].append(b)
+
+    def read(key):
+        doc = json.loads(key)
+        return tuple(doc[a] for a in shown)
+
+    entry = {read(key): q for key, q in diagnoser_doc["entry"].items()}
+    delta = {q: {read(key): tgt for key, tgt in edges.items()}
+             for q, edges in diagnoser_doc["delta"].items()}
+    raised = {q: alarm in names for q, names in diagnoser_doc["nodes"].items()}
+    return seen, flag, moves, entry, delta, raised
+
+
 def brute_force_product_counterexample(m: SystemModel, diagnoser_doc, beta, delay,
                                        conjunct: str, alarm: str = "A"):
     """The result `verify_diagnoser` must give for one safety conjunct of a
@@ -272,21 +295,7 @@ def brute_force_product_counterexample(m: SystemModel, diagnoser_doc, beta, dela
     bounded = isinstance(delay, BoundedDelay)
     width = delay.n + 1 if exact or bounded else None
     assert conjunct in ("correctness", "maximality") or width is not None
-    shown = sorted(m.observable_atoms)
-    seen = {sid: tuple(val.get(a, False) for a in shown) for sid, val in m.states.items()}
-    flag = {sid: beta.evaluate(val) for sid, val in m.states.items()}
-    moves: dict[str, list[str]] = {sid: [] for sid in m.states}
-    for a, b in m.transitions:
-        moves[a].append(b)
-
-    def read(key):
-        doc = json.loads(key)
-        return tuple(doc[a] for a in shown)
-
-    entry = {read(key): q for key, q in diagnoser_doc["entry"].items()}
-    delta = {q: {read(key): tgt for key, tgt in edges.items()}
-             for q, edges in diagnoser_doc["delta"].items()}
-    raised = {q: alarm in names for q, names in diagnoser_doc["nodes"].items()}
+    seen, flag, moves, entry, delta, raised = _product_parts(m, diagnoser_doc, beta, alarm)
 
     def remember(past, sid):
         if width is None:
@@ -370,6 +379,141 @@ def brute_force_product_counterexample(m: SystemModel, diagnoser_doc, beta, dela
     if not runs:
         return {"holds": True}
     return {"holds": False, "counterexample": list(min(runs, key=lambda run: (len(run), run)))}
+
+
+def brute_force_trace_completeness(m: SystemModel, diagnoser_doc, beta, delay,
+                                   alarm: str = "A"):
+    """The completeness conjunct of a trace-local alarm on `beta` with a
+    bounded or finite delay, on the product of the model, the candidate and
+    the belief.
+
+    A product node is (state, candidate node, belief), built from the
+    transitions, the observable atoms and the diagnoser document; a belief
+    is the set of (state, past) consistent with the observations, where a
+    past is the run's last n + 1 condition values for bound(n) and whether
+    the condition ever held for finite.  A node is certain when the past
+    formula holds in every member.  Raises PartialCandidate as
+    `brute_force_product_counterexample` does.
+
+    bound(n): returns what `verify_diagnoser` must give, {"holds": True}
+    or {"holds": False, "counterexample": run} with the shortest run, least
+    by its sequence of state ids, whose last n + 1 steps have the
+    condition first, certainty somewhere and no alarm.  Runs are extended
+    node by node with their last n + 1 labels; violating ones are not.
+
+    finite: returns (holds, lasso), where lasso(run, loop_start) tells
+    whether a run replays in the product as a violation: it closes on the
+    product node at loop_start, and from a condition at or before
+    loop_start on it raises no alarm and reaches certainty.  The conjunct
+    fails when an alarm-free node has the condition and reaches, through
+    alarm-free nodes, a certain node from which an alarm-free cycle is
+    reachable.
+    """
+    from faultkit.fdispec import BoundedDelay, FiniteDelay
+
+    beta = as_expr(beta)
+    bounded = isinstance(delay, BoundedDelay)
+    assert bounded or isinstance(delay, FiniteDelay)
+    width = delay.n + 1 if bounded else None
+    seen, flag, moves, entry, delta, raised = _product_parts(m, diagnoser_doc, beta, alarm)
+
+    def remember(past, sid):
+        if bounded:
+            return (past + (flag[sid],))[-width:]
+        return past or flag[sid]
+
+    def certain(node):
+        return all(any(past) if bounded else past for _, past in node[2])
+
+    nothing = () if bounded else False
+    roots = []
+    for sid in m.initial:
+        if seen[sid] not in entry:
+            raise PartialCandidate(sid)
+        belief = frozenset((x, remember(nothing, x)) for x in m.initial
+                           if seen[x] == seen[sid])
+        roots.append((sid, entry[seen[sid]], belief))
+
+    beliefs: dict = {}  # (belief, observation) -> the belief after it
+
+    @functools.cache
+    def successors(node):
+        sid, q, belief = node
+        gaps = [y for y in moves[sid] if seen[y] not in delta.get(q, {})]
+        if gaps:
+            raise PartialCandidate(q, min(gaps))
+        for y in moves[sid]:
+            if (belief, seen[y]) not in beliefs:
+                beliefs[belief, seen[y]] = frozenset(
+                    (z, remember(past, z)) for x, past in belief
+                    for z in moves[x] if seen[z] == seen[y])
+        return [(y, delta[q][seen[y]], beliefs[belief, seen[y]]) for y in moves[sid]]
+
+    @functools.cache
+    def label(node):
+        return flag[node[0]], raised[node[1]], certain(node)
+
+    if bounded:
+        def violated(window):
+            return (len(window) == width and window[0][0]
+                    and not any(a for _, a, _ in window) and any(k for _, _, k in window))
+
+        least = {(node, (label(node),)): (node[0],) for node in roots}
+        layer = sorted(least, key=least.get)
+        while layer:
+            reached: dict = {}
+            for here in layer:
+                node, window = here
+                if violated(window):
+                    continue
+                for nxt in successors(node):
+                    there = (nxt, (window + (label(nxt),))[-width:])
+                    run = least[here] + (nxt[0],)
+                    if there not in least and (there not in reached or run < reached[there]):
+                        reached[there] = run
+            least.update(reached)
+            layer = sorted(reached, key=reached.get)
+        runs = [run for (_, window), run in least.items() if violated(window)]
+        if not runs:
+            return {"holds": True}
+        return {"holds": False, "counterexample": list(min(runs, key=lambda run: (len(run), run)))}
+
+    adjacency: dict = {}
+    work = list(roots)
+    while work:
+        node = work.pop()
+        if node not in adjacency:
+            adjacency[node] = successors(node)
+            work.extend(adjacency[node])
+    free = {node: [nxt for nxt in nxts if not raised[nxt[1]]]
+            for node, nxts in adjacency.items() if not raised[node[1]]}
+
+    def reach(start):
+        found, work = {start}, [start]
+        while work:
+            for nxt in free[work.pop()]:
+                if nxt not in found:
+                    found.add(nxt)
+                    work.append(nxt)
+        return found
+
+    cyclic = brute_force_cycle_nodes(free)
+    holds = not any(flag[node[0]] and any(certain(v) and reach(v) & cyclic for v in reach(node))
+                    for node in free)
+
+    def lasso(run, loop_start):
+        if not 0 <= loop_start < len(run) - 1 or run[0] not in m.initial:
+            return False
+        path = [next(node for node in roots if node[0] == run[0])]
+        for y in run[1:]:
+            if (path[-1][0], y) not in m.transitions:
+                return False
+            path.append(next(nxt for nxt in adjacency[path[-1]] if nxt[0] == y))
+        return path[loop_start] == path[-1] and any(
+            flag[run[t]] and not any(raised[node[1]] for node in path[t:])
+            and any(certain(node) for node in path[t:]) for t in range(loop_start + 1))
+
+    return holds, lasso
 
 
 # -- TFPG semantics ----------------------------------------------------------------

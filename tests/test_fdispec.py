@@ -180,6 +180,18 @@ class TestKnowledge:
         witness = knowledge_counterexample(m, Trace(("i", "i", "e", "c")), 3, OnceWithin(FAULT, 1))
         assert witness == Trace(("i", "f", "d", "c"))
 
+    def test_counterexample_is_least_from_its_end(self):
+        # Nothing is observable and the condition never holds.  Both runs
+        # end in c; the walk back takes y, the lesser predecessor, so the
+        # witness is b y c although a z c is lexicographically less.
+        m = parse_model(json.dumps({
+            "atoms": ["fault"], "faults": ["fault"], "observables": [],
+            "states": {"a": {}, "b": {}, "z": {}, "y": {}, "c": {}},
+            "initial": ["a", "b"],
+            "transitions": [["a", "z"], ["z", "c"], ["b", "y"], ["y", "c"], ["c", "c"]]}))
+        witness = knowledge_counterexample(m, Trace(("a", "z", "c")), 2, Once(FAULT))
+        assert witness == Trace(("b", "y", "c"))
+
     def test_counterexample_is_obs_equivalent_violator(self, sensor_delay):
         tr = Trace(("n", "f0", "f1"))
         phi = Once(FAULT)

@@ -12,7 +12,7 @@ from faultkit.errors import ModelFormatError, ObservationError
 from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
                               Once, OnceWithin, PastShift, belief_certain,
                               memory_satisfies, trackers_for)
-from faultkit.model import Trace, load_model
+from faultkit.model import Trace, load_model, parse_model
 from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_correctness,
                                 _check_maximality, _Product, diagnoser_to_json,
                                 export_diagnoser_dot, parse_diagnoser, run_diagnoser,
@@ -20,7 +20,7 @@ from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_co
 
 from .conftest import corpus_path
 from .oracles import (PartialCandidate, brute_force_product_counterexample,
-                      knowledge_by_enumeration)
+                      brute_force_trace_completeness, knowledge_by_enumeration)
 
 FAULT = parse_expr("fault")
 
@@ -356,6 +356,68 @@ class TestCounterexampleOracle:
         else:
             assert not gaps, doc
             assert all(verdict[c] == want for c, want in expected.items()), doc
+
+
+class TestTraceCompletenessOracle:
+    @pytest.mark.parametrize("source", [
+        "battery.json", "fully_obs.json", "intermittent.json", "sensor_delay.json",
+        "unobservable.json", *range(20)])
+    def test_trace_completeness_matches_brute_force(self, source):
+        from .test_acceptance import random_model
+
+        delays = [BoundedDelay(1), BoundedDelay(2), FiniteDelay()]
+        if isinstance(source, int):
+            m, tle = random_model(source)
+            betas, delays = [tle], [delays[source % len(delays)]]
+        else:
+            m = load_model(corpus_path(source))
+            betas = sorted(m.atoms)
+        for beta in betas:
+            for delay in delays:
+                s = AlarmSpec("A", parse_expr(beta), delay, "trace", False)
+                d = synthesize_diagnoser(m, [s])
+                candidates = [diagnoser_to_json(c)
+                              for c in (d, mute_diagnoser(m), eager_diagnoser(m))]
+                candidates += perturbed_candidates(d, random.Random(f"{source} {beta} {delay}"))
+                if len(d.nodes) * len(m.states) > 100_000:
+                    # as in TestCounterexampleOracle
+                    candidates = candidates[:1]
+                for doc in candidates:
+                    self.check(m, doc, s)
+
+    @staticmethod
+    def check(m, doc, s):
+        d = parse_diagnoser(json.dumps(doc))
+        try:
+            expected = brute_force_trace_completeness(m, doc, s.beta, s.delay)
+        except PartialCandidate:
+            with pytest.raises(ObservationError):
+                verify_diagnoser(m, d, s)
+            return
+        got = verify_diagnoser(m, d, s).completeness.to_json()
+        if isinstance(s.delay, BoundedDelay):
+            assert got == expected, (str(s.delay), doc)
+            return
+        holds, lasso = expected
+        assert got["holds"] == holds, doc
+        if not holds:
+            assert lasso(got["counterexample"], got["loop_start"]), (got, doc)
+
+    @pytest.mark.parametrize("loop", [False, True])
+    def test_trace_bounded_violation_is_seen_when_due(self, loop):
+        # The condition at step 1 is certain at once (x is observed); a mute
+        # diagnoser misses its bound(1) obligation at step 2, whether or not
+        # the run goes on.
+        m = parse_model(json.dumps({
+            "atoms": ["fault", "x"], "faults": ["fault"], "observables": ["x"],
+            "states": {"s0": {}, "s1": {"fault": True, "x": True},
+                       "s2": {"fault": True, "x": True}},
+            "initial": ["s0"],
+            "transitions": [["s0", "s1"], ["s1", "s2"]] + [["s2", "s2"]] * loop}))
+        s = spec(BoundedDelay(1), diag="trace", maximal=False)
+        verdict = verify_diagnoser(m, mute_diagnoser(m), s)
+        assert verdict.completeness.to_json() == {
+            "holds": False, "counterexample": ["s0", "s1", "s2"]}
 
 
 class TestSerialization:
