@@ -4,6 +4,12 @@ Every analysis is a subcommand over file inputs.  Exit codes: 0 when the
 analysis ran and the property holds (or an artifact was produced), 1 when
 the analysis ran and the property fails (a report is still written), 2 on
 usage or input errors.  Output bytes are deterministic for fixed inputs.
+
+Start-up, not analysis, is most of a request on desk-scale models, so each
+handler imports the analysis modules it uses and a request loads no other.
+`Trace`, `load_model` and `validate_model` stay module-level names, called
+through this module's namespace, so that a wrapper installed on
+`faultkit.cli` sees every call.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ import argparse
 import json
 import sys
 
-from . import cutsets, diagnosability, fdispec, synthesis, tfpg, tfpg_synthesis
-from .boolexpr import parse_expr
 from .errors import FaultkitError
 from .jsonio import expect, read_json
 from .model import Trace, load_model, validate_model
@@ -42,6 +46,7 @@ def _require(args, *names):
 
 
 def _specs(args):
+    from . import fdispec
     specs = fdispec.load_specs(args.spec)
     if args.alarm:
         matching = [s for s in specs if s.name == args.alarm]
@@ -75,6 +80,7 @@ def cmd_validate_model(args) -> int:
 
 
 def cmd_mcs(args) -> int:
+    from . import cutsets
     _require(args, "model", "tle")
     _check_format(args, {"json", "text"})
     m = load_model(args.model)
@@ -96,6 +102,7 @@ def cmd_mcs(args) -> int:
 
 
 def cmd_fault_tree(args) -> int:
+    from . import cutsets
     _check_format(args, {"json", "dot"})
     name = args.name or "TLE"
     if args.mcs:
@@ -114,6 +121,7 @@ def cmd_fault_tree(args) -> int:
 
 
 def cmd_ft_prob(args) -> int:
+    from . import cutsets
     _require(args, "probs")
     _check_format(args, {"json", "text"})
     if args.mcs:
@@ -136,6 +144,7 @@ def cmd_ft_prob(args) -> int:
 
 
 def cmd_diag_check(args) -> int:
+    from . import diagnosability, fdispec
     _require(args, "model", "spec")
     _check_format(args, {"json", "text"})
     m = load_model(args.model)
@@ -159,6 +168,7 @@ def cmd_diag_check(args) -> int:
 
 
 def cmd_trace_diag(args) -> int:
+    from . import diagnosability
     _require(args, "model", "spec", "trace", "time")
     _check_format(args, {"json", "text"})
     m = load_model(args.model)
@@ -179,6 +189,7 @@ def cmd_trace_diag(args) -> int:
 
 
 def cmd_synth_diagnoser(args) -> int:
+    from . import synthesis
     _require(args, "model", "spec")
     _check_format(args, {"json", "dot"})
     m = load_model(args.model)
@@ -191,6 +202,7 @@ def cmd_synth_diagnoser(args) -> int:
 
 
 def cmd_run_diagnoser(args) -> int:
+    from . import synthesis
     _require(args, "diagnoser", "obs")
     _check_format(args, {"json", "text"})
     d = synthesis.load_diagnoser(args.diagnoser)
@@ -206,6 +218,7 @@ def cmd_run_diagnoser(args) -> int:
 
 
 def cmd_verify_diagnoser(args) -> int:
+    from . import fdispec, synthesis
     _require(args, "model", "spec", "diagnoser")
     _check_format(args, {"json", "text"})
     m = load_model(args.model)
@@ -231,6 +244,7 @@ def cmd_verify_diagnoser(args) -> int:
 
 
 def cmd_tfpg_validate(args) -> int:
+    from . import tfpg
     _require(args, "tfpg")
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
@@ -247,6 +261,7 @@ def cmd_tfpg_validate(args) -> int:
 
 
 def cmd_tfpg_check_trace(args) -> int:
+    from . import tfpg
     _require(args, "tfpg", "trace")
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
@@ -261,9 +276,12 @@ def cmd_tfpg_check_trace(args) -> int:
 
 
 def _node_map(args):
+    from . import tfpg
     doc = read_json(args.map)
     if isinstance(doc, dict) and "fm" in doc:
         # Synthesis configs double as node maps for behavioral checks.
+        from . import tfpg_synthesis
+        from .boolexpr import parse_expr
         config = tfpg_synthesis.SynthesisConfig.from_json(doc)
         return tfpg.NodeMap(
             {**{a: parse_expr(a) for a in config.fm_atoms},
@@ -273,6 +291,7 @@ def _node_map(args):
 
 
 def cmd_tfpg_behavioral(args) -> int:
+    from . import tfpg
     _require(args, "tfpg", "model", "map", "horizon")
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
@@ -291,6 +310,7 @@ def cmd_tfpg_behavioral(args) -> int:
 
 
 def cmd_tfpg_tighten(args) -> int:
+    from . import tfpg
     _require(args, "tfpg", "model", "map", "horizon")
     _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
@@ -305,6 +325,7 @@ def cmd_tfpg_tighten(args) -> int:
 
 
 def cmd_tfpg_synth(args) -> int:
+    from . import tfpg, tfpg_synthesis
     _require(args, "model", "map", "horizon")
     _check_format(args, {"json", "dot", "text"})
     m = load_model(args.model)
@@ -343,29 +364,30 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # One flat parser: every subcommand takes the same flags, and each
+    # handler checks the ones it needs (`_require`, `_check_format`).
     parser = argparse.ArgumentParser(
-        prog="faultkit",
+        prog="faultkit", usage="%(prog)s command [options]",
         description="explicit-state safety analysis: cut sets, fault trees, "
                     "diagnosability, diagnoser synthesis, and TFPGs")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--model", help="system model file (JSON)")
-        p.add_argument("--spec", help="alarm specification file (JSON)")
-        p.add_argument("--tfpg", help="TFPG file (JSON)")
-        p.add_argument("--map", help="node map or synthesis config file (JSON)")
-        p.add_argument("--trace", help="trace / activation-trace file (JSON)")
-        p.add_argument("--diagnoser", help="diagnoser file (JSON)")
-        p.add_argument("--obs", help="observation sequence file (JSON)")
-        p.add_argument("--mcs", help="minimal-cut-set file (JSON)")
-        p.add_argument("--tle", help="top level event expression")
-        p.add_argument("--probs", help="basic event probability file (JSON)")
-        p.add_argument("--alarm", help="restrict to one alarm from the spec file")
-        p.add_argument("--name", help="name for emitted artifacts")
-        p.add_argument("--time", type=int, help="time index into the trace")
-        p.add_argument("--horizon", type=int, help="analysis horizon (steps)")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "dot", "text"], default="json")
+    parser.add_argument("command", choices=list(_HANDLERS), metavar="command",
+                        help="one of: " + ", ".join(_HANDLERS))
+    parser.add_argument("--model", help="system model file (JSON)")
+    parser.add_argument("--spec", help="alarm specification file (JSON)")
+    parser.add_argument("--tfpg", help="TFPG file (JSON)")
+    parser.add_argument("--map", help="node map or synthesis config file (JSON)")
+    parser.add_argument("--trace", help="trace / activation-trace file (JSON)")
+    parser.add_argument("--diagnoser", help="diagnoser file (JSON)")
+    parser.add_argument("--obs", help="observation sequence file (JSON)")
+    parser.add_argument("--mcs", help="minimal-cut-set file (JSON)")
+    parser.add_argument("--tle", help="top level event expression")
+    parser.add_argument("--probs", help="basic event probability file (JSON)")
+    parser.add_argument("--alarm", help="restrict to one alarm from the spec file")
+    parser.add_argument("--name", help="name for emitted artifacts")
+    parser.add_argument("--time", type=int, help="time index into the trace")
+    parser.add_argument("--horizon", type=int, help="analysis horizon (steps)")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=["json", "dot", "text"], default="json")
     return parser
 
 

@@ -271,7 +271,7 @@ def check_trace_diagnosability(m: SystemModel, spec: AlarmSpec, tr: Trace,
     """
     m.require_trace(tr)
     if not (0 <= t < len(tr)):
-        raise IndexError(f"time index {t} out of range")
+        raise TraceError(f"time index {t} out of range for trace of length {len(tr)}")
     if not m.holds(spec.beta, tr[t]):
         raise TraceError(f"condition does not hold at step {t}")
     end = len(tr) - 1 if isinstance(spec.delay, FiniteDelay) else t + spec.delay.n

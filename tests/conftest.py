@@ -1,11 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from faultkit import load_model, load_specs, load_tfpg, load_node_map
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c code args` in a fresh interpreter, from the repository
+    root, with this checkout's `src/` first on the module path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
 
 
 def corpus_path(name: str) -> Path:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from faultkit.cli import main
 
-from .conftest import corpus_json, corpus_path
+from .conftest import corpus_json, corpus_path, run_python
 
 
 def run_cli(*argv, out=None):
@@ -111,11 +111,16 @@ class TestExitCodes:
          {"b1_fail": "0.5", "b2_fail": 0.2}),
         # None: the flag names a directory instead of a file.
         (["diag-check", "--model", SENSOR], "--spec", None),
+        (["trace-diag", "--model", SENSOR, "--spec", SPECS, "--alarm", "t_exact2",
+          "--time", "99"], "--trace", {"steps": ["n", "f0", "f1", "f2", "f2"]}),
+        (["trace-diag", "--model", SENSOR, "--spec", SPECS, "--alarm", "t_exact2",
+          "--time", "-1"], "--trace", {"steps": ["n", "f0", "f1", "f2", "f2"]}),
     ], ids=["exact-without-n", "bound-without-n", "tfpg-nodes-list", "n-null",
             "delay-string", "tmax-null", "alarm-name-list", "initial-nested-list",
             "transition-nested-list", "diagnoser-nodes-list", "diagnoser-key-1",
             "activations-list", "discrepancies-list", "discrepancy-string",
-            "probability-string", "spec-directory"])
+            "probability-string", "spec-directory", "trace-time-99",
+            "trace-time-minus-1"])
     def test_malformed_input_is_exit_2_without_traceback(self, tmp_path, argv,
                                                           flag, doc):
         path = tmp_path / "input.json"
@@ -404,3 +409,36 @@ class TestExitCodeContract:
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(args)
         assert code in (0, 1, 2)
+
+
+_FOOTPRINT = """\
+import contextlib, io, sys
+from faultkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("faultkit."))))
+"""
+
+
+class TestImportFootprint:
+    """A request imports only the modules its subcommand uses."""
+
+    @pytest.mark.parametrize("argv,needed,unused", [
+        (["validate-model", "--model", MODEL], {"model"},
+         {"cutsets", "diagnosability", "fdispec", "synthesis", "tfpg", "tfpg_synthesis"}),
+        (["mcs", "--model", MODEL, "--tle", "system_dead"], {"cutsets"},
+         {"fdispec", "diagnosability", "synthesis", "tfpg"}),
+        (["tfpg-validate", "--tfpg", POWER], {"tfpg"},
+         {"fdispec", "diagnosability", "synthesis", "cutsets"}),
+        (["diag-check", "--model", SENSOR, "--spec", SPECS, "--alarm", "a_bound3"],
+         {"diagnosability"}, {"synthesis", "tfpg", "cutsets"}),
+    ], ids=["validate-model", "mcs", "tfpg-validate", "diag-check"])
+    def test_modules_loaded(self, argv, needed, unused):
+        proc = run_python(_FOOTPRINT, *argv)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = proc.stdout.splitlines()
+        assert code == "0"
+        loaded = {m.split(".", 1)[1] for m in modules.split()}
+        assert needed <= loaded
+        assert not loaded & unused, sorted(loaded & unused)
