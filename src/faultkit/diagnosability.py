@@ -3,29 +3,31 @@
 A *critical pair* is a pair of runs with identical observation sequences
 that disagree on the monitored condition in the way the delay discipline
 cannot tolerate.  The twin plant synchronizes two copies of the model on
-observations; each delay kind needs a different bounded memory per side:
+observations.  Each side carries the memory of a past formula over the
+condition (:func:`faultkit.fdispec.memory_automaton`), and a node is
+critical when side 1's formula holds and side 2's does not:
 
-* exact(n)  -- no memory: a reachable observation-synchronized pair with
-  the condition on one side and not the other, extendable n more
-  synchronized steps, defeats any alarm with exact delay n.
-* bound(n)  -- side 1 remembers whether the condition held exactly n steps
-  ago (a value window); side 2 counts steps since the condition last held,
-  saturating above 2n: the pair is critical at time T when side 1 had the
-  condition at t = T-n while side 2 was condition-free on the whole
-  window [t-n, t+n].
-* finite    -- one latched bit per side; the pair is critical when the
-  twin plant can cycle forever with side 1's bit set and side 2's unset.
+* exact(n)  -- Y^0 beta, the condition now, on both sides: a reachable
+  critical node from which the twin plant can go on n more steps defeats
+  any alarm with exact delay n.
+* bound(n)  -- Y^n beta against O<=2n beta: at time T side 1 had the
+  condition at t = T-n while side 2 was condition-free on the whole window
+  [t-n, t+n].
+* finite    -- O beta against O beta: the twin plant can cycle forever
+  through critical nodes.
 
 Witnesses are deterministic: the lexicographically least shortest path in
 the twin plant, extended by least choices.
 
 The search runs over ints (:class:`faultkit.model.StateIndex`).  A node is
-a state pair ``a * size + b``, scaled up to make room for the memory of
-its delay kind, and a pair's successors are the products of the two
+``(pair * X1 + memory1) * X2 + memory2``: a state pair ``a * size + b``,
+then each side's memory, numbered as the search reaches it below the bound
+X of its delay kind.  A pair's successors are the products of the two
 states' successors within each observation class they share.  The witness
-order rests on numbering the states in sorted-id order: nodes then sort
-as their (state id, state id, memory) tuples do, so the least path over
-ints is the least path over ids.
+order rests on numbering the states in sorted-id order: a memory is a
+function of its side's state sequence, and the pair is the most
+significant part of a node, so paths compare as their sequences of
+state-id pairs do, whatever numbers the memories get.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TraceError
-from .fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, GLOBAL,
-                      chain_counterexample, knowledge_chain, past_formula)
+from .fdispec import (AlarmSpec, BoundedDelay, Delay, ExactDelay, FiniteDelay, GLOBAL,
+                      chain_counterexample, knowledge_chain, memory_automaton,
+                      past_formula)
 # Not called here, but the benchmark's spans (perfbench/probes.py) wrap
 # them under this module.
 from .fdispec import eval_knowledge, knowledge_counterexample  # noqa: F401
@@ -83,50 +86,35 @@ def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdi
     """Decide system-level diagnosability of one alarm specification."""
     if spec.diag != GLOBAL:
         raise ValueError("use check_trace_diagnosability for trace-local specifications")
-    if isinstance(spec.delay, ExactDelay):
-        return _check_exact(m, spec)
-    if isinstance(spec.delay, BoundedDelay):
-        return _check_bounded(m, spec)
-    return _check_finite(m, spec)
-
-
-def _nodes(ix: StateIndex, moves1: dict, moves2: dict, flags, scale: int,
-           memory1, memory2) -> list[int]:
-    """The twin-plant nodes ``(x * size + y) * scale + memory1[flags[x]] +
-    memory2[flags[y]]`` for x in moves1[c] and y in moves2[c], over the
-    observation classes c of both: a synchronised state pair, plus what each
-    side remembers, which depends on whether the condition holds in its new
-    state."""
-    row = ix.size * scale
-    out: list[int] = []
-    for c, xs in moves1.items():
-        ys = moves2.get(c)
-        if ys:
-            ends = [y * scale + memory2[flags[y]] for y in ys]
-            for x in xs:
-                start = x * row + memory1[flags[x]]
-                out += [start + end for end in ends]
-    return out
-
-
-def _check_exact(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
-    n = spec.delay.n
     ix = m.index
-    flags = ix.condition(spec.beta)
-    size = ix.size
-    moves = ix.succ_by_class
-    start = ix.initial_by_class
-    # A node is a pair; nothing is remembered.
-    none = (0, 0)
-
-    def succ(pair):
-        a, b = divmod(pair, size)
-        return _nodes(ix, moves[a], moves[b], flags, 1, none, none)
-
-    parent = lexleast_shortest_paths(_nodes(ix, start, start, flags, 1, none, none), succ)
+    delay = spec.delay
+    if isinstance(delay, ExactDelay):
+        sides = ExactDelay(0), ExactDelay(0)
+    elif isinstance(delay, BoundedDelay):
+        sides = ExactDelay(delay.n), BoundedDelay(2 * delay.n)
+    else:
+        sides = delay, delay
+    roots, succ, critical_memories, scale = _twin_plant(ix, spec.beta, *sides)
+    parent = lexleast_shortest_paths(roots, succ)
+    critical = critical_memories()
+    if isinstance(delay, FiniteDelay):
+        found = lasso(parent, {node for node in parent if node % scale in critical}, succ)
+        if found is None:
+            return DiagnosabilityVerdict(True)
+        run, _ = found
+        # both memories are latches: the run turns critical where side 1's
+        # condition first holds
+        t = next(i for i, node in enumerate(run) if node % scale in critical)
+        return DiagnosabilityVerdict(False, _pair_from(ix, run, scale, t))
+    if isinstance(delay, BoundedDelay):
+        best = next((node for node in parent if node % scale in critical), None)
+        if best is None:
+            return DiagnosabilityVerdict(True)
+        stem = path_to(parent, best)
+        return DiagnosabilityVerdict(False, _pair_from(ix, stem, scale, len(stem) - 1 - delay.n))
+    n = delay.n
     extends = _walk_exists(succ)
-    best = next((p for p in parent if flags[p // size] and not flags[p % size]
-                 and extends(p, n)), None)
+    best = next((node for node in parent if node % scale in critical and extends(node, n)), None)
     if best is None:
         return DiagnosabilityVerdict(True)
     stem = list(path_to(parent, best))
@@ -135,7 +123,55 @@ def _check_exact(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
     for k in range(n, 0, -1):
         current = next(q for q in sorted(succ(current)) if extends(q, k - 1))
         stem.append(current)
-    return DiagnosabilityVerdict(False, _pair_from(ix, stem, 1, t))
+    return DiagnosabilityVerdict(False, _pair_from(ix, stem, scale, t))
+
+
+def _twin_plant(ix: StateIndex, beta, delay1: Delay, delay2: Delay):
+    """The twin plant whose side i carries the memory of delay i over the
+    condition: (roots, successors, critical_memories, scale).  A node's
+    pair is node // scale and its memories node % scale; critical_memories()
+    gives the memories, of those the search has reached, in which side 1's
+    past formula holds and side 2's fails."""
+    flags = ix.condition(beta)
+    X1, start1, row1, sat1 = memory_automaton(delay1, range(2))
+    X2, start2, row2, sat2 = memory_automaton(delay2, range(2))
+    size, moves, scale = ix.size, ix.succ_by_class, X1 * X2
+    width = size * scale
+
+    # steps[memory]: side 1's memory number times X2, then side 2's, after a
+    # step into a state whose condition flag is the index; once per memory
+    steps: dict[int, tuple[list[int], list[int]]] = {}
+
+    def succ(node: int) -> list[int]:
+        # the nodes for x and y successors of the pair's states in one
+        # observation class
+        pair, memory = divmod(node, scale)
+        after = steps.get(memory)
+        if after is None:
+            memory1, memory2 = divmod(memory, X2)
+            after = steps[memory] = ([k * X2 for k in row1(memory1)], row2(memory2))
+        after1, after2 = after
+        a, b = divmod(pair, size)
+        moves2 = moves[b]
+        out: list[int] = []
+        for c, xs in moves[a].items():
+            ys = moves2.get(c)
+            if ys:
+                ends = [y * scale + after2[flags[y]] for y in ys]
+                for x in xs:
+                    begin = x * width + after1[flags[x]]
+                    out += [begin + end for end in ends]
+        return out
+
+    def critical_memories() -> set[int]:
+        return {k1 * X2 + k2 for k1, holds1 in enumerate(sat1) if holds1
+                for k2, holds2 in enumerate(sat2) if not holds2}
+
+    first1 = [start1(0) * X2, start1(1) * X2]
+    first2 = [start2(0), start2(1)]
+    roots = [x * width + first1[flags[x]] + y * scale + first2[flags[y]]
+             for xs in ix.initial_by_class.values() for x in xs for y in xs]
+    return roots, succ, critical_memories, scale
 
 
 def _walk_exists(successors):
@@ -184,71 +220,6 @@ def _walk_exists(successors):
         return found
 
     return extends
-
-
-def _check_bounded(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
-    n = spec.delay.n
-    ix = m.index
-    flags = ix.condition(spec.beta)
-    size = ix.size
-    moves = ix.succ_by_class
-    start = ix.initial_by_class
-    cap = 2 * n + 1
-    # A node is (pair * windows + window) * counts + count.  The window holds
-    # side 1's last (at most n + 1) condition values as bits, oldest highest,
-    # below a leading 1 that marks its length; windows of one length, the
-    # only ones ever compared, sort like the tuples of values.  The count is
-    # side 2's steps since the condition last held, saturating at cap.
-    full = 1 << (n + 1)
-    windows = 2 * full
-    counts = cap + 1
-    scale = windows * counts
-
-    def shifted(window, value):
-        window = 2 * window + value
-        return window if window < windows else window % full + full
-
-    def succ(node):
-        pair, memory = divmod(node, scale)
-        window, count = divmod(memory, counts)
-        a, b = divmod(pair, size)
-        return _nodes(ix, moves[a], moves[b], flags, scale,
-                      (shifted(window, 0) * counts, shifted(window, 1) * counts),
-                      (min(count + 1, cap), 0))
-
-    roots = _nodes(ix, start, start, flags, scale, (2 * counts, 3 * counts), (cap, 0))
-    parent = lexleast_shortest_paths(roots, succ)
-    # a full window whose oldest value is set, and a saturated count
-    best = next((node for node in parent
-                 if node % scale // counts >> n == 3 and node % counts == cap), None)
-    if best is None:
-        return DiagnosabilityVerdict(True)
-    stem = path_to(parent, best)
-    return DiagnosabilityVerdict(False, _pair_from(ix, stem, scale, len(stem) - 1 - n))
-
-
-def _check_finite(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
-    ix = m.index
-    flags = ix.condition(spec.beta)
-    size = ix.size
-    moves = ix.succ_by_class
-    start = ix.initial_by_class
-    # A node is pair * 4 + 2 * latch1 + latch2: whether the condition has
-    # held on each side.
-
-    def succ(node):
-        pair, latches = divmod(node, 4)
-        a, b = divmod(pair, size)
-        return _nodes(ix, moves[a], moves[b], flags, 4,
-                      (2, 2) if latches & 2 else (0, 2), (1, 1) if latches & 1 else (0, 1))
-
-    parent = lexleast_shortest_paths(_nodes(ix, start, start, flags, 4, (0, 2), (0, 1)), succ)
-    found = lasso(parent, {node for node in parent if node & 3 == 2}, succ)
-    if found is None:
-        return DiagnosabilityVerdict(True)
-    full, _ = found
-    t = next(i for i, node in enumerate(full) if flags[node // 4 // size])
-    return DiagnosabilityVerdict(False, _pair_from(ix, full, 4, t))
 
 
 def _pair_from(ix: StateIndex, nodes, scale: int, t: int) -> CriticalPair:

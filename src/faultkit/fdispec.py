@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, TraceError
+from .graphs import automaton
 from .jsonio import decode_json, expect, field, read_json
 from .model import SystemModel, Trace
 
@@ -205,6 +206,25 @@ def memory_satisfies(delay: Delay, mem) -> bool:
     if isinstance(delay, BoundedDelay):
         return mem <= delay.n
     return bool(mem)
+
+
+def memory_bound(delay: Delay) -> int:
+    """How many values the memory of a delay kind can take: windows of 1 to
+    n + 1 condition values, counts 0 to n + 1, or a latch."""
+    if isinstance(delay, ExactDelay):
+        return 2 ** (delay.n + 2) - 2
+    if isinstance(delay, BoundedDelay):
+        return delay.n + 2
+    return 2
+
+
+def memory_automaton(delay: Delay, labels: Iterable[int]):
+    """The memory of a delay kind as a `graphs.automaton` over int labels
+    whose bit 0 says whether the condition holds in the state stepped into;
+    a memory is flagged when its past formula holds."""
+    return automaton(memory_bound(delay), lambda label: memory_init(delay, bool(label & 1)),
+                     lambda mem, label: memory_update(delay, mem, bool(label & 1)),
+                     labels, lambda mem: memory_satisfies(delay, mem))
 
 
 # -- belief propagation -------------------------------------------------------

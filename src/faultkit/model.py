@@ -64,12 +64,10 @@ class SystemModel:
         self.states = {sid: dict(val) for sid, val in states.items()}
         self.initial = tuple(sorted(initial))
         self.transitions = frozenset((a, b) for a, b in transitions)
-        self._succ = {sid: () for sid in self.states}
         by_src: dict[str, list[str]] = {sid: [] for sid in self.states}
         for a, b in self.transitions:
             by_src[a].append(b)
-        for sid, succs in by_src.items():
-            self._succ[sid] = tuple(sorted(set(succs)))
+        self._succ = {sid: tuple(sorted(set(succs))) for sid, succs in by_src.items()}
         self._obs_atoms_sorted = tuple(sorted(self.observable_atoms))
         self._obs = {
             sid: tuple(bool(self.states[sid].get(a, False)) for a in self._obs_atoms_sorted)

@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ModelFormatError, ObservationError
-from .fdispec import AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE, trackers_for
-from .graphs import lasso, lexleast_shortest_paths, path_to
+from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
+                      memory_automaton, trackers_for)
+from .graphs import automaton, lasso, lexleast_shortest_paths, path_to
 from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_text
 from .model import SystemModel, Trace
 
@@ -343,6 +345,7 @@ class _Product:
         self.known = [beliefs.certain(pairs[old][1]) for old in rank]
         self.possible = [any(map(beliefs.holds, pairs[old][1])) for old in rank]
         self.beta = ix.condition(spec.beta)
+        self.delay = spec.delay
         self.roots = [s * P + number[q] for s, q in start]
         self._pair_label = [2 * alarm + 4 * known for alarm, known in zip(self.alarm, self.known)]
         self._edges: dict[int, tuple[list[int], list[int]]] = {}
@@ -394,62 +397,25 @@ def verify_diagnoser(m: SystemModel, d: Diagnoser, spec: AlarmSpec) -> Verdict:
     return Verdict(spec.name, correctness, completeness, maximality)
 
 
-# A search's bookkeeping is an int automaton over the labels of
-# `_Product.label`: (X, start, row), where start(label) is the extra of a
-# root, row(extra)[label] the extra after a step into a node with that
-# label, and X bounds the extras.
+# A search's bookkeeping is a `graphs.automaton` over the labels of
+# `_Product.label`: (X, start, row, flags), where start(label) is the extra
+# of a root, row(extra)[label] the extra after a step into a node with that
+# label, X bounds the extras and flags[extra] marks the extras the search
+# looks for.
 
 _LABELS = range(8)
-_NO_EXTRA = (1, None, None)
+_NO_EXTRA = (1, None, None, None)
 
 
-def _memory_extras(product: _Product):
-    """The run's own memory of the condition, numbered like the memories of
-    the product's beliefs.  A run's state and memory is a member of the
-    belief of its pair, and building the pair product stepped every such
-    member, so the memories the searches meet are numbered already; a
-    number made here belongs to a step no run takes."""
-    beliefs = product.beliefs
-    X, after = len(beliefs.memories), beliefs.memory_after
-    rows: dict[int, list[int]] = {}
-
-    def row(memory: int) -> list[int]:
-        if memory not in rows:
-            rows[memory] = [after(memory, label & 1) for label in _LABELS]
-        return rows[memory]
-
-    return X, lambda label: after(None, label & 1), row
-
-
-def _automaton(bound: int, initial, step, bad):
-    """The extras of a deterministic automaton over labels, and whether a
-    search node's value is bad.  step(value, label) is the value after a
-    step into a node with that label, from `initial` at a root; values are
-    numbered as the search reaches them, at most `bound` of them."""
-    values: list = []
-    ids: dict = {}
-    flags: list[bool] = []
-    rows: dict[int, list[int]] = {}
-
-    def number(value) -> int:
-        if value not in ids:
-            ids[value] = len(values)
-            values.append(value)
-            flags.append(bad(value))
-        return ids[value]
-
-    def row(extra: int) -> list[int]:
-        if extra not in rows:
-            rows[extra] = [number(step(values[extra], label)) for label in _LABELS]
-        return rows[extra]
-
-    return ((bound, lambda label: number(step(initial, label)), row),
-            lambda node: flags[node % bound])
+def _flagged(extras):
+    """Whether a search node's extra is flagged."""
+    X, flags = extras[0], extras[3]
+    return lambda node: flags[node % X]
 
 
 def _searcher(product: _Product, extras):
     """The roots and the successor function of a search with these extras."""
-    X, start, row = extras
+    X, start, row, _ = extras
     edges = product.edges
     if X == 1:
         return product.roots, lambda sp: edges(sp)[0]
@@ -481,13 +447,13 @@ def _search_safety(product: _Product, extras, violated, bad_pairs=None) -> Conju
     return ConjunctResult(False, product.trace(path_to(parent, best), extras[0]))
 
 
-def _search_lasso(product: _Product, extras, pending) -> ConjunctResult:
+def _search_lasso(product: _Product, extras) -> ConjunctResult:
     """An eventuality fails on an infinite run that stays, from some point
-    on, in product nodes where an obligation is pending: a reachable cycle
-    of them.  Returns that run as a lasso."""
+    on, in product nodes where an obligation is pending, which the extras
+    flag: a reachable cycle of them.  Returns that run as a lasso."""
     roots, succ = _searcher(product, extras)
     parent = lexleast_shortest_paths(roots, succ)
-    found = lasso(parent, {node for node in parent if pending(node)}, succ)
+    found = lasso(parent, set(filter(_flagged(extras), parent)), succ)
     if found is None:
         return ConjunctResult(True)
     run, loop_start = found
@@ -496,11 +462,11 @@ def _search_lasso(product: _Product, extras, pending) -> ConjunctResult:
 
 def _check_correctness(product: _Product) -> ConjunctResult:
     # the alarm while the run's own memory, the extra, fails the formula
-    extras = _memory_extras(product)
-    X, P, alarm, sat = extras[0], product.P, product.alarm, product.beliefs.sat
+    extras = memory_automaton(product.delay, _LABELS)
+    X, P, alarm, sat = extras[0], product.P, product.alarm, extras[3]
 
     def violated(node):
-        return alarm[node // X % P] and not sat[node % X][0]
+        return alarm[node // X % P] and not sat[node % X]
 
     bad = [alarm and not known for alarm, known in zip(product.alarm, product.known)]
     return _search_safety(product, extras, violated, bad)
@@ -517,11 +483,11 @@ def _check_completeness_global(product: _Product, spec: AlarmSpec) -> ConjunctRe
     delay = spec.delay
     if isinstance(delay, ExactDelay):
         # the condition held exactly n steps ago and the alarm is off
-        extras = _memory_extras(product)
-        X, P, alarm, sat = extras[0], product.P, product.alarm, product.beliefs.sat
+        extras = memory_automaton(delay, _LABELS)
+        X, P, alarm, sat = extras[0], product.P, product.alarm, extras[3]
 
         def violated(node):
-            return sat[node % X][0] and not alarm[node // X % P]
+            return sat[node % X] and not alarm[node // X % P]
 
         bad = [possible and not alarm for possible, alarm in zip(product.possible, alarm)]
         return _search_safety(product, extras, violated, bad)
@@ -538,13 +504,14 @@ def _check_completeness_global(product: _Product, spec: AlarmSpec) -> ConjunctRe
             return 0 if label & 1 else -1
 
         # an age of n is a violation, never expanded
-        return _search_safety(product, *_automaton(n + 2, -1, age, lambda age: age == n))
+        extras = automaton(n + 2, partial(age, -1), age, _LABELS, lambda age: age == n)
+        return _search_safety(product, extras, _flagged(extras))
 
     def pending(was, label):
         # a condition no alarm has served since
         return bool(was or label & 1) and not label & 2
 
-    return _search_lasso(product, *_automaton(2, False, pending, bool))
+    return _search_lasso(product, automaton(2, partial(pending, False), pending, _LABELS, bool))
 
 
 def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctResult:
@@ -570,8 +537,9 @@ def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctRes
             return now
 
         # an obligation n steps old with certainty reached is a violation
-        return _search_safety(product, *_automaton(3 ** (n + 1), empty, slots,
-                                                   lambda slots: slots[n] is True))
+        extras = automaton(3 ** (n + 1), partial(slots, empty), slots, _LABELS,
+                           lambda slots: slots[n] is True)
+        return _search_safety(product, extras, _flagged(extras))
 
     def phase(was, label):
         # 1: a condition no alarm has served since; 2: and certainty has
@@ -580,4 +548,5 @@ def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctRes
             return 0
         return 2 if was == 2 or label & 4 else 1
 
-    return _search_lasso(product, *_automaton(3, 0, phase, lambda phase: phase == 2))
+    return _search_lasso(product, automaton(3, partial(phase, 0), phase, _LABELS,
+                                            lambda phase: phase == 2))

@@ -61,12 +61,11 @@ class Tfpg:
         self.nodes = dict(nodes)
         self.edges = tuple(sorted(
             edges, key=lambda e: (e.src, e.dst, e.tmin, e.tmax, e.modes)))
-        self._incoming: dict[str, tuple[int, ...]] = {n: () for n in self.nodes}
         inc: dict[str, list[int]] = {n: [] for n in self.nodes}
         for i, e in enumerate(self.edges):
             if e.dst in inc:
                 inc[e.dst].append(i)
-        self._incoming = {n: tuple(ix) for n, ix in inc.items()}
+        self._incoming: dict[str, tuple[int, ...]] = {n: tuple(ix) for n, ix in inc.items()}
 
     def incoming(self, node: str) -> tuple[int, ...]:
         return self._incoming[node]

@@ -123,18 +123,24 @@ class TestOracleAgreement:
             assert got == want
 
 
-class TestWitness:
-    @pytest.mark.parametrize("source", [
-        "battery.json", "fully_obs.json", "intermittent.json", "sensor_delay.json",
-        "unobservable.json", *range(20)])
-    def test_critical_pair_is_brute_force_least(self, source):
-        # imported here: test_acceptance imports this module
-        from .test_acceptance import random_model
+WITNESS_SOURCES = ["battery.json", "fully_obs.json", "intermittent.json",
+                   "sensor_delay.json", "unobservable.json", *range(20)]
 
-        if isinstance(source, int):
-            m = random_model(source)[0]
-        else:
-            m = load_model(corpus_path(source))
+
+def witness_model(source):
+    """A corpus model by file name, or `random_model` by seed."""
+    # imported here: test_acceptance imports this module
+    from .test_acceptance import random_model
+
+    if isinstance(source, int):
+        return random_model(source)[0]
+    return load_model(corpus_path(source))
+
+
+class TestWitness:
+    @pytest.mark.parametrize("source", WITNESS_SOURCES)
+    def test_critical_pair_is_brute_force_least(self, source):
+        m = witness_model(source)
         for atom in sorted(m.atoms):
             beta = parse_expr(atom)
             for delay in (ExactDelay(1), ExactDelay(2), ExactDelay(3),
@@ -142,6 +148,29 @@ class TestWitness:
                 verdict = check_diagnosability(m, spec(delay, beta=beta))
                 got = None if verdict.diagnosable else verdict.pair.to_json()
                 assert got == brute_force_critical_pair(m, beta, delay), (atom, delay)
+
+    @pytest.mark.parametrize("source", WITNESS_SOURCES)
+    def test_finite_pair_replays(self, source):
+        # no oracle fixes the lasso; it must replay, and t is where trace1's
+        # condition first holds
+        m = witness_model(source)
+        for atom in sorted(m.atoms):
+            beta = parse_expr(atom)
+            s = spec(FiniteDelay(), beta=beta)
+            verdict = check_diagnosability(m, s)
+            if verdict.diagnosable:
+                continue
+            assert_pair_replays(m, beta, s, verdict)
+            trace1 = verdict.pair.trace1
+            assert verdict.pair.t == next(i for i, x in enumerate(trace1.steps)
+                                          if m.holds(beta, x)), atom
+
+    def test_deep_bounded_delay(self, unobservable):
+        # side 1 remembers 65 condition values: 2 ** 66 windows, of which
+        # only those the search reaches may be built
+        verdict = check_diagnosability(unobservable, spec(BoundedDelay(64)))
+        assert verdict.pair.to_json() == {
+            "trace1": ["n"] + ["f"] * 65, "trace2": ["n"] * 66, "t": 1}
 
     def test_deep_exact_delay(self, unobservable):
         # 1,500 steps after the fault, by least choices; the search for

@@ -10,7 +10,7 @@ from faultkit.fdispec import (AlarmRef, AlarmSpec, Always, BeliefTracker, Bounde
                               KnowThat, NextShift, Once, OnceWithin, PastShift,
                               WithinFuture, belief_chain, eval_knowledge, eval_past,
                               instantiate_pattern, knowledge_counterexample,
-                              memory_init, memory_satisfies, memory_update,
+                              memory_bound, memory_init, memory_satisfies, memory_update,
                               parse_specs, timed_verdict)
 from faultkit.model import Trace, parse_model
 
@@ -99,6 +99,20 @@ class TestMemory:
                 mem = memory_update(delay, mem, sensor_delay.holds(FAULT, tr[t]))
                 assert memory_satisfies(delay, mem) == \
                     eval_past(sensor_delay, tr, phi, t)
+
+    @pytest.mark.parametrize("delay", [ExactDelay(0), ExactDelay(3), BoundedDelay(0),
+                                       BoundedDelay(4), FiniteDelay()])
+    def test_memory_bound_counts_every_memory(self, delay):
+        reached = {memory_init(delay, b) for b in (False, True)}
+        frontier = list(reached)
+        while frontier:
+            mem = frontier.pop()
+            for b in (False, True):
+                nxt = memory_update(delay, mem, b)
+                if nxt not in reached:
+                    reached.add(nxt)
+                    frontier.append(nxt)
+        assert len(reached) == memory_bound(delay)
 
     def test_tracker_numbers_only_the_memories_runs_reach(self, sensor_delay):
         # exact(20) has 2 ** 22 - 2 windows; runs of up to 6 states reach few
