@@ -5,6 +5,12 @@ analysis ran and the property holds (or an artifact was produced), 1 when
 the analysis ran and the property fails (a report is still written), 2 on
 usage or input errors.  Output bytes are deterministic for fixed inputs.
 
+A handler checks the flags it needs, runs its analysis and returns
+(holds, doc, text): doc is the JSON report and text(fmt) renders the report
+in a non-JSON format.  `main` alone checks `--format` against the
+subcommand's row of `_COMMANDS`, before any input is read, writes the
+report and turns the verdict into the exit code.
+
 Start-up, not analysis, is most of a request on desk-scale models, so each
 handler imports the analysis modules it uses and a request loads no other.
 `Trace`, `load_model` and `validate_model` stay module-level names, called
@@ -27,6 +33,10 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -41,7 +51,7 @@ class CliInputError(Exception):
 
 def _require(args, *names):
     for name in names:
-        if getattr(args, name.replace("-", "_"), None) in (None, []):
+        if getattr(args, name) is None:
             raise CliInputError(f"--{name} is required for this subcommand")
 
 
@@ -56,171 +66,141 @@ def _specs(args):
     return specs
 
 
-def _check_format(args, allowed):
-    if args.format not in allowed:
-        raise CliInputError(
-            f"--format {args.format} is not supported here (allowed: "
-            f"{', '.join(sorted(allowed))})")
+# -- shared inputs and reports ---------------------------------------------------
+
+def _findings(findings, problems, key: str, what: str):
+    """Report of `model.Violation`s: valid when `problems` is empty."""
+    doc = {"valid": not problems,
+           key: [{"kind": f.kind, "subject": f.subject, "detail": f.detail}
+                 for f in findings]}
+    return not problems, doc, lambda fmt: _lines(
+        [str(f) for f in findings] or [f"{what} is valid"])
+
+
+def _verdicts(specs, check, label: str):
+    """One verdict per alarm: holds when every alarm's does."""
+    results, holds = {}, {}
+    for spec in specs:
+        verdict = check(spec)
+        results[spec.name] = verdict.to_json()
+        holds[spec.name] = verdict.diagnosable
+    return all(holds.values()), results, lambda fmt: _lines(
+        f"{name}: {'' if holds[name] else 'NOT '}{label}" for name in sorted(holds))
+
+
+def _cut_sets(args):
+    """The minimal cut sets in --mcs, or those of --tle in --model."""
+    from . import cutsets
+    if args.mcs:
+        return cutsets.mcs_from_json(read_json(args.mcs))
+    _require(args, "model", "tle")
+    return list(cutsets.final_mcs(load_model(args.model), args.tle).mcs)
+
+
+def _tfpg_inputs(args):
+    """Graph, model and node map; a synthesis config doubles as a node map."""
+    from . import tfpg
+    _require(args, "tfpg", "model", "map", "horizon")
+    g = tfpg.load_tfpg(args.tfpg)
+    m = load_model(args.model)
+    doc = read_json(args.map)
+    if not (isinstance(doc, dict) and "fm" in doc):
+        return g, m, tfpg.NodeMap.from_json(doc)
+    from . import tfpg_synthesis
+    from .boolexpr import parse_expr
+    config = tfpg_synthesis.SynthesisConfig.from_json(doc)
+    return g, m, tfpg.NodeMap(
+        {**{a: parse_expr(a) for a in config.fm_atoms},
+         **{d.name: d.expr for d in config.discrepancies}},
+        dict(config.mode_map))
 
 
 # -- subcommand handlers ---------------------------------------------------------
 
-def cmd_validate_model(args) -> int:
+def cmd_validate_model(args):
     _require(args, "model")
     report = validate_model(load_model(args.model))
-    _check_format(args, {"json", "text"})
-    if args.format == "text":
-        lines = [str(v) for v in report] or ["model is valid"]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump({"valid": not report,
-                           "violations": [{"kind": v.kind, "subject": v.subject,
-                                           "detail": v.detail} for v in report]}))
-    return 0 if not report else 1
+    return _findings(report, report, "violations", "model")
 
 
-def cmd_mcs(args) -> int:
+def cmd_mcs(args):
     from . import cutsets
     _require(args, "model", "tle")
-    _check_format(args, {"json", "text"})
-    m = load_model(args.model)
-    reports = list(cutsets.enumerate_mcs(m, args.tle))
+    reports = list(cutsets.enumerate_mcs(load_model(args.model), args.tle))
     final = reports[-1]
     doc = cutsets.mcs_to_json(final.mcs)
-    if args.format == "text":
-        lines = []
-        for rep in reports:
-            lines.append(f"layer {rep.completed_cardinality}: "
-                         f"{len(rep.mcs)} minimal cut sets ({rep.guarantee})")
+
+    def text(fmt):
+        lines = [f"layer {rep.completed_cardinality}: "
+                 f"{len(rep.mcs)} minimal cut sets ({rep.guarantee})" for rep in reports]
         if final.fault_free_reachable:
             lines.append("WARNING: the event is reachable with no faults at all")
-        lines.extend(",".join(group) or "(empty)" for group in doc)
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump(doc))
-    return 0
+        return _lines(lines + [",".join(group) or "(empty)" for group in doc])
+    return True, doc, text
 
 
-def cmd_fault_tree(args) -> int:
+def cmd_fault_tree(args):
     from . import cutsets
-    _check_format(args, {"json", "dot"})
-    name = args.name or "TLE"
-    if args.mcs:
-        groups = cutsets.mcs_from_json(read_json(args.mcs))
-    else:
-        _require(args, "model", "tle")
-        m = load_model(args.model)
-        groups = list(cutsets.final_mcs(m, args.tle).mcs)
-        name = args.name or args.tle
-    tree = cutsets.build_fault_tree(groups, name)
-    if args.format == "dot":
-        _emit(args, cutsets.export_fault_tree_dot(tree))
-    else:
-        _emit(args, _dump(tree.to_json()))
-    return 0
+    name = args.name or ("TLE" if args.mcs else args.tle)
+    tree = cutsets.build_fault_tree(_cut_sets(args), name)
+    return True, tree.to_json(), lambda fmt: cutsets.export_fault_tree_dot(tree)
 
 
-def cmd_ft_prob(args) -> int:
+def cmd_ft_prob(args):
     from . import cutsets
     _require(args, "probs")
-    _check_format(args, {"json", "text"})
-    if args.mcs:
-        groups = cutsets.mcs_from_json(read_json(args.mcs))
-    else:
-        _require(args, "model", "tle")
-        groups = list(cutsets.final_mcs(load_model(args.model), args.tle).mcs)
+    groups = _cut_sets(args)
     probs = expect(read_json(args.probs), dict, f"probability file {args.probs}")
     by_enum, value = cutsets.probability_routes(groups, probs)
     doc = {"probability": value,
            "by_enumeration": by_enum,
            "by_inclusion_exclusion": value,
            "assumption": "basic events are statistically independent"}
-    if args.format == "text":
-        _emit(args, f"P(top level event) = {value!r}\n"
-                    f"(assuming statistically independent basic events)\n")
-    else:
-        _emit(args, _dump(doc))
-    return 0
+    return True, doc, lambda fmt: (f"P(top level event) = {value!r}\n"
+                                   f"(assuming statistically independent basic events)\n")
 
 
-def cmd_diag_check(args) -> int:
+def cmd_diag_check(args):
     from . import diagnosability, fdispec
     _require(args, "model", "spec")
-    _check_format(args, {"json", "text"})
     m = load_model(args.model)
     specs = [s for s in _specs(args) if s.diag == fdispec.GLOBAL]
     if not specs:
         raise CliInputError("no global-row alarm specifications selected "
                             "(trace-local ones are checked with trace-diag)")
-    results = {}
-    ok = True
-    for spec in specs:
-        verdict = diagnosability.check_diagnosability(m, spec)
-        results[spec.name] = verdict.to_json()
-        ok = ok and verdict.diagnosable
-    if args.format == "text":
-        lines = [f"{name}: {'diagnosable' if doc['diagnosable'] else 'NOT diagnosable'}"
-                 for name, doc in sorted(results.items())]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump(results))
-    return 0 if ok else 1
+    return _verdicts(specs, lambda spec: diagnosability.check_diagnosability(m, spec),
+                     "diagnosable")
 
 
-def cmd_trace_diag(args) -> int:
+def cmd_trace_diag(args):
     from . import diagnosability
     _require(args, "model", "spec", "trace", "time")
-    _check_format(args, {"json", "text"})
     m = load_model(args.model)
     tr = Trace.from_json(read_json(args.trace))
-    results = {}
-    ok = True
-    for spec in _specs(args):
-        verdict = diagnosability.check_trace_diagnosability(m, spec, tr, args.time)
-        results[spec.name] = verdict.to_json()
-        ok = ok and verdict.diagnosable
-    if args.format == "text":
-        lines = [f"{name}: {'trace-diagnosable' if doc['trace_diagnosable'] else 'NOT trace-diagnosable'}"
-                 for name, doc in sorted(results.items())]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump(results))
-    return 0 if ok else 1
+    return _verdicts(_specs(args), lambda spec: diagnosability.check_trace_diagnosability(
+        m, spec, tr, args.time), "trace-diagnosable")
 
 
-def cmd_synth_diagnoser(args) -> int:
+def cmd_synth_diagnoser(args):
     from . import synthesis
     _require(args, "model", "spec")
-    _check_format(args, {"json", "dot"})
-    m = load_model(args.model)
-    d = synthesis.synthesize_diagnoser(m, _specs(args))
-    if args.format == "dot":
-        _emit(args, synthesis.export_diagnoser_dot(d))
-    else:
-        _emit(args, _dump(synthesis.diagnoser_to_json(d)))
-    return 0
+    d = synthesis.synthesize_diagnoser(load_model(args.model), _specs(args))
+    return True, synthesis.diagnoser_to_json(d), lambda fmt: synthesis.export_diagnoser_dot(d)
 
 
-def cmd_run_diagnoser(args) -> int:
+def cmd_run_diagnoser(args):
     from . import synthesis
     _require(args, "diagnoser", "obs")
-    _check_format(args, {"json", "text"})
     d = synthesis.load_diagnoser(args.diagnoser)
     observations = expect(read_json(args.obs), list, f"observation file {args.obs}")
-    alarms = synthesis.run_diagnoser(d, observations)
-    doc = [sorted(a) for a in alarms]
-    if args.format == "text":
-        _emit(args, "\n".join(f"step {i}: {','.join(a) or '-'}"
-                              for i, a in enumerate(doc)) + "\n")
-    else:
-        _emit(args, _dump(doc))
-    return 0
+    doc = [sorted(a) for a in synthesis.run_diagnoser(d, observations)]
+    return True, doc, lambda fmt: _lines(
+        f"step {i}: {','.join(a) or '-'}" for i, a in enumerate(doc))
 
 
-def cmd_verify_diagnoser(args) -> int:
+def cmd_verify_diagnoser(args):
     from . import fdispec, synthesis
     _require(args, "model", "spec", "diagnoser")
-    _check_format(args, {"json", "text"})
     m = load_model(args.model)
     d = synthesis.load_diagnoser(args.diagnoser)
     results = {}
@@ -230,148 +210,94 @@ def cmd_verify_diagnoser(args) -> int:
         results[spec.name] = verdict.to_json()
         results[spec.name]["pattern"] = str(fdispec.instantiate_pattern(spec))
         ok = ok and verdict.all_hold
-    if args.format == "text":
-        lines = []
-        for name, doc in sorted(results.items()):
-            for conj in ("correctness", "completeness", "maximality"):
-                if conj in doc:
-                    lines.append(f"{name}/{conj}: "
-                                 f"{'holds' if doc[conj]['holds'] else 'FAILS'}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump(results))
-    return 0 if ok else 1
+    return ok, results, lambda fmt: _lines(
+        f"{name}/{conj}: {'holds' if doc[conj]['holds'] else 'FAILS'}"
+        for name, doc in sorted(results.items())
+        for conj in ("correctness", "completeness", "maximality") if conj in doc)
 
 
-def cmd_tfpg_validate(args) -> int:
+def cmd_tfpg_validate(args):
     from . import tfpg
     _require(args, "tfpg")
-    _check_format(args, {"json", "text"})
-    g = tfpg.load_tfpg(args.tfpg)
-    findings = tfpg.validate_structure(g)
+    findings = tfpg.validate_structure(tfpg.load_tfpg(args.tfpg))
     problems = [f for f in findings if f.kind != "cycle-warning"]
-    if args.format == "text":
-        lines = [str(f) for f in findings] or ["structure is valid"]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump({"valid": not problems,
-                           "findings": [{"kind": f.kind, "subject": f.subject,
-                                         "detail": f.detail} for f in findings]}))
-    return 0 if not problems else 1
+    return _findings(findings, problems, "findings", "structure")
 
 
-def cmd_tfpg_check_trace(args) -> int:
+def cmd_tfpg_check_trace(args):
     from . import tfpg
     _require(args, "tfpg", "trace")
-    _check_format(args, {"json", "text"})
     g = tfpg.load_tfpg(args.tfpg)
     at = tfpg.activation_trace_from_json(read_json(args.trace), g)
     ok, violations = tfpg.check_trace_consistency(g, at)
-    if args.format == "text":
-        lines = ["consistent"] if ok else [str(v) for v in violations]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump({"consistent": ok, "violations": [str(v) for v in violations]}))
-    return 0 if ok else 1
+    lines = [str(v) for v in violations]
+    return ok, {"consistent": ok, "violations": lines}, \
+        lambda fmt: _lines(lines or ["consistent"])
 
 
-def _node_map(args):
+def cmd_tfpg_behavioral(args):
     from . import tfpg
-    doc = read_json(args.map)
-    if isinstance(doc, dict) and "fm" in doc:
-        # Synthesis configs double as node maps for behavioral checks.
-        from . import tfpg_synthesis
-        from .boolexpr import parse_expr
-        config = tfpg_synthesis.SynthesisConfig.from_json(doc)
-        return tfpg.NodeMap(
-            {**{a: parse_expr(a) for a in config.fm_atoms},
-             **{d.name: d.expr for d in config.discrepancies}},
-            dict(config.mode_map))
-    return tfpg.NodeMap.from_json(doc)
+    result = tfpg.behavioral_validate(*_tfpg_inputs(args), args.horizon)
+    lines = ["complete"] if result.complete else [
+        "INCOMPLETE", "witness: " + " ".join(result.witness.steps),
+        *map(str, result.violations)]
+    return result.complete, result.to_json(), lambda fmt: _lines(lines)
 
 
-def cmd_tfpg_behavioral(args) -> int:
+def cmd_tfpg_tighten(args):
     from . import tfpg
-    _require(args, "tfpg", "model", "map", "horizon")
-    _check_format(args, {"json", "text"})
-    g = tfpg.load_tfpg(args.tfpg)
-    m = load_model(args.model)
-    result = tfpg.behavioral_validate(g, m, _node_map(args), args.horizon)
-    if args.format == "text":
-        if result.complete:
-            _emit(args, "complete\n")
-        else:
-            lines = ["INCOMPLETE", "witness: " + " ".join(result.witness.steps)]
-            lines += [str(v) for v in result.violations]
-            _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump(result.to_json()))
-    return 0 if result.complete else 1
+    result = tfpg.tighten_edges(*_tfpg_inputs(args), args.horizon)
+    return True, tfpg.tfpg_to_json(result.tfpg), lambda fmt: _lines(
+        json.dumps(c.to_json(), sort_keys=True) for c in result.changes)
 
 
-def cmd_tfpg_tighten(args) -> int:
-    from . import tfpg
-    _require(args, "tfpg", "model", "map", "horizon")
-    _check_format(args, {"json", "text"})
-    g = tfpg.load_tfpg(args.tfpg)
-    m = load_model(args.model)
-    result = tfpg.tighten_edges(g, m, _node_map(args), args.horizon)
-    if args.format == "text":
-        lines = [json.dumps(c.to_json(), sort_keys=True) for c in result.changes]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump(tfpg.tfpg_to_json(result.tfpg)))
-    return 0
-
-
-def cmd_tfpg_synth(args) -> int:
+def cmd_tfpg_synth(args):
     from . import tfpg, tfpg_synthesis
     _require(args, "model", "map", "horizon")
-    _check_format(args, {"json", "dot", "text"})
     m = load_model(args.model)
     config = tfpg_synthesis.SynthesisConfig.from_json(read_json(args.map))
     result = tfpg_synthesis.synthesize_tfpg(m, config, args.horizon)
-    if args.format == "dot":
-        _emit(args, tfpg.export_tfpg_dot(result.tfpg))
-    elif args.format == "text":
-        lines = [e.describe() for e in result.tfpg.edges]
-        lines += [f"finding: {f}" for f in result.findings]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump(tfpg.tfpg_to_json(result.tfpg)))
-    if result.findings and not args.out:
+    if not args.out:
         for finding in result.findings:
             print(f"note: {finding}", file=sys.stderr)
-    return 0
+
+    def text(fmt):
+        if fmt == "dot":
+            return tfpg.export_tfpg_dot(result.tfpg)
+        return _lines([e.describe() for e in result.tfpg.edges]
+                      + [f"finding: {f}" for f in result.findings])
+    return True, tfpg.tfpg_to_json(result.tfpg), text
 
 
-_HANDLERS = {
-    "validate-model": cmd_validate_model,
-    "mcs": cmd_mcs,
-    "fault-tree": cmd_fault_tree,
-    "ft-prob": cmd_ft_prob,
-    "diag-check": cmd_diag_check,
-    "trace-diag": cmd_trace_diag,
-    "synth-diagnoser": cmd_synth_diagnoser,
-    "run-diagnoser": cmd_run_diagnoser,
-    "verify-diagnoser": cmd_verify_diagnoser,
-    "tfpg-validate": cmd_tfpg_validate,
-    "tfpg-check-trace": cmd_tfpg_check_trace,
-    "tfpg-behavioral": cmd_tfpg_behavioral,
-    "tfpg-tighten": cmd_tfpg_tighten,
-    "tfpg-synth": cmd_tfpg_synth,
+# Each row's formats are sorted: the format error lists them as written.
+_JT, _JD = ("json", "text"), ("dot", "json")
+_COMMANDS = {
+    "validate-model": (cmd_validate_model, _JT),
+    "mcs": (cmd_mcs, _JT),
+    "fault-tree": (cmd_fault_tree, _JD),
+    "ft-prob": (cmd_ft_prob, _JT),
+    "diag-check": (cmd_diag_check, _JT),
+    "trace-diag": (cmd_trace_diag, _JT),
+    "synth-diagnoser": (cmd_synth_diagnoser, _JD),
+    "run-diagnoser": (cmd_run_diagnoser, _JT),
+    "verify-diagnoser": (cmd_verify_diagnoser, _JT),
+    "tfpg-validate": (cmd_tfpg_validate, _JT),
+    "tfpg-check-trace": (cmd_tfpg_check_trace, _JT),
+    "tfpg-behavioral": (cmd_tfpg_behavioral, _JT),
+    "tfpg-tighten": (cmd_tfpg_tighten, _JT),
+    "tfpg-synth": (cmd_tfpg_synth, ("dot", "json", "text")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # One flat parser: every subcommand takes the same flags, and each
-    # handler checks the ones it needs (`_require`, `_check_format`).
+    # One flat parser: every subcommand takes the same flags, each handler
+    # checks the ones it needs (`_require`) and `main` checks `--format`.
     parser = argparse.ArgumentParser(
         prog="faultkit", usage="%(prog)s command [options]",
         description="explicit-state safety analysis: cut sets, fault trees, "
                     "diagnosability, diagnoser synthesis, and TFPGs")
-    parser.add_argument("command", choices=list(_HANDLERS), metavar="command",
-                        help="one of: " + ", ".join(_HANDLERS))
+    parser.add_argument("command", choices=list(_COMMANDS), metavar="command",
+                        help="one of: " + ", ".join(_COMMANDS))
     parser.add_argument("--model", help="system model file (JSON)")
     parser.add_argument("--spec", help="alarm specification file (JSON)")
     parser.add_argument("--tfpg", help="TFPG file (JSON)")
@@ -392,16 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, formats = _COMMANDS[args.command]
     if args.horizon is not None and args.horizon < 1:
         print("error: --horizon must be >= 1", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[args.command](args)
+        if args.format not in formats:
+            raise CliInputError(f"--format {args.format} is not supported here "
+                                f"(allowed: {', '.join(formats)})")
+        holds, doc, text = handler(args)
+        _emit(args, _dump(doc) if args.format == "json" else text(args.format))
     except (CliInputError, FaultkitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0 if holds else 1
 
 
 if __name__ == "__main__":

@@ -10,25 +10,23 @@ from typing import Callable, Iterable
 
 
 def lexleast_shortest_paths(roots: Iterable, successors: Callable,
-                            key: Callable | None = None,
                             stop: Callable | None = None) -> dict:
     """BFS recording, for every reachable node, its parent on the
     lexicographically least of its shortest paths (None for a root).
 
-    Nodes are ordered by `key` (the node itself when None), which must be
-    injective.  Roots are sorted, every layer is expanded in the order it
-    was generated and successors in sorted order, so nodes are claimed, and
-    the returned dict is ordered, by (path length, path).  Nodes for which
-    `stop` holds are recorded but not expanded.
+    Roots are sorted, every layer is expanded in the order it was generated
+    and successors in sorted order, so nodes are claimed, and the returned
+    dict is ordered, by (path length, path).  Nodes for which `stop` holds
+    are recorded but not expanded.
     """
-    parent: dict = dict.fromkeys(sorted(set(roots), key=key))
+    parent: dict = dict.fromkeys(sorted(set(roots)))
     layer = list(parent)
     while layer:
         next_layer = []
         for node in layer:
             if stop is not None and stop(node):
                 continue
-            fresh = sorted(set(successors(node)).difference(parent), key=key)
+            fresh = sorted(set(successors(node)).difference(parent))
             parent.update(dict.fromkeys(fresh, node))
             next_layer += fresh
         layer = next_layer

@@ -30,12 +30,14 @@ from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
 from .graphs import nodes_on_cycles
 from .jsonio import NAME_MAP, NAMES, decode_json, expect, field, read_json
-from .model import SystemModel, Trace
+from .model import SystemModel, Trace, Violation
 
 FM = "FM"
 OR = "OR"
 AND = "AND"
 INF = math.inf
+# Most candidate traces enumerate_consistent_traces will filter.
+ENUMERATION_LIMIT = 2_000_000
 
 
 class TfpgError(FaultkitError):
@@ -76,14 +78,12 @@ class Tfpg:
     def discrepancies(self):
         return sorted(n for n, k in self.nodes.items() if k in (OR, AND))
 
-    def replace_bounds(self, bounds: dict[int, tuple[int, float]]) -> "Tfpg":
-        """New graph with per-edge-index delay intervals swapped in."""
-        return self.replace_bounds_mapped(bounds)[0]
-
-    def replace_bounds_mapped(self, bounds) -> tuple["Tfpg", list[int]]:
-        """As replace_bounds, also returning, per edge index of the new
-        graph, the index of the originating edge (canonical edge order can
-        shuffle parallel edges when their intervals change)."""
+    def replace_bounds_mapped(self, bounds: dict[int, tuple[int, float]]
+                              ) -> tuple["Tfpg", list[int]]:
+        """New graph with per-edge-index delay intervals swapped in, and,
+        per edge index of the new graph, the index of the originating edge
+        (canonical edge order can shuffle parallel edges when their
+        intervals change)."""
         decorated = []
         for i, e in enumerate(self.edges):
             lo, hi = bounds.get(i, (e.tmin, e.tmax))
@@ -107,16 +107,6 @@ class ActivationTrace:
         return {"horizon": self.horizon,
                 "mode_timeline": list(self.mode_timeline),
                 "activations": {n: self.times.get(n) for n in sorted(self.times)}}
-
-
-@dataclass(frozen=True)
-class StructureFinding:
-    kind: str  # consistency | necessity | possibility | cycle-warning
-    subject: str
-    detail: str
-
-    def __str__(self):
-        return f"{self.kind}: {self.subject}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -211,40 +201,42 @@ def export_tfpg_dot(g: Tfpg) -> str:
 
 # -- structural validation ----------------------------------------------------
 
-def validate_structure(g: Tfpg) -> list[StructureFinding]:
-    findings: list[StructureFinding] = []
+def validate_structure(g: Tfpg) -> list[Violation]:
+    """Findings of kind consistency, necessity, possibility or
+    cycle-warning; only a cycle warning leaves the graph valid."""
+    findings: list[Violation] = []
     declared = set(g.modes)
     for i, e in enumerate(g.edges):
         if e.tmin < 0:
-            findings.append(StructureFinding(
+            findings.append(Violation(
                 "consistency", e.describe(), "tmin must be nonnegative"))
         if e.tmin > e.tmax:
-            findings.append(StructureFinding(
+            findings.append(Violation(
                 "consistency", e.describe(), "tmin exceeds tmax"))
         if not e.modes:
-            findings.append(StructureFinding(
+            findings.append(Violation(
                 "consistency", e.describe(), "mode label set is empty"))
         unknown = set(e.modes) - declared
         if unknown:
-            findings.append(StructureFinding(
+            findings.append(Violation(
                 "consistency", e.describe(), f"undeclared modes {sorted(unknown)}"))
         if g.nodes[e.dst] == FM:
-            findings.append(StructureFinding(
+            findings.append(Violation(
                 "consistency", e.describe(), "failure-mode nodes cannot have incoming edges"))
     for node in g.discrepancies():
         if not g.incoming(node):
-            findings.append(StructureFinding(
+            findings.append(Violation(
                 "necessity", node, "discrepancy has no incoming edge"))
     dead = _impossible_nodes(g)
     for node in dead:
-        findings.append(StructureFinding(
+        findings.append(Violation(
             "possibility", node,
             "not reachable from any failure mode through edges sharing a common mode"))
     succ: dict[str, set[str]] = {n: set() for n in g.nodes}
     for e in g.edges:
         succ[e.src].add(e.dst)
     for node in sorted(nodes_on_cycles(g.nodes, succ.__getitem__)):
-        findings.append(StructureFinding(
+        findings.append(Violation(
             "cycle-warning", node, "node lies on a propagation cycle"))
     return findings
 
@@ -354,16 +346,13 @@ def check_trace_consistency(g: Tfpg, at: ActivationTrace) -> tuple[bool, list[Tr
                         "and-justification", node,
                         f"activation at {t_v}: {detail}", bad or tuple(inc)))
         else:
-            forced = tuple(
-                i for i in inc
-                if _forcing_deadline(g.edges[i], times, at.mode_timeline, at.horizon)
-                is not None)
+            deadlines = {i: _forcing_deadline(g.edges[i], times, at.mode_timeline,
+                                              at.horizon) for i in inc}
+            forced = tuple(i for i in inc if deadlines[i] is not None)
             if kind == OR and forced:
-                deadlines = [_forcing_deadline(g.edges[i], times, at.mode_timeline,
-                                               at.horizon) for i in forced]
                 violations.append(TraceViolation(
-                    "or-inevitability", node,
-                    f"never activates but forced by step {min(deadlines)}", forced))
+                    "or-inevitability", node, "never activates but forced by step "
+                    f"{min(deadlines[i] for i in forced)}", forced))
             elif kind == AND and inc and len(forced) == len(inc):
                 violations.append(TraceViolation(
                     "and-inevitability", node,
@@ -372,8 +361,8 @@ def check_trace_consistency(g: Tfpg, at: ActivationTrace) -> tuple[bool, list[Tr
     return not violations, violations
 
 
-def enumerate_consistent_traces(g: Tfpg, horizon: int, fm_inputs="all",
-                                limit: int = 2_000_000) -> Iterator[ActivationTrace]:
+def enumerate_consistent_traces(g: Tfpg, horizon: int,
+                                fm_inputs="all") -> Iterator[ActivationTrace]:
     """All activation traces consistent with the semantics, exhaustively.
 
     Equivalent to filtering every (activation vector, mode timeline)
@@ -385,9 +374,9 @@ def enumerate_consistent_traces(g: Tfpg, horizon: int, fm_inputs="all",
     nodes = sorted(g.nodes)
     free = len(nodes) if fm_inputs == "all" else len(g.discrepancies())
     naive = (len(g.modes) ** (horizon + 1)) * ((horizon + 2) ** free)
-    if naive > limit:
-        raise SizeGuardExceeded(
-            f"enumeration of ~{naive} candidate traces exceeds the limit {limit}")
+    if naive > ENUMERATION_LIMIT:
+        raise SizeGuardExceeded(f"enumeration of ~{naive} candidate traces exceeds "
+                                f"the limit {ENUMERATION_LIMIT}")
     fms = g.fm_nodes()
     discs = g.discrepancies()
     if fm_inputs == "all":
@@ -634,4 +623,4 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
         EdgeChange(i, e.describe(), (e.tmin, e.tmax), bounds[i],
                    exercised[i], i in promoted)
         for i, e in enumerate(g.edges))
-    return TightenResult(g.replace_bounds(bounds), changes)
+    return TightenResult(candidate, changes)

@@ -77,6 +77,15 @@ class TestExitCodes:
         assert run_cli("mcs", "--model", MODEL, "--tle", "system_dead",
                        "--format", "dot") == 2
 
+    def test_bad_format_is_checked_before_inputs_are_read(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{\n")
+        assert run_cli("validate-model", "--model", str(broken), "--format", "dot") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: --format dot is not supported here (allowed: json, text)\n"
+
     @pytest.mark.parametrize("argv,flag,doc", [
         (["diag-check", "--model", SENSOR], "--spec",
          [{"alarm": "x", "beta": "fault", "delay": {"kind": "exact"}}]),
@@ -294,11 +303,57 @@ class TestReports:
         assert code == 1
         assert any(f["kind"] == "possibility" for f in json.loads(out)["findings"])
 
-    def test_text_format(self, capsys):
-        code, out = run_capture(capsys, "validate-model", "--model", MODEL,
-                                "--format", "text")
-        assert code == 0
-        assert "valid" in out
+    def test_text_format(self, tmp_path, capsys):
+        # One request per subcommand and non-JSON format it writes, with its
+        # exit code and the first line and line count of its report.
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({"b1_fail": 0.1, "b2_fail": 0.2}))
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"steps": ["n", "n", "f0", "f1", "f2", "f2"]}))
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([{"warn": False}] * 3 + [{"warn": True}]))
+        diagnoser = tmp_path / "diagnoser.json"
+        assert run_cli("synth-diagnoser", "--model", SENSOR, "--spec", SPECS,
+                       out=diagnoser) == 0
+        sensor = ["--model", SENSOR, "--spec", SPECS]
+        battery_tfpg = ["--tfpg", TFPG, "--model", MODEL, "--map", MAP, "--horizon", "6"]
+        synth = ["--model", MODEL, "--map", SYNTH, "--horizon", "6"]
+        cases = [
+            (["validate-model", "--model", MODEL], "text", 0, "model is valid", 1),
+            (["mcs", "--model", MODEL, "--tle", "system_dead"], "text", 0,
+             "layer 0: 0 minimal cut sets (all minimal cut sets of cardinality "
+             "<= 0 are included)", 4),
+            (["fault-tree", "--model", MODEL, "--tle", "power_low"], "dot", 0,
+             "digraph fault_tree {", 14),
+            (["ft-prob", "--model", MODEL, "--tle", "system_dead", "--probs", str(probs)],
+             "text", 0, "P(top level event) = 0.020000000000000004", 2),
+            (["diag-check", *sensor], "text", 1, "a_bound1: NOT diagnosable", 6),
+            (["trace-diag", *sensor, "--trace", str(trace), "--time", "2",
+              "--alarm", "t_exact2"], "text", 0, "t_exact2: trace-diagnosable", 1),
+            (["synth-diagnoser", *sensor], "dot", 0, "digraph diagnoser {", 14),
+            (["run-diagnoser", "--diagnoser", str(diagnoser), "--obs", str(obs)],
+             "text", 0, "step 0: -", 4),
+            (["verify-diagnoser", *sensor, "--diagnoser", str(diagnoser)], "text", 1,
+             "a_bound1/correctness: holds", 25),
+            (["tfpg-validate", "--tfpg", str(corpus_path("tfpg_modegap.json"))], "text",
+             1, "possibility: d2: not reachable from any failure mode through edges "
+             "sharing a common mode", 1),
+            (["tfpg-check-trace", "--tfpg", POWER,
+              "--trace", str(corpus_path("power_trace_late.json"))], "text", 1,
+             "or-justification: d_press: activation at 5 is not explained by any "
+             "incoming edge", 1),
+            (["tfpg-behavioral", *battery_tfpg], "text", 0, "complete", 1),
+            (["tfpg-tighten", *battery_tfpg], "text", 0,
+             '{"edge": "fm_b1 -> d_dead [0,9] {phase_a,phase_b,phase_c}", '
+             '"exercised": true, "new": [0, 5], "old": [0, 9], "promoted": false}', 4),
+            (["tfpg-synth", *synth], "text", 0,
+             "b1_fail -> d_dead [0,5] {phase_a,phase_b,phase_c}", 5),
+            (["tfpg-synth", *synth], "dot", 0, "digraph tfpg {", 12),
+        ]
+        for argv, fmt, code, first, n_lines in cases:
+            got, out = run_capture(capsys, *argv, "--format", fmt)
+            lines = out.splitlines()
+            assert (got, lines[0], len(lines)) == (code, first, n_lines), (argv[0], fmt)
 
 
 # Inputs for the fuzz test: corpus files, plus the formats the corpus has no

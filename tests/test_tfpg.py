@@ -1,12 +1,13 @@
 import json
+import math
 
 import pytest
 
 from faultkit.boolexpr import parse_expr
-from faultkit.errors import ModelFormatError
+from faultkit.errors import ModelFormatError, SizeGuardExceeded
 from faultkit.model import Trace, parse_model
-from faultkit.tfpg import (INF, ActivationTrace, NodeMap, Tfpg, TfpgEdge,
-                           TfpgError, activation_trace_from_json,
+from faultkit.tfpg import (ENUMERATION_LIMIT, INF, ActivationTrace, NodeMap,
+                           Tfpg, TfpgEdge, TfpgError, activation_trace_from_json,
                            behavioral_validate, check_trace_consistency,
                            enumerate_consistent_traces, export_tfpg_dot,
                            induced_activation_trace, parse_tfpg, tfpg_to_json,
@@ -84,6 +85,7 @@ class TestTraceConsistency:
         ok, violations = check_trace_consistency(g, at(g, 6, ["on"] * 7, f=0))
         assert not ok
         assert violations[0].kind == "or-inevitability"
+        assert violations[0].detail == "never activates but forced by step 2"
 
     def test_corpus_power_traces(self, tfpg_power):
         for name, expect_ok, kind in (("power_trace_ok", True, None),
@@ -116,6 +118,7 @@ class TestTraceConsistency:
         # and the restarted window forces activation by step 4
         ok, violations = check_trace_consistency(g, at(g, 5, timeline, f=0))
         assert not ok and violations[0].kind == "or-inevitability"
+        assert violations[0].detail == "never activates but forced by step 4"
 
     def test_and_needs_every_edge(self, tfpg_power):
         doc = corpus_json("power_trace_ok.json")
@@ -149,6 +152,12 @@ class TestEnumeration:
         traces = list(enumerate_consistent_traces(g, 1))
         # f at 0, at 1, or never; times every mode timeline of length 2
         assert len(traces) == 3 * 2 ** 2
+
+    def test_size_guard(self):
+        # tiny_graph has one mode and two nodes: (horizon + 2) ** 2 candidates
+        horizon = math.isqrt(ENUMERATION_LIMIT)
+        with pytest.raises(SizeGuardExceeded):
+            next(enumerate_consistent_traces(tiny_graph(), horizon))
 
     def test_forced_chain_single_choice(self):
         g = tiny_graph(tmin=1, tmax=1)
