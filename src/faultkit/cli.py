@@ -257,9 +257,8 @@ def cmd_tfpg_synth(args):
     m = load_model(args.model)
     config = tfpg_synthesis.SynthesisConfig.from_json(read_json(args.map))
     result = tfpg_synthesis.synthesize_tfpg(m, config, args.horizon)
-    if not args.out:
-        for finding in result.findings:
-            print(f"note: {finding}", file=sys.stderr)
+    for finding in result.findings:
+        print(f"note: {finding}", file=sys.stderr)
 
     def text(fmt):
         if fmt == "dot":

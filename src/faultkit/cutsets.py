@@ -90,26 +90,23 @@ def minimal_cause_sets(m: SystemModel, target: Expr,
     state is reachable and holds the empty set when no cause is needed.
     """
     names = sorted(causes)
-    forbidden = m.fault_atoms - set(names)
-    held: dict[str, int] = {}
-    hits: set[str] = set()
-    for sid, val in m.states.items():
-        if any(val.get(f, False) for f in forbidden):
-            continue
-        held[sid] = sum(1 << i for i, name in enumerate(names)
-                        if causes[name].evaluate(val))
-        if target.evaluate(val):
-            hits.add(sid)
-    seen = {(sid, held[sid]) for sid in m.initial if sid in held}
+    forbidden = m.mask_of(m.fault_atoms - set(names))
+    flags = [m.condition(causes[name]) for name in names]
+    hits = m.condition(target)
+    # held[state]: the mask of causes true there, None when never entered
+    held = [None if m.masks[i] & forbidden else
+            sum(f[i] << k for k, f in enumerate(flags)) for i in range(m.size)]
+    seen = {(i, held[i]) for i in map(m.number.__getitem__, m.initial)
+            if held[i] is not None}
     work = list(seen)
     found = set()
     while work:
-        sid, mask = work.pop()
-        if sid in hits:
+        state, mask = work.pop()
+        if hits[state]:
             found.add(mask)  # extending the path only adds causes
             continue
-        for nxt in m.successors(sid):
-            if nxt in held:
+        for nxt in m.succ[state]:
+            if held[nxt] is not None:
                 pair = (nxt, mask | held[nxt])
                 if pair not in seen:
                     seen.add(pair)

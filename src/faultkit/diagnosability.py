@@ -19,7 +19,7 @@ critical when side 1's formula holds and side 2's does not:
 Witnesses are deterministic: the lexicographically least shortest path in
 the twin plant, extended by least choices.
 
-The search runs over ints (:class:`faultkit.model.StateIndex`).  A node is
+The search runs over the model's ints (:mod:`faultkit.model`).  A node is
 ``(pair * X1 + memory1) * X2 + memory2``: a state pair ``a * size + b``,
 then each side's memory, numbered as the search reaches it below the bound
 X of its delay kind.  A pair's successors are the products of the two
@@ -42,7 +42,7 @@ from .fdispec import (AlarmSpec, BoundedDelay, Delay, ExactDelay, FiniteDelay, G
 # them under this module.
 from .fdispec import eval_knowledge, knowledge_counterexample  # noqa: F401
 from .graphs import lasso, lexleast_shortest_paths, path_to
-from .model import StateIndex, SystemModel, Trace
+from .model import SystemModel, Trace
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdi
     """Decide system-level diagnosability of one alarm specification."""
     if spec.diag != GLOBAL:
         raise ValueError("use check_trace_diagnosability for trace-local specifications")
-    ix = m.index
     delay = spec.delay
     if isinstance(delay, ExactDelay):
         sides = ExactDelay(0), ExactDelay(0)
@@ -94,7 +93,7 @@ def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdi
         sides = ExactDelay(delay.n), BoundedDelay(2 * delay.n)
     else:
         sides = delay, delay
-    roots, succ, critical_memories, scale = _twin_plant(ix, spec.beta, *sides)
+    roots, succ, critical_memories, scale = _twin_plant(m, spec.beta, *sides)
     parent = lexleast_shortest_paths(roots, succ)
     critical = critical_memories()
     if isinstance(delay, FiniteDelay):
@@ -105,13 +104,13 @@ def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdi
         # both memories are latches: the run turns critical where side 1's
         # condition first holds
         t = next(i for i, node in enumerate(run) if node % scale in critical)
-        return DiagnosabilityVerdict(False, _pair_from(ix, run, scale, t))
+        return DiagnosabilityVerdict(False, _pair_from(m, run, scale, t))
     if isinstance(delay, BoundedDelay):
         best = next((node for node in parent if node % scale in critical), None)
         if best is None:
             return DiagnosabilityVerdict(True)
         stem = path_to(parent, best)
-        return DiagnosabilityVerdict(False, _pair_from(ix, stem, scale, len(stem) - 1 - delay.n))
+        return DiagnosabilityVerdict(False, _pair_from(m, stem, scale, len(stem) - 1 - delay.n))
     n = delay.n
     extends = _walk_exists(succ)
     best = next((node for node in parent if node % scale in critical and extends(node, n)), None)
@@ -123,19 +122,19 @@ def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdi
     for k in range(n, 0, -1):
         current = next(q for q in sorted(succ(current)) if extends(q, k - 1))
         stem.append(current)
-    return DiagnosabilityVerdict(False, _pair_from(ix, stem, scale, t))
+    return DiagnosabilityVerdict(False, _pair_from(m, stem, scale, t))
 
 
-def _twin_plant(ix: StateIndex, beta, delay1: Delay, delay2: Delay):
+def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
     """The twin plant whose side i carries the memory of delay i over the
     condition: (roots, successors, critical_memories, scale).  A node's
     pair is node // scale and its memories node % scale; critical_memories()
     gives the memories, of those the search has reached, in which side 1's
     past formula holds and side 2's fails."""
-    flags = ix.condition(beta)
+    flags = m.condition(beta)
     X1, start1, row1, sat1 = memory_automaton(delay1, range(2))
     X2, start2, row2, sat2 = memory_automaton(delay2, range(2))
-    size, moves, scale = ix.size, ix.succ_by_class, X1 * X2
+    size, moves, scale = m.size, m.succ_by_class, X1 * X2
     width = size * scale
 
     # steps[memory]: side 1's memory number times X2, then side 2's, after a
@@ -170,7 +169,7 @@ def _twin_plant(ix: StateIndex, beta, delay1: Delay, delay2: Delay):
     first1 = [start1(0) * X2, start1(1) * X2]
     first2 = [start2(0), start2(1)]
     roots = [x * width + first1[flags[x]] + y * scale + first2[flags[y]]
-             for xs in ix.initial_by_class.values() for x in xs for y in xs]
+             for xs in m.initial_by_class.values() for x in xs for y in xs]
     return roots, succ, critical_memories, scale
 
 
@@ -222,12 +221,10 @@ def _walk_exists(successors):
     return extends
 
 
-def _pair_from(ix: StateIndex, nodes, scale: int, t: int) -> CriticalPair:
+def _pair_from(m: SystemModel, nodes, scale: int, t: int) -> CriticalPair:
     """The critical pair along twin-plant nodes of the given scale."""
-    pairs = [divmod(node // scale, ix.size) for node in nodes]
-    trace1 = Trace(tuple(ix.ids[a] for a, _ in pairs))
-    trace2 = Trace(tuple(ix.ids[b] for _, b in pairs))
-    return CriticalPair(trace1, trace2, t)
+    pairs = [divmod(node // scale, m.size) for node in nodes]
+    return CriticalPair(m.trace(a for a, _ in pairs), m.trace(b for _, b in pairs), t)
 
 
 def check_trace_diagnosability(m: SystemModel, spec: AlarmSpec, tr: Trace,

@@ -232,10 +232,10 @@ def memory_automaton(delay: Delay, labels: Iterable[int]):
 # A tracker is a (delay, beta) pair.  A belief member is a state together
 # with one memory per tracker; decoded, it is (state id, memories).  Over
 # ints it is ``memory * N + state``: the trackers' memories numbered as
-# steps first reach them, and the state's number in the model's StateIndex
-# of N states.  A belief is the sorted tuple of its members.  That order is
-# not the order of the decoded members, so a search for a least member
-# compares `BeliefTracker.decode`.  All members of a belief share the
+# steps first reach them, and the state's number in the model of N states.
+# A belief is the sorted tuple of its members.  That order is not the order
+# of the decoded members, so a search for a least member compares
+# `BeliefTracker.decode`.  All members of a belief share the
 # observation of the step that produced them.
 
 Tracker = tuple[Delay, Expr]
@@ -254,16 +254,16 @@ class BeliefTracker:
     memories; only those that runs reach are numbered, in `memories`, with
     each tracker's past formula in `sat`.  A belief steps by walking each
     member's successors of one observation class
-    (`StateIndex.succ_by_class`); each member's successors are worked out
+    (`SystemModel.succ_by_class`); each member's successors are worked out
     once.
     """
 
     def __init__(self, m: SystemModel, trackers: tuple[Tracker, ...]):
-        self.index = ix = m.index
+        self.model = m
         self._delays = [delay for delay, _ in trackers]
-        flags = [ix.condition(beta) for _, beta in trackers]
+        flags = [m.condition(beta) for _, beta in trackers]
         # labels[state]: bit i set when tracker i's condition holds
-        self._labels = [sum(f[s] << i for i, f in enumerate(flags)) for s in range(ix.size)]
+        self._labels = [sum(f[s] << i for i, f in enumerate(flags)) for s in range(m.size)]
         self.memories: list[tuple] = []
         self.sat: list[tuple[bool, ...]] = []
         self._numbers: dict[tuple, int] = {}
@@ -289,20 +289,20 @@ class BeliefTracker:
 
     def initial(self) -> dict[int, tuple[int, ...]]:
         """The belief of each observation class of the initial states."""
-        N, labels = self.index.size, self._labels
+        N, labels = self.model.size, self._labels
         return {c: tuple(sorted(self.memory_after(None, labels[s]) * N + s for s in states))
-                for c, states in self.index.initial_by_class.items()}
+                for c, states in self.model.initial_by_class.items()}
 
     def moves(self, member: int) -> dict[int, tuple[int, ...]]:
         """A member's successor members, by observation class, ascending."""
         found = self._moves.get(member)
         if found is None:
-            N, labels = self.index.size, self._labels
+            N, labels = self.model.size, self._labels
             memory, state = divmod(member, N)
             found = self._moves[member] = {
                 c: tuple(sorted(self.memory_after(memory, labels[nxt]) * N + nxt
                                 for nxt in nxts))
-                for c, nxts in self.index.succ_by_class[state].items()}
+                for c, nxts in self.model.succ_by_class[state].items()}
         return found
 
     def successors(self, belief: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -317,15 +317,15 @@ class BeliefTracker:
 
     def holds(self, member: int, i: int = 0) -> bool:
         """Whether tracker i's past formula holds in a member."""
-        return self.sat[member // self.index.size][i]
+        return self.sat[member // self.model.size][i]
 
     def certain(self, belief: tuple[int, ...], i: int = 0) -> bool:
         """Tracker i's condition is known iff it holds in every member."""
         return all(self.holds(member, i) for member in belief)
 
     def decode(self, member: int) -> BeliefMember:
-        memory, state = divmod(member, self.index.size)
-        return self.index.ids[state], self.memories[memory]
+        memory, state = divmod(member, self.model.size)
+        return self.model.ids[state], self.memories[memory]
 
 
 def belief_certain(belief: Belief, index: int, trackers: tuple[Tracker, ...]) -> bool:
@@ -336,7 +336,7 @@ def belief_certain(belief: Belief, index: int, trackers: tuple[Tracker, ...]) ->
 
 def belief_chain(beliefs: BeliefTracker, obs_seq: list[tuple]) -> list[tuple[int, ...]]:
     """Beliefs after each prefix of an observation sequence."""
-    classes = {obs: c for c, obs in enumerate(beliefs.index.observations)}
+    classes = {obs: c for c, obs in enumerate(beliefs.model.observations)}
     chain = [beliefs.initial().get(classes.get(obs_seq[0]), ())]
     if not chain[0]:
         raise TraceError("no initial state matches the first observation")
@@ -386,14 +386,14 @@ def chain_counterexample(beliefs: BeliefTracker,
     bad = [member for member in chain[-1] if not beliefs.holds(member)]
     if not bad:
         return None
-    ix = beliefs.index
+    m = beliefs.model
     members = [min(bad, key=beliefs.decode)]
     for i in range(len(chain) - 1, 0, -1):
-        c = ix.obs_class[members[-1] % ix.size]
+        c = m.obs_class[members[-1] % m.size]
         members.append(min((member for member in chain[i - 1]
                             if members[-1] in beliefs.moves(member).get(c, ())),
                            key=beliefs.decode))
-    return Trace(tuple(ix.ids[member % ix.size] for member in reversed(members)))
+    return m.trace(member % m.size for member in reversed(members))
 
 
 # -- pattern instantiation ----------------------------------------------------

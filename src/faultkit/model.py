@@ -1,16 +1,32 @@
 """Explicit finite transition systems with fault, observable, and mode labels.
 
-States are explicit and carry full atom valuations.  Faults are permanent:
-once a fault atom is true it stays true on every successor.  Observation is
+States are explicit and carry full atom valuations.  Observation is
 synchronous: an observer sees the observable-atom valuation of every state,
 every step.  Fault atoms are allowed to be observable (a trivially
-diagnosable configuration).
+diagnosable configuration).  Faults are meant to be permanent, true on every
+successor once true, but a model need not make them so: :func:`validate_model`
+reports a fault that clears, and the cut sets do not assume permanence.
+
+A model keeps its input as plain records: `states` (each state's full
+valuation), `initial` and the `transitions` pair set.  Every analysis reads
+one integer form, in which states are numbered in sorted-id order, so
+comparing numbers compares ids:
+
+* `ids[i]` is the id of state i, and `number[sid]` the number of id sid;
+* `masks[i]` holds the bit `bits[a]` of each atom a true in state i, the
+  first atom in sorted order the most significant, so masks cut down to
+  some atoms compare as the bool tuples of those atoms do;
+* `succ[i]` lists state i's successors, ascending and without repeats;
+* `observations[c]` is the observation of class c, the classes numbered in
+  sorted order, and `obs_class[i]` is state i's class;
+* `succ_by_class[i][c]` lists state i's successors in class c, ascending,
+  and `initial_by_class[c]` the initial states in class c;
+* `condition(expr)` flags the states where `expr` holds, once per `expr`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .boolexpr import Expr, as_expr
@@ -53,64 +69,78 @@ class Violation:
 
 
 class SystemModel:
-    """Immutable after construction; query methods are safe to share."""
+    """Immutable after construction; query methods are safe to share.
+
+    Built by :func:`parse_model` and :func:`load_model`, which check the
+    records and number the states: `number` maps each id to its number in
+    sorted-id order, and `succ[i]` lists state i's successor numbers,
+    ascending and without repeats.
+    """
 
     def __init__(self, atoms, fault_atoms, observable_atoms, mode_atoms,
-                 states, initial, transitions):
+                 states, initial, transitions, number, succ):
         self.atoms = frozenset(atoms)
         self.fault_atoms = frozenset(fault_atoms)
         self.observable_atoms = frozenset(observable_atoms)
         self.mode_atoms = frozenset(mode_atoms)
-        self.states = {sid: dict(val) for sid, val in states.items()}
+        self.states = states
         self.initial = tuple(sorted(initial))
-        self.transitions = frozenset((a, b) for a, b in transitions)
-        by_src: dict[str, list[str]] = {sid: [] for sid in self.states}
-        for a, b in self.transitions:
-            by_src[a].append(b)
-        self._succ = {sid: tuple(sorted(set(succs))) for sid, succs in by_src.items()}
-        self._obs_atoms_sorted = tuple(sorted(self.observable_atoms))
-        self._obs = {
-            sid: tuple(bool(self.states[sid].get(a, False)) for a in self._obs_atoms_sorted)
-            for sid in self.states
-        }
+        self.transitions = frozenset(transitions)
+        self.number = number
+        self.ids = ids = tuple(number)
+        self.size = len(ids)
+        self.succ = succ
+        order = sorted(self.atoms)
+        self.bits = bits = {a: 1 << (len(order) - 1 - p) for p, a in enumerate(order)}
+        self.masks = masks = [sum(bits[a] for a, v in states[sid].items() if v)
+                              for sid in ids]
+        self.observable_atoms_sorted = shown = tuple(sorted(self.observable_atoms))
+        seen = self.mask_of(shown)
+        kinds = sorted({x & seen for x in masks})
+        self.observations = tuple(tuple(bool(k & bits[a]) for a in shown) for k in kinds)
+        classes = {k: c for c, k in enumerate(kinds)}
+        self.obs_class = obs_class = [classes[x & seen] for x in masks]
 
-    @cached_property
-    def index(self) -> StateIndex:
-        """The integer view of this model, built on first use."""
-        return StateIndex(self)
+        def by_class(numbers) -> dict[int, list[int]]:
+            groups: dict[int, list[int]] = {}
+            for j in numbers:
+                groups.setdefault(obs_class[j], []).append(j)
+            return groups
+
+        self.succ_by_class = [by_class(nxts) for nxts in succ]
+        self.initial_by_class = by_class(number[sid] for sid in self.initial)
+        self._conditions: dict[Expr, list[bool]] = {}
 
     # -- queries -----------------------------------------------------------
 
-    def successors(self, sid: str) -> tuple[str, ...]:
-        if sid not in self.states:
-            raise TraceError(f"unknown state {sid!r}")
-        return self._succ[sid]
+    def mask_of(self, atoms) -> int:
+        """The bits of the given atoms."""
+        return sum(self.bits[a] for a in frozenset(atoms))
 
-    def valuation(self, sid: str) -> dict[str, bool]:
-        return self.states[sid]
+    def atoms_in(self, mask: int, atoms) -> list[str]:
+        """Those of `atoms`, in their order, whose bit is set in `mask`."""
+        return [a for a in atoms if mask & self.bits[a]]
+
+    def condition(self, expr: Expr | str) -> list[bool]:
+        """Whether `expr` holds, per state number; evaluated once per model."""
+        expr = as_expr(expr)
+        flags = self._conditions.get(expr)
+        if flags is None:
+            flags = self._conditions[expr] = [expr.evaluate(self.states[sid])
+                                              for sid in self.ids]
+        return flags
+
+    def successors(self, sid: str) -> tuple[str, ...]:
+        if sid not in self.number:
+            raise TraceError(f"unknown state {sid!r}")
+        return tuple(self.ids[j] for j in self.succ[self.number[sid]])
 
     def holds(self, expr: Expr | str, sid: str) -> bool:
         return as_expr(expr).evaluate(self.states[sid])
 
-    def fault_set(self, sid: str) -> frozenset[str]:
-        val = self.states[sid]
-        return frozenset(a for a in self.fault_atoms if val.get(a, False))
-
     def observation(self, sid: str) -> tuple[bool, ...]:
         """Canonical observation: bool tuple over sorted observable atoms."""
-        return self._obs[sid]
-
-    def observation_dict(self, sid: str) -> dict[str, bool]:
-        return dict(zip(self._obs_atoms_sorted, self._obs[sid]))
-
-    @property
-    def observable_atoms_sorted(self) -> tuple[str, ...]:
-        return self._obs_atoms_sorted
-
-    def mode_of(self, sid: str) -> str | None:
-        val = self.states[sid]
-        active = [a for a in self.mode_atoms if val.get(a, False)]
-        return active[0] if len(active) == 1 else None
+        return tuple(self.states[sid][a] for a in self.observable_atoms_sorted)
 
     def is_trace(self, tr: Trace) -> bool:
         if len(tr) < 1:
@@ -133,61 +163,14 @@ class SystemModel:
         """All traces with exactly `horizon` states, lexicographic order."""
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        stack: list[str] = []
+        runs = ((self.number[sid],) for sid in self.initial)
+        for _ in range(horizon - 1):
+            runs = (run + (nxt,) for run in runs for nxt in self.succ[run[-1]])
+        return map(self.trace, runs)
 
-        def walk() -> Iterator[Trace]:
-            if len(stack) == horizon:
-                yield Trace(tuple(stack))
-                return
-            for nxt in self._succ[stack[-1]]:
-                stack.append(nxt)
-                yield from walk()
-                stack.pop()
-
-        for init in self.initial:
-            stack = [init]
-            yield from walk()
-
-
-class StateIndex:
-    """A model's states as ints, for searches over many states or pairs.
-
-    States are numbered in sorted-id order, so comparing numbers compares
-    ids, and a pair (a, b) encoded as ``a * size + b`` sorts exactly like the
-    pair of ids.  Observations are numbered in sorted order as class ids,
-    and each state's successors are grouped by observation class.
-    """
-
-    def __init__(self, m: SystemModel):
-        self.ids = tuple(sorted(m.states))
-        self.size = len(self.ids)
-        self.number = number = {sid: i for i, sid in enumerate(self.ids)}
-        # observations[c]: the observation of class c
-        self.observations = tuple(sorted({m.observation(sid) for sid in self.ids}))
-        classes = {obs: c for c, obs in enumerate(self.observations)}
-        self.obs_class = obs_class = [classes[m.observation(sid)] for sid in self.ids]
-        # succ_by_class[a][c]: successors of state a in observation class c,
-        # ascending
-        self.succ_by_class: list[dict[int, list[int]]] = []
-        for sid in self.ids:
-            groups: dict[int, list[int]] = {}
-            for nxt in m.successors(sid):
-                groups.setdefault(obs_class[number[nxt]], []).append(number[nxt])
-            self.succ_by_class.append(groups)
-        # the initial states, grouped the same way
-        self.initial_by_class: dict[int, list[int]] = {}
-        for sid in m.initial:
-            self.initial_by_class.setdefault(obs_class[number[sid]], []).append(number[sid])
-        self._valuations = [m.states[sid] for sid in self.ids]
-        self._conditions: dict[Expr, list[bool]] = {}
-
-    def condition(self, expr: Expr | str) -> list[bool]:
-        """Whether `expr` holds, per state number; evaluated once per model."""
-        expr = as_expr(expr)
-        flags = self._conditions.get(expr)
-        if flags is None:
-            flags = self._conditions[expr] = [expr.evaluate(v) for v in self._valuations]
-        return flags
+    def trace(self, run) -> Trace:
+        """The trace of a run given as state numbers."""
+        return Trace(tuple(self.ids[i] for i in run))
 
 
 def parse_model(text: str) -> SystemModel:
@@ -213,53 +196,65 @@ def _model_from(doc) -> SystemModel:
                 raise ModelFormatError(f"unknown atom {name!r} in {group}")
     if not field(doc, "states", dict, "model"):
         raise ModelFormatError("states must be a nonempty object")
+    # Unlisted atoms default to false.
+    blank = dict.fromkeys(atoms, False)
     states = {}
     for sid, val in doc["states"].items():
         if not expect(val, FLAGS, f"state {sid!r}").keys() <= atom_set:
             raise ModelFormatError(f"state {sid!r}: unknown atom {min(val.keys() - atom_set)!r}")
-        # Unlisted atoms default to false.
-        states[sid] = {a: val.get(a, False) for a in atoms}
+        states[sid] = {**blank, **val}
+    number = {sid: i for i, sid in enumerate(sorted(states))}
     initial = field(doc, "initial", NAMES, "model")
     if not initial:
         raise ModelFormatError("initial must be a nonempty list")
     for sid in initial:
-        if sid not in states:
+        if sid not in number:
             raise ModelFormatError(f"unknown state {sid!r} in initial")
     pairs = []
+    succ: list[set[int]] = [set() for _ in number]
     for item in field(doc, "transitions", list, "model"):
         # Checked inline: a model has many transitions.
         if type(item) is not list or len(item) != 2:
             raise ModelFormatError(f"transition must be a [from, to] pair, got {item!r}")
         a, b = item
-        if type(a) is not str or type(b) is not str or a not in states or b not in states:
+        if type(a) is not str or type(b) is not str or a not in number or b not in number:
             raise ModelFormatError(f"unknown state in transition {item!r}")
         pairs.append((a, b))
-    return SystemModel(atoms, faults, observables, modes, states, initial, pairs)
+        succ[number[a]].add(number[b])
+    return SystemModel(atoms, faults, observables, modes, states, initial, pairs,
+                       number, [sorted(nxts) for nxts in succ])
 
 
 def validate_model(m: SystemModel) -> list[Violation]:
     """Check every model invariant; empty report means valid."""
     report: list[Violation] = []
-    for sid in sorted(m.states):
-        if not m._succ[sid]:
-            report.append(Violation("deadlock-freedom", sid, "state has no outgoing transition"))
-    for a, b in sorted(m.transitions):
-        lost = [f for f in sorted(m.fault_atoms)
-                if m.states[a].get(f, False) and not m.states[b].get(f, False)]
-        for f in lost:
-            report.append(Violation(
-                "fault-persistence", f"({a} -> {b})",
-                f"fault atom {f!r} is true in {a} but false in {b}"))
+    ids, masks = m.ids, m.masks
+    for i, nxts in enumerate(m.succ):
+        if not nxts:
+            report.append(Violation("deadlock-freedom", ids[i], "state has no outgoing transition"))
+    faults = sorted(m.fault_atoms)
+    fault_bits = m.mask_of(faults)
+    # ids and successor lists ascend, so this visits the transitions sorted
+    for i, nxts in enumerate(m.succ):
+        for j in nxts:
+            lost = masks[i] & fault_bits & ~masks[j]
+            if not lost:
+                continue
+            for f in m.atoms_in(lost, faults):
+                report.append(Violation(
+                    "fault-persistence", f"({ids[i]} -> {ids[j]})",
+                    f"fault atom {f!r} is true in {ids[i]} but false in {ids[j]}"))
     for sid in m.initial:
-        active = [f for f in sorted(m.fault_atoms) if m.states[sid].get(f, False)]
-        for f in active:
+        for f in m.atoms_in(masks[m.number[sid]], faults):
             report.append(Violation(
                 "initial-faults-false", sid, f"fault atom {f!r} is true in initial state"))
     if m.mode_atoms:
-        for sid in sorted(m.states):
-            active = [a for a in sorted(m.mode_atoms) if m.states[sid].get(a, False)]
-            if len(active) != 1:
+        modes = sorted(m.mode_atoms)
+        mode_bits = m.mask_of(modes)
+        for i, x in enumerate(masks):
+            if (x & mode_bits).bit_count() != 1:
                 report.append(Violation(
-                    "mode-uniqueness", sid,
-                    f"expected exactly one mode atom true, found {active or 'none'}"))
+                    "mode-uniqueness", ids[i],
+                    f"expected exactly one mode atom true, found "
+                    f"{m.atoms_in(x, modes) or 'none'}"))
     return report

@@ -100,7 +100,7 @@ def synthesize_diagnoser(m: SystemModel, specs: list[AlarmSpec]) -> Diagnoser:
         raise ValueError("alarm names must be unique")
     beliefs = BeliefTracker(m, trackers_for(specs))
     # class ids are numbered in sorted observation order
-    observations = beliefs.index.observations
+    observations = m.observations
 
     ids: dict[tuple, str] = {}
     nodes: dict[str, frozenset[str]] = {}
@@ -129,7 +129,7 @@ def synthesize_diagnoser(m: SystemModel, specs: list[AlarmSpec]) -> Diagnoser:
             moves[observations[c]] = intern(after[c])
 
     decoded = {nid: frozenset(map(beliefs.decode, belief)) for belief, nid in ids.items()}
-    stats = DiagnoserStats(len(nodes), beliefs.index.size * len(beliefs.memories))
+    stats = DiagnoserStats(len(nodes), m.size * len(beliefs.memories))
     return Diagnoser(m.observable_atoms_sorted, nodes, entry, delta, decoded, stats)
 
 
@@ -294,9 +294,9 @@ class _Product:
         if tuple(d.obs_atoms) != m.observable_atoms_sorted:
             raise ObservationError(
                 None, "observation alphabet mismatch between model and diagnoser")
-        self.index = ix = m.index
+        self.model = m
         self.beliefs = beliefs = BeliefTracker(m, trackers_for([spec]))
-        observations = ix.observations
+        observations = m.observations
         found: dict[tuple, int] = {}
         pairs: list[tuple] = []
 
@@ -309,13 +309,13 @@ class _Product:
         entries = beliefs.initial()
         start = []
         for sid in m.initial:
-            c = ix.obs_class[ix.number[sid]]
+            c = m.obs_class[m.number[sid]]
             node = d.entry.get(observations[c])
             if node is None:
                 raise ObservationError(
                     0, f"candidate has no entry for the observation of initial "
                        f"state {sid!r}")
-            start.append((ix.number[sid], intern((node, entries[c]))))
+            start.append((m.number[sid], intern((node, entries[c]))))
         moves = []
         # whether the candidate can consume every observation runs make; a
         # gap is reported when a search meets it
@@ -344,7 +344,7 @@ class _Product:
         # the delay's past formula in every member of the belief, and in some
         self.known = [beliefs.certain(pairs[old][1]) for old in rank]
         self.possible = [any(map(beliefs.holds, pairs[old][1])) for old in rank]
-        self.beta = ix.condition(spec.beta)
+        self.beta = m.condition(spec.beta)
         self.delay = spec.delay
         self.roots = [s * P + number[q] for s, q in start]
         self._pair_label = [2 * alarm + 4 * known for alarm, known in zip(self.alarm, self.known)]
@@ -364,7 +364,7 @@ class _Product:
             row = self.moves[pair]
             targets: list[int] = []
             labels: list[int] = []
-            for c, nxts in self.index.succ_by_class[state].items():
+            for c, nxts in self.model.succ_by_class[state].items():
                 q = row.get(c)
                 if q is None:
                     self._partial(state, pair)
@@ -374,15 +374,15 @@ class _Product:
         return found
 
     def _partial(self, state: int, pair: int):
-        groups = self.index.succ_by_class[state]
+        groups = self.model.succ_by_class[state]
         nxt = min(nxts[0] for c, nxts in groups.items() if c not in self.moves[pair])
         raise ObservationError(
             None, f"candidate is partial: node {self.names[pair]!r} cannot consume "
-                  f"the observation of state {self.index.ids[nxt]!r}")
+                  f"the observation of state {self.model.ids[nxt]!r}")
 
     def trace(self, nodes, scale: int) -> Trace:
         """The run along product nodes of the given scale."""
-        return Trace(tuple(self.index.ids[node // scale // self.P] for node in nodes))
+        return self.model.trace(node // scale // self.P for node in nodes)
 
 
 def verify_diagnoser(m: SystemModel, d: Diagnoser, spec: AlarmSpec) -> Verdict:

@@ -492,19 +492,24 @@ def induced_activation_trace(g: Tfpg, m: SystemModel, nm: NodeMap,
                              tr: Trace) -> ActivationTrace:
     """Project a system trace onto the TFPG: a mapped node activates at the
     first step its predicate holds; an unmapped AND node activates when its
-    last source does; the mode timeline follows the mode atoms."""
+    last source does; the mode timeline follows the mode atoms, and a trace
+    through a state without exactly one mode atom true raises."""
     horizon = len(tr) - 1
+    run = [m.number[sid] for sid in tr.steps]
     if m.mode_atoms:
-        atom_to_mode = {a: mode for mode, a in nm.mode_map.items()}
-        timeline = tuple(atom_to_mode[m.mode_of(sid)] for sid in tr.steps)
+        modes = {m.bits[a]: mode for mode, a in nm.mode_map.items() if a in m.bits}
+        mode_bits = m.mask_of(m.mode_atoms)
+        timeline = tuple(modes.get(m.masks[i] & mode_bits) for i in run)
+        if None in timeline:
+            raise TfpgError(f"a run reaches state {tr[timeline.index(None)]!r}, "
+                            f"where not exactly one mode atom is true")
     else:
         timeline = tuple(g.modes[0] for _ in tr.steps)
     times: dict[str, int | None] = {}
     for node in sorted(g.nodes):
         if node in nm.exprs:
-            expr = nm.exprs[node]
-            times[node] = next(
-                (t for t, sid in enumerate(tr.steps) if m.holds(expr, sid)), None)
+            flags = m.condition(nm.exprs[node])
+            times[node] = next((t for t, i in enumerate(run) if flags[i]), None)
     pending = [n for n in sorted(g.nodes) if n not in times]
     while pending:
         progressed = False

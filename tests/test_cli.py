@@ -36,6 +36,13 @@ SYNTH = str(corpus_path("battery_synth.json"))
 POWER = str(corpus_path("tfpg_power.json"))
 
 
+def _battery_without_mode():
+    # the battery model with no mode atom true in its initial state
+    doc = corpus_json("battery.json")
+    del doc["states"]["s00_a"]["phase_a"]
+    return doc
+
+
 class TestExitCodes:
     def test_validate_ok(self, capsys):
         code, out = run_capture(capsys, "validate-model", "--model", MODEL)
@@ -124,12 +131,17 @@ class TestExitCodes:
           "--time", "99"], "--trace", {"steps": ["n", "f0", "f1", "f2", "f2"]}),
         (["trace-diag", "--model", SENSOR, "--spec", SPECS, "--alarm", "t_exact2",
           "--time", "-1"], "--trace", {"steps": ["n", "f0", "f1", "f2", "f2"]}),
+        (["tfpg-behavioral", "--tfpg", TFPG, "--map", MAP, "--horizon", "4"], "--model",
+         _battery_without_mode()),
+        (["tfpg-synth", "--map", SYNTH, "--horizon", "4"], "--model",
+         _battery_without_mode()),
     ], ids=["exact-without-n", "bound-without-n", "tfpg-nodes-list", "n-null",
             "delay-string", "tmax-null", "alarm-name-list", "initial-nested-list",
             "transition-nested-list", "diagnoser-nodes-list", "diagnoser-key-1",
             "activations-list", "discrepancies-list", "discrepancy-string",
             "probability-string", "spec-directory", "trace-time-99",
-            "trace-time-minus-1"])
+            "trace-time-minus-1", "behavioral-state-without-mode",
+            "synth-state-without-mode"])
     def test_malformed_input_is_exit_2_without_traceback(self, tmp_path, argv,
                                                           flag, doc):
         path = tmp_path / "input.json"
@@ -253,6 +265,18 @@ class TestDeterminismAndRoundTrip:
         assert run_cli("tfpg-validate", "--tfpg", str(synthesized)) == 0
         assert run_cli("tfpg-behavioral", "--tfpg", str(synthesized),
                        "--model", MODEL, "--map", SYNTH, "--horizon", "6") == 0
+
+    def test_tfpg_synth_notes_findings_with_out(self, tmp_path, capsys):
+        config = corpus_json("battery_synth.json")
+        config["discrepancies"]["d_never"] = {"expr": "power_low & !power_low"}
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("tfpg-synth", "--model", MODEL, "--map", str(path),
+                       "--horizon", "6", out=tmp_path / "tfpg.json") == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("note: d_never: predicate unreachable even with "
+                                "all declared faults; excluded\n")
 
 
 class TestReports:

@@ -93,6 +93,33 @@ class TestValidation:
         assert any(v.kind == "mode-uniqueness" and v.subject == "s00_a"
                    for v in report)
 
+    def test_full_report_in_order(self):
+        # Every invariant broken at least twice; states and transitions are
+        # listed out of order, and the report sorts them.
+        doc = {"atoms": ["m2", "m1", "f2", "f1"], "faults": ["f2", "f1"],
+               "modes": ["m2", "m1"],
+               "states": {"e": {"m1": True, "m2": True}, "d": {},
+                          "c": {"m1": True},
+                          "b": {"f1": True, "m1": True},
+                          "a": {"f1": True, "f2": True, "m2": True}},
+               "initial": ["b", "a"],
+               "transitions": [["c", "e"], ["b", "c"], ["a", "c"], ["c", "d"],
+                               ["a", "c"]]}
+        report = validate_model(parse_model(json.dumps(doc)))
+        assert [str(v) for v in report] == [
+            "deadlock-freedom: d: state has no outgoing transition",
+            "deadlock-freedom: e: state has no outgoing transition",
+            "fault-persistence: (a -> c): fault atom 'f1' is true in a but false in c",
+            "fault-persistence: (a -> c): fault atom 'f2' is true in a but false in c",
+            "fault-persistence: (b -> c): fault atom 'f1' is true in b but false in c",
+            "initial-faults-false: a: fault atom 'f1' is true in initial state",
+            "initial-faults-false: a: fault atom 'f2' is true in initial state",
+            "initial-faults-false: b: fault atom 'f1' is true in initial state",
+            "mode-uniqueness: d: expected exactly one mode atom true, found none",
+            "mode-uniqueness: e: expected exactly one mode atom true, "
+            "found ['m1', 'm2']",
+        ]
+
 
 class TestQueries:
     def test_successors_of_branching_state(self, battery):
@@ -126,14 +153,16 @@ class TestTraceEnumeration:
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
     def test_count_matches_adjacency_power(self, battery, length):
-        assert len(list(battery.enumerate_traces(length))) == \
-            path_count_by_matrix_power(battery, length)
+        # distinct traces of the records, as many as the records allow
+        traces = list(battery.enumerate_traces(length))
+        assert all(map(battery.is_trace, traces)) and len(set(traces)) == len(traces)
+        assert len(traces) == path_count_by_matrix_power(battery, length)
 
     def test_faults_monotone_along_traces(self, battery):
         for tr in battery.enumerate_traces(5):
             previous = frozenset()
             for sid in tr.steps:
-                current = battery.fault_set(sid)
+                current = frozenset(f for f in battery.fault_atoms if battery.states[sid][f])
                 assert previous <= current
                 previous = current
 

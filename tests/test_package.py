@@ -1,6 +1,7 @@
 """The package's public surface: the names `faultkit` re-exports, lazily."""
 
 import importlib
+import importlib.util
 import re
 
 import pytest
@@ -78,3 +79,17 @@ def test_readme_quick_tour_runs():
     assert proc.stdout.splitlines() == [
         "0 []", "1 []", "2 [['b1_fail', 'b2_fail']]", "True",
         "[frozenset(), frozenset(), frozenset(), frozenset({'watch'})]", "True"]
+
+
+def _bench_probes():
+    spec = importlib.util.spec_from_file_location(
+        "bench_probes", ROOT / "perfbench" / "probes.py")
+    probes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probes)
+    return probes.PROBES
+
+
+@pytest.mark.parametrize("module,attr", [probe[:2] for probe in _bench_probes()])
+def test_every_bench_probe_target_exists(module, attr):
+    # the benchmark's traced runs wrap each of these with getattr
+    assert callable(getattr(importlib.import_module(module), attr))

@@ -37,7 +37,8 @@ class TestSynthesize:
     def test_fully_observable_alarm_fires_exactly_n_after(self, fully_obs):
         d = synthesize_diagnoser(fully_obs, [spec(ExactDelay(1))])
         tr = Trace(("a", "b", "c", "c"))
-        obs = [fully_obs.observation_dict(s) for s in tr.steps]
+        obs = [{a: fully_obs.states[s][a] for a in fully_obs.observable_atoms}
+               for s in tr.steps]
         alarms = run_diagnoser(d, obs)
         # condition first true at step 1, exact delay 1: alarm at step 2 on
         assert [sorted(a) for a in alarms] == [[], [], ["A"], ["A"]]
@@ -50,7 +51,8 @@ class TestSynthesize:
     def test_sensor_alarm_step_matches_knowledge_oracle(self, sensor_delay):
         d = synthesize_diagnoser(sensor_delay, [spec(BoundedDelay(3))])
         for tr in sensor_delay.enumerate_traces(7):
-            obs = [sensor_delay.observation_dict(s) for s in tr.steps]
+            obs = [{a: sensor_delay.states[s][a] for a in sensor_delay.observable_atoms}
+                   for s in tr.steps]
             alarms = run_diagnoser(d, obs)
             for t in range(len(tr)):
                 expected = knowledge_by_enumeration(
@@ -113,7 +115,8 @@ class TestRunDiagnoser:
         for tr in sensor_delay.enumerate_traces(6):
             obs = tuple(sensor_delay.observation(s) for s in tr.steps)
             out = tuple(frozenset(a) for a in run_diagnoser(
-                d, [sensor_delay.observation_dict(s) for s in tr.steps]))
+                d, [{a: sensor_delay.states[s][a] for a in sensor_delay.observable_atoms}
+                    for s in tr.steps]))
             if obs in seen:
                 assert seen[obs] == out
             seen[obs] = out
