@@ -32,10 +32,9 @@ _EXPORTS = {
                   "load_diagnoser", "parse_diagnoser", "run_diagnoser",
                   "synthesize_diagnoser", "verify_diagnoser"),
     "tfpg": ("ActivationTrace", "NodeMap", "Tfpg", "TfpgEdge", "behavioral_validate",
-             "check_trace_consistency", "enumerate_consistent_traces",
-             "export_tfpg_dot", "induced_activation_trace", "load_node_map",
-             "load_tfpg", "parse_tfpg", "tfpg_to_json", "tighten_edges",
-             "validate_structure"),
+             "check_trace_consistency", "export_tfpg_dot", "induced_activation_trace",
+             "load_node_map", "load_tfpg", "parse_tfpg", "tfpg_to_json",
+             "tighten_edges", "validate_structure"),
     "tfpg_synthesis": ("DiscrepancyDecl", "SynthesisConfig", "load_synthesis_config",
                        "synthesize_tfpg"),
 }

@@ -107,12 +107,7 @@ def _tfpg_inputs(args):
     if not (isinstance(doc, dict) and "fm" in doc):
         return g, m, tfpg.NodeMap.from_json(doc)
     from . import tfpg_synthesis
-    from .boolexpr import parse_expr
-    config = tfpg_synthesis.SynthesisConfig.from_json(doc)
-    return g, m, tfpg.NodeMap(
-        {**{a: parse_expr(a) for a in config.fm_atoms},
-         **{d.name: d.expr for d in config.discrepancies}},
-        dict(config.mode_map))
+    return g, m, tfpg_synthesis.SynthesisConfig.from_json(doc).node_map()
 
 
 # -- subcommand handlers ---------------------------------------------------------

@@ -159,14 +159,19 @@ class SystemModel:
         if not self.is_trace(tr):
             raise TraceError(f"not a trace of this model: {list(tr.steps)}")
 
-    def enumerate_traces(self, horizon: int) -> Iterator[Trace]:
-        """All traces with exactly `horizon` states, lexicographic order."""
-        if horizon < 1:
+    def runs(self, length: int) -> Iterator[tuple[int, ...]]:
+        """All runs with exactly `length` states, as state-number tuples in
+        lexicographic order."""
+        if length < 1:
             raise ValueError("horizon must be >= 1")
         runs = ((self.number[sid],) for sid in self.initial)
-        for _ in range(horizon - 1):
+        for _ in range(length - 1):
             runs = (run + (nxt,) for run in runs for nxt in self.succ[run[-1]])
-        return map(self.trace, runs)
+        return runs
+
+    def enumerate_traces(self, horizon: int) -> Iterator[Trace]:
+        """All traces with exactly `horizon` states, lexicographic order."""
+        return map(self.trace, self.runs(horizon))
 
     def trace(self, run) -> Trace:
         """The trace of a run given as state numbers."""

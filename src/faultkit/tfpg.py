@@ -21,10 +21,8 @@ re-entering restarts the clock at the re-entry step.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
@@ -36,8 +34,8 @@ FM = "FM"
 OR = "OR"
 AND = "AND"
 INF = math.inf
-# Most candidate traces enumerate_consistent_traces will filter.
-ENUMERATION_LIMIT = 2_000_000
+# Most runs of horizon + 1 states a behavioural check or tightening projects.
+RUN_LIMIT = 1_000_000
 
 
 class TfpgError(FaultkitError):
@@ -361,71 +359,6 @@ def check_trace_consistency(g: Tfpg, at: ActivationTrace) -> tuple[bool, list[Tr
     return not violations, violations
 
 
-def enumerate_consistent_traces(g: Tfpg, horizon: int,
-                                fm_inputs="all") -> Iterator[ActivationTrace]:
-    """All activation traces consistent with the semantics, exhaustively.
-
-    Equivalent to filtering every (activation vector, mode timeline)
-    combination through check_trace_consistency; implemented as a pruned
-    depth-first construction with a final filter, so the output set is
-    exactly the consistent one.  fm_inputs may be "all" (failure modes
-    free) or a {node: time-or-None} dict fixing them.
-    """
-    nodes = sorted(g.nodes)
-    free = len(nodes) if fm_inputs == "all" else len(g.discrepancies())
-    naive = (len(g.modes) ** (horizon + 1)) * ((horizon + 2) ** free)
-    if naive > ENUMERATION_LIMIT:
-        raise SizeGuardExceeded(f"enumeration of ~{naive} candidate traces exceeds "
-                                f"the limit {ENUMERATION_LIMIT}")
-    fms = g.fm_nodes()
-    discs = g.discrepancies()
-    if fm_inputs == "all":
-        fm_choices = list(itertools.product(*[[None] + list(range(horizon + 1))
-                                              for _ in fms]))
-    else:
-        for node in fms:
-            if node not in fm_inputs:
-                raise TfpgError(f"failure mode {node!r} missing from fm_inputs")
-        fm_choices = [tuple(fm_inputs[node] for node in fms)]
-    for timeline in itertools.product(g.modes, repeat=horizon + 1):
-        for fm_times in fm_choices:
-            base = dict(zip(fms, fm_times))
-            yield from _extend_discrepancies(g, horizon, timeline, base, discs)
-
-
-def _extend_discrepancies(g, horizon, timeline, base, discs):
-    """DFS over per-step activation subsets; every complete assignment is
-    re-checked, so only genuinely consistent traces are yielded."""
-
-    def rec(step, times):
-        if step > horizon:
-            at = ActivationTrace(horizon, tuple(timeline), dict(times))
-            ok, _ = check_trace_consistency(g, at)
-            if ok:
-                yield at
-            return
-        inactive = [d for d in discs if times[d] is None]
-        for r in range(len(inactive) + 1):
-            for combo in itertools.combinations(inactive, r):
-                trial = dict(times)
-                for d in combo:
-                    trial[d] = step
-                if all(_locally_justified(g, d, step, trial, timeline)
-                       for d in combo):
-                    yield from rec(step + 1, trial)
-
-    initial = {n: None for n in g.nodes}
-    initial.update(base)
-    yield from rec(0, initial)
-
-
-def _locally_justified(g, node, t_v, times, timeline) -> bool:
-    inc = g.incoming(node)
-    if g.nodes[node] == OR:
-        return any(_justifies(g.edges[i], times, t_v, timeline) for i in inc)
-    return bool(inc) and all(_justifies(g.edges[i], times, t_v, timeline) for i in inc)
-
-
 # -- behavioral validation against a system model -------------------------------
 
 @dataclass
@@ -488,42 +421,77 @@ def _check_map(g: Tfpg, m: SystemModel, nm: NodeMap) -> None:
                             "exactly one mode")
 
 
+def _projection(g: Tfpg, m: SystemModel, nm: NodeMap):
+    """project(run), which is induced_activation_trace on a run of state
+    numbers.  What depends only on g, m and nm is worked out here once: each
+    state's mode, the mapped nodes' condition flags, and an order of the
+    unmapped nodes, each after its sources.  Errors are raised by project."""
+    mode_bits = m.mask_of(m.mode_atoms)
+    modes = ({m.bits[a]: mode for mode, a in nm.mode_map.items() if a in m.bits}
+             if m.mode_atoms else {0: g.modes[0]})
+    mode_of = [modes.get(x & mode_bits) for x in m.masks]
+    mapped = [(n, m.condition(nm.exprs[n])) for n in sorted(g.nodes) if n in nm.exprs]
+    pending = [n for n in sorted(g.nodes) if n not in nm.exprs]
+    helpers = []
+    while pending:
+        before = len(pending)
+        for node in list(pending):
+            sources = sorted({g.edges[i].src for i in g.incoming(node)})
+            if not any(s in pending for s in sources):
+                helpers.append((node, sources))
+                pending.remove(node)
+        if len(pending) == before:
+            break
+
+    def project(run) -> ActivationTrace:
+        timeline = tuple(mode_of[i] for i in run)
+        if None in timeline:
+            raise TfpgError(f"a run reaches state {m.ids[run[timeline.index(None)]]!r}, "
+                            f"where not exactly one mode atom is true")
+        if pending:
+            raise TfpgError(f"cyclic unmapped AND nodes: {pending}")
+        times = {n: next((t for t, i in enumerate(run) if flags[i]), None)
+                 for n, flags in mapped}
+        for node, sources in helpers:
+            acts = [times[s] for s in sources]
+            times[node] = max(acts) if acts and None not in acts else None
+        return ActivationTrace(len(run) - 1, timeline, times)
+
+    return project
+
+
 def induced_activation_trace(g: Tfpg, m: SystemModel, nm: NodeMap,
                              tr: Trace) -> ActivationTrace:
     """Project a system trace onto the TFPG: a mapped node activates at the
     first step its predicate holds; an unmapped AND node activates when its
     last source does; the mode timeline follows the mode atoms, and a trace
     through a state without exactly one mode atom true raises."""
-    horizon = len(tr) - 1
-    run = [m.number[sid] for sid in tr.steps]
-    if m.mode_atoms:
-        modes = {m.bits[a]: mode for mode, a in nm.mode_map.items() if a in m.bits}
-        mode_bits = m.mask_of(m.mode_atoms)
-        timeline = tuple(modes.get(m.masks[i] & mode_bits) for i in run)
-        if None in timeline:
-            raise TfpgError(f"a run reaches state {tr[timeline.index(None)]!r}, "
-                            f"where not exactly one mode atom is true")
-    else:
-        timeline = tuple(g.modes[0] for _ in tr.steps)
-    times: dict[str, int | None] = {}
-    for node in sorted(g.nodes):
-        if node in nm.exprs:
-            flags = m.condition(nm.exprs[node])
-            times[node] = next((t for t, i in enumerate(run) if flags[i]), None)
-    pending = [n for n in sorted(g.nodes) if n not in times]
-    while pending:
-        progressed = False
-        for node in list(pending):
-            sources = [g.edges[i].src for i in g.incoming(node)]
-            if any(s in pending for s in sources):
-                continue
-            acts = [times[s] for s in set(sources)]
-            times[node] = max(acts) if acts and all(a is not None for a in acts) else None
-            pending.remove(node)
-            progressed = True
-        if not progressed:
-            raise TfpgError(f"cyclic unmapped AND nodes: {pending}")
-    return ActivationTrace(horizon, timeline, times)
+    return _projection(g, m, nm)(tuple(m.number[sid] for sid in tr.steps))
+
+
+def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int):
+    """(run, induced activation trace) for every run of horizon + 1 states,
+    in lexicographic order.  The map is checked and the runs are counted
+    before the first one is projected: more than RUN_LIMIT raise."""
+    _check_map(g, m, nm)
+    # runs ending in each state, layer by layer; a count past the limit
+    # reaches the last layer past it or not at all, so it is capped there
+    cap = RUN_LIMIT + 1
+    ends = [0] * m.size
+    for sid in m.initial:
+        ends[m.number[sid]] = 1
+    for _ in range(horizon):
+        step = [0] * m.size
+        for i, count in enumerate(ends):
+            for j in m.succ[i]:
+                step[j] += count
+        ends = [min(count, cap) for count in step]
+    if sum(ends) > RUN_LIMIT:
+        raise SizeGuardExceeded(f"the model has more than {RUN_LIMIT} runs of "
+                                f"{horizon + 1} states")
+    project = _projection(g, m, nm)
+    for run in m.runs(horizon + 1):
+        yield run, project(run)
 
 
 def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
@@ -531,12 +499,10 @@ def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
     """The TFPG is complete for the model at this horizon when the induced
     activation trace of every system run is consistent.  The witness is the
     lexicographically least violating run."""
-    _check_map(g, m, nm)
-    for tr in m.enumerate_traces(horizon + 1):
-        at = induced_activation_trace(g, m, nm, tr)
+    for run, at in _induced(g, m, nm, horizon):
         ok, violations = check_trace_consistency(g, at)
         if not ok:
-            return BehavioralResult(False, tr, tuple(violations))
+            return BehavioralResult(False, m.trace(run), tuple(violations))
     return BehavioralResult(True)
 
 
@@ -576,9 +542,7 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
     window would force propagations the model does not guarantee.  The
     result is re-validated; tightening never breaks completeness and is
     idempotent at a fixed horizon."""
-    _check_map(g, m, nm)
-    induced = [induced_activation_trace(g, m, nm, tr)
-               for tr in m.enumerate_traces(horizon + 1)]
+    induced = [at for _, at in _induced(g, m, nm, horizon)]
     observed: dict[int, list[int]] = {i: [] for i in range(len(g.edges))}
     for at in induced:
         for i, e in enumerate(g.edges):

@@ -57,6 +57,13 @@ class SynthesisConfig:
                                          field(item, "kind", str, what, OR)))
         return SynthesisConfig(fm, decls, dict(field(doc, "modes", NAME_MAP, where, {})))
 
+    def node_map(self) -> NodeMap:
+        """Each failure mode mapped to its fault atom and each declared
+        discrepancy, kept by synthesis or not, to its predicate."""
+        return NodeMap({**{atom: as_expr(atom) for atom in self.fm_atoms},
+                        **{d.name: d.expr for d in self.discrepancies}},
+                       dict(self.mode_map))
+
 
 def load_synthesis_config(path) -> SynthesisConfig:
     return SynthesisConfig.from_json(read_json(path))
@@ -106,11 +113,7 @@ def synthesize_tfpg(m: SystemModel, config: SynthesisConfig,
                     edges.append(TfpgEdge(cause, helper, 0, INF, all_modes))
                 edges.append(TfpgEdge(helper, name, 0, INF, all_modes))
 
-    node_map = NodeMap(
-        exprs={**{atom: as_expr(atom) for atom in config.fm_atoms},
-               **{name: decls[name].expr for name in families}},
-        mode_map=dict(config.mode_map))
-
+    node_map = config.node_map()
     g = Tfpg(modes, nodes, edges)
     g = _merge_duplicate_ands(g, node_map)
     g = _drop_mode_subsumed(g)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,6 +21,15 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
+
+
+def bench_module(name: str):
+    """perfbench/<name>.py, loaded from its file: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def corpus_path(name: str) -> Path:

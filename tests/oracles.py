@@ -569,21 +569,40 @@ def naive_trace_consistent(g: Tfpg, at: ActivationTrace) -> bool:
     return True
 
 
-def naive_enumerate_consistent(g: Tfpg, horizon: int):
-    """Literal double loop: every activation vector times every mode
-    timeline, filtered by the naive checker."""
+def naive_candidate_traces(g: Tfpg, horizon: int):
+    """Literal double loop: every mode timeline times every activation
+    vector, consistent or not."""
     nodes = sorted(g.nodes)
     times_options = [[None] + list(range(horizon + 1)) for _ in nodes]
     for timeline in itertools.product(sorted(g.modes), repeat=horizon + 1):
         for assignment in itertools.product(*times_options):
-            at = ActivationTrace(horizon, timeline, dict(zip(nodes, assignment)))
-            if naive_trace_consistent(g, at):
-                yield at
+            yield ActivationTrace(horizon, timeline, dict(zip(nodes, assignment)))
 
 
-def trace_signature(at: ActivationTrace):
-    return (tuple(at.mode_timeline),
-            tuple(sorted((n, t) for n, t in at.times.items())))
+def naive_induced_trace(g: Tfpg, m: SystemModel, exprs: dict, mode_map: dict,
+                        tr: Trace) -> ActivationTrace:
+    """The activation trace a model trace induces, from the definition.  A
+    node in `exprs` activates at the first step whose state satisfies its
+    predicate; every other node once each of its sources has a time, at the
+    latest of them, or never when one never activates.  The mode at a step
+    is the TFPG mode whose atom holds there, or the one declared mode when
+    the model has no mode atoms."""
+    atom_mode = {atom: mode for mode, atom in mode_map.items()}
+    timeline = tuple(
+        next(atom_mode[a] for a in m.mode_atoms if m.states[sid][a])
+        if m.mode_atoms else g.modes[0] for sid in tr.steps)
+    times = {node: next((t for t, sid in enumerate(tr.steps) if m.holds(expr, sid)), None)
+             for node, expr in exprs.items() if node in g.nodes}
+    changed = True
+    while changed:
+        changed = False
+        for node in g.nodes:
+            sources = [e.src for e in g.edges if e.dst == node]
+            if node not in times and all(s in times for s in sources):
+                acts = [times[s] for s in sources]
+                times[node] = None if not acts or None in acts else max(acts)
+                changed = True
+    return ActivationTrace(len(tr) - 1, timeline, times)
 
 
 # -- graph search ----------------------------------------------------------------

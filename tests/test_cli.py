@@ -135,13 +135,16 @@ class TestExitCodes:
          _battery_without_mode()),
         (["tfpg-synth", "--map", SYNTH, "--horizon", "4"], "--model",
          _battery_without_mode()),
+        # the battery model has 1,001,001 runs of 1,001 states
+        (["tfpg-behavioral", "--tfpg", TFPG, "--map", MAP, "--horizon", "1000"],
+         "--model", corpus_json("battery.json")),
     ], ids=["exact-without-n", "bound-without-n", "tfpg-nodes-list", "n-null",
             "delay-string", "tmax-null", "alarm-name-list", "initial-nested-list",
             "transition-nested-list", "diagnoser-nodes-list", "diagnoser-key-1",
             "activations-list", "discrepancies-list", "discrepancy-string",
             "probability-string", "spec-directory", "trace-time-99",
             "trace-time-minus-1", "behavioral-state-without-mode",
-            "synth-state-without-mode"])
+            "synth-state-without-mode", "behavioral-runs-over-limit"])
     def test_malformed_input_is_exit_2_without_traceback(self, tmp_path, argv,
                                                           flag, doc):
         path = tmp_path / "input.json"

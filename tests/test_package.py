@@ -1,14 +1,13 @@
 """The package's public surface: the names `faultkit` re-exports, lazily."""
 
 import importlib
-import importlib.util
 import re
 
 import pytest
 
 import faultkit
 
-from .conftest import ROOT, run_python
+from .conftest import ROOT, bench_module, run_python
 
 # The names the package exported when it imported every module eagerly.
 EXPORTED = {
@@ -30,10 +29,9 @@ EXPORTED = {
                   "load_diagnoser", "parse_diagnoser", "run_diagnoser",
                   "synthesize_diagnoser", "verify_diagnoser"],
     "tfpg": ["ActivationTrace", "NodeMap", "Tfpg", "TfpgEdge", "behavioral_validate",
-             "check_trace_consistency", "enumerate_consistent_traces",
-             "export_tfpg_dot", "induced_activation_trace", "load_node_map",
-             "load_tfpg", "parse_tfpg", "tfpg_to_json", "tighten_edges",
-             "validate_structure"],
+             "check_trace_consistency", "export_tfpg_dot", "induced_activation_trace",
+             "load_node_map", "load_tfpg", "parse_tfpg", "tfpg_to_json",
+             "tighten_edges", "validate_structure"],
     "tfpg_synthesis": ["DiscrepancyDecl", "SynthesisConfig", "load_synthesis_config",
                        "synthesize_tfpg"],
 }
@@ -41,7 +39,7 @@ EXPORTED = {
 
 def test_all_lists_the_exported_names():
     names = [name for group in EXPORTED.values() for name in group]
-    assert len(names) == len(set(names)) == 71
+    assert len(names) == len(set(names)) == 70
     assert sorted(faultkit.__all__) == sorted(names)
     assert set(faultkit.__all__) <= set(dir(faultkit))
 
@@ -81,15 +79,8 @@ def test_readme_quick_tour_runs():
         "[frozenset(), frozenset(), frozenset(), frozenset({'watch'})]", "True"]
 
 
-def _bench_probes():
-    spec = importlib.util.spec_from_file_location(
-        "bench_probes", ROOT / "perfbench" / "probes.py")
-    probes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probes)
-    return probes.PROBES
-
-
-@pytest.mark.parametrize("module,attr", [probe[:2] for probe in _bench_probes()])
+@pytest.mark.parametrize("module,attr",
+                         [probe[:2] for probe in bench_module("probes").PROBES])
 def test_every_bench_probe_target_exists(module, attr):
     # the benchmark's traced runs wrap each of these with getattr
     assert callable(getattr(importlib.import_module(module), attr))

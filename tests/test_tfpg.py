@@ -1,21 +1,20 @@
 import json
-import math
 
 import pytest
 
+from faultkit import tfpg
 from faultkit.boolexpr import parse_expr
 from faultkit.errors import ModelFormatError, SizeGuardExceeded
 from faultkit.model import Trace, parse_model
-from faultkit.tfpg import (ENUMERATION_LIMIT, INF, ActivationTrace, NodeMap,
-                           Tfpg, TfpgEdge, TfpgError, activation_trace_from_json,
-                           behavioral_validate, check_trace_consistency,
-                           enumerate_consistent_traces, export_tfpg_dot,
+from faultkit.tfpg import (INF, ActivationTrace, NodeMap, Tfpg, TfpgEdge, TfpgError,
+                           activation_trace_from_json, behavioral_validate,
+                           check_trace_consistency, export_tfpg_dot,
                            induced_activation_trace, parse_tfpg, tfpg_to_json,
                            tighten_edges, validate_structure)
+from faultkit.tfpg_synthesis import SynthesisConfig, synthesize_tfpg
 
-from .conftest import corpus_json
-from .oracles import (naive_enumerate_consistent, naive_trace_consistent,
-                      trace_signature)
+from .conftest import bench_module, corpus_json
+from .oracles import naive_induced_trace, path_count_by_matrix_power
 
 
 def tiny_graph(tmin=0, tmax=1, modes=("on",)):
@@ -138,49 +137,18 @@ class TestTraceConsistency:
                 tfpg_power,
                 ActivationTrace(1, ("primary", "lunar"), {"fm_gen": None}))
 
+    def test_forced_chain_single_choice(self):
+        g = tiny_graph(tmin=1, tmax=1)
+        consistent = {d for d in (None, 0, 1, 2, 3)
+                      if check_trace_consistency(g, at(g, 3, ["on"] * 4, f=0, d=d))[0]}
+        assert consistent == {1}  # bounds plus inevitability force exactly 1
+
     def test_violations_replay(self, tfpg_power):
         doc = corpus_json("power_trace_late.json")
         trace = activation_trace_from_json(doc, tfpg_power)
         first = check_trace_consistency(tfpg_power, trace)
         second = check_trace_consistency(tfpg_power, trace)
         assert first == second and not first[0]
-
-
-class TestEnumeration:
-    def test_single_fm_count(self):
-        g = Tfpg(("on", "off"), {"f": "FM"}, [])
-        traces = list(enumerate_consistent_traces(g, 1))
-        # f at 0, at 1, or never; times every mode timeline of length 2
-        assert len(traces) == 3 * 2 ** 2
-
-    def test_size_guard(self):
-        # tiny_graph has one mode and two nodes: (horizon + 2) ** 2 candidates
-        horizon = math.isqrt(ENUMERATION_LIMIT)
-        with pytest.raises(SizeGuardExceeded):
-            next(enumerate_consistent_traces(tiny_graph(), horizon))
-
-    def test_forced_chain_single_choice(self):
-        g = tiny_graph(tmin=1, tmax=1)
-        traces = list(enumerate_consistent_traces(g, 3, fm_inputs={"f": 0}))
-        activations = {tr.times["d"] for tr in traces}
-        assert activations == {1}  # bounds plus inevitability force exactly 1
-
-    @pytest.mark.parametrize("graph,horizon", [
-        ("tiny", 4), ("modegap", 4), ("power", 3), ("battery", 3)])
-    def test_matches_naive_double_loop(self, request, graph, horizon,
-                                       tfpg_power, tfpg_modegap, tfpg_battery):
-        g = {"tiny": tiny_graph(1, 2), "modegap": tfpg_modegap,
-             "power": tfpg_power, "battery": tfpg_battery}[graph]
-        smart = {trace_signature(t) for t in enumerate_consistent_traces(g, horizon)}
-        naive = {trace_signature(t) for t in naive_enumerate_consistent(g, horizon)}
-        assert smart == naive
-
-    def test_membership_cross_check(self, tfpg_power):
-        smart = {trace_signature(t)
-                 for t in enumerate_consistent_traces(tfpg_power, 3)}
-        for trace in naive_enumerate_consistent(tfpg_power, 3):
-            ok, _ = check_trace_consistency(tfpg_power, trace)
-            assert ok == (trace_signature(trace) in smart)
 
 
 class TestBehavioral:
@@ -242,6 +210,88 @@ class TestBehavioral:
             edge["tmax"] = "inf"
         widened = parse_tfpg(json.dumps(doc))
         assert behavioral_validate(widened, battery, battery_map, 6).complete
+
+
+# n -> e and no further: runs of two states only
+DEADLOCK = {"atoms": ["f", "x"], "faults": ["f"],
+            "states": {"n": {}, "e": {"f": True, "x": True}},
+            "initial": ["n"], "transitions": [["n", "e"]]}
+
+
+class TestProjection:
+    def assert_matches_oracle(self, g, m, nm, horizon):
+        exprs = {node: str(e) for node, e in nm.exprs.items()}
+        for tr in m.enumerate_traces(horizon + 1):
+            want = naive_induced_trace(g, m, exprs, dict(nm.mode_map), tr)
+            assert induced_activation_trace(g, m, nm, tr) == want, tr.steps
+
+    def test_battery_map(self, battery, tfpg_battery, battery_map):
+        self.assert_matches_oracle(tfpg_battery, battery, battery_map, 6)
+
+    def test_battery_synthesis_config(self, battery):
+        config = SynthesisConfig.from_json(corpus_json("battery_synth.json"))
+        g = synthesize_tfpg(battery, config, 6).tfpg
+        self.assert_matches_oracle(g, battery, config.node_map(), 6)
+
+    def test_kofn4_unmapped_and_helpers(self):
+        gen = bench_module("gen")
+        m = parse_model(json.dumps(gen.kofn_phase(4)))
+        config = SynthesisConfig.from_json(gen.kofn_tfpg_config(4))
+        g, nm = synthesize_tfpg(m, config, 4).tfpg, config.node_map()
+        assert sum(node not in nm.exprs for node in g.nodes) == 12
+        self.assert_matches_oracle(g, m, nm, 4)
+
+    def test_state_without_one_mode_atom(self, battery, tfpg_battery, battery_map):
+        doc = corpus_json("battery.json")
+        first = next(battery.enumerate_traces(3))
+        doc["states"][first[2]]["phase_a"] = doc["states"][first[2]]["phase_b"] = True
+        m = parse_model(json.dumps(doc))
+        with pytest.raises(TfpgError) as err:
+            behavioral_validate(tfpg_battery, m, battery_map, 4)
+        assert str(err.value) == (f"a run reaches state {first[2]!r}, where not "
+                                  f"exactly one mode atom is true")
+
+    def test_cyclic_unmapped_and_nodes(self):
+        g = Tfpg(("nominal",), {"f": "FM", "d": "OR", "h1": "AND", "h2": "AND"},
+                 [TfpgEdge(u, v, 0, INF, ("nominal",))
+                  for u, v in (("f", "d"), ("f", "h1"), ("h1", "h2"), ("h2", "h1"))])
+        m = parse_model(json.dumps(DEADLOCK))
+        nm = NodeMap({"f": parse_expr("f"), "d": parse_expr("x")}, {})
+        with pytest.raises(TfpgError) as err:
+            behavioral_validate(g, m, nm, 1)
+        assert str(err.value) == "cyclic unmapped AND nodes: ['h1', 'h2']"
+        # raised only on a projected run, and no run has three states
+        assert behavioral_validate(g, m, nm, 2).complete
+
+
+class TestRunGuard:
+    def test_limit_at_the_exact_run_count(self, monkeypatch, battery, battery_map,
+                                          tfpg_battery):
+        runs = path_count_by_matrix_power(battery, 7)
+        monkeypatch.setattr(tfpg, "RUN_LIMIT", runs)
+        assert behavioral_validate(tfpg_battery, battery, battery_map, 6).complete
+        tighten_edges(tfpg_battery, battery, battery_map, 6)
+        monkeypatch.setattr(tfpg, "RUN_LIMIT", runs - 1)
+        for check in (behavioral_validate, tighten_edges):
+            with pytest.raises(SizeGuardExceeded,
+                               match=f"more than {runs - 1} runs of 7 states"):
+                check(tfpg_battery, battery, battery_map, 6)
+
+    def test_runs_that_end_early_do_not_count(self, monkeypatch):
+        # four runs s a* z reach the deadlock z; only s y y y is long enough
+        doc = {"atoms": ["f", "x"], "faults": ["f"],
+               "states": {n: {} for n in ("s", "a1", "a2", "a3", "a4", "z", "y")},
+               "initial": ["s"],
+               "transitions": [["s", "y"], ["y", "y"]] + [
+                   pair for a in ("a1", "a2", "a3", "a4") for pair in (["s", a], [a, "z"])]}
+        m = parse_model(json.dumps(doc))
+        g = Tfpg(("nominal",), {"f": "FM", "d": "OR"},
+                 [TfpgEdge("f", "d", 0, INF, ("nominal",))])
+        nm = NodeMap({"f": parse_expr("f"), "d": parse_expr("x")}, {})
+        monkeypatch.setattr(tfpg, "RUN_LIMIT", 3)
+        assert behavioral_validate(g, m, nm, 3).complete
+        with pytest.raises(SizeGuardExceeded):
+            behavioral_validate(g, m, nm, 2)
 
 
 EXACT_TWO_STEP = {
