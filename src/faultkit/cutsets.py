@@ -19,9 +19,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .boolexpr import Atom, Expr, as_expr
-from .errors import ExpressionError
+from .errors import ExpressionError, SizeGuardExceeded
 from .jsonio import NAMES, expect
 from .model import SystemModel
+
+# Most worlds the enumeration weighs, and most (cut set, union) updates
+# inclusion-exclusion makes.
+WORK_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,20 @@ def _check_tle(m: SystemModel, tle) -> Expr:
     return expr
 
 
+def _masks(sets, events: list[str]) -> list[int]:
+    """Each set as an int, bit i standing for events[i]."""
+    bit = {f: 1 << i for i, f in enumerate(events)}
+    return [sum(map(bit.__getitem__, s)) for s in sets]
+
+
+def _by_size(masks: Iterable[int]) -> dict[int, list[int]]:
+    """The distinct masks, grouped by the number of bits they set."""
+    layers: dict[int, list[int]] = {}
+    for mask in set(masks):
+        layers.setdefault(mask.bit_count(), []).append(mask)
+    return layers
+
+
 def is_cut_set(m: SystemModel, tle, faults: Iterable[str]) -> bool:
     """Reachability of the event in the model restricted to fault set S."""
     expr = _check_tle(m, tle)
@@ -111,10 +129,13 @@ def minimal_cause_sets(m: SystemModel, target: Expr,
                 if pair not in seen:
                     seen.add(pair)
                     work.append(pair)
+    # two distinct masks of one size never contain each other, so a mask
+    # is tested only against the minimal masks of smaller sizes
+    layers = _by_size(found)
     minimal: list[int] = []
-    for mask in sorted(found, key=lambda k: bin(k).count("1")):
-        if not any(k & mask == k for k in minimal):
-            minimal.append(mask)
+    for size in sorted(layers):
+        minimal += [mask for mask in layers[size]
+                    if not any(k & mask == k for k in minimal)]
     sets = [frozenset(name for i, name in enumerate(names) if mask >> i & 1)
             for mask in minimal]
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
@@ -146,11 +167,14 @@ def final_mcs(m: SystemModel, tle) -> CutSetReport:
 def build_fault_tree(mcs: Iterable[frozenset[str]], name: str) -> FaultTree:
     """OR of ANDs, one AND gate per minimal cut set, order-normalized."""
     sets = [frozenset(s) for s in mcs]
-    for a in sets:
-        for b in sets:
-            if a != b and a <= b:
-                raise ValueError(
-                    f"not an antichain: {sorted(a)} is a subset of {sorted(b)}")
+    masks = _masks(sets, sorted(set().union(*sets)))
+    layers = _by_size(masks)
+    for a, mask in zip(sets, masks):
+        # only a larger set can strictly contain a
+        if any(mask & k == mask for size, layer in layers.items()
+               if size > mask.bit_count() for k in layer):
+            b = next(b for b, k in zip(sets, masks) if k != mask and mask & k == mask)
+            raise ValueError(f"not an antichain: {sorted(a)} is a subset of {sorted(b)}")
     gates = sorted(tuple(sorted(s)) for s in sets)
     return FaultTree(name, tuple(gates))
 
@@ -208,34 +232,88 @@ def _check_probs(mcs, probabilities) -> list[str]:
     return events
 
 
+def _weights(probs: list[float]) -> list[float]:
+    """P(world) of every world over the events of `probs`, world bit i set
+    when event i occurs; each product takes its factors in event order."""
+    weights = [1.0]
+    for p in probs:
+        weights = [w * (1.0 - p) for w in weights] + [w * p for w in weights]
+    return weights
+
+
 def probability_by_enumeration(mcs, probabilities) -> float:
-    """Sum P(world) over all fault subsets covering at least one cut set."""
+    """Sum P(world) over all fault subsets covering at least one cut set.
+
+    The sorted events are bits, split into a low and a high half, and a
+    world weighs its low half's weight times its high half's.  Under a high
+    half h, a cut set whose high part lies in h covers the low worlds that
+    hold its low part.  Those low worlds are flagged one byte each in an
+    int, memoised per low part and ORed per high part, so each h costs one
+    OR per distinct high part and one C-level sum over the flagged weights.
+    More than WORK_LIMIT worlds raise SizeGuardExceeded."""
     sets = [frozenset(s) for s in mcs]
     events = _check_probs(sets, probabilities)
+    if 1 << len(events) > WORK_LIMIT:
+        raise SizeGuardExceeded(f"enumeration over {len(events)} basic events "
+                                f"weighs more than {WORK_LIMIT} worlds")
+    low = (len(events) + 1) // 2
+    p = [probabilities[f] for f in events]
+    low_weights, high_weights = _weights(p[:low]), _weights(p[low:])
+    size = len(low_weights)
+    cover: dict[int, int] = {}   # low part -> flags of the low worlds holding it
+    by_high: dict[int, int] = {}  # high part -> flags its cut sets cover
+    for s in _masks(sets, events):
+        part = s & (size - 1)
+        if part not in cover:
+            cover[part] = int.from_bytes(
+                bytes(x & part == part for x in range(size)), "little")
+        by_high[s >> low] = by_high.get(s >> low, 0) | cover[part]
     total = 0.0
-    for occurred in itertools.chain.from_iterable(
-            itertools.combinations(events, r) for r in range(len(events) + 1)):
-        occ = frozenset(occurred)
-        if not any(s <= occ for s in sets):
-            continue
-        weight = 1.0
-        for f in events:
-            weight *= probabilities[f] if f in occ else 1.0 - probabilities[f]
-        total += weight
+    for h, weight in enumerate(high_weights):
+        flags = 0
+        for part, covered in by_high.items():
+            if part & h == part:
+                flags |= covered
+        if flags:
+            total += weight * sum(itertools.compress(
+                low_weights, flags.to_bytes(size, "little")))
     return total
 
 
 def probability_by_inclusion_exclusion(mcs, probabilities) -> float:
+    """Sum of (-1)^(|T|+1) P(union of T) over nonempty subfamilies T.
+
+    Terms are grouped by their union: adding cut set s to the family
+    turns each union u with coefficient c into u | s with -c and adds s
+    with +1, so each distinct union keeps one exact integer coefficient and
+    the cost is sets x distinct unions (at most 2^events), not 2^sets.
+    More than WORK_LIMIT (cut set, union) updates raise SizeGuardExceeded,
+    before the pass that would make them."""
     sets = [frozenset(s) for s in mcs]
-    _check_probs(sets, probabilities)
+    events = _check_probs(sets, probabilities)
+    coefficients: dict[int, int] = {}
+    work = 0
+    for s in _masks(sets, events):
+        work += len(coefficients) + 1
+        if work > WORK_LIMIT:
+            raise SizeGuardExceeded(f"inclusion-exclusion over {len(sets)} cut "
+                                    f"sets makes more than {WORK_LIMIT} updates")
+        grown = coefficients.copy()
+        get = grown.get
+        for union, c in coefficients.items():
+            union |= s
+            grown[union] = get(union, 0) - c
+        grown[s] = get(s, 0) + 1
+        coefficients = grown
+    p = [probabilities[f] for f in events]
     total = 0.0
-    for r in range(1, len(sets) + 1):
-        for combo in itertools.combinations(sets, r):
-            union = frozenset().union(*combo)
+    for union, c in sorted(coefficients.items()):
+        if c:
             term = 1.0
-            for f in sorted(union):
-                term *= probabilities[f]
-            total += term if r % 2 == 1 else -term
+            for i, q in enumerate(p):
+                if union >> i & 1:
+                    term *= q
+            total += c * term
     return total
 
 

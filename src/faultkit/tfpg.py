@@ -377,10 +377,6 @@ class NodeMap:
         return NodeMap({n: as_expr(e) for n, e in exprs.items()},
                        dict(field(doc, "modes", NAME_MAP, "node map", {})))
 
-    def to_json(self):
-        return {"nodes": {n: str(e) for n, e in sorted(self.exprs.items())},
-                "modes": {m: a for m, a in sorted(self.mode_map.items())}}
-
 
 def load_node_map(path) -> NodeMap:
     return NodeMap.from_json(read_json(path))

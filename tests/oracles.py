@@ -90,6 +90,24 @@ def brute_force_mcs(m: SystemModel, tle) -> list[frozenset[str]]:
     return sorted(minimal, key=lambda s: (len(s), sorted(s)))
 
 
+def world_probability(family, probabilities) -> float:
+    """P(some set of `family` fully occurs) for independent events: weigh
+    every subset of the events as a world, with frozenset inclusion tests."""
+    sets = [frozenset(s) for s in family]
+    events = sorted(set().union(*sets))
+    total = 0.0
+    for occurred in itertools.chain.from_iterable(
+            itertools.combinations(events, r) for r in range(len(events) + 1)):
+        occ = frozenset(occurred)
+        if not any(s <= occ for s in sets):
+            continue
+        weight = 1.0
+        for f in events:
+            weight *= probabilities[f] if f in occ else 1.0 - probabilities[f]
+        total += weight
+    return total
+
+
 # -- observation equivalence ---------------------------------------------------
 
 def obs_buckets(m: SystemModel, length: int) -> dict[tuple, list[Trace]]:

@@ -159,6 +159,15 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_probability_over_limit_is_exit_2(self, tmp_path, capsys):
+        # 25 basic events make 2^25 worlds, past cutsets.WORK_LIMIT
+        events = [f"e{i:02d}" for i in range(25)]
+        mcs, probs = tmp_path / "mcs.json", tmp_path / "probs.json"
+        mcs.write_text(json.dumps([[e] for e in events]))
+        probs.write_text(json.dumps(dict.fromkeys(events, 0.1)))
+        assert run_cli("ft-prob", "--mcs", str(mcs), "--probs", str(probs)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "worlds" in err
 
     @pytest.mark.parametrize("argv,flag", [
         (["validate-model"], "--model"),

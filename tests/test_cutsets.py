@@ -1,17 +1,19 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from faultkit import cutsets
 from faultkit.cutsets import (build_fault_tree, enumerate_mcs, evaluate_probability,
                               export_fault_tree_dot, final_mcs, is_cut_set,
                               mcs_from_json, mcs_to_json,
                               probability_by_enumeration,
                               probability_by_inclusion_exclusion)
-from faultkit.errors import ExpressionError, ModelFormatError
+from faultkit.errors import ExpressionError, ModelFormatError, SizeGuardExceeded
 from faultkit.model import parse_model
 
-from .oracles import brute_force_mcs
+from .conftest import bench_module
+from .oracles import brute_force_mcs, world_probability
 
 
 class TestIsCutSet:
@@ -149,6 +151,9 @@ GOLDEN_BATTERY_DOT = """digraph fault_tree {
 """
 
 
+EVENTS = [f"e{i}" for i in range(10)]
+
+
 class TestProbability:
     def test_certain_event(self):
         assert evaluate_probability([frozenset()], {}) == 1.0
@@ -182,3 +187,55 @@ class TestProbability:
         a = probability_by_enumeration(family, probs)
         b = probability_by_inclusion_exclusion(family, probs)
         assert a == pytest.approx(b, abs=1e-12)
+
+    @given(st.lists(st.sets(st.sampled_from(EVENTS), max_size=6), max_size=12),
+           st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                    min_size=len(EVENTS), max_size=len(EVENTS)))
+    @example([], [0.5] * len(EVENTS))
+    @example([set()], [0.5] * len(EVENTS))
+    @example([set(), {"e0", "e1"}], [0.3] * len(EVENTS))
+    @example([{"e0", "e1"}, {"e1", "e0"}, {"e2"}], [0.25] * len(EVENTS))
+    @example([{"e0", "e1"}, {"e1", "e2"}, {"e9"}], [0.0, 1.0, 0.5] + [1.0] * 7)
+    @settings(max_examples=100, deadline=None)
+    def test_routes_match_world_oracle(self, family, values):
+        family = [frozenset(s) for s in family]
+        probs = dict(zip(EVENTS, values))
+        want = world_probability(family, probs)
+        assert abs(probability_by_enumeration(family, probs) - want) <= 1e-12
+        assert abs(probability_by_inclusion_exclusion(family, probs) - want) <= 1e-12
+
+    def test_kofn_family_of_924_sets(self):
+        # the minimal cut sets of faultonly_kofn(12, 6) are its 924 6-subsets:
+        # the event is "at least 6 of 12 independent faults occur"
+        m = parse_model(json.dumps(bench_module("gen").faultonly_kofn(12, 6)))
+        family = final_mcs(m, "down").mcs
+        assert len(family) == 924
+        probs = {f: 0.02 * (i + 1) for i, f in enumerate(sorted(m.fault_atoms))}
+        exactly = [1.0]  # exactly[j]: P(j of the faults so far occurred)
+        for p in probs.values():
+            exactly = [a * (1 - p) + b * p for a, b in zip(exactly + [0.0], [0.0] + exactly)]
+        assert evaluate_probability(family, probs) == pytest.approx(
+            sum(exactly[6:]), rel=1e-12, abs=1e-12)
+
+
+class TestProbabilityGuard:
+    FAMILY = [frozenset({"a"}), frozenset({"b"}), frozenset({"a", "c"})]
+    PROBS = {"a": 0.1, "b": 0.2, "c": 0.3}
+
+    def test_enumeration_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(cutsets, "WORK_LIMIT", 8)  # 2^3 worlds
+        assert probability_by_enumeration(self.FAMILY, self.PROBS) == pytest.approx(
+            1 - 0.9 * 0.8)
+        monkeypatch.setattr(cutsets, "WORK_LIMIT", 7)
+        with pytest.raises(SizeGuardExceeded, match="more than 7 worlds"):
+            probability_by_enumeration(self.FAMILY, self.PROBS)
+
+    def test_inclusion_exclusion_at_the_limit(self, monkeypatch):
+        # one update for the first set, two for the second, and one per union
+        # so far ({a}, {b}, {a, b}) plus one for the third: 7
+        monkeypatch.setattr(cutsets, "WORK_LIMIT", 7)
+        assert probability_by_inclusion_exclusion(self.FAMILY, self.PROBS) == (
+            pytest.approx(1 - 0.9 * 0.8))
+        monkeypatch.setattr(cutsets, "WORK_LIMIT", 6)
+        with pytest.raises(SizeGuardExceeded, match="more than 6 updates"):
+            probability_by_inclusion_exclusion(self.FAMILY, self.PROBS)
