@@ -99,7 +99,7 @@ class Or(Expr):
 
 def _wrap(e: Expr, in_and: bool = False) -> str:
     # Parenthesize only where precedence requires it.
-    if isinstance(e, Or) or (in_and and isinstance(e, Or)):
+    if isinstance(e, Or):
         return f"({e})"
     if isinstance(e, And) and not in_and:
         return f"({e})"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
-from .graphs import nodes_on_cycles
+from .graphs import lexleast_shortest_paths, nodes_on_cycles
 from .jsonio import NAME_MAP, NAMES, decode_json, expect, field, read_json
 from .model import SystemModel, Trace, Violation
 
@@ -55,12 +55,15 @@ class TfpgEdge:
         return f"{self.src} -> {self.dst} [{self.tmin},{hi}] {{{','.join(self.modes)}}}"
 
 
+def _edge_key(e: TfpgEdge):
+    return e.src, e.dst, e.tmin, e.tmax, e.modes
+
+
 class Tfpg:
     def __init__(self, modes, nodes, edges):
         self.modes = tuple(sorted(set(modes)))
         self.nodes = dict(nodes)
-        self.edges = tuple(sorted(
-            edges, key=lambda e: (e.src, e.dst, e.tmin, e.tmax, e.modes)))
+        self.edges = tuple(sorted(edges, key=_edge_key))
         inc: dict[str, list[int]] = {n: [] for n in self.nodes}
         for i, e in enumerate(self.edges):
             if e.dst in inc:
@@ -82,14 +85,10 @@ class Tfpg:
         per edge index of the new graph, the index of the originating edge
         (canonical edge order can shuffle parallel edges when their
         intervals change)."""
-        decorated = []
-        for i, e in enumerate(self.edges):
-            lo, hi = bounds.get(i, (e.tmin, e.tmax))
-            decorated.append((TfpgEdge(e.src, e.dst, lo, hi, e.modes), i))
-        decorated.sort(key=lambda p: (p[0].src, p[0].dst, p[0].tmin,
-                                      p[0].tmax, p[0].modes))
-        graph = Tfpg(self.modes, self.nodes, [e for e, _ in decorated])
-        return graph, [orig for _, orig in decorated]
+        edges = [TfpgEdge(e.src, e.dst, *bounds.get(i, (e.tmin, e.tmax)), e.modes)
+                 for i, e in enumerate(self.edges)]
+        order = sorted(range(len(edges)), key=lambda i: _edge_key(edges[i]))
+        return Tfpg(self.modes, self.nodes, [edges[i] for i in order]), order
 
 
 @dataclass
@@ -241,17 +240,12 @@ def validate_structure(g: Tfpg) -> list[Violation]:
 
 def _impossible_nodes(g: Tfpg) -> list[str]:
     possible: set[str] = set()
-    fms = set(g.fm_nodes())
     for mode in g.modes:
-        reach = set(fms)
-        changed = True
-        while changed:
-            changed = False
-            for e in g.edges:
-                if mode in e.modes and e.src in reach and e.dst not in reach:
-                    reach.add(e.dst)
-                    changed = True
-        possible |= reach
+        succ: dict[str, list[str]] = {}
+        for e in g.edges:
+            if mode in e.modes:
+                succ.setdefault(e.src, []).append(e.dst)
+        possible.update(lexleast_shortest_paths(g.fm_nodes(), lambda n: succ.get(n, ())))
     return sorted(set(g.nodes) - possible)
 
 
@@ -542,48 +536,38 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
     observed: dict[int, list[int]] = {i: [] for i in range(len(g.edges))}
     for at in induced:
         for i, e in enumerate(g.edges):
-            act_u, act_v = at.times.get(e.src), at.times.get(e.dst)
-            if act_u is None or act_v is None or act_v < act_u:
+            act_v = at.times.get(e.dst)
+            if act_v is None:
                 continue
-            a = _anchor(e, act_u, act_v, at.mode_timeline)
+            a = _anchor(e, at.times.get(e.src), act_v, at.mode_timeline)
             if a is not None:
                 observed[i].append(act_v - a)
-    bounds: dict[int, tuple[int, float]] = {}
-    exercised: dict[int, bool] = {}
-    for i, e in enumerate(g.edges):
-        if observed[i]:
-            bounds[i] = (min(observed[i]), max(observed[i]))
-            exercised[i] = True
-        else:
-            bounds[i] = (e.tmin, e.tmax)
-            exercised[i] = False
+    exercised = {i: bool(delays) for i, delays in observed.items()}
+    bounds = {i: (min(observed[i]), max(observed[i])) if exercised[i] else (e.tmin, e.tmax)
+              for i, e in enumerate(g.edges)}
     promoted: set[int] = set()
-    while True:
-        candidate, index_map = g.replace_bounds_mapped(bounds)
-        failure = None
-        for at in induced:
+    candidate, index_map = g.replace_bounds_mapped(bounds)
+    # Relaxing an upper bound to infinity only weakens justification and
+    # removes forcing, so a trace once consistent stays consistent: one pass
+    # that relaxes until the current trace holds checks every trace.
+    for at in induced:
+        ok, violations = check_trace_consistency(candidate, at)
+        while not ok:
+            # only bounds this run introduced may be relaxed; a violation
+            # pinned on untouched edges means the input was not complete
+            # to begin with
+            relaxed = {index_map[i] for v in violations
+                       if v.kind.endswith("inevitability") for i in v.edge_indices}
+            relaxed = {i for i in relaxed if exercised[i] and bounds[i][1] != INF}
+            if not relaxed:
+                raise TfpgError(
+                    "input TFPG is not complete at this horizon; tightening "
+                    "cannot proceed: " + "; ".join(str(v) for v in violations))
+            for i in relaxed:
+                bounds[i] = (bounds[i][0], INF)
+            promoted |= relaxed
+            candidate, index_map = g.replace_bounds_mapped(bounds)
             ok, violations = check_trace_consistency(candidate, at)
-            if not ok:
-                failure = violations
-                break
-        if failure is None:
-            break
-        progress = False
-        for violation in failure:
-            if violation.kind.endswith("inevitability"):
-                for i in violation.edge_indices:
-                    orig = index_map[i]
-                    # only bounds this run introduced may be relaxed; a
-                    # violation pinned on untouched edges means the input
-                    # was not complete to begin with
-                    if exercised[orig] and bounds[orig][1] != INF:
-                        bounds[orig] = (bounds[orig][0], INF)
-                        promoted.add(orig)
-                        progress = True
-        if not progress:
-            raise TfpgError(
-                "input TFPG is not complete at this horizon; tightening "
-                "cannot proceed: " + "; ".join(str(v) for v in failure))
     changes = tuple(
         EdgeChange(i, e.describe(), (e.tmin, e.tmax), bounds[i],
                    exercised[i], i in promoted)

@@ -6,12 +6,15 @@ and the other discrepancies; a cause discrepancy is treated as a latched
 pseudo-event, so excluding it from a candidate set forbids every state
 satisfying its predicate.  Singleton cause sets become direct OR edges;
 larger ones become helper AND nodes (or the discrepancy itself when it was
-declared AND with a single multi-cause set).  Static simplification then
-merges duplicate AND nodes, drops mode-subsumed parallel edges, and
-transitively reduces OR edges whose delay interval covers the composed
-path interval; the reduction step is kept only when a behavioral re-check
-still passes, so the output is complete with respect to the model at the
-synthesis horizon by construction.  Finally the edge bounds are tightened.
+declared AND with a single multi-cause set).  Each (discrepancy, distinct
+cause set) gets its own helper and every edge carries the one full mode
+tuple, so no two AND nodes share their sources and target and no parallel
+edges differ only in modes: there is nothing to merge.  Static
+simplification transitively reduces OR edges whose delay interval covers
+the composed path interval; the reduction step is kept only when a
+behavioral re-check still passes, so the output is complete with respect to
+the model at the synthesis horizon by construction.  Finally the edge
+bounds are tightened.
 """
 
 from __future__ import annotations
@@ -87,21 +90,20 @@ def synthesize_tfpg(m: SystemModel, config: SynthesisConfig,
 
     nodes: dict[str, str] = {atom: FM for atom in config.fm_atoms}
     edges: list[TfpgEdge] = []
-    all_modes = tuple(sorted(modes))
     for name in sorted(families):
         family = sorted(families[name], key=lambda s: (len(s), sorted(s)))
         decl = decls[name]
         if decl.kind == AND and len(family) == 1 and len(family[0]) >= 2:
             nodes[name] = AND
             for cause in sorted(family[0]):
-                edges.append(TfpgEdge(cause, name, 0, INF, all_modes))
+                edges.append(TfpgEdge(cause, name, 0, INF, modes))
             continue
         nodes[name] = OR
         helper_index = 0
         for causes in family:
             members = sorted(causes)
             if len(members) == 1:
-                edges.append(TfpgEdge(members[0], name, 0, INF, all_modes))
+                edges.append(TfpgEdge(members[0], name, 0, INF, modes))
             else:
                 helper = f"{name}_and{helper_index}"
                 helper_index += 1
@@ -110,14 +112,11 @@ def synthesize_tfpg(m: SystemModel, config: SynthesisConfig,
                                     f"with a declared node")
                 nodes[helper] = AND
                 for cause in members:
-                    edges.append(TfpgEdge(cause, helper, 0, INF, all_modes))
-                edges.append(TfpgEdge(helper, name, 0, INF, all_modes))
+                    edges.append(TfpgEdge(cause, helper, 0, INF, modes))
+                edges.append(TfpgEdge(helper, name, 0, INF, modes))
 
     node_map = config.node_map()
-    g = Tfpg(modes, nodes, edges)
-    g = _merge_duplicate_ands(g, node_map)
-    g = _drop_mode_subsumed(g)
-    g = _reduce_or_edges(g, m, node_map, horizon)
+    g = _reduce_or_edges(Tfpg(modes, nodes, edges), m, node_map, horizon)
     # tighten_edges returns only a graph that every run's projection is
     # consistent with, which is what behavioral validation checks
     tightened = tighten_edges(g, m, node_map, horizon)
@@ -151,8 +150,10 @@ def _fm_causes(config) -> dict[str, Expr]:
     return {atom: as_expr(atom) for atom in config.fm_atoms}
 
 
-def _reachability_filter(m, config, findings) -> list[str]:
-    kept = []
+def _reachability_filter(m, config, findings) -> dict[str, list[frozenset[str]]]:
+    """The fault-only cause family of each discrepancy that some fault set,
+    and not the empty one, makes reachable, in declaration order."""
+    kept = {}
     for d in config.discrepancies:
         family = minimal_cause_sets(m, d.expr, _fm_causes(config))
         if not family:
@@ -162,7 +163,7 @@ def _reachability_filter(m, config, findings) -> list[str]:
             findings.append(f"{d.name}: predicate reachable without any fault; "
                             f"excluded")
         else:
-            kept.append(d.name)
+            kept[d.name] = family
     return kept
 
 
@@ -180,54 +181,11 @@ def _cause_families(m, config, kept, findings) -> dict[str, list[frozenset[str]]
     for name in sorted(cyclic):
         findings.append(f"{name}: involved in a cause cycle; recomputed over "
                         f"fault causes only")
-        families[name] = family_over(name, [])
+        families[name] = kept[name]
     return families
 
 
 # -- static simplification ------------------------------------------------------
-
-def _merge_duplicate_ands(g: Tfpg, nm: NodeMap) -> Tfpg:
-    """Merge unmapped AND nodes that have the same source set and target."""
-    helpers = [n for n, k in g.nodes.items() if k == AND and n not in nm.exprs]
-    signature = {}
-    replace = {}
-    for node in sorted(helpers):
-        sources = frozenset(g.edges[i].src for i in g.incoming(node))
-        targets = frozenset(e.dst for e in g.edges if e.src == node)
-        key = (sources, targets)
-        if key in signature:
-            replace[node] = signature[key]
-        else:
-            signature[key] = node
-    if not replace:
-        return g
-    nodes = {n: k for n, k in g.nodes.items() if n not in replace}
-    edges = []
-    for e in g.edges:
-        src = replace.get(e.src, e.src)
-        dst = replace.get(e.dst, e.dst)
-        edges.append(TfpgEdge(src, dst, e.tmin, e.tmax, e.modes))
-    return Tfpg(g.modes, nodes, sorted(set(edges), key=lambda e: (e.src, e.dst)))
-
-
-def _drop_mode_subsumed(g: Tfpg) -> Tfpg:
-    """Drop an edge when a parallel edge with the same endpoints and delay
-    interval carries a superset of its mode labels."""
-    keep = []
-    for i, e in enumerate(g.edges):
-        subsumed = False
-        for j, other in enumerate(g.edges):
-            if i == j or (e.src, e.dst, e.tmin, e.tmax) != \
-                    (other.src, other.dst, other.tmin, other.tmax):
-                continue
-            if set(e.modes) < set(other.modes) or \
-                    (e.modes == other.modes and j < i):
-                subsumed = True
-                break
-        if not subsumed:
-            keep.append(e)
-    return Tfpg(g.modes, g.nodes, keep)
-
 
 def _reduce_or_edges(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int) -> Tfpg:
     """Transitive reduction among OR edges: remove a direct edge u->w when a

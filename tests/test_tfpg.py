@@ -349,6 +349,27 @@ class TestTighten:
         with pytest.raises(TfpgError, match="not complete"):
             tighten_edges(g2, m, nm2, 8)
 
+    def test_relaxation_that_leaves_the_run_failing_is_rejected(self):
+        # one run forces warn through fault -> d_warn, which is relaxed, and
+        # through the never exercised g -> d_warn, which cannot be
+        m = parse_model(json.dumps({
+            "atoms": ["fault", "warn", "g"], "faults": ["fault"],
+            "observables": ["warn"], "modes": [],
+            "states": {"n": {}, "f": {"fault": True},
+                       "fw": {"fault": True, "warn": True},
+                       "fwg": {"fault": True, "warn": True, "g": True},
+                       "fg": {"fault": True, "g": True}},
+            "initial": ["n"],
+            "transitions": [["n", "f"], ["f", "fw"], ["f", "fg"], ["fw", "fwg"],
+                            ["fwg", "fwg"], ["fg", "fg"]]}))
+        g = Tfpg(("nominal",), {"fault": "FM", "g": "FM", "d_warn": "OR"},
+                 [TfpgEdge("fault", "d_warn", 0, 10, ("nominal",)),
+                  TfpgEdge("g", "d_warn", 0, 1, ("nominal",))])
+        nm = NodeMap({n: parse_expr(a) for n, a in
+                      (("fault", "fault"), ("g", "g"), ("d_warn", "warn"))}, {})
+        with pytest.raises(TfpgError, match="not complete.*forced by step 3"):
+            tighten_edges(g, m, nm, 6)
+
     def test_promotion_on_unguaranteed_propagation(self, intermittent):
         g = Tfpg(("nominal",), {"fault": "FM", "d_warn": "OR"},
                  [TfpgEdge("fault", "d_warn", 0, 10, ("nominal",))])

@@ -7,14 +7,15 @@ from faultkit.boolexpr import parse_expr
 from faultkit.errors import ModelFormatError
 from faultkit.model import parse_model
 from faultkit.tfpg import (AND, FM, INF, OR, NodeMap, Tfpg, TfpgEdge, TfpgError,
-                           behavioral_validate, tfpg_to_json, validate_structure)
+                           behavioral_validate, tfpg_to_json, tighten_edges,
+                           validate_structure)
 from faultkit.tfpg_synthesis import (DiscrepancyDecl, SynthesisConfig,
-                                     _cause_families, _drop_mode_subsumed,
-                                     _merge_duplicate_ands, _reachability_filter,
+                                     _cause_families, _reachability_filter,
                                      _reduce_or_edges, synthesize_tfpg)
 
 from .conftest import corpus_json
-from .oracles import brute_force_cause_family, brute_force_cycle_nodes
+from .oracles import (brute_force_cause_family, brute_force_cycle_nodes,
+                      naive_induced_trace)
 from .test_acceptance import random_model
 
 
@@ -116,35 +117,6 @@ class TestCycleFallback:
 
 
 class TestStaticRules:
-    def test_merge_duplicate_and_helpers(self):
-        nm = NodeMap({"f1": parse_expr("f1"), "f2": parse_expr("f2"),
-                      "d": parse_expr("d")}, {})
-        g = Tfpg(("on",),
-                 {"f1": FM, "f2": FM, "a1": AND, "a2": AND, "d": OR},
-                 [TfpgEdge("f1", "a1", 0, INF, ("on",)),
-                  TfpgEdge("f2", "a1", 0, INF, ("on",)),
-                  TfpgEdge("f1", "a2", 0, INF, ("on",)),
-                  TfpgEdge("f2", "a2", 0, INF, ("on",)),
-                  TfpgEdge("a1", "d", 0, INF, ("on",)),
-                  TfpgEdge("a2", "d", 0, INF, ("on",))])
-        merged = _merge_duplicate_ands(g, nm)
-        assert set(merged.nodes) == {"f1", "f2", "a1", "d"}
-        assert len(merged.edges) == 3
-
-    def test_drop_mode_subsumed_parallel_edge(self):
-        g = Tfpg(("m1", "m2"), {"f": FM, "d": OR},
-                 [TfpgEdge("f", "d", 0, 1, ("m1",)),
-                  TfpgEdge("f", "d", 0, 1, ("m1", "m2"))])
-        slim = _drop_mode_subsumed(g)
-        assert len(slim.edges) == 1
-        assert slim.edges[0].modes == ("m1", "m2")
-
-    def test_keep_edges_with_different_intervals(self):
-        g = Tfpg(("m1", "m2"), {"f": FM, "d": OR},
-                 [TfpgEdge("f", "d", 0, 1, ("m1",)),
-                  TfpgEdge("f", "d", 0, 5, ("m1", "m2"))])
-        assert len(_drop_mode_subsumed(g).edges) == 2
-
     def _chain_model(self):
         doc = {
             "atoms": ["f", "ev", "ew"],
@@ -226,7 +198,7 @@ class TestCauseFamiliesOracle:
         kept = _reachability_filter(m, config, [])
         alone = {name: brute_force_cause_family(m, fms, e, {})
                  for name, e in exprs.items()}
-        assert kept == [name for name, fam in alone.items()
+        assert list(kept) == [name for name, fam in alone.items()
                         if fam and frozenset() not in fam]
 
         families = _cause_families(m, config, kept, [])
@@ -239,3 +211,62 @@ class TestCauseFamiliesOracle:
         for name in brute_force_cycle_nodes(adjacency):
             expected[name] = alone[name]
         assert families == expected
+
+
+class TestTightenRelaxations:
+    HORIZON = 4
+
+    @staticmethod
+    def observed_delays(g, m, nm, horizon):
+        """Per edge index, every delay from its anchor to its target's
+        activation over the runs of horizon + 1 states."""
+        delays = {i: set() for i in range(len(g.edges))}
+        for tr in m.enumerate_traces(horizon + 1):
+            at = naive_induced_trace(g, m, nm.exprs, nm.mode_map, tr)
+            for i, e in enumerate(g.edges):
+                tu, tv = at.times.get(e.src), at.times.get(e.dst)
+                if tu is None or tv is None:
+                    continue
+                starts = [a for a in range(tu, tv + 1)
+                          if all(at.mode_timeline[x] in e.modes for x in range(a, tv + 1))]
+                if starts:
+                    delays[i].add(tv - min(starts))
+        return delays
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_finite_bounds(self, seed):
+        m, _ = random_model(seed)
+        rng = random.Random(seed)
+        atoms = sorted(m.atoms)
+        decls = [decl(f"d{i}", rng.choice([" & ", " | "]).join(
+                      rng.sample(atoms, rng.randint(1, 2))), rng.choice([OR, AND]))
+                 for i in range(rng.randint(2, 4))]
+        h = self.HORIZON
+        synth = synthesize_tfpg(m, SynthesisConfig(sorted(m.fault_atoms), decls, {}), h)
+        nm = synth.node_map
+        g = Tfpg(synth.tfpg.modes, synth.tfpg.nodes,
+                 [TfpgEdge(e.src, e.dst, e.tmin, e.tmin + rng.randint(0, 3), e.modes)
+                  for e in synth.tfpg.edges])
+        delays = self.observed_delays(g, m, nm, h)
+        loosest = Tfpg(g.modes, g.nodes, [
+            TfpgEdge(e.src, e.dst, min(delays[i]), INF, e.modes) if delays[i] else e
+            for i, e in enumerate(g.edges)])
+        # tightening relaxes only exercised edges, and a relaxed bound never
+        # breaks a consistent run: it succeeds exactly when relaxing all of
+        # them gives a complete graph
+        if not behavioral_validate(loosest, m, nm, h).complete:
+            with pytest.raises(TfpgError, match="not complete"):
+                tighten_edges(g, m, nm, h)
+            return
+        result = tighten_edges(g, m, nm, h)
+        assert behavioral_validate(result.tfpg, m, nm, h).complete
+        again = tighten_edges(result.tfpg, m, nm, h)
+        assert tfpg_to_json(again.tfpg) == tfpg_to_json(result.tfpg)
+        for i, change in enumerate(result.changes):
+            assert change.exercised == bool(delays[i])
+            assert not change.promoted or change.exercised
+            if change.exercised:
+                hi = INF if change.promoted else max(delays[i])
+                assert change.new == (min(delays[i]), hi)
+            else:
+                assert change.new == change.old
