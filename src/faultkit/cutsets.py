@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .boolexpr import Atom, Expr, as_expr
-from .errors import ExpressionError, SizeGuardExceeded
+from .errors import ExpressionError, FaultkitError, SizeGuardExceeded
 from .jsonio import NAMES, expect
 from .model import SystemModel
 
@@ -319,12 +319,13 @@ def probability_by_inclusion_exclusion(mcs, probabilities) -> float:
 
 def probability_routes(mcs, probabilities) -> tuple[float, float]:
     """(by enumeration, by inclusion-exclusion): both exact routes, each
-    computed once; they must agree."""
+    computed once; they must agree to 1e-12, or FaultkitError is raised
+    (inclusion-exclusion cancels on many events)."""
     sets = [frozenset(s) for s in mcs]
     by_enum = probability_by_enumeration(sets, probabilities)
     by_ie = probability_by_inclusion_exclusion(sets, probabilities)
     if abs(by_enum - by_ie) > 1e-12:
-        raise AssertionError(
+        raise FaultkitError(
             f"probability routes disagree: enumeration={by_enum!r}, "
             f"inclusion-exclusion={by_ie!r}")
     return by_enum, by_ie

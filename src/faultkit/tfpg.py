@@ -51,8 +51,13 @@ class TfpgEdge:
     modes: tuple[str, ...]
 
     def describe(self) -> str:
-        hi = "inf" if self.tmax == INF else str(int(self.tmax))
-        return f"{self.src} -> {self.dst} [{self.tmin},{hi}] {{{','.join(self.modes)}}}"
+        return (f"{self.src} -> {self.dst} [{self.tmin},{_upper(self.tmax)}] "
+                f"{{{','.join(self.modes)}}}")
+
+
+def _upper(tmax: float) -> int | str:
+    """An upper bound as reports write it: "inf" or an int."""
+    return "inf" if tmax == INF else int(tmax)
 
 
 def _edge_key(e: TfpgEdge):
@@ -157,7 +162,7 @@ def tfpg_to_json(g: Tfpg) -> dict:
         "modes": list(g.modes),
         "nodes": {n: {"kind": g.nodes[n]} for n in sorted(g.nodes)},
         "edges": [{"from": e.src, "to": e.dst, "tmin": e.tmin,
-                   "tmax": "inf" if e.tmax == INF else int(e.tmax),
+                   "tmax": _upper(e.tmax),
                    "modes": list(e.modes)}
                   for e in g.edges],
     }
@@ -189,8 +194,7 @@ def export_tfpg_dot(g: Tfpg) -> str:
         else:
             lines.append(f'  "{name}" [shape=circle];')
     for e in g.edges:
-        hi = "inf" if e.tmax == INF else str(int(e.tmax))
-        label = f"[{e.tmin},{hi}] {','.join(e.modes)}"
+        label = f"[{e.tmin},{_upper(e.tmax)}] {','.join(e.modes)}"
         lines.append(f'  "{e.src}" -> "{e.dst}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -510,7 +514,7 @@ class EdgeChange:
     def to_json(self):
         def fmt(pair):
             lo, hi = pair
-            return [lo, "inf" if hi == INF else int(hi)]
+            return [lo, _upper(hi)]
         return {"edge": self.description, "old": fmt(self.old), "new": fmt(self.new),
                 "exercised": self.exercised, "promoted": self.promoted}
 

@@ -9,12 +9,14 @@ larger ones become helper AND nodes (or the discrepancy itself when it was
 declared AND with a single multi-cause set).  Each (discrepancy, distinct
 cause set) gets its own helper and every edge carries the one full mode
 tuple, so no two AND nodes share their sources and target and no parallel
-edges differ only in modes: there is nothing to merge.  Static
-simplification transitively reduces OR edges whose delay interval covers
-the composed path interval; the reduction step is kept only when a
-behavioral re-check still passes, so the output is complete with respect to
-the model at the synthesis horizon by construction.  Finally the edge
-bounds are tightened.
+edges differ only in modes: there is nothing to merge.  A kept discrepancy
+is unreachable without a declared fault, so every cause set holding it also
+holds a fault: every singleton cause set is a failure mode, and no edge runs
+from one OR node to another.  Finally the edge bounds are tightened.  The
+construction explains every activation of a kept discrepancy by one of its
+cause sets, and `tighten_edges` checks every run against the graph it
+returns, so the output is complete with respect to the model at the
+synthesis horizon.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .graphs import nodes_on_cycles
 from .jsonio import NAME_MAP, NAMES, expect, field, read_json
 from .model import SystemModel
 from .tfpg import (AND, FM, INF, OR, NodeMap, Tfpg, TfpgEdge, TfpgError,
-                   behavioral_validate, tighten_edges)
+                   tighten_edges)
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,9 @@ def synthesize_tfpg(m: SystemModel, config: SynthesisConfig,
                 edges.append(TfpgEdge(helper, name, 0, INF, modes))
 
     node_map = config.node_map()
-    g = _reduce_or_edges(Tfpg(modes, nodes, edges), m, node_map, horizon)
     # tighten_edges returns only a graph that every run's projection is
     # consistent with, which is what behavioral validation checks
-    tightened = tighten_edges(g, m, node_map, horizon)
+    tightened = tighten_edges(Tfpg(modes, nodes, edges), m, node_map, horizon)
     return SynthesisResult(tightened.tfpg, node_map, tuple(findings))
 
 
@@ -183,43 +184,3 @@ def _cause_families(m, config, kept, findings) -> dict[str, list[frozenset[str]]
                         f"fault causes only")
         families[name] = kept[name]
     return families
-
-
-# -- static simplification ------------------------------------------------------
-
-def _reduce_or_edges(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int) -> Tfpg:
-    """Transitive reduction among OR edges: remove a direct edge u->w when a
-    two-edge path u->v->w through an OR node exists and the direct delay
-    interval contains the composed one.  Each removal is kept only if the
-    graph still validates behaviorally."""
-    current = g
-    rejected: set[TfpgEdge] = set()
-    while True:
-        removal = _find_reducible(current, rejected)
-        if removal is None:
-            return current
-        edges = [e for i, e in enumerate(current.edges) if i != removal]
-        candidate = Tfpg(current.modes, current.nodes, edges)
-        if behavioral_validate(candidate, m, nm, horizon).complete:
-            current = candidate
-        else:
-            rejected.add(current.edges[removal])
-
-
-def _find_reducible(g: Tfpg, rejected: set[TfpgEdge]) -> int | None:
-    for i, direct in enumerate(g.edges):
-        if g.nodes[direct.dst] != OR or direct in rejected:
-            continue
-        for first in g.edges:
-            if first.src != direct.src or g.nodes.get(first.dst) != OR \
-                    or first.dst == direct.dst:
-                continue
-            for j in g.incoming(direct.dst):
-                second = g.edges[j]
-                if second.src != first.dst:
-                    continue
-                lo = first.tmin + second.tmin
-                hi = first.tmax + second.tmax
-                if direct.tmin <= lo and direct.tmax >= hi:
-                    return i
-    return None

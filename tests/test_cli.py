@@ -169,6 +169,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "worlds" in err
 
+    def test_probability_routes_that_disagree_are_exit_2(self, tmp_path):
+        # inclusion-exclusion cancels on 20 events at p = 0.9
+        events = [f"e{i:02d}" for i in range(20)]
+        mcs, probs = tmp_path / "mcs.json", tmp_path / "probs.json"
+        mcs.write_text(json.dumps([[e] for e in events]))
+        probs.write_text(json.dumps(dict.fromkeys(events, 0.9)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "faultkit.cli", "ft-prob", "--mcs", str(mcs),
+             "--probs", str(probs)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: probability routes disagree:")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv,flag", [
         (["validate-model"], "--model"),
         (["diag-check", "--model", SENSOR], "--spec"),

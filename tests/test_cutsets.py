@@ -9,7 +9,8 @@ from faultkit.cutsets import (build_fault_tree, enumerate_mcs, evaluate_probabil
                               mcs_from_json, mcs_to_json,
                               probability_by_enumeration,
                               probability_by_inclusion_exclusion)
-from faultkit.errors import ExpressionError, ModelFormatError, SizeGuardExceeded
+from faultkit.errors import (ExpressionError, FaultkitError, ModelFormatError,
+                             SizeGuardExceeded)
 from faultkit.model import parse_model
 
 from .conftest import bench_module
@@ -216,6 +217,25 @@ class TestProbability:
             exactly = [a * (1 - p) + b * p for a, b in zip(exactly + [0.0], [0.0] + exactly)]
         assert evaluate_probability(family, probs) == pytest.approx(
             sum(exactly[6:]), rel=1e-12, abs=1e-12)
+
+    def test_routes_that_disagree_raise_faultkit_error(self):
+        # inclusion-exclusion cancels: its alternating terms sum to about
+        # 1.9^20, and it misses the enumeration's value by about 2e-11
+        family = [frozenset({f"e{i:02d}"}) for i in range(20)]
+        probs = {f"e{i:02d}": 0.9 for i in range(20)}
+        with pytest.raises(FaultkitError, match="probability routes disagree"):
+            cutsets.probability_routes(family, probs)
+
+    @pytest.mark.parametrize("gap,agree", [(0.5e-12, True), (2e-12, False)])
+    def test_routes_agree_to_1e_12(self, monkeypatch, gap, agree):
+        value = probability_by_enumeration([frozenset({"a"})], {"a": 0.5})
+        monkeypatch.setattr(cutsets, "probability_by_inclusion_exclusion",
+                            lambda mcs, probabilities: value + gap)
+        if agree:
+            assert cutsets.probability_routes([{"a"}], {"a": 0.5}) == (value, value + gap)
+        else:
+            with pytest.raises(FaultkitError, match="probability routes disagree"):
+                cutsets.probability_routes([{"a"}], {"a": 0.5})
 
 
 class TestProbabilityGuard:

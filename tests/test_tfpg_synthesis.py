@@ -1,19 +1,21 @@
 import json
 import random
+from math import comb
 
 import pytest
 
+from faultkit import tfpg_synthesis
 from faultkit.boolexpr import parse_expr
 from faultkit.errors import ModelFormatError
 from faultkit.model import parse_model
-from faultkit.tfpg import (AND, FM, INF, OR, NodeMap, Tfpg, TfpgEdge, TfpgError,
+from faultkit.tfpg import (AND, FM, INF, OR, Tfpg, TfpgEdge, TfpgError, TightenResult,
                            behavioral_validate, tfpg_to_json, tighten_edges,
                            validate_structure)
 from faultkit.tfpg_synthesis import (DiscrepancyDecl, SynthesisConfig,
                                      _cause_families, _reachability_filter,
-                                     _reduce_or_edges, synthesize_tfpg)
+                                     synthesize_tfpg)
 
-from .conftest import corpus_json
+from .conftest import bench_module, corpus_json
 from .oracles import (brute_force_cause_family, brute_force_cycle_nodes,
                       naive_induced_trace)
 from .test_acceptance import random_model
@@ -116,70 +118,52 @@ class TestCycleFallback:
         assert behavioral_validate(g, m, result.node_map, 5).complete
 
 
-class TestStaticRules:
-    def _chain_model(self):
-        doc = {
-            "atoms": ["f", "ev", "ew"],
-            "faults": ["f"],
-            "observables": [],
-            "modes": [],
-            "states": {"n": {}, "s1": {"f": True},
-                       "s2": {"f": True, "ev": True},
-                       "s3": {"f": True, "ev": True, "ew": True}},
-            "initial": ["n"],
-            "transitions": [["n", "n"], ["n", "s1"], ["s1", "s2"],
-                            ["s2", "s3"], ["s3", "s3"]],
-        }
-        m = parse_model(json.dumps(doc))
-        nm = NodeMap({"f": parse_expr("f"), "v": parse_expr("ev"),
-                      "w": parse_expr("ew")}, {})
-        return m, nm
+class TestNoOrToOrEdges:
+    """A kept discrepancy is unreachable without a declared fault, so every
+    cause set holding it holds a fault too: each singleton cause set is a
+    failure mode, and no synthesized edge runs from an OR node to an OR
+    node."""
 
-    def test_transitive_reduction_drops_covered_direct_edge(self):
-        m, nm = self._chain_model()
-        g = Tfpg(("nominal",), {"f": FM, "v": OR, "w": OR},
-                 [TfpgEdge("f", "v", 1, 2, ("nominal",)),
-                  TfpgEdge("v", "w", 1, 2, ("nominal",)),
-                  TfpgEdge("f", "w", 2, 4, ("nominal",))])
-        reduced = _reduce_or_edges(g, m, nm, 6)
-        assert len(reduced.edges) == 2
-        assert not any(e.src == "f" and e.dst == "w" for e in reduced.edges)
-        assert behavioral_validate(reduced, m, nm, 6).complete
+    @staticmethod
+    def check(m, config, horizon):
+        kept = _reachability_filter(m, config, [])
+        for family in _cause_families(m, config, kept, []).values():
+            for causes in family:
+                assert len(causes) > 1 or causes <= set(config.fm_atoms)
+        g = synthesize_tfpg(m, config, horizon).tfpg
+        assert [e.describe() for e in g.edges
+                if g.nodes[e.src] == OR and g.nodes[e.dst] == OR] == []
+        return g
 
-    def test_reduction_skipped_when_interval_not_contained(self):
-        m, nm = self._chain_model()
-        g = Tfpg(("nominal",), {"f": FM, "v": OR, "w": OR},
-                 [TfpgEdge("f", "v", 1, 2, ("nominal",)),
-                  TfpgEdge("v", "w", 1, 2, ("nominal",)),
-                  TfpgEdge("f", "w", 3, 4, ("nominal",))])  # 2 not covered
-        reduced = _reduce_or_edges(g, m, nm, 6)
-        assert len(reduced.edges) == 3
+    @pytest.mark.parametrize("horizon", range(1, 9))
+    def test_battery(self, battery, horizon):
+        config = SynthesisConfig.from_json(corpus_json("battery_synth.json"))
+        self.check(battery, config, horizon)
 
-    def test_reduction_rolled_back_when_completeness_breaks(self):
-        # direct effect may also appear without the intermediate one
-        doc = {
-            "atoms": ["f", "ev", "ew"],
-            "faults": ["f"],
-            "observables": [],
-            "modes": [],
-            "states": {"n": {}, "s1": {"f": True},
-                       "sw": {"f": True, "ew": True},
-                       "s2": {"f": True, "ev": True},
-                       "s3": {"f": True, "ev": True, "ew": True}},
-            "initial": ["n"],
-            "transitions": [["n", "n"], ["n", "s1"], ["s1", "sw"], ["sw", "sw"],
-                            ["s1", "s2"], ["s2", "s3"], ["s3", "s3"]],
-        }
-        m = parse_model(json.dumps(doc))
-        nm = NodeMap({"f": parse_expr("f"), "v": parse_expr("ev"),
-                      "w": parse_expr("ew")}, {})
-        g = Tfpg(("nominal",), {"f": FM, "v": OR, "w": OR},
-                 [TfpgEdge("f", "v", 1, 2, ("nominal",)),
-                  TfpgEdge("v", "w", 1, 2, ("nominal",)),
-                  TfpgEdge("f", "w", 2, 4, ("nominal",))])
-        reduced = _reduce_or_edges(g, m, nm, 6)
-        # dropping f->w would orphan the runs through sw
-        assert any(e.src == "f" and e.dst == "w" for e in reduced.edges)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_kofn_phase(self, n):
+        gen = bench_module("gen")
+        m = parse_model(json.dumps(gen.kofn_phase(n)))
+        g = self.check(m, SynthesisConfig.from_json(gen.kofn_tfpg_config(n)), 4)
+        # one helper AND node per cause set of d_low (a majority of the
+        # faults) and of d_warn (those faults and d_low)
+        assert sum(kind == AND for kind in g.nodes.values()) == 2 * comb(n, (n + 1) // 2)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_with_an_undeclared_fault(self, seed, monkeypatch):
+        m, _ = random_model(seed)
+        rng = random.Random(seed)
+        atoms = sorted(m.atoms)
+        decls = [decl(f"d{i}", rng.choice([" & ", " | "]).join(
+                      rng.sample(atoms, rng.randint(1, 2))), (AND, OR)[i % 2])
+                 for i in range(rng.randint(2, 4))]
+        # The claim is about the graph synthesis builds, so tightening is
+        # left out: cause sets pin the undeclared fault false, but tightening
+        # checks the runs through it too, and rejects the graph on the seeds
+        # where such a run activates a discrepancy.
+        monkeypatch.setattr(tfpg_synthesis, "tighten_edges",
+                            lambda g, *rest: TightenResult(g, ()))
+        self.check(m, SynthesisConfig(sorted(m.fault_atoms)[1:], decls, {}), 3)
 
 
 class TestCauseFamiliesOracle:
