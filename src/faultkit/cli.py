@@ -39,8 +39,11 @@ def _lines(lines) -> str:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise CliInputError(f"cannot write {args.out}: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 

@@ -175,7 +175,7 @@ def build_fault_tree(mcs: Iterable[frozenset[str]], name: str) -> FaultTree:
                if size > mask.bit_count() for k in layer):
             b = next(b for b, k in zip(sets, masks) if k != mask and mask & k == mask)
             raise ValueError(f"not an antichain: {sorted(a)} is a subset of {sorted(b)}")
-    gates = sorted(tuple(sorted(s)) for s in sets)
+    gates = sorted({tuple(sorted(s)) for s in sets})
     return FaultTree(name, tuple(gates))
 
 

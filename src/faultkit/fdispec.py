@@ -175,11 +175,6 @@ def eval_past(m: SystemModel, tr: Trace, phi: PastFormula, t: int) -> bool:
     raise TypeError(f"not a past formula: {phi!r}")
 
 
-def timed_verdict(m: SystemModel, tr: Trace, phi: PastFormula) -> tuple[bool, ...]:
-    """The formula's truth value at every time point of the trace."""
-    return tuple(eval_past(m, tr, phi, t) for t in range(len(tr)))
-
-
 # -- bounded per-run memory ---------------------------------------------------
 
 def memory_init(delay: Delay, beta_now: bool):
@@ -240,7 +235,6 @@ def memory_automaton(delay: Delay, labels: Iterable[int]):
 
 Tracker = tuple[Delay, Expr]
 BeliefMember = tuple[str, tuple]
-Belief = frozenset
 
 
 def trackers_for(specs: Iterable[AlarmSpec]) -> tuple[Tracker, ...]:
@@ -326,12 +320,6 @@ class BeliefTracker:
     def decode(self, member: int) -> BeliefMember:
         memory, state = divmod(member, self.model.size)
         return self.model.ids[state], self.memories[memory]
-
-
-def belief_certain(belief: Belief, index: int, trackers: tuple[Tracker, ...]) -> bool:
-    """The tracked condition is known iff it holds in every decoded member."""
-    delay = trackers[index][0]
-    return all(memory_satisfies(delay, mems[index]) for _, mems in belief)
 
 
 def belief_chain(beliefs: BeliefTracker, obs_seq: list[tuple]) -> list[tuple[int, ...]]:

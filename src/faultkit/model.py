@@ -130,11 +130,6 @@ class SystemModel:
                                               for sid in self.ids]
         return flags
 
-    def successors(self, sid: str) -> tuple[str, ...]:
-        if sid not in self.number:
-            raise TraceError(f"unknown state {sid!r}")
-        return tuple(self.ids[j] for j in self.succ[self.number[sid]])
-
     def holds(self, expr: Expr | str, sid: str) -> bool:
         return as_expr(expr).evaluate(self.states[sid])
 
@@ -168,10 +163,6 @@ class SystemModel:
         for _ in range(length - 1):
             runs = (run + (nxt,) for run in runs for nxt in self.succ[run[-1]])
         return runs
-
-    def enumerate_traces(self, horizon: int) -> Iterator[Trace]:
-        """All traces with exactly `horizon` states, lexicographic order."""
-        return map(self.trace, self.runs(horizon))
 
     def trace(self, run) -> Trace:
         """The trace of a run given as state numbers."""

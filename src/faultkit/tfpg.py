@@ -524,10 +524,6 @@ class TightenResult:
     tfpg: Tfpg
     changes: tuple[EdgeChange, ...]
 
-    @property
-    def never_exercised(self) -> tuple[str, ...]:
-        return tuple(c.description for c in self.changes if not c.exercised)
-
 
 def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
                   horizon: int) -> TightenResult:

@@ -34,6 +34,26 @@ def path_count_by_matrix_power(m: SystemModel, length: int) -> int:
     return int(sum(P[index[s], :].sum() for s in m.initial))
 
 
+def enumerate_traces(m: SystemModel, length: int):
+    """Every trace with `length` states, in lexicographic order of state
+    ids, by depth-first extension along the sorted transition records."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    targets: dict[str, list[str]] = {sid: [] for sid in m.states}
+    for a, b in sorted(m.transitions):
+        targets[a].append(b)
+
+    def extend(path):
+        if len(path) == length:
+            yield Trace(path)
+            return
+        for nxt in targets[path[-1]]:
+            yield from extend(path + (nxt,))
+
+    for sid in sorted(m.initial):
+        yield from extend((sid,))
+
+
 def reachable_restricted(m: SystemModel, allowed_faults: frozenset[str]) -> set[str]:
     """Fixpoint reachability with faults outside the allowed set pinned
     false (independent of the library's BFS)."""
@@ -112,7 +132,7 @@ def world_probability(family, probabilities) -> float:
 
 def obs_buckets(m: SystemModel, length: int) -> dict[tuple, list[Trace]]:
     buckets: dict[tuple, list[Trace]] = {}
-    for tr in m.enumerate_traces(length):
+    for tr in enumerate_traces(m, length):
         key = tuple(m.observation(s) for s in tr.steps)
         buckets.setdefault(key, []).append(tr)
     return buckets

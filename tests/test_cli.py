@@ -159,6 +159,12 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_out_into_missing_directory_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run_cli("mcs", "--model", MODEL, "--tle", "b1_fail", out=out) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot write {out}: No such file or directory\n"
+
     def test_probability_over_limit_is_exit_2(self, tmp_path, capsys):
         # 25 basic events make 2^25 worlds, past cutsets.WORK_LIMIT
         events = [f"e{i:02d}" for i in range(25)]

@@ -120,6 +120,15 @@ class TestFaultTree:
         with pytest.raises(ValueError, match="antichain"):
             build_fault_tree([frozenset({"f1"}), frozenset({"f1", "f2"})], "boom")
 
+    def test_repeated_cut_set_makes_one_gate(self):
+        tree = build_fault_tree([frozenset({"a", "b"}), frozenset({"b", "a"})], "boom")
+        assert tree.gates == (("a", "b"),)
+
+    def test_repeated_empty_cut_set_is_true_node(self):
+        dot = export_fault_tree_dot(build_fault_tree([frozenset(), frozenset()], "boom"))
+        assert dot == export_fault_tree_dot(build_fault_tree([frozenset()], "boom"))
+        assert "TRUE" in dot and "AND" not in dot
+
     def test_dot_single_and_single_leaf_has_four_nodes(self):
         tree = build_fault_tree([frozenset({"f1"})], "boom")
         dot = export_fault_tree_dot(tree)

@@ -11,8 +11,9 @@ from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
 from faultkit.model import Trace, load_model, parse_model
 
 from .conftest import corpus_path
-from .oracles import (brute_force_critical_pair, oracle_diagnosable_bounded,
-                      oracle_diagnosable_exact, oracle_diagnosable_finite)
+from .oracles import (brute_force_critical_pair, enumerate_traces,
+                      oracle_diagnosable_bounded, oracle_diagnosable_exact,
+                      oracle_diagnosable_finite)
 
 FAULT = parse_expr("fault")
 
@@ -204,7 +205,7 @@ class TestTraceDiagnosability:
         for m, delay in ((sensor_delay, ExactDelay(2)), (fully_obs, ExactDelay(1)),
                          (sensor_delay, BoundedDelay(2))):
             s = spec(delay, diag="trace")
-            for tr in m.enumerate_traces(7):
+            for tr in enumerate_traces(m, 7):
                 for t in range(len(tr) - delay.n):
                     if m.holds(FAULT, tr[t]):
                         assert check_trace_diagnosability(m, s, tr, t).diagnosable

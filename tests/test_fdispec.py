@@ -11,10 +11,10 @@ from faultkit.fdispec import (AlarmRef, AlarmSpec, Always, BeliefTracker, Bounde
                               WithinFuture, belief_chain, eval_knowledge, eval_past,
                               instantiate_pattern, knowledge_counterexample,
                               memory_bound, memory_init, memory_satisfies, memory_update,
-                              parse_specs, timed_verdict)
+                              parse_specs)
 from faultkit.model import Trace, parse_model
 
-from .oracles import knowledge_by_enumeration, naive_past, obs_buckets
+from .oracles import enumerate_traces, knowledge_by_enumeration, naive_past, obs_buckets
 
 FAULT = parse_expr("fault")
 
@@ -69,15 +69,17 @@ class TestEvalPast:
 
     def test_timed_verdict_vector(self, sensor_delay):
         tr = Trace(("n", "f0", "f1", "f2"))
-        assert timed_verdict(sensor_delay, tr, Once(FAULT)) == \
-            (False, True, True, True)
-        assert timed_verdict(sensor_delay, tr, PastShift(FAULT, 2)) == \
-            (False, False, False, True)
+
+        def timed_verdict(phi):
+            return tuple(eval_past(sensor_delay, tr, phi, t) for t in range(len(tr)))
+
+        assert timed_verdict(Once(FAULT)) == (False, True, True, True)
+        assert timed_verdict(PastShift(FAULT, 2)) == (False, False, False, True)
 
     @given(st.integers(0, 9999), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_scan(self, sensor_delay, seed, n):
-        traces = list(sensor_delay.enumerate_traces(12))
+        traces = list(enumerate_traces(sensor_delay, 12))
         tr = traces[seed % len(traces)]
         for t in range(len(tr)):
             for phi in (PastShift(FAULT, n), OnceWithin(FAULT, max(1, n)), Once(FAULT)):
@@ -92,7 +94,7 @@ class TestMemory:
         (FiniteDelay(), Once(FAULT)),
     ])
     def test_memory_tracks_past_formula(self, sensor_delay, delay, phi):
-        for tr in sensor_delay.enumerate_traces(8):
+        for tr in enumerate_traces(sensor_delay, 8):
             mem = memory_init(delay, sensor_delay.holds(FAULT, tr[0]))
             assert memory_satisfies(delay, mem) == eval_past(sensor_delay, tr, phi, 0)
             for t in range(1, len(tr)):
@@ -120,7 +122,7 @@ class TestMemory:
         beliefs = BeliefTracker(sensor_delay, tuple((d, FAULT) for d in delays))
         reached = set()
         for horizon in range(1, 7):
-            for tr in sensor_delay.enumerate_traces(horizon):
+            for tr in enumerate_traces(sensor_delay, horizon):
                 flags = [sensor_delay.holds(FAULT, s) for s in tr.steps]
                 mems = tuple(memory_init(d, flags[0]) for d in delays)
                 for b in flags[1:]:
@@ -154,7 +156,7 @@ class TestKnowledge:
 
     def test_knowledge_is_veridical(self, sensor_delay, intermittent):
         for m in (sensor_delay, intermittent):
-            for tr in m.enumerate_traces(6):
+            for tr in enumerate_traces(m, 6):
                 for phi in (PastShift(FAULT, 1), OnceWithin(FAULT, 2), Once(FAULT)):
                     for t in range(len(tr)):
                         if eval_knowledge(m, tr, t, phi):
@@ -163,7 +165,7 @@ class TestKnowledge:
     def test_matches_enumeration(self, sensor_delay, intermittent):
         for m in (sensor_delay, intermittent):
             for length in range(1, 7):
-                for tr in m.enumerate_traces(length):
+                for tr in enumerate_traces(m, length):
                     t = length - 1
                     for phi in (PastShift(FAULT, 1), OnceWithin(FAULT, 2), Once(FAULT)):
                         assert eval_knowledge(m, tr, t, phi) == \
@@ -171,7 +173,7 @@ class TestKnowledge:
 
     def test_monotone_information(self, sensor_delay):
         # certainty about an absolutely anchored past fact is never revoked
-        for tr in sensor_delay.enumerate_traces(8):
+        for tr in enumerate_traces(sensor_delay, 8):
             for t in range(len(tr)):
                 for n in (1, 2):
                     if t < n:

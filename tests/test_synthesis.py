@@ -10,8 +10,8 @@ from faultkit.boolexpr import parse_expr
 from faultkit.diagnosability import check_diagnosability
 from faultkit.errors import ModelFormatError, ObservationError
 from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
-                              Once, OnceWithin, PastShift, belief_certain,
-                              memory_satisfies, trackers_for)
+                              Once, OnceWithin, PastShift, memory_satisfies,
+                              trackers_for)
 from faultkit.model import Trace, load_model, parse_model
 from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_correctness,
                                 _check_maximality, _Product, diagnoser_to_json,
@@ -20,9 +20,19 @@ from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_co
 
 from .conftest import corpus_path
 from .oracles import (PartialCandidate, brute_force_product_counterexample,
-                      brute_force_trace_completeness, knowledge_by_enumeration)
+                      brute_force_trace_completeness, enumerate_traces,
+                      knowledge_by_enumeration)
 
 FAULT = parse_expr("fault")
+
+# A decoded belief: a frozenset of (state id, one memory per tracker).
+Belief = frozenset
+
+
+def belief_certain(belief: Belief, index: int, trackers) -> bool:
+    """The tracked condition is known iff it holds in every decoded member."""
+    delay = trackers[index][0]
+    return all(memory_satisfies(delay, mems[index]) for _, mems in belief)
 
 
 def spec(delay, diag="global", maximal=True):
@@ -50,7 +60,7 @@ class TestSynthesize:
 
     def test_sensor_alarm_step_matches_knowledge_oracle(self, sensor_delay):
         d = synthesize_diagnoser(sensor_delay, [spec(BoundedDelay(3))])
-        for tr in sensor_delay.enumerate_traces(7):
+        for tr in enumerate_traces(sensor_delay, 7):
             obs = [{a: sensor_delay.states[s][a] for a in sensor_delay.observable_atoms}
                    for s in tr.steps]
             alarms = run_diagnoser(d, obs)
@@ -112,7 +122,7 @@ class TestRunDiagnoser:
     def test_output_is_function_of_observations(self, sensor_delay):
         d = synthesize_diagnoser(sensor_delay, [spec(BoundedDelay(3))])
         seen = {}
-        for tr in sensor_delay.enumerate_traces(6):
+        for tr in enumerate_traces(sensor_delay, 6):
             obs = tuple(sensor_delay.observation(s) for s in tr.steps)
             out = tuple(frozenset(a) for a in run_diagnoser(
                 d, [{a: sensor_delay.states[s][a] for a in sensor_delay.observable_atoms}

@@ -17,7 +17,7 @@ from faultkit.tfpg_synthesis import (DiscrepancyDecl, SynthesisConfig,
 
 from .conftest import bench_module, corpus_json
 from .oracles import (brute_force_cause_family, brute_force_cycle_nodes,
-                      naive_induced_trace)
+                      enumerate_traces, naive_induced_trace)
 from .test_acceptance import random_model
 
 
@@ -205,7 +205,7 @@ class TestTightenRelaxations:
         """Per edge index, every delay from its anchor to its target's
         activation over the runs of horizon + 1 states."""
         delays = {i: set() for i in range(len(g.edges))}
-        for tr in m.enumerate_traces(horizon + 1):
+        for tr in enumerate_traces(m, horizon + 1):
             at = naive_induced_trace(g, m, nm.exprs, nm.mode_map, tr)
             for i, e in enumerate(g.edges):
                 tu, tv = at.times.get(e.src), at.times.get(e.dst)
