@@ -23,7 +23,7 @@ def main():
     model = load_model(CORPUS / "sensor_delay.json")
     spec = AlarmSpec("battery_watch", parse_expr("fault"), BoundedDelay(3),
                      maximal=True)
-    print("requirement:", instantiate_pattern(spec))
+    print("requirement:", " & ".join(instantiate_pattern(spec).values()))
 
     diagnoser = synthesize_diagnoser(model, [spec])
     print(f"\nsynthesized {diagnoser.stats.nodes} belief nodes "

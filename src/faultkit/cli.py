@@ -206,7 +206,7 @@ def cmd_verify_diagnoser(args):
     for spec in _specs(args):
         verdict = synthesis.verify_diagnoser(m, d, spec)
         results[spec.name] = verdict.to_json()
-        results[spec.name]["pattern"] = str(fdispec.instantiate_pattern(spec))
+        results[spec.name]["pattern"] = " & ".join(fdispec.instantiate_pattern(spec).values())
         ok = ok and verdict.all_hold
     return ok, results, lambda fmt: _lines(
         f"{name}/{conj}: {'holds' if doc[conj]['holds'] else 'FAILS'}"
@@ -328,6 +328,10 @@ def main(argv=None) -> int:
         _emit(args, _dump(doc) if args.format == "json" else text(args.format))
     except (CliInputError, FaultkitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the expression parser and evaluator recurse over the input's nesting
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
     return 0 if holds else 1
 

@@ -386,118 +386,26 @@ def chain_counterexample(beliefs: BeliefTracker,
 
 # -- pattern instantiation ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Cond:
-    """A state condition evaluated at the current time point."""
-    expr: Expr
-
-    def __str__(self):
-        return f"({self.expr})"
-
-
-@dataclass(frozen=True)
-class AlarmRef:
-    name: str
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class KnowThat:
-    body: PastFormula
-
-    def __str__(self):
-        return f"K {self.body}"
-
-
-@dataclass(frozen=True)
-class NextShift:
-    body: object
-    n: int
-
-    def __str__(self):
-        return f"X^{self.n} {self.body}"
-
-
-@dataclass(frozen=True)
-class WithinFuture:
-    body: object
-    n: int
-
-    def __str__(self):
-        return f"F<={self.n} {self.body}"
-
-
-@dataclass(frozen=True)
-class Eventually:
-    body: object
-
-    def __str__(self):
-        return f"F {self.body}"
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: object
-    right: object
-
-    def __str__(self):
-        return f"({self.left} -> {self.right})"
-
-
-@dataclass(frozen=True)
-class Always:
-    body: object
-
-    def __str__(self):
-        return f"G {self.body}"
-
-
-@dataclass(frozen=True)
-class PatternFormula:
-    """The instantiated requirement for one alarm: a correctness conjunct,
-    a completeness conjunct, and (for maximal specifications) a maximality
-    conjunct."""
-
-    correctness: Always
-    completeness: Always
-    maximality: Always | None
-
-    def conjuncts(self) -> dict[str, Always]:
-        out = {"correctness": self.correctness, "completeness": self.completeness}
-        if self.maximality is not None:
-            out["maximality"] = self.maximality
-        return out
-
-    def __str__(self):
-        return " & ".join(str(c) for c in self.conjuncts().values())
-
-
-def instantiate_pattern(spec: AlarmSpec) -> PatternFormula:
-    """Build the requirement formula for one alarm specification.
+def instantiate_pattern(spec: AlarmSpec) -> dict[str, str]:
+    """The requirement formula for one alarm specification, as the text of
+    each conjunct: correctness, completeness and, for maximal
+    specifications, maximality.
 
     Correctness: the alarm implies its past condition.  Completeness: the
     condition implies the alarm fires within its delay; for trace-local
     specifications the obligation is guarded by achievability of certainty
     within the same delay.  Maximality: certainty forces the alarm."""
-    A = AlarmRef(spec.name)
-    beta = Cond(spec.beta)
-    past = past_formula(spec.delay, spec.beta)
-    correctness = Always(Implies(A, past))
+    A, beta, past = spec.name, f"({spec.beta})", past_formula(spec.delay, spec.beta)
     if isinstance(spec.delay, ExactDelay):
-        raise_within = NextShift(A, spec.delay.n)
-        know_within = NextShift(KnowThat(past), spec.delay.n)
+        within = f"X^{spec.delay.n}"
     elif isinstance(spec.delay, BoundedDelay):
-        raise_within = WithinFuture(A, spec.delay.n)
-        know_within = WithinFuture(KnowThat(past), spec.delay.n)
+        within = f"F<={spec.delay.n}"
     else:
-        raise_within = Eventually(A)
-        know_within = Eventually(KnowThat(past))
-    obligation = Implies(beta, raise_within)
+        within = "F"
+    obligation = f"({beta} -> {within} {A})"
     if spec.diag == TRACE:
-        completeness = Always(Implies(Implies(beta, know_within), obligation))
-    else:
-        completeness = Always(obligation)
-    maximality = Always(Implies(KnowThat(past), A)) if spec.maximal else None
-    return PatternFormula(correctness, completeness, maximality)
+        obligation = f"(({beta} -> {within} K {past}) -> {obligation})"
+    pattern = {"correctness": f"G ({A} -> {past})", "completeness": f"G {obligation}"}
+    if spec.maximal:
+        pattern["maximality"] = f"G (K {past} -> {A})"
+    return pattern

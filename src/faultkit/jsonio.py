@@ -49,6 +49,8 @@ def decode_json(text: str, source: str = "", duplicate: str = "duplicate key"):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ModelFormatError(f"{at}syntax error: {err.msg}", err.lineno, err.colno) from None
+    except RecursionError:
+        raise ModelFormatError(f"{at}nested too deeply") from None
 
 
 def read_json(path):

@@ -159,10 +159,25 @@ class SystemModel:
         lexicographic order."""
         if length < 1:
             raise ValueError("horizon must be >= 1")
-        runs = ((self.number[sid],) for sid in self.initial)
-        for _ in range(length - 1):
-            runs = (run + (nxt,) for run in runs for nxt in self.succ[run[-1]])
-        return runs
+        # Depth first over an explicit stack, so no length makes Python
+        # recurse: stack[i] holds the choices left for position i, prefix
+        # the states chosen before the top one, and the last position is
+        # yielded as one batch.
+        prefix: list[int] = []
+        stack = [iter([self.number[sid] for sid in self.initial])]
+        while stack:
+            if len(stack) < length:
+                state = next(stack[-1], None)
+                if state is not None:
+                    prefix.append(state)
+                    stack.append(iter(self.succ[state]))
+                    continue
+            else:
+                head = tuple(prefix)
+                yield from (head + (last,) for last in stack[-1])
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
     def trace(self, run) -> Trace:
         """The trace of a run given as state numbers."""

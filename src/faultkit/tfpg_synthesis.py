@@ -77,7 +77,6 @@ def load_synthesis_config(path) -> SynthesisConfig:
 @dataclass
 class SynthesisResult:
     tfpg: Tfpg
-    node_map: NodeMap
     findings: tuple[str, ...]
 
 
@@ -117,11 +116,10 @@ def synthesize_tfpg(m: SystemModel, config: SynthesisConfig,
                     edges.append(TfpgEdge(cause, helper, 0, INF, modes))
                 edges.append(TfpgEdge(helper, name, 0, INF, modes))
 
-    node_map = config.node_map()
     # tighten_edges returns only a graph that every run's projection is
     # consistent with, which is what behavioral validation checks
-    tightened = tighten_edges(Tfpg(modes, nodes, edges), m, node_map, horizon)
-    return SynthesisResult(tightened.tfpg, node_map, tuple(findings))
+    tightened = tighten_edges(Tfpg(modes, nodes, edges), m, config.node_map(), horizon)
+    return SynthesisResult(tightened.tfpg, tuple(findings))
 
 
 def _check_config(m: SystemModel, config: SynthesisConfig) -> None:

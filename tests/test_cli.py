@@ -138,26 +138,49 @@ class TestExitCodes:
         # the battery model has 1,001,001 runs of 1,001 states
         (["tfpg-behavioral", "--tfpg", TFPG, "--map", MAP, "--horizon", "1000"],
          "--model", corpus_json("battery.json")),
+        # a str is written as it is: 200,000 nested lists, past the JSON
+        # decoder's recursion
+        (["validate-model"], "--model", "[" * 200_000),
+        (["mcs", "--tle", "(" * 330 + "power_low" + ")" * 330], "--model",
+         corpus_json("battery.json")),
+        (["mcs", "--tle", " | ".join(["power_low"] * 600)], "--model",
+         corpus_json("battery.json")),
     ], ids=["exact-without-n", "bound-without-n", "tfpg-nodes-list", "n-null",
             "delay-string", "tmax-null", "alarm-name-list", "initial-nested-list",
             "transition-nested-list", "diagnoser-nodes-list", "diagnoser-key-1",
             "activations-list", "discrepancies-list", "discrepancy-string",
             "probability-string", "spec-directory", "trace-time-99",
             "trace-time-minus-1", "behavioral-state-without-mode",
-            "synth-state-without-mode", "behavioral-runs-over-limit"])
+            "synth-state-without-mode", "behavioral-runs-over-limit",
+            "json-nested-200000-deep", "tle-nested-330-deep", "tle-600-term-or"])
     def test_malformed_input_is_exit_2_without_traceback(self, tmp_path, argv,
                                                           flag, doc):
         path = tmp_path / "input.json"
         if doc is None:
             path = tmp_path
         else:
-            path.write_text(json.dumps(doc))
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         proc = subprocess.run(
             [sys.executable, "-m", "faultkit.cli", *argv, flag, str(path)],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_behavioral_past_the_recursion_limit_is_exit_0(self, tmp_path):
+        # one run of 2,001 states: longer than Python's recursion limit
+        model, tfpg, node_map = (tmp_path / f"{n}.json" for n in ("model", "tfpg", "map"))
+        model.write_text(json.dumps({
+            "atoms": ["f", "low"], "faults": ["f"], "observables": ["low"],
+            "states": {"ok": {}, "bad": {"f": True, "low": True}}, "initial": ["ok"],
+            "transitions": [["ok", "ok"], ["bad", "bad"]]}))
+        tfpg.write_text(json.dumps({
+            "modes": ["nominal"], "nodes": {"f": {"kind": "FM"}, "d": {"kind": "OR"}},
+            "edges": [{"from": "f", "to": "d", "tmin": 0, "tmax": "inf",
+                       "modes": ["nominal"]}]}))
+        node_map.write_text(json.dumps({"nodes": {"f": "f", "d": "low"}}))
+        assert run_cli("tfpg-behavioral", "--tfpg", str(tfpg), "--model", str(model),
+                       "--map", str(node_map), "--horizon", "2000") == 0
 
     def test_out_into_missing_directory_is_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
@@ -320,6 +343,35 @@ class TestReports:
                                 "--trace", str(trace), "--time", "1")
         assert code == 0
         assert json.loads(out)["t_bound2"]["trace_diagnosable"]
+
+    def test_verify_diagnoser_pattern_text(self, tmp_path, capsys):
+        # all three delay kinds, global and trace-local, maximal or not
+        diagnoser = tmp_path / "diagnoser.json"
+        assert run_cli("synth-diagnoser", "--model", SENSOR, "--spec", SPECS,
+                       out=diagnoser) == 0
+        _, out = run_capture(capsys, "verify-diagnoser", "--model", SENSOR, "--spec", SPECS,
+                             "--diagnoser", str(diagnoser))
+        assert {name: doc["pattern"] for name, doc in json.loads(out).items()} == {
+            "a_exact1": "G (a_exact1 -> Y^1 (fault)) & G ((fault) -> X^1 a_exact1)"
+                        " & G (K Y^1 (fault) -> a_exact1)",
+            "a_exact2": "G (a_exact2 -> Y^2 (fault)) & G ((fault) -> X^2 a_exact2)"
+                        " & G (K Y^2 (fault) -> a_exact2)",
+            "a_bound1": "G (a_bound1 -> O<=1 (fault)) & G ((fault) -> F<=1 a_bound1)"
+                        " & G (K O<=1 (fault) -> a_bound1)",
+            "a_bound2": "G (a_bound2 -> O<=2 (fault)) & G ((fault) -> F<=2 a_bound2)"
+                        " & G (K O<=2 (fault) -> a_bound2)",
+            "a_bound3": "G (a_bound3 -> O<=3 (fault)) & G ((fault) -> F<=3 a_bound3)"
+                        " & G (K O<=3 (fault) -> a_bound3)",
+            "a_finite": "G (a_finite -> O (fault)) & G ((fault) -> F a_finite)"
+                        " & G (K O (fault) -> a_finite)",
+            "t_exact2": "G (t_exact2 -> Y^2 (fault))"
+                        " & G (((fault) -> X^2 K Y^2 (fault)) -> ((fault) -> X^2 t_exact2))",
+            "t_bound2": "G (t_bound2 -> O<=2 (fault))"
+                        " & G (((fault) -> F<=2 K O<=2 (fault)) -> ((fault) -> F<=2 t_bound2))"
+                        " & G (K O<=2 (fault) -> t_bound2)",
+            "t_finite": "G (t_finite -> O (fault))"
+                        " & G (((fault) -> F K O (fault)) -> ((fault) -> F t_finite))",
+        }
 
     def test_deep_exact_delay(self, tmp_path, capsys):
         # exact(20) has 2 ** 22 - 2 windows; only those runs reach are

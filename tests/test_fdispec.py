@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from faultkit.boolexpr import Const, parse_expr
 from faultkit.errors import ModelFormatError, TraceError
-from faultkit.fdispec import (AlarmRef, AlarmSpec, Always, BeliefTracker, BoundedDelay,
-                              Cond, Eventually, ExactDelay, FiniteDelay, Implies,
-                              KnowThat, NextShift, Once, OnceWithin, PastShift,
-                              WithinFuture, belief_chain, eval_knowledge, eval_past,
-                              instantiate_pattern, knowledge_counterexample,
+from faultkit.fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay,
+                              FiniteDelay, Once, OnceWithin, PastShift, belief_chain,
+                              eval_knowledge, eval_past, instantiate_pattern,
+                              knowledge_counterexample,
                               memory_bound, memory_init, memory_satisfies, memory_update,
                               parse_specs)
 from faultkit.model import Trace, parse_model
@@ -220,67 +219,62 @@ class TestKnowledge:
 
 
 def _cells(beta, name, n):
-    """The twelve pattern cells, hand-encoded."""
-    b = Cond(beta)
-    A = AlarmRef(name)
-    Yn = PastShift(beta, n)
-    On = OnceWithin(beta, n)
-    O = Once(beta)
+    """The twelve pattern cells, hand-encoded as (correctness, completeness,
+    maximality) texts; maximality is None for a non-maximal spec."""
+    b = f"({beta})"
+    A = name
+    Yn = f"Y^{n} {b}"
+    On = f"O<={n} {b}"
+    O = f"O {b}"
     return {
         ("exact", "global", False): (
-            Always(Implies(A, Yn)),
-            Always(Implies(b, NextShift(A, n))),
+            f"G ({A} -> {Yn})",
+            f"G ({b} -> X^{n} {A})",
             None),
         ("exact", "global", True): (
-            Always(Implies(A, Yn)),
-            Always(Implies(b, NextShift(A, n))),
-            Always(Implies(KnowThat(Yn), A))),
+            f"G ({A} -> {Yn})",
+            f"G ({b} -> X^{n} {A})",
+            f"G (K {Yn} -> {A})"),
         ("bound", "global", False): (
-            Always(Implies(A, On)),
-            Always(Implies(b, WithinFuture(A, n))),
+            f"G ({A} -> {On})",
+            f"G ({b} -> F<={n} {A})",
             None),
         ("bound", "global", True): (
-            Always(Implies(A, On)),
-            Always(Implies(b, WithinFuture(A, n))),
-            Always(Implies(KnowThat(On), A))),
+            f"G ({A} -> {On})",
+            f"G ({b} -> F<={n} {A})",
+            f"G (K {On} -> {A})"),
         ("finite", "global", False): (
-            Always(Implies(A, O)),
-            Always(Implies(b, Eventually(A))),
+            f"G ({A} -> {O})",
+            f"G ({b} -> F {A})",
             None),
         ("finite", "global", True): (
-            Always(Implies(A, O)),
-            Always(Implies(b, Eventually(A))),
-            Always(Implies(KnowThat(O), A))),
+            f"G ({A} -> {O})",
+            f"G ({b} -> F {A})",
+            f"G (K {O} -> {A})"),
         ("exact", "trace", False): (
-            Always(Implies(A, Yn)),
-            Always(Implies(Implies(b, NextShift(KnowThat(Yn), n)),
-                           Implies(b, NextShift(A, n)))),
+            f"G ({A} -> {Yn})",
+            f"G (({b} -> X^{n} K {Yn}) -> ({b} -> X^{n} {A}))",
             None),
         ("exact", "trace", True): (
-            Always(Implies(A, Yn)),
-            Always(Implies(Implies(b, NextShift(KnowThat(Yn), n)),
-                           Implies(b, NextShift(A, n)))),
-            Always(Implies(KnowThat(Yn), A))),
+            f"G ({A} -> {Yn})",
+            f"G (({b} -> X^{n} K {Yn}) -> ({b} -> X^{n} {A}))",
+            f"G (K {Yn} -> {A})"),
         ("bound", "trace", False): (
-            Always(Implies(A, On)),
-            Always(Implies(Implies(b, WithinFuture(KnowThat(On), n)),
-                           Implies(b, WithinFuture(A, n)))),
+            f"G ({A} -> {On})",
+            f"G (({b} -> F<={n} K {On}) -> ({b} -> F<={n} {A}))",
             None),
         ("bound", "trace", True): (
-            Always(Implies(A, On)),
-            Always(Implies(Implies(b, WithinFuture(KnowThat(On), n)),
-                           Implies(b, WithinFuture(A, n)))),
-            Always(Implies(KnowThat(On), A))),
+            f"G ({A} -> {On})",
+            f"G (({b} -> F<={n} K {On}) -> ({b} -> F<={n} {A}))",
+            f"G (K {On} -> {A})"),
         ("finite", "trace", False): (
-            Always(Implies(A, O)),
-            Always(Implies(Implies(b, Eventually(KnowThat(O))),
-                           Implies(b, Eventually(A)))),
+            f"G ({A} -> {O})",
+            f"G (({b} -> F K {O}) -> ({b} -> F {A}))",
             None),
         ("finite", "trace", True): (
-            Always(Implies(A, O)),
-            Always(Implies(Implies(b, Eventually(KnowThat(O))),
-                           Implies(b, Eventually(A)))),
-            Always(Implies(KnowThat(O), A))),
+            f"G ({A} -> {O})",
+            f"G (({b} -> F K {O}) -> ({b} -> F {A}))",
+            f"G (K {O} -> {A})"),
     }
 
 
@@ -298,33 +292,31 @@ class TestPatternTable:
     def test_cell_matches_golden(self, kind, diag, maximal):
         expected = _cells(FAULT, "A", self.N)[(kind, diag, maximal)]
         got = instantiate_pattern(self._spec(kind, diag, maximal))
-        assert got.correctness == expected[0]
-        assert got.completeness == expected[1]
-        assert got.maximality == expected[2]
+        assert got["correctness"] == expected[0]
+        assert got["completeness"] == expected[1]
+        assert got.get("maximality") == expected[2]
+        assert list(got) == ["correctness", "completeness", "maximality"][:len(got)]
 
     def test_exact_global_plain_shape(self):
         # exact delay, global, non-maximal: alarm looks back n steps and the
         # condition forces the alarm n steps later; no third conjunct.
         got = instantiate_pattern(self._spec("exact", "global", False))
-        assert str(got.correctness) == "G (A -> Y^2 (fault))"
-        assert str(got.completeness) == "G ((fault) -> X^2 A)"
-        assert got.maximality is None
+        assert got["correctness"] == "G (A -> Y^2 (fault))"
+        assert got["completeness"] == "G ((fault) -> X^2 A)"
+        assert "maximality" not in got
 
     def test_finite_global_maximal_shape(self):
         got = instantiate_pattern(self._spec("finite", "global", True))
-        assert str(got.correctness) == "G (A -> O (fault))"
-        assert str(got.completeness) == "G ((fault) -> F A)"
-        assert str(got.maximality) == "G (K O (fault) -> A)"
+        assert got["correctness"] == "G (A -> O (fault))"
+        assert got["completeness"] == "G ((fault) -> F A)"
+        assert got["maximality"] == "G (K O (fault) -> A)"
 
     def test_bounded_trace_maximal_with_n3(self):
         # guarded completeness: achievability of certainty within the window
         # obliges the alarm within the same window
         got = instantiate_pattern(AlarmSpec("A", FAULT, BoundedDelay(3),
                                             "trace", True))
-        b, A = Cond(FAULT), AlarmRef("A")
-        known = KnowThat(OnceWithin(FAULT, 3))
-        assert got.correctness == Always(Implies(A, OnceWithin(FAULT, 3)))
-        assert got.completeness == Always(
-            Implies(Implies(b, WithinFuture(known, 3)),
-                    Implies(b, WithinFuture(A, 3))))
-        assert got.maximality == Always(Implies(known, A))
+        assert got["correctness"] == "G (A -> O<=3 (fault))"
+        assert got["completeness"] == \
+            "G (((fault) -> F<=3 K O<=3 (fault)) -> ((fault) -> F<=3 A))"
+        assert got["maximality"] == "G (K O<=3 (fault) -> A)"

@@ -46,6 +46,10 @@ class TestParsing:
         with pytest.raises(ModelFormatError, match="line 1"):
             parse_model("{nope}")
 
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(ModelFormatError, match="^nested too deeply$"):
+            parse_model("[" * 200_000)
+
     def test_trace_file_steps_must_be_names(self):
         assert Trace.from_json({"steps": ["a", "b"]}) == Trace(("a", "b"))
         with pytest.raises(ModelFormatError, match="steps"):
@@ -139,6 +143,11 @@ class TestTraceEnumeration:
     def test_single_selfloop_one_trace(self):
         m = parse_model(MINIMAL)
         assert len(list(m.runs(3))) == 1
+
+    def test_long_run_does_not_recurse(self):
+        # past Python's recursion limit of 1000
+        m = parse_model(MINIMAL)
+        assert list(m.runs(5000)) == [(0,) * 5000]
 
     def test_two_branches(self):
         doc = {"atoms": [], "states": {"a": {}, "b": {}, "c": {}},

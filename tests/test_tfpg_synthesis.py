@@ -44,7 +44,7 @@ class TestSynthesizeCorpus:
         config = SynthesisConfig.from_json(corpus_json("battery_synth.json"))
         result = synthesize_tfpg(battery, config, 8)
         assert validate_structure(result.tfpg) == []
-        assert behavioral_validate(result.tfpg, battery, result.node_map, 8).complete
+        assert behavioral_validate(result.tfpg, battery, config.node_map(), 8).complete
 
     def test_single_cause_single_or_edge(self, sensor_delay):
         config = SynthesisConfig(["fault"], [decl("d_warn", "warn")], {})
@@ -115,7 +115,7 @@ class TestCycleFallback:
         assert {g.edges[i].src for i in g.incoming("dx")} == {"f"}
         assert {g.edges[i].src for i in g.incoming("dy")} == {"f"}
         assert sum("cause cycle" in f for f in result.findings) == 2
-        assert behavioral_validate(g, m, result.node_map, 5).complete
+        assert behavioral_validate(g, m, config.node_map(), 5).complete
 
 
 class TestNoOrToOrEdges:
@@ -226,8 +226,8 @@ class TestTightenRelaxations:
                       rng.sample(atoms, rng.randint(1, 2))), rng.choice([OR, AND]))
                  for i in range(rng.randint(2, 4))]
         h = self.HORIZON
-        synth = synthesize_tfpg(m, SynthesisConfig(sorted(m.fault_atoms), decls, {}), h)
-        nm = synth.node_map
+        config = SynthesisConfig(sorted(m.fault_atoms), decls, {})
+        synth, nm = synthesize_tfpg(m, config, h), config.node_map()
         g = Tfpg(synth.tfpg.modes, synth.tfpg.nodes,
                  [TfpgEdge(e.src, e.dst, e.tmin, e.tmin + rng.randint(0, 3), e.modes)
                   for e in synth.tfpg.edges])
