@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
@@ -313,48 +315,91 @@ def _forcing_deadline(edge: TfpgEdge, times, timeline, horizon: int) -> int | No
     return None
 
 
+def _node_violation(g: Tfpg, node: str, t_v: int | None, times,
+                    timeline) -> TraceViolation | None:
+    """The verdict on one discrepancy: its activation time t_v (None for
+    never) against its incoming edges, read through `times`, which maps
+    each edge source to its activation time, and the mode timeline of steps
+    0..horizon.  The one statement of the justification and inevitability
+    rules."""
+    inc = g.incoming(node)
+    if t_v is not None:
+        if g.nodes[node] == OR:
+            if not any(_justifies(g.edges[i], times, t_v, timeline) for i in inc):
+                return TraceViolation(
+                    "or-justification", node,
+                    f"activation at {t_v} is not explained by any incoming edge",
+                    tuple(inc))
+            return None
+        bad = tuple(i for i in inc if not _justifies(g.edges[i], times, t_v, timeline))
+        if not inc or bad:
+            detail = ("no incoming edges" if not inc else
+                      "edges not satisfied: "
+                      + "; ".join(g.edges[i].describe() for i in bad))
+            return TraceViolation("and-justification", node,
+                                  f"activation at {t_v}: {detail}", bad or tuple(inc))
+        return None
+    deadlines = {i: _forcing_deadline(g.edges[i], times, timeline, len(timeline) - 1)
+                 for i in inc}
+    forced = tuple(i for i in inc if deadlines[i] is not None)
+    if g.nodes[node] == OR and forced:
+        return TraceViolation(
+            "or-inevitability", node, "never activates but forced by step "
+            f"{min(deadlines[i] for i in forced)}", forced)
+    if g.nodes[node] == AND and inc and len(forced) == len(inc):
+        return TraceViolation(
+            "and-inevitability", node,
+            "never activates but every incoming edge completed its "
+            "propagation window", forced)
+    return None
+
+
 def check_trace_consistency(g: Tfpg, at: ActivationTrace) -> tuple[bool, list[TraceViolation]]:
     """Check one activation trace against the propagation semantics.
     Returns (consistent, violations); failure modes are free inputs."""
     _check_trace_shape(g, at)
     times = {n: at.times.get(n) for n in g.nodes}
-    violations: list[TraceViolation] = []
-    for node in g.discrepancies():
-        kind = g.nodes[node]
-        t_v = times[node]
-        inc = g.incoming(node)
-        if t_v is not None:
-            if kind == OR:
-                if not any(_justifies(g.edges[i], times, t_v, at.mode_timeline)
-                           for i in inc):
-                    violations.append(TraceViolation(
-                        "or-justification", node,
-                        f"activation at {t_v} is not explained by any incoming edge",
-                        tuple(inc)))
-            else:
-                bad = tuple(i for i in inc
-                            if not _justifies(g.edges[i], times, t_v, at.mode_timeline))
-                if not inc or bad:
-                    detail = ("no incoming edges" if not inc else
-                              "edges not satisfied: "
-                              + "; ".join(g.edges[i].describe() for i in bad))
-                    violations.append(TraceViolation(
-                        "and-justification", node,
-                        f"activation at {t_v}: {detail}", bad or tuple(inc)))
-        else:
-            deadlines = {i: _forcing_deadline(g.edges[i], times, at.mode_timeline,
-                                              at.horizon) for i in inc}
-            forced = tuple(i for i in inc if deadlines[i] is not None)
-            if kind == OR and forced:
-                violations.append(TraceViolation(
-                    "or-inevitability", node, "never activates but forced by step "
-                    f"{min(deadlines[i] for i in forced)}", forced))
-            elif kind == AND and inc and len(forced) == len(inc):
-                violations.append(TraceViolation(
-                    "and-inevitability", node,
-                    "never activates but every incoming edge completed its "
-                    "propagation window", forced))
+    verdicts = (_node_violation(g, node, times[node], times, at.mode_timeline)
+                for node in g.discrepancies())
+    violations = [v for v in verdicts if v is not None]
     return not violations, violations
+
+
+# a memo's mark for a key not decided yet: None is a verdict
+_UNSEEN = object()
+
+
+def _slots(g: Tfpg) -> dict[str, int]:
+    """Each node's index in a row: (timeline id, *times in sorted node order)."""
+    return {n: k for k, n in enumerate(sorted(g.nodes), 1)}
+
+
+def _decider(g: Tfpg, timelines: list):
+    """decide(row) for the rows `_induced` yields: the violations
+    check_trace_consistency reports on the row's activation trace.  Each
+    discrepancy is decided by `_node_violation` once per distinct key
+    (timeline id, its time, its sources' times), which is exactly what the
+    verdict reads; `timelines` holds each id's timeline."""
+    slot = _slots(g)
+    checks = []
+    for node in g.discrepancies():
+        sources = sorted({g.edges[i].src for i in g.incoming(node)})
+        checks.append((node, sources, {},
+                       itemgetter(0, slot[node], *(slot[s] for s in sources))))
+
+    def decide(row) -> list[TraceViolation]:
+        found = []
+        for node, sources, memo, key_of in checks:
+            key = key_of(row)
+            verdict = memo.get(key, _UNSEEN)
+            if verdict is _UNSEEN:
+                verdict = memo[key] = _node_violation(
+                    g, node, key[1], dict(zip(sources, key[2:])), timelines[key[0]])
+            if verdict is not None:
+                found.append(verdict)
+        return found
+
+    return decide
 
 
 # -- behavioral validation against a system model -------------------------------
@@ -416,40 +461,49 @@ def _check_map(g: Tfpg, m: SystemModel, nm: NodeMap) -> None:
 
 
 def _projection(g: Tfpg, m: SystemModel, nm: NodeMap):
-    """project(run), which is induced_activation_trace on a run of state
-    numbers.  What depends only on g, m and nm is worked out here once: each
-    state's mode, the mapped nodes' condition flags, and an order of the
-    unmapped nodes, each after its sources.  Errors are raised by project."""
+    """project(run) -> (mode timeline, activation times in sorted node
+    order), the induced activation trace of a run of state numbers.  What
+    depends only on g, m and nm is worked out here once: each state's mode,
+    the mapped nodes' condition flags, and an order of the unmapped nodes,
+    each after its sources.  Errors are raised by project."""
     mode_bits = m.mask_of(m.mode_atoms)
     modes = ({m.bits[a]: mode for mode, a in nm.mode_map.items() if a in m.bits}
              if m.mode_atoms else {0: g.modes[0]})
     mode_of = [modes.get(x & mode_bits) for x in m.masks]
-    mapped = [(n, m.condition(nm.exprs[n])) for n in sorted(g.nodes) if n in nm.exprs]
-    pending = [n for n in sorted(g.nodes) if n not in nm.exprs]
+    order = sorted(g.nodes)
+    slot = {n: k for k, n in enumerate(order)}
+    mapped = [(slot[n], m.condition(nm.exprs[n])) for n in order if n in nm.exprs]
+    pending = [n for n in order if n not in nm.exprs]
     helpers = []
     while pending:
         before = len(pending)
         for node in list(pending):
             sources = sorted({g.edges[i].src for i in g.incoming(node)})
             if not any(s in pending for s in sources):
-                helpers.append((node, sources))
+                # the first source twice, so that even one source gives a
+                # tuple; a node without sources keeps its None
+                if sources:
+                    helpers.append((slot[node], itemgetter(
+                        *(slot[s] for s in sources), slot[sources[0]])))
                 pending.remove(node)
         if len(pending) == before:
             break
 
-    def project(run) -> ActivationTrace:
-        timeline = tuple(mode_of[i] for i in run)
+    def project(run) -> tuple[tuple[str, ...], tuple[int | None, ...]]:
+        timeline = tuple(map(mode_of.__getitem__, run))
         if None in timeline:
             raise TfpgError(f"a run reaches state {m.ids[run[timeline.index(None)]]!r}, "
                             f"where not exactly one mode atom is true")
         if pending:
             raise TfpgError(f"cyclic unmapped AND nodes: {pending}")
-        times = {n: next((t for t, i in enumerate(run) if flags[i]), None)
-                 for n, flags in mapped}
-        for node, sources in helpers:
-            acts = [times[s] for s in sources]
-            times[node] = max(acts) if acts and None not in acts else None
-        return ActivationTrace(len(run) - 1, timeline, times)
+        steps = range(len(run))
+        times = [None] * len(order)
+        for k, flags in mapped:
+            times[k] = next(compress(steps, map(flags.__getitem__, run)), None)
+        for k, sources_of in helpers:
+            acts = sources_of(times)
+            times[k] = None if None in acts else max(acts)
+        return timeline, tuple(times)
 
     return project
 
@@ -460,13 +514,17 @@ def induced_activation_trace(g: Tfpg, m: SystemModel, nm: NodeMap,
     first step its predicate holds; an unmapped AND node activates when its
     last source does; the mode timeline follows the mode atoms, and a trace
     through a state without exactly one mode atom true raises."""
-    return _projection(g, m, nm)(tuple(m.number[sid] for sid in tr.steps))
+    timeline, times = _projection(g, m, nm)(tuple(m.number[sid] for sid in tr.steps))
+    return ActivationTrace(len(tr) - 1, timeline, dict(zip(sorted(g.nodes), times)))
 
 
-def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int):
-    """(run, induced activation trace) for every run of horizon + 1 states,
-    in lexicographic order.  The map is checked and the runs are counted
-    before the first one is projected: more than RUN_LIMIT raise."""
+def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int, timelines: list):
+    """(run, row) for every run of horizon + 1 states, in lexicographic
+    order, where row is (timeline id, *activation times in sorted node
+    order) of the run's induced activation trace and a timeline's id is its
+    index in `timelines`, which this appends to.  The map is checked and
+    the runs are counted before the first one is projected: more than
+    RUN_LIMIT raise."""
     _check_map(g, m, nm)
     # runs ending in each state, layer by layer; a count past the limit
     # reaches the last layer past it or not at all, so it is capped there
@@ -484,8 +542,14 @@ def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int):
         raise SizeGuardExceeded(f"the model has more than {RUN_LIMIT} runs of "
                                 f"{horizon + 1} states")
     project = _projection(g, m, nm)
+    ids: dict[tuple[str, ...], int] = {}
     for run in m.runs(horizon + 1):
-        yield run, project(run)
+        timeline, times = project(run)
+        tid = ids.get(timeline)
+        if tid is None:
+            tid = ids[timeline] = len(timelines)
+            timelines.append(timeline)
+        yield run, (tid, *times)
 
 
 def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
@@ -493,10 +557,12 @@ def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
     """The TFPG is complete for the model at this horizon when the induced
     activation trace of every system run is consistent.  The witness is the
     lexicographically least violating run."""
-    for run, at in _induced(g, m, nm, horizon):
-        ok, violations = check_trace_consistency(g, at)
-        if not ok:
-            return BehavioralResult(False, m.trace(run), tuple(violations))
+    timelines: list = []
+    decide = _decider(g, timelines)
+    for run, row in _induced(g, m, nm, horizon, timelines):
+        found = decide(row)
+        if found:
+            return BehavioralResult(False, m.trace(run), tuple(found))
     return BehavioralResult(True)
 
 
@@ -532,42 +598,47 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
     window would force propagations the model does not guarantee.  The
     result is re-validated; tightening never breaks completeness and is
     idempotent at a fixed horizon."""
-    induced = [at for _, at in _induced(g, m, nm, horizon)]
-    observed: dict[int, list[int]] = {i: [] for i in range(len(g.edges))}
-    for at in induced:
-        for i, e in enumerate(g.edges):
-            act_v = at.times.get(e.dst)
-            if act_v is None:
-                continue
-            a = _anchor(e, at.times.get(e.src), act_v, at.mode_timeline)
-            if a is not None:
-                observed[i].append(act_v - a)
+    timelines: list = []
+    rows = [row for _, row in _induced(g, m, nm, horizon, timelines)]
+    slot = _slots(g)
+    # a delay reads only the timeline and the edge's two activation times,
+    # so each distinct triple is anchored once
+    observed: dict[int, set[int]] = {}
+    for i, e in enumerate(g.edges):
+        observed[i] = set()
+        for tid, act_u, act_v in set(map(itemgetter(0, slot[e.src], slot[e.dst]), rows)):
+            if act_v is not None:
+                a = _anchor(e, act_u, act_v, timelines[tid])
+                if a is not None:
+                    observed[i].add(act_v - a)
     exercised = {i: bool(delays) for i, delays in observed.items()}
     bounds = {i: (min(observed[i]), max(observed[i])) if exercised[i] else (e.tmin, e.tmax)
               for i, e in enumerate(g.edges)}
     promoted: set[int] = set()
     candidate, index_map = g.replace_bounds_mapped(bounds)
+    decide = _decider(candidate, timelines)
     # Relaxing an upper bound to infinity only weakens justification and
     # removes forcing, so a trace once consistent stays consistent: one pass
     # that relaxes until the current trace holds checks every trace.
-    for at in induced:
-        ok, violations = check_trace_consistency(candidate, at)
-        while not ok:
+    for row in rows:
+        found = decide(row)
+        while found:
             # only bounds this run introduced may be relaxed; a violation
             # pinned on untouched edges means the input was not complete
             # to begin with
-            relaxed = {index_map[i] for v in violations
+            relaxed = {index_map[i] for v in found
                        if v.kind.endswith("inevitability") for i in v.edge_indices}
             relaxed = {i for i in relaxed if exercised[i] and bounds[i][1] != INF}
             if not relaxed:
                 raise TfpgError(
                     "input TFPG is not complete at this horizon; tightening "
-                    "cannot proceed: " + "; ".join(str(v) for v in violations))
+                    "cannot proceed: " + "; ".join(str(v) for v in found))
             for i in relaxed:
                 bounds[i] = (bounds[i][0], INF)
             promoted |= relaxed
             candidate, index_map = g.replace_bounds_mapped(bounds)
-            ok, violations = check_trace_consistency(candidate, at)
+            decide = _decider(candidate, timelines)
+            found = decide(row)
     changes = tuple(
         EdgeChange(i, e.describe(), (e.tmin, e.tmax), bounds[i],
                    exercised[i], i in promoted)

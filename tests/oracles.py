@@ -557,8 +557,14 @@ def brute_force_trace_completeness(m: SystemModel, diagnoser_doc, beta, delay,
 # -- TFPG semantics ----------------------------------------------------------------
 
 def naive_trace_consistent(g: Tfpg, at: ActivationTrace) -> bool:
-    """Direct re-implementation of the activation semantics with full scans
-    instead of incremental bookkeeping."""
+    """Whether no discrepancy violates the activation semantics."""
+    return not naive_violating_nodes(g, at)
+
+
+def naive_violating_nodes(g: Tfpg, at: ActivationTrace) -> list[str]:
+    """The discrepancies, in sorted order, whose activation or absence the
+    activation semantics rules out.  A direct re-implementation of the
+    semantics with full scans instead of incremental bookkeeping."""
     tl = at.mode_timeline
     H = at.horizon
     times = at.times
@@ -587,7 +593,8 @@ def naive_trace_consistent(g: Tfpg, at: ActivationTrace) -> bool:
                 return True
         return False
 
-    for node, kind in g.nodes.items():
+    bad = []
+    for node, kind in sorted(g.nodes.items()):
         if kind == "FM":
             continue
         incoming = [e for e in g.edges if e.dst == node]
@@ -595,16 +602,16 @@ def naive_trace_consistent(g: Tfpg, at: ActivationTrace) -> bool:
         if tv is not None:
             good = [e for e in incoming if justified(e, tv)]
             if kind == "OR" and not good:
-                return False
+                bad.append(node)
             if kind == "AND" and (not incoming or len(good) != len(incoming)):
-                return False
+                bad.append(node)
         else:
             forced = [e for e in incoming if forces(e)]
             if kind == "OR" and forced:
-                return False
+                bad.append(node)
             if kind == "AND" and incoming and len(forced) == len(incoming):
-                return False
-    return True
+                bad.append(node)
+    return bad
 
 
 def naive_candidate_traces(g: Tfpg, horizon: int):
@@ -641,6 +648,39 @@ def naive_induced_trace(g: Tfpg, m: SystemModel, exprs: dict, mode_map: dict,
                 times[node] = None if not acts or None in acts else max(acts)
                 changed = True
     return ActivationTrace(len(tr) - 1, timeline, times)
+
+
+def brute_force_behavioral(g: Tfpg, m: SystemModel, exprs: dict, mode_map: dict,
+                           horizon: int):
+    """The least violating trace of horizon + 1 states, in the order of
+    enumerate_traces, as (trace, its induced activation trace, its
+    violating discrepancies), or None when every trace is consistent."""
+    for tr in enumerate_traces(m, horizon + 1):
+        at = naive_induced_trace(g, m, exprs, mode_map, tr)
+        bad = naive_violating_nodes(g, at)
+        if bad:
+            return tr, at, bad
+    return None
+
+
+def naive_observed_delays(g: Tfpg, m: SystemModel, exprs: dict, mode_map: dict,
+                          horizon: int) -> dict[int, set[int]]:
+    """Per edge index, every delay from its anchor to its target's
+    activation over the traces of horizon + 1 states: the anchor is the
+    earliest step from the source's activation on after which the edge's
+    modes hold through the target's activation."""
+    delays: dict[int, set[int]] = {i: set() for i in range(len(g.edges))}
+    for tr in enumerate_traces(m, horizon + 1):
+        at = naive_induced_trace(g, m, exprs, mode_map, tr)
+        for i, e in enumerate(g.edges):
+            tu, tv = at.times.get(e.src), at.times.get(e.dst)
+            if tu is None or tv is None:
+                continue
+            starts = [a for a in range(tu, tv + 1)
+                      if all(at.mode_timeline[x] in e.modes for x in range(a, tv + 1))]
+            if starts:
+                delays[i].add(tv - min(starts))
+    return delays
 
 
 # -- graph search ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,9 @@ from faultkit.tfpg import (INF, ActivationTrace, NodeMap, Tfpg, TfpgEdge, TfpgEr
 from faultkit.tfpg_synthesis import SynthesisConfig, synthesize_tfpg
 
 from .conftest import bench_module, corpus_json
-from .oracles import enumerate_traces, naive_induced_trace, path_count_by_matrix_power
+from .oracles import (brute_force_behavioral, enumerate_traces, naive_induced_trace,
+                      naive_observed_delays, path_count_by_matrix_power)
+from .test_acceptance import random_model
 
 
 def tiny_graph(tmin=0, tmax=1, modes=("on",)):
@@ -210,6 +213,155 @@ class TestBehavioral:
             edge["tmax"] = "inf"
         widened = parse_tfpg(json.dumps(doc))
         assert behavioral_validate(widened, battery, battery_map, 6).complete
+
+
+def assert_behavioral_matches_oracle(g, m, nm, horizon):
+    """behavioral_validate's verdict, witness and violations against the
+    least violating trace of the brute-force oracle."""
+    result = behavioral_validate(g, m, nm, horizon)
+    want = brute_force_behavioral(g, m, nm.exprs, nm.mode_map, horizon)
+    assert result.complete == (want is None)
+    if want is not None:
+        tr, induced, bad = want
+        assert result.witness.steps == tr.steps
+        assert [v.node for v in result.violations] == bad
+        assert list(result.violations) == check_trace_consistency(g, induced)[1]
+
+
+def assert_tighten_matches_oracle(g, m, nm, horizon):
+    """tighten_edges against the delays the oracle observes: it fails
+    exactly when relaxing every exercised edge to [least delay, inf] leaves
+    the graph incomplete, and otherwise returns a complete graph whose
+    exercised edges span the observed delays, or are relaxed."""
+    delays = naive_observed_delays(g, m, nm.exprs, nm.mode_map, horizon)
+    loosest = Tfpg(g.modes, g.nodes, [
+        TfpgEdge(e.src, e.dst, min(delays[i]), INF, e.modes) if delays[i] else e
+        for i, e in enumerate(g.edges)])
+    if brute_force_behavioral(loosest, m, nm.exprs, nm.mode_map, horizon):
+        with pytest.raises(TfpgError, match="not complete"):
+            tighten_edges(g, m, nm, horizon)
+        return
+    result = tighten_edges(g, m, nm, horizon)
+    assert brute_force_behavioral(result.tfpg, m, nm.exprs, nm.mode_map, horizon) is None
+    for i, change in enumerate(result.changes):
+        assert change.exercised == bool(delays[i])
+        assert not change.promoted or change.exercised
+        if change.exercised:
+            hi = INF if change.promoted else max(delays[i])
+            assert change.new == (min(delays[i]), hi)
+        else:
+            assert change.new == change.old
+
+
+def finite_bounds(g, rng):
+    """g with every upper bound drawn from tmin .. tmin + 3."""
+    return Tfpg(g.modes, g.nodes, [TfpgEdge(e.src, e.dst, e.tmin, e.tmin + rng.randint(0, 3),
+                                            e.modes) for e in g.edges])
+
+
+class TestBehavioralOracle:
+    @pytest.mark.parametrize("horizon", range(1, 9))
+    @pytest.mark.parametrize("dead_tmax", [None, 1])
+    def test_battery(self, battery, battery_map, tfpg_battery, horizon, dead_tmax):
+        doc = tfpg_to_json(tfpg_battery)
+        for edge in doc["edges"]:
+            if edge["to"] == "d_dead" and dead_tmax is not None:
+                edge["tmax"] = dead_tmax
+        assert_behavioral_matches_oracle(parse_tfpg(json.dumps(doc)), battery,
+                                         battery_map, horizon)
+
+    @pytest.mark.parametrize("seed", [None, *range(6)])
+    def test_kofn3_finite_bounds(self, seed):
+        gen = bench_module("gen")
+        m = parse_model(json.dumps(gen.kofn_phase(3)))
+        config = SynthesisConfig.from_json(gen.kofn_tfpg_config(3))
+        g = synthesize_tfpg(m, config, 4).tfpg
+        if seed is not None:
+            g = finite_bounds(g, random.Random(seed))
+        assert_behavioral_matches_oracle(g, m, config.node_map(), 4)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_model_finite_bounds(self, seed):
+        m, _ = random_model(seed)
+        rng = random.Random(seed)
+        atoms = sorted(m.atoms)
+        decls = {f"d{i}": {"expr": rng.choice([" & ", " | "]).join(
+                               rng.sample(atoms, rng.randint(1, 2))),
+                           "kind": rng.choice(["OR", "AND"])}
+                 for i in range(rng.randint(2, 4))}
+        config = SynthesisConfig.from_json({"fm": sorted(m.fault_atoms),
+                                            "discrepancies": decls})
+        g = finite_bounds(synthesize_tfpg(m, config, 4).tfpg, rng)
+        assert_behavioral_matches_oracle(g, m, config.node_map(), 4)
+
+
+def mode_switch_model():
+    """A fault f, and a mode that a run may switch at every step, up or
+    down.  `warn` latches one step after f holds in up with the next step
+    up too; `alarm` may latch, or not, one step after f holds in down with
+    the next step down too.  The runs of one horizon see every mode
+    timeline, and the same activation times mean different things on
+    different timelines."""
+    states, transitions = {}, []
+
+    def sid(f, mode, warn, alarm):
+        return f"s{f}{mode[0]}{warn}{alarm}"
+
+    for f, mode, warn, alarm in [(f, mode, w, a) for f in (0, 1) for mode in ("up", "down")
+                                 for w in (0, 1) for a in (0, 1) if f or not (w or a)]:
+        states[sid(f, mode, warn, alarm)] = {
+            name: True for name, holds in (("f", f), (mode, True), ("warn", warn),
+                                           ("alarm", alarm)) if holds}
+        for f2 in sorted({f, 1}):
+            for mode2 in ("up", "down"):
+                warn2 = int(warn or (f and mode == mode2 == "up"))
+                for alarm2 in sorted({alarm, int(f and mode == mode2 == "down")}):
+                    transitions.append([sid(f, mode, warn, alarm),
+                                        sid(f2, mode2, warn2, alarm2)])
+    return parse_model(json.dumps({
+        "atoms": ["f", "warn", "alarm", "up", "down"], "faults": ["f"],
+        "observables": ["warn", "alarm"], "modes": ["up", "down"],
+        "states": states, "initial": [sid(0, "up", 0, 0), sid(0, "down", 0, 0)],
+        "transitions": transitions}))
+
+
+MODE_SWITCH_MAP = NodeMap({"f": parse_expr("f"), "d_warn": parse_expr("warn"),
+                           "d_alarm": parse_expr("alarm")}, {"up": "up", "down": "down"})
+# (warn edge, alarm edge) bounds; each edge is enabled in one mode only
+MODE_SWITCH_BOUNDS = [((1, 1), (1, INF)), ((1, 1), (1, 1)), ((0, 0), (1, INF)),
+                      ((0, 2), (1, 2)), ((2, 3), (0, 1))]
+
+
+def mode_switch_tfpg(warn, alarm):
+    return Tfpg(("down", "up"), {"f": "FM", "d_warn": "OR", "d_alarm": "OR"},
+                [TfpgEdge("f", "d_warn", *warn, ("up",)),
+                 TfpgEdge("f", "d_alarm", *alarm, ("down",))])
+
+
+class TestModeSwitch:
+    def test_one_horizon_has_many_timelines(self):
+        m = mode_switch_model()
+        g = mode_switch_tfpg(*MODE_SWITCH_BOUNDS[0])
+        timelines = {induced_activation_trace(g, m, MODE_SWITCH_MAP, tr).mode_timeline
+                     for tr in enumerate_traces(m, 5)}
+        assert len(timelines) == 2 ** 5
+
+    def test_exact_warn_and_open_alarm_are_complete(self):
+        m = mode_switch_model()
+        g = mode_switch_tfpg(*MODE_SWITCH_BOUNDS[0])
+        assert behavioral_validate(g, m, MODE_SWITCH_MAP, 6).complete
+
+    @pytest.mark.parametrize("horizon", range(1, 7))
+    @pytest.mark.parametrize("bounds", MODE_SWITCH_BOUNDS)
+    def test_behavioral(self, bounds, horizon):
+        assert_behavioral_matches_oracle(mode_switch_tfpg(*bounds), mode_switch_model(),
+                                         MODE_SWITCH_MAP, horizon)
+
+    @pytest.mark.parametrize("horizon", range(1, 7))
+    @pytest.mark.parametrize("bounds", MODE_SWITCH_BOUNDS)
+    def test_tighten(self, bounds, horizon):
+        assert_tighten_matches_oracle(mode_switch_tfpg(*bounds), mode_switch_model(),
+                                      MODE_SWITCH_MAP, horizon)
 
 
 # n -> e and no further: runs of two states only

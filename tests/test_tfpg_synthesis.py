@@ -17,7 +17,7 @@ from faultkit.tfpg_synthesis import (DiscrepancyDecl, SynthesisConfig,
 
 from .conftest import bench_module, corpus_json
 from .oracles import (brute_force_cause_family, brute_force_cycle_nodes,
-                      enumerate_traces, naive_induced_trace)
+                      naive_observed_delays)
 from .test_acceptance import random_model
 
 
@@ -200,23 +200,6 @@ class TestCauseFamiliesOracle:
 class TestTightenRelaxations:
     HORIZON = 4
 
-    @staticmethod
-    def observed_delays(g, m, nm, horizon):
-        """Per edge index, every delay from its anchor to its target's
-        activation over the runs of horizon + 1 states."""
-        delays = {i: set() for i in range(len(g.edges))}
-        for tr in enumerate_traces(m, horizon + 1):
-            at = naive_induced_trace(g, m, nm.exprs, nm.mode_map, tr)
-            for i, e in enumerate(g.edges):
-                tu, tv = at.times.get(e.src), at.times.get(e.dst)
-                if tu is None or tv is None:
-                    continue
-                starts = [a for a in range(tu, tv + 1)
-                          if all(at.mode_timeline[x] in e.modes for x in range(a, tv + 1))]
-                if starts:
-                    delays[i].add(tv - min(starts))
-        return delays
-
     @pytest.mark.parametrize("seed", range(30))
     def test_random_finite_bounds(self, seed):
         m, _ = random_model(seed)
@@ -231,7 +214,7 @@ class TestTightenRelaxations:
         g = Tfpg(synth.tfpg.modes, synth.tfpg.nodes,
                  [TfpgEdge(e.src, e.dst, e.tmin, e.tmin + rng.randint(0, 3), e.modes)
                   for e in synth.tfpg.edges])
-        delays = self.observed_delays(g, m, nm, h)
+        delays = naive_observed_delays(g, m, nm.exprs, nm.mode_map, h)
         loosest = Tfpg(g.modes, g.nodes, [
             TfpgEdge(e.src, e.dst, min(delays[i]), INF, e.modes) if delays[i] else e
             for i, e in enumerate(g.edges)])
