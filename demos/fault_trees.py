@@ -17,7 +17,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 def main():
     model = load_model(CORPUS / "battery.json")
-    print(f"model: {len(model.states)} states, {len(model.transitions)} "
+    print(f"model: {len(model.states)} states, {sum(map(len, model.succ))} "
           f"transitions, faults {sorted(model.fault_atoms)}")
     print("validation:", validate_model(model) or "clean")
 

@@ -24,8 +24,8 @@ _EXPORTS = {
     "errors": ("ExpressionError", "FaultkitError", "ModelFormatError",
                "ObservationError", "SizeGuardExceeded", "TraceError"),
     "fdispec": ("AlarmSpec", "BoundedDelay", "ExactDelay", "FiniteDelay", "GLOBAL",
-                "TRACE", "Once", "OnceWithin", "PastShift", "eval_knowledge",
-                "eval_past", "instantiate_pattern", "load_specs", "parse_specs"),
+                "TRACE", "eval_knowledge", "instantiate_pattern", "load_specs",
+                "parse_specs"),
     "model": ("SystemModel", "Trace", "Violation", "load_model", "parse_model",
               "validate_model"),
     "synthesis": ("Diagnoser", "Verdict", "diagnoser_to_json", "export_diagnoser_dot",

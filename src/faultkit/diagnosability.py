@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 from .errors import TraceError
 from .fdispec import (AlarmSpec, BoundedDelay, Delay, ExactDelay, FiniteDelay, GLOBAL,
-                      chain_counterexample, knowledge_chain, memory_automaton,
-                      past_formula)
+                      chain_counterexample, knowledge_chain, memory_automaton)
 # Not called here, but the benchmark's spans (perfbench/probes.py) wrap
 # them under this module.
 from .fdispec import eval_knowledge, knowledge_counterexample  # noqa: F401
@@ -248,7 +247,7 @@ def check_trace_diagnosability(m: SystemModel, spec: AlarmSpec, tr: Trace,
     # certainty is needed at t + n for exact(n), within [t, t + n] for
     # bound(n), and from t to the end of the run for finite
     first = end if isinstance(spec.delay, ExactDelay) else t
-    beliefs, chain = knowledge_chain(m, tr, end, past_formula(spec.delay, spec.beta))
+    beliefs, chain = knowledge_chain(m, tr, end, spec.delay, spec.beta)
     if any(map(beliefs.certain, chain[first:])):
         return TraceDiagnosabilityVerdict(True)
     return TraceDiagnosabilityVerdict(False, chain_counterexample(beliefs, chain))

@@ -7,12 +7,14 @@ expression) with a delay discipline:
 * bound(n)  -- within n steps;
 * finite    -- eventually.
 
-Each delay kind has a matching past-time formula (condition held exactly n
-steps ago / within the last n steps / at some point), a bounded per-run
-memory sufficient to evaluate it (a value window, a saturating counter, a
-latched bit), and a certainty reading under synchronous perfect-recall
-observation: the condition is *known* at a point iff it holds on every run
-of the model producing the same observation sequence up to that point.
+Each delay kind reads as one past-time formula over the condition β:
+Y^n β (β held exactly n steps ago), O<=n β (within the last n steps) or
+O β (at some point), so a past formula is given by its (delay, β) pair.
+Each has a bounded per-run memory sufficient to evaluate it (a value
+window, a saturating counter, a latched bit), and a certainty reading
+under synchronous perfect-recall observation: the condition is *known* at
+a point iff it holds on every run of the model producing the same
+observation sequence up to that point.
 Knowledge is computed by propagating belief states, i.e. sets of
 (state, memory) pairs consistent with the observations.
 """
@@ -107,72 +109,6 @@ def _specs_from(doc) -> list[AlarmSpec]:
         specs.append(AlarmSpec(name, beta, delay, field(item, "diag", str, where, GLOBAL),
                                field(item, "maximal", bool, where, False)))
     return specs
-
-
-# -- past formulas -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class PastShift:
-    """Condition held exactly n steps ago (false when there is no history)."""
-    beta: Expr
-    n: int
-
-    def __str__(self):
-        return f"Y^{self.n} ({self.beta})"
-
-
-@dataclass(frozen=True)
-class OnceWithin:
-    """Condition held at some point within the last n steps (inclusive)."""
-    beta: Expr
-    n: int
-
-    def __str__(self):
-        return f"O<={self.n} ({self.beta})"
-
-
-@dataclass(frozen=True)
-class Once:
-    """Condition held at some point so far."""
-    beta: Expr
-
-    def __str__(self):
-        return f"O ({self.beta})"
-
-
-PastFormula = PastShift | OnceWithin | Once
-
-
-def past_formula(delay: Delay, beta: Expr) -> PastFormula:
-    """The past-time reading of a delay kind: the formula an alarm asserts
-    about the monitored condition at the moment it fires."""
-    if isinstance(delay, ExactDelay):
-        return PastShift(beta, delay.n)
-    if isinstance(delay, BoundedDelay):
-        return OnceWithin(beta, delay.n)
-    return Once(beta)
-
-
-def _delay_of(phi: PastFormula) -> Delay:
-    if isinstance(phi, PastShift):
-        return ExactDelay(phi.n)
-    if isinstance(phi, OnceWithin):
-        return BoundedDelay(phi.n)
-    return FiniteDelay()
-
-
-def eval_past(m: SystemModel, tr: Trace, phi: PastFormula, t: int) -> bool:
-    """Evaluate a past formula on a trace at time t by direct lookback."""
-    if not (0 <= t < len(tr)):
-        raise IndexError(f"time index {t} out of range for trace of length {len(tr)}")
-    if isinstance(phi, PastShift):
-        return t >= phi.n and m.holds(phi.beta, tr[t - phi.n])
-    if isinstance(phi, OnceWithin):
-        lo = max(0, t - phi.n)
-        return any(m.holds(phi.beta, tr[u]) for u in range(lo, t + 1))
-    if isinstance(phi, Once):
-        return any(m.holds(phi.beta, tr[u]) for u in range(t + 1))
-    raise TypeError(f"not a past formula: {phi!r}")
 
 
 # -- bounded per-run memory ---------------------------------------------------
@@ -335,28 +271,30 @@ def belief_chain(beliefs: BeliefTracker, obs_seq: list[tuple]) -> list[tuple[int
     return chain
 
 
-def knowledge_chain(m: SystemModel, tr: Trace, t: int, phi: PastFormula):
-    """The belief tracker of phi, and its beliefs after each of the steps
-    0..t of tr."""
-    beliefs = BeliefTracker(m, ((_delay_of(phi), as_expr(phi.beta)),))
-    return beliefs, belief_chain(beliefs, [m.observation(s) for s in tr.steps[: t + 1]])
-
-
-def eval_knowledge(m: SystemModel, tr: Trace, t: int, phi: PastFormula) -> bool:
-    """True iff phi holds at time t on every run of m producing the same
-    observations as tr on steps 0..t (synchronous perfect recall)."""
+def knowledge_chain(m: SystemModel, tr: Trace, t: int, delay: Delay, beta: Expr | str):
+    """The belief tracker of the past formula of `delay` over `beta`, and
+    its beliefs after each of the steps 0..t of tr."""
     m.require_trace(tr)
     if not (0 <= t < len(tr)):
         raise IndexError(f"time index {t} out of range for trace of length {len(tr)}")
-    beliefs, chain = knowledge_chain(m, tr, t, phi)
+    beliefs = BeliefTracker(m, ((delay, as_expr(beta)),))
+    return beliefs, belief_chain(beliefs, [m.observation(s) for s in tr.steps[: t + 1]])
+
+
+def eval_knowledge(m: SystemModel, tr: Trace, t: int, delay: Delay, beta: Expr | str) -> bool:
+    """True iff the past formula of `delay` over `beta` holds at time t on
+    every run of m producing the same observations as tr on steps 0..t
+    (synchronous perfect recall)."""
+    beliefs, chain = knowledge_chain(m, tr, t, delay, beta)
     return beliefs.certain(chain[-1])
 
 
-def knowledge_counterexample(m: SystemModel, tr: Trace, t: int,
-                             phi: PastFormula) -> Trace | None:
-    """An obs-equivalent run on which phi fails at t, or None when phi is
-    known (no such run exists); see `chain_counterexample` for which."""
-    return chain_counterexample(*knowledge_chain(m, tr, t, phi))
+def knowledge_counterexample(m: SystemModel, tr: Trace, t: int, delay: Delay,
+                             beta: Expr | str) -> Trace | None:
+    """An obs-equivalent run on which the past formula of `delay` over
+    `beta` fails at t, or None when it is known (no such run exists); see
+    `chain_counterexample` for which."""
+    return chain_counterexample(*knowledge_chain(m, tr, t, delay, beta))
 
 
 def chain_counterexample(beliefs: BeliefTracker,
@@ -395,13 +333,13 @@ def instantiate_pattern(spec: AlarmSpec) -> dict[str, str]:
     condition implies the alarm fires within its delay; for trace-local
     specifications the obligation is guarded by achievability of certainty
     within the same delay.  Maximality: certainty forces the alarm."""
-    A, beta, past = spec.name, f"({spec.beta})", past_formula(spec.delay, spec.beta)
+    A, beta = spec.name, f"({spec.beta})"
     if isinstance(spec.delay, ExactDelay):
-        within = f"X^{spec.delay.n}"
+        within, past = f"X^{spec.delay.n}", f"Y^{spec.delay.n} {beta}"
     elif isinstance(spec.delay, BoundedDelay):
-        within = f"F<={spec.delay.n}"
+        within, past = f"F<={spec.delay.n}", f"O<={spec.delay.n} {beta}"
     else:
-        within = "F"
+        within, past = "F", f"O {beta}"
     obligation = f"({beta} -> {within} {A})"
     if spec.diag == TRACE:
         obligation = f"(({beta} -> {within} K {past}) -> {obligation})"

@@ -8,15 +8,15 @@ successor once true, but a model need not make them so: :func:`validate_model`
 reports a fault that clears, and the cut sets do not assume permanence.
 
 A model keeps its input as plain records: `states` (each state's full
-valuation), `initial` and the `transitions` pair set.  Every analysis reads
-one integer form, in which states are numbered in sorted-id order, so
-comparing numbers compares ids:
+valuation) and `initial`.  Every analysis reads one integer form, in which
+states are numbered in sorted-id order, so comparing numbers compares ids:
 
 * `ids[i]` is the id of state i, and `number[sid]` the number of id sid;
 * `masks[i]` holds the bit `bits[a]` of each atom a true in state i, the
   first atom in sorted order the most significant, so masks cut down to
   some atoms compare as the bool tuples of those atoms do;
-* `succ[i]` lists state i's successors, ascending and without repeats;
+* `succ[i]` lists state i's successors, ascending and without repeats: the
+  transitions;
 * `observations[c]` is the observation of class c, the classes numbered in
   sorted order, and `obs_class[i]` is state i's class;
 * `succ_by_class[i][c]` lists state i's successors in class c, ascending,
@@ -78,14 +78,13 @@ class SystemModel:
     """
 
     def __init__(self, atoms, fault_atoms, observable_atoms, mode_atoms,
-                 states, initial, transitions, number, succ):
+                 states, initial, number, succ):
         self.atoms = frozenset(atoms)
         self.fault_atoms = frozenset(fault_atoms)
         self.observable_atoms = frozenset(observable_atoms)
         self.mode_atoms = frozenset(mode_atoms)
         self.states = states
         self.initial = tuple(sorted(initial))
-        self.transitions = frozenset(transitions)
         self.number = number
         self.ids = ids = tuple(number)
         self.size = len(ids)
@@ -138,17 +137,12 @@ class SystemModel:
         return tuple(self.states[sid][a] for a in self.observable_atoms_sorted)
 
     def is_trace(self, tr: Trace) -> bool:
-        if len(tr) < 1:
+        number, succ = self.number, self.succ
+        if len(tr) < 1 or tr[0] not in self.initial:
             return False
-        if tr[0] not in self.initial:
+        if not all(s in number for s in tr.steps):
             return False
-        for s in tr.steps:
-            if s not in self.states:
-                return False
-        for a, b in zip(tr.steps, tr.steps[1:]):
-            if (a, b) not in self.transitions:
-                return False
-        return True
+        return all(number[b] in succ[number[a]] for a, b in zip(tr.steps, tr.steps[1:]))
 
     def require_trace(self, tr: Trace) -> None:
         if not self.is_trace(tr):
@@ -221,7 +215,6 @@ def _model_from(doc) -> SystemModel:
     for sid in initial:
         if sid not in number:
             raise ModelFormatError(f"unknown state {sid!r} in initial")
-    pairs = []
     succ: list[set[int]] = [set() for _ in number]
     for item in field(doc, "transitions", list, "model"):
         # Checked inline: a model has many transitions.
@@ -230,10 +223,9 @@ def _model_from(doc) -> SystemModel:
         a, b = item
         if type(a) is not str or type(b) is not str or a not in number or b not in number:
             raise ModelFormatError(f"unknown state in transition {item!r}")
-        pairs.append((a, b))
         succ[number[a]].add(number[b])
-    return SystemModel(atoms, faults, observables, modes, states, initial, pairs,
-                       number, [sorted(nxts) for nxts in succ])
+    return SystemModel(atoms, faults, observables, modes, states, initial, number,
+                       [sorted(nxts) for nxts in succ])
 
 
 def validate_model(m: SystemModel) -> list[Violation]:

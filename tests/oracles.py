@@ -21,14 +21,21 @@ from faultkit.tfpg import ActivationTrace, Tfpg
 
 # -- model-level -------------------------------------------------------------
 
+def successor_ids(m: SystemModel) -> dict[str, list[str]]:
+    """Each state id's successor ids, ascending: the transitions, read off
+    the model's successor lists."""
+    return {m.ids[i]: [m.ids[j] for j in nxts] for i, nxts in enumerate(m.succ)}
+
+
 def path_count_by_matrix_power(m: SystemModel, length: int) -> int:
     """Number of traces with `length` states = walks with length-1 edges
     from initial states, via adjacency-matrix powers."""
     ids = sorted(m.states)
     index = {s: i for i, s in enumerate(ids)}
     A = np.zeros((len(ids), len(ids)), dtype=object)
-    for a, b in m.transitions:
-        A[index[a], index[b]] = 1
+    for a, nxts in successor_ids(m).items():
+        for b in nxts:
+            A[index[a], index[b]] = 1
     P = np.linalg.matrix_power(A, length - 1) if length > 1 else np.eye(
         len(ids), dtype=object)
     return int(sum(P[index[s], :].sum() for s in m.initial))
@@ -36,12 +43,10 @@ def path_count_by_matrix_power(m: SystemModel, length: int) -> int:
 
 def enumerate_traces(m: SystemModel, length: int):
     """Every trace with `length` states, in lexicographic order of state
-    ids, by depth-first extension along the sorted transition records."""
+    ids, by depth-first extension along the sorted successor ids."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    targets: dict[str, list[str]] = {sid: [] for sid in m.states}
-    for a, b in sorted(m.transitions):
-        targets[a].append(b)
+    targets = successor_ids(m)
 
     def extend(path):
         if len(path) == length:
@@ -62,10 +67,11 @@ def reachable_restricted(m: SystemModel, allowed_faults: frozenset[str]) -> set[
                    for f in m.fault_atoms)
 
     reach = {sid for sid in m.initial if permitted(sid)}
+    pairs = [(a, b) for a, nxts in successor_ids(m).items() for b in nxts]
     changed = True
     while changed:
         changed = False
-        for a, b in m.transitions:
+        for a, b in pairs:
             if a in reach and b not in reach and permitted(b):
                 reach.add(b)
                 changed = True
@@ -77,9 +83,7 @@ def brute_force_mcs(m: SystemModel, tle) -> list[frozenset[str]]:
     then keeping the minimal elements of the satisfying family."""
     expr = as_expr(tle)
     faults = sorted(m.fault_atoms)
-    adjacency: dict[str, list[str]] = {sid: [] for sid in m.states}
-    for a, b in m.transitions:
-        adjacency[a].append(b)
+    adjacency = successor_ids(m)
     fault_of = {sid: frozenset(f for f in faults if m.states[sid].get(f, False))
                 for sid in m.states}
     target = {sid for sid in m.states if expr.evaluate(m.states[sid])}
@@ -138,26 +142,28 @@ def obs_buckets(m: SystemModel, length: int) -> dict[tuple, list[Trace]]:
     return buckets
 
 
-def naive_past(m: SystemModel, tr: Trace, phi, t: int) -> bool:
-    """Quantifier-expansion evaluation of the three past-formula shapes."""
-    from faultkit.fdispec import Once, OnceWithin, PastShift
+def naive_past(m: SystemModel, tr: Trace, delay, beta, t: int) -> bool:
+    """Quantifier-expansion evaluation of the past formula of a delay kind:
+    Y^n beta for exact(n), O<=n beta for bound(n) and O beta for finite."""
+    from faultkit.fdispec import BoundedDelay, ExactDelay, FiniteDelay
 
-    beta = as_expr(phi.beta)
-    if isinstance(phi, PastShift):
-        return t - phi.n >= 0 and beta.evaluate(m.states[tr[t - phi.n]])
-    if isinstance(phi, OnceWithin):
+    beta = as_expr(beta)
+    if isinstance(delay, ExactDelay):
+        return t - delay.n >= 0 and beta.evaluate(m.states[tr[t - delay.n]])
+    if isinstance(delay, BoundedDelay):
         return any(beta.evaluate(m.states[tr[u]])
-                   for u in range(max(0, t - phi.n), t + 1))
-    if isinstance(phi, Once):
+                   for u in range(max(0, t - delay.n), t + 1))
+    if isinstance(delay, FiniteDelay):
         return any(beta.evaluate(m.states[tr[u]]) for u in range(t + 1))
-    raise TypeError(phi)
+    raise TypeError(delay)
 
 
-def knowledge_by_enumeration(m: SystemModel, tr: Trace, t: int, phi) -> bool:
-    """K phi at t: phi holds at t on every obs-equivalent run of length t+1."""
+def knowledge_by_enumeration(m: SystemModel, tr: Trace, t: int, delay, beta) -> bool:
+    """K phi at t, phi the past formula of `delay` over `beta`: phi holds at
+    t on every obs-equivalent run of length t+1."""
     key = tuple(m.observation(s) for s in tr.steps[: t + 1])
     peers = obs_buckets(m, t + 1)[key]
-    return all(naive_past(m, peer, phi, t) for peer in peers)
+    return all(naive_past(m, peer, delay, beta, t) for peer in peers)
 
 
 # -- diagnosability ---------------------------------------------------------------
@@ -236,9 +242,7 @@ def brute_force_critical_pair(m: SystemModel, beta, delay):
     shown = sorted(m.observable_atoms)
     seen = {sid: tuple(val.get(a, False) for a in shown) for sid, val in m.states.items()}
     flag = {sid: beta.evaluate(val) for sid, val in m.states.items()}
-    moves: dict[str, list[str]] = {sid: [] for sid in m.states}
-    for a, b in m.transitions:
-        moves[a].append(b)
+    moves = successor_ids(m)
 
     def node(a, b, last1=(), since2=2 * n):
         if not bounded:
@@ -290,9 +294,7 @@ def _product_parts(m: SystemModel, diagnoser_doc, beta, alarm: str):
     shown = sorted(m.observable_atoms)
     seen = {sid: tuple(val.get(a, False) for a in shown) for sid, val in m.states.items()}
     flag = {sid: beta.evaluate(val) for sid, val in m.states.items()}
-    moves: dict[str, list[str]] = {sid: [] for sid in m.states}
-    for a, b in m.transitions:
-        moves[a].append(b)
+    moves = successor_ids(m)
 
     def read(key):
         doc = json.loads(key)
@@ -544,7 +546,7 @@ def brute_force_trace_completeness(m: SystemModel, diagnoser_doc, beta, delay,
             return False
         path = [next(node for node in roots if node[0] == run[0])]
         for y in run[1:]:
-            if (path[-1][0], y) not in m.transitions:
+            if y not in moves[path[-1][0]]:
                 return False
             path.append(next(nxt for nxt in adjacency[path[-1]] if nxt[0] == y))
         return path[loop_start] == path[-1] and any(
@@ -736,9 +738,7 @@ def brute_force_cause_family(m: SystemModel, fm_atoms, target, cause_exprs):
     target = as_expr(target)
     exprs = {name: as_expr(e) for name, e in cause_exprs.items()}
     universe = sorted(fm_atoms) + sorted(exprs)
-    adjacency: dict[str, list[str]] = {sid: [] for sid in m.states}
-    for a, b in m.transitions:
-        adjacency[a].append(b)
+    adjacency = successor_ids(m)
     # what each state needs: its true fault atoms and its true predicates
     needs = {sid: frozenset(f for f in m.fault_atoms if val.get(f, False)) |
              frozenset(name for name, e in exprs.items() if e.evaluate(val))

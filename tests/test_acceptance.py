@@ -21,8 +21,7 @@ from faultkit.cutsets import (enumerate_mcs, evaluate_probability, final_mcs,
                               probability_by_inclusion_exclusion)
 from faultkit.diagnosability import check_diagnosability
 from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
-                              Once, OnceWithin, PastShift, eval_knowledge,
-                              instantiate_pattern)
+                              eval_knowledge, instantiate_pattern)
 from faultkit.model import SystemModel, parse_model
 from faultkit.synthesis import synthesize_diagnoser, verify_diagnoser
 from faultkit.tfpg import (Tfpg, TfpgEdge, behavioral_validate,
@@ -273,14 +272,13 @@ def test_criterion_07_knowledge_cross_check(sensor_delay, intermittent,
     cases.append((battery, parse_expr("b1_fail")))
     compared = 0
     for m, beta in cases:
-        shapes = (PastShift(beta, 1), OnceWithin(beta, 2), Once(beta))
         for length in range(1, horizon + 1):
             for bucket in obs_buckets(m, length).values():
                 representative = bucket[0]
                 t = length - 1
-                for phi in shapes:
-                    got = eval_knowledge(m, representative, t, phi)
-                    want = knowledge_by_enumeration(m, representative, t, phi)
+                for delay in (ExactDelay(1), BoundedDelay(2), FiniteDelay()):
+                    got = eval_knowledge(m, representative, t, delay, beta)
+                    want = knowledge_by_enumeration(m, representative, t, delay, beta)
                     assert got == want
                     compared += 1
     print(f"\nACCEPTANCE 7: belief-based knowledge equals obs-equivalence "

@@ -6,12 +6,11 @@ from faultkit.boolexpr import parse_expr
 from faultkit.diagnosability import (check_diagnosability,
                                      check_trace_diagnosability)
 from faultkit.errors import TraceError
-from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
-                              eval_past, Once, OnceWithin, PastShift)
+from faultkit.fdispec import AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay
 from faultkit.model import Trace, load_model, parse_model
 
 from .conftest import corpus_path
-from .oracles import (brute_force_critical_pair, enumerate_traces,
+from .oracles import (brute_force_critical_pair, enumerate_traces, naive_past,
                       oracle_diagnosable_bounded, oracle_diagnosable_exact,
                       oracle_diagnosable_finite)
 
@@ -230,8 +229,7 @@ class TestTraceDiagnosability:
         assert verdict.confuser is not None
         # the confuser sees the same observations but the condition is not
         # certain: it does not hold at the anchored step
-        assert not eval_past(intermittent, verdict.confuser,
-                             PastShift(FAULT, 1), 2)
+        assert not naive_past(intermittent, verdict.confuser, ExactDelay(1), FAULT, 2)
 
     def test_finite_delay_certainty_within_trace(self, intermittent,
                                                  intermittent_specs):

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from faultkit.boolexpr import Const, parse_expr
 from faultkit.errors import ModelFormatError, TraceError
 from faultkit.fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay,
-                              FiniteDelay, Once, OnceWithin, PastShift, belief_chain,
-                              eval_knowledge, eval_past, instantiate_pattern,
-                              knowledge_counterexample,
+                              FiniteDelay, belief_chain, eval_knowledge,
+                              instantiate_pattern, knowledge_counterexample,
                               memory_bound, memory_init, memory_satisfies, memory_update,
                               parse_specs)
 from faultkit.model import Trace, parse_model
@@ -51,29 +50,35 @@ class TestSpecParsing:
             parse_specs('[{"alarm": "a", "beta": "x", "delay": {"kind": "someday"}}]')
 
 
+def past_by_memory(m, tr, delay, beta, t):
+    """The past formula of `delay` over `beta` at step t of tr, read off the
+    delay's memory stepped along the run."""
+    mem = memory_init(delay, m.holds(beta, tr[0]))
+    for sid in tr.steps[1:t + 1]:
+        mem = memory_update(delay, mem, m.holds(beta, sid))
+    return memory_satisfies(delay, mem)
+
+
 class TestEvalPast:
     def test_once_true_from_step_zero(self, fully_obs):
         tr = Trace(("a", "b", "c", "c"))
-        phi = Once(parse_expr("true"))
-        assert all(eval_past(fully_obs, tr, phi, t) for t in range(4))
+        true = parse_expr("true")
+        assert all(past_by_memory(fully_obs, tr, FiniteDelay(), true, t) for t in range(4))
 
     def test_shift_needs_history(self, fully_obs):
         tr = Trace(("a", "b", "c"))
-        assert not eval_past(fully_obs, tr, PastShift(FAULT, 2), 1)
-        assert eval_past(fully_obs, tr, PastShift(FAULT, 1), 2)
-
-    def test_index_out_of_range(self, fully_obs):
-        with pytest.raises(IndexError):
-            eval_past(fully_obs, Trace(("a",)), Once(FAULT), 1)
+        assert not past_by_memory(fully_obs, tr, ExactDelay(2), FAULT, 1)
+        assert past_by_memory(fully_obs, tr, ExactDelay(1), FAULT, 2)
 
     def test_timed_verdict_vector(self, sensor_delay):
         tr = Trace(("n", "f0", "f1", "f2"))
 
-        def timed_verdict(phi):
-            return tuple(eval_past(sensor_delay, tr, phi, t) for t in range(len(tr)))
+        def timed_verdict(delay):
+            return tuple(past_by_memory(sensor_delay, tr, delay, FAULT, t)
+                         for t in range(len(tr)))
 
-        assert timed_verdict(Once(FAULT)) == (False, True, True, True)
-        assert timed_verdict(PastShift(FAULT, 2)) == (False, False, False, True)
+        assert timed_verdict(FiniteDelay()) == (False, True, True, True)
+        assert timed_verdict(ExactDelay(2)) == (False, False, False, True)
 
     @given(st.integers(0, 9999), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
@@ -81,25 +86,18 @@ class TestEvalPast:
         traces = list(enumerate_traces(sensor_delay, 12))
         tr = traces[seed % len(traces)]
         for t in range(len(tr)):
-            for phi in (PastShift(FAULT, n), OnceWithin(FAULT, max(1, n)), Once(FAULT)):
-                assert eval_past(sensor_delay, tr, phi, t) == \
-                    naive_past(sensor_delay, tr, phi, t)
+            for delay in (ExactDelay(n), BoundedDelay(max(1, n)), FiniteDelay()):
+                assert past_by_memory(sensor_delay, tr, delay, FAULT, t) == \
+                    naive_past(sensor_delay, tr, delay, FAULT, t)
 
 
 class TestMemory:
-    @pytest.mark.parametrize("delay,phi", [
-        (ExactDelay(2), PastShift(FAULT, 2)),
-        (BoundedDelay(2), OnceWithin(FAULT, 2)),
-        (FiniteDelay(), Once(FAULT)),
-    ])
-    def test_memory_tracks_past_formula(self, sensor_delay, delay, phi):
+    @pytest.mark.parametrize("delay", [ExactDelay(2), BoundedDelay(2), FiniteDelay()])
+    def test_memory_tracks_past_formula(self, sensor_delay, delay):
         for tr in enumerate_traces(sensor_delay, 8):
-            mem = memory_init(delay, sensor_delay.holds(FAULT, tr[0]))
-            assert memory_satisfies(delay, mem) == eval_past(sensor_delay, tr, phi, 0)
-            for t in range(1, len(tr)):
-                mem = memory_update(delay, mem, sensor_delay.holds(FAULT, tr[t]))
-                assert memory_satisfies(delay, mem) == \
-                    eval_past(sensor_delay, tr, phi, t)
+            for t in range(len(tr)):
+                assert past_by_memory(sensor_delay, tr, delay, FAULT, t) == \
+                    naive_past(sensor_delay, tr, delay, FAULT, t)
 
     @pytest.mark.parametrize("delay", [ExactDelay(0), ExactDelay(3), BoundedDelay(0),
                                        BoundedDelay(4), FiniteDelay()])
@@ -136,39 +134,47 @@ class TestMemory:
 class TestKnowledge:
     def test_constant_true_is_known(self, sensor_delay):
         tr = Trace(("n", "n", "n"))
-        assert eval_knowledge(sensor_delay, tr, 2, Once(Const(True)))
+        assert eval_knowledge(sensor_delay, tr, 2, FiniteDelay(), Const(True))
 
     def test_observable_condition_is_known_when_seen(self, fully_obs):
         tr = Trace(("a", "b", "c"))
-        assert eval_knowledge(fully_obs, tr, 1, Once(FAULT))
-        assert eval_knowledge(fully_obs, tr, 2, Once(FAULT))
-        assert not eval_knowledge(fully_obs, Trace(("a", "a")), 1, Once(FAULT))
+        assert eval_knowledge(fully_obs, tr, 1, FiniteDelay(), FAULT)
+        assert eval_knowledge(fully_obs, tr, 2, FiniteDelay(), FAULT)
+        assert not eval_knowledge(fully_obs, Trace(("a", "a")), 1, FiniteDelay(), FAULT)
 
     def test_hidden_fault_known_after_disambiguation(self, sensor_delay):
         tr = Trace(("n", "f0", "f1", "f2", "f2"))
-        flips = [eval_knowledge(sensor_delay, tr, t, Once(FAULT)) for t in range(5)]
+        flips = [eval_knowledge(sensor_delay, tr, t, FiniteDelay(), FAULT) for t in range(5)]
         assert flips == [False, False, False, True, True]
 
     def test_rejects_non_trace(self, sensor_delay):
         with pytest.raises(TraceError):
-            eval_knowledge(sensor_delay, Trace(("f0", "f1")), 1, Once(FAULT))
+            eval_knowledge(sensor_delay, Trace(("f0", "f1")), 1, FiniteDelay(), FAULT)
+
+    @pytest.mark.parametrize("query", [eval_knowledge, knowledge_counterexample])
+    def test_checks_the_trace_and_the_time_index(self, battery, query):
+        beta = parse_expr("b1_fail")
+        with pytest.raises(IndexError):
+            query(battery, Trace(("s00_a",)), 5, FiniteDelay(), beta)
+        with pytest.raises(TraceError):
+            query(battery, Trace(("s00_a", "nowhere")), 1, FiniteDelay(), beta)
 
     def test_knowledge_is_veridical(self, sensor_delay, intermittent):
         for m in (sensor_delay, intermittent):
             for tr in enumerate_traces(m, 6):
-                for phi in (PastShift(FAULT, 1), OnceWithin(FAULT, 2), Once(FAULT)):
+                for delay in (ExactDelay(1), BoundedDelay(2), FiniteDelay()):
                     for t in range(len(tr)):
-                        if eval_knowledge(m, tr, t, phi):
-                            assert eval_past(m, tr, phi, t)
+                        if eval_knowledge(m, tr, t, delay, FAULT):
+                            assert naive_past(m, tr, delay, FAULT, t)
 
     def test_matches_enumeration(self, sensor_delay, intermittent):
         for m in (sensor_delay, intermittent):
             for length in range(1, 7):
                 for tr in enumerate_traces(m, length):
                     t = length - 1
-                    for phi in (PastShift(FAULT, 1), OnceWithin(FAULT, 2), Once(FAULT)):
-                        assert eval_knowledge(m, tr, t, phi) == \
-                            knowledge_by_enumeration(m, tr, t, phi)
+                    for delay in (ExactDelay(1), BoundedDelay(2), FiniteDelay()):
+                        assert eval_knowledge(m, tr, t, delay, FAULT) == \
+                            knowledge_by_enumeration(m, tr, t, delay, FAULT)
 
     def test_monotone_information(self, sensor_delay):
         # certainty about an absolutely anchored past fact is never revoked
@@ -177,10 +183,10 @@ class TestKnowledge:
                 for n in (1, 2):
                     if t < n:
                         continue
-                    if eval_knowledge(sensor_delay, tr, t, PastShift(FAULT, n)):
+                    if eval_knowledge(sensor_delay, tr, t, ExactDelay(n), FAULT):
                         for t2 in range(t + 1, len(tr)):
-                            shifted = PastShift(FAULT, n + (t2 - t))
-                            assert eval_knowledge(sensor_delay, tr, t2, shifted)
+                            shifted = ExactDelay(n + (t2 - t))
+                            assert eval_knowledge(sensor_delay, tr, t2, shifted, FAULT)
 
     def test_counterexample_walks_back_through_least_states(self):
         # Nothing is observable.  Two runs end in c with no fault in the last
@@ -192,7 +198,8 @@ class TestKnowledge:
             "initial": ["i"],
             "transitions": [["i", "i"], ["i", "e"], ["i", "f"], ["f", "d"], ["d", "c"],
                             ["e", "c"], ["c", "s"], ["s", "s"]]}))
-        witness = knowledge_counterexample(m, Trace(("i", "i", "e", "c")), 3, OnceWithin(FAULT, 1))
+        witness = knowledge_counterexample(m, Trace(("i", "i", "e", "c")), 3, BoundedDelay(1),
+                                           FAULT)
         assert witness == Trace(("i", "f", "d", "c"))
 
     def test_counterexample_is_least_from_its_end(self):
@@ -204,18 +211,17 @@ class TestKnowledge:
             "states": {"a": {}, "b": {}, "z": {}, "y": {}, "c": {}},
             "initial": ["a", "b"],
             "transitions": [["a", "z"], ["z", "c"], ["b", "y"], ["y", "c"], ["c", "c"]]}))
-        witness = knowledge_counterexample(m, Trace(("a", "z", "c")), 2, Once(FAULT))
+        witness = knowledge_counterexample(m, Trace(("a", "z", "c")), 2, FiniteDelay(), FAULT)
         assert witness == Trace(("b", "y", "c"))
 
     def test_counterexample_is_obs_equivalent_violator(self, sensor_delay):
         tr = Trace(("n", "f0", "f1"))
-        phi = Once(FAULT)
-        witness = knowledge_counterexample(sensor_delay, tr, 2, phi)
+        witness = knowledge_counterexample(sensor_delay, tr, 2, FiniteDelay(), FAULT)
         assert witness is not None
         assert sensor_delay.is_trace(witness)
         assert [sensor_delay.observation(s) for s in witness.steps] == \
             [sensor_delay.observation(s) for s in tr.steps]
-        assert not eval_past(sensor_delay, witness, phi, 2)
+        assert not naive_past(sensor_delay, witness, FiniteDelay(), FAULT, 2)
 
 
 def _cells(beta, name, n):

@@ -61,7 +61,7 @@ class TestParsing:
 
     def test_battery_corpus_is_12_states(self, battery):
         assert len(battery.states) == 12
-        assert len(battery.transitions) == 24
+        assert sum(map(len, battery.succ)) == 24
 
 
 class TestValidation:

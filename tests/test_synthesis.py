@@ -10,8 +10,7 @@ from faultkit.boolexpr import parse_expr
 from faultkit.diagnosability import check_diagnosability
 from faultkit.errors import ModelFormatError, ObservationError
 from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
-                              Once, OnceWithin, PastShift, memory_satisfies,
-                              trackers_for)
+                              memory_satisfies, trackers_for)
 from faultkit.model import Trace, load_model, parse_model
 from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_correctness,
                                 _check_maximality, _Product, diagnoser_to_json,
@@ -21,7 +20,7 @@ from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_co
 from .conftest import corpus_path
 from .oracles import (PartialCandidate, brute_force_product_counterexample,
                       brute_force_trace_completeness, enumerate_traces,
-                      knowledge_by_enumeration)
+                      knowledge_by_enumeration, successor_ids)
 
 FAULT = parse_expr("fault")
 
@@ -66,7 +65,7 @@ class TestSynthesize:
             alarms = run_diagnoser(d, obs)
             for t in range(len(tr)):
                 expected = knowledge_by_enumeration(
-                    sensor_delay, tr, t, OnceWithin(FAULT, 3))
+                    sensor_delay, tr, t, BoundedDelay(3), FAULT)
                 assert ("A" in alarms[t]) == expected
 
     def test_annotation_requires_every_member(self, sensor_delay):
@@ -260,7 +259,7 @@ class TestVerify:
         model.write_text(json.dumps({
             "atoms": sorted(m.atoms), "faults": sorted(m.fault_atoms),
             "observables": sorted(m.observable_atoms), "states": m.states,
-            "initial": list(m.initial), "transitions": sorted(m.transitions)}))
+            "initial": list(m.initial), "transitions": [[a, b] for a, nxts in successor_ids(m).items() for b in nxts]}))
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps([{"alarm": "A", "beta": tle,
                                           "delay": {"kind": "finite"}}]))
