@@ -19,6 +19,16 @@ critical when side 1's formula holds and side 2's does not:
 Witnesses are deterministic: the lexicographically least shortest path in
 the twin plant, extended by least choices.
 
+The search runs first on the model's coarsest bisimulation quotient that
+respects the observation, the condition and initial membership, when that
+has at most half as many blocks as the model has states.  Bisimilar states
+have the same (observation, condition) sequences, finite and infinite, so
+the quotient has a critical pair exactly when the model has one, under all
+three delay kinds (Cimatti, Pecheur & Cavada, IJCAI 2003).  A diagnosable
+quotient settles the verdict; otherwise the search runs on the model
+itself, so every critical pair, and its least-path guarantee, comes from
+the concrete twin plant.
+
 The search runs over the model's ints (:mod:`faultkit.model`).  A node is
 ``(pair * X1 + memory1) * X2 + memory2``: a state pair ``a * size + b``,
 then each side's memory, numbered as the search reaches it below the bound
@@ -85,6 +95,59 @@ def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdi
     """Decide system-level diagnosability of one alarm specification."""
     if spec.diag != GLOBAL:
         raise ValueError("use check_trace_diagnosability for trace-local specifications")
+    quotient = _quotient(m, spec.beta)
+    if quotient is not None and _search(quotient, spec).diagnosable:
+        return DiagnosabilityVerdict(True)
+    return _search(m, spec)
+
+
+def _quotient(m: SystemModel, beta) -> SystemModel | None:
+    """m's coarsest bisimulation quotient that respects the observation, the
+    condition and initial membership, or None when it has more blocks than
+    half the states.  A block is represented by its least state, so the
+    blocks number in sorted-id order too."""
+    block = _bisimulation(m, beta, m.size // 2)
+    if block is None:
+        return None
+    first: dict[int, int] = {}
+    for i, b in enumerate(block):
+        first.setdefault(b, i)
+    ids = [m.ids[i] for i in first.values()]
+    return SystemModel(m.atoms, m.fault_atoms, m.observable_atoms, m.mode_atoms,
+                       {sid: m.states[sid] for sid in ids},
+                       {ids[block[m.number[sid]]] for sid in m.initial},
+                       {sid: b for b, sid in enumerate(ids)},
+                       [sorted({block[j] for j in m.succ[i]}) for i in first.values()])
+
+
+def _bisimulation(m: SystemModel, beta, limit: int) -> list[int] | None:
+    """Each state's block in the coarsest partition that respects the
+    observation, the condition and initial membership, and in which states
+    of a block have successors in the same blocks; None as soon as a round
+    has more than `limit` blocks.  Blocks are numbered by their least
+    states.
+
+    Each round keys a state by its block and its successors' blocks.  A
+    round only splits blocks, so it is stable once the count stops growing.
+    """
+    flags = m.condition(beta)
+    initial = {m.number[sid] for sid in m.initial}
+    keys: list = [(c, flags[i], i in initial) for i, c in enumerate(m.obs_class)]
+    count = 0
+    while True:
+        blocks: dict = {}
+        block = [blocks.setdefault(key, len(blocks)) for key in keys]
+        if len(blocks) > limit:
+            return None
+        if len(blocks) == count:
+            return block
+        count = len(blocks)
+        keys = [(block[i], frozenset([block[j] for j in nxts]))
+                for i, nxts in enumerate(m.succ)]
+
+
+def _search(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
+    """The verdict of the twin-plant search on m, with its critical pair."""
     delay = spec.delay
     if isinstance(delay, ExactDelay):
         sides = ExactDelay(0), ExactDelay(0)

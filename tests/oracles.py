@@ -282,6 +282,27 @@ def brute_force_critical_pair(m: SystemModel, beta, delay):
     return {"trace1": [x[0] for x in walk], "trace2": [x[1] for x in walk], "t": t}
 
 
+def coarsest_bisimulation(m: SystemModel, beta) -> set[frozenset[str]]:
+    """The blocks of state ids of the greatest bisimulation over the labels
+    (observation, condition, initial membership), as a fixpoint over state
+    pairs: start from the pairs with equal labels and drop a pair while one
+    state has a successor related to no successor of the other."""
+    beta = as_expr(beta)
+    shown = sorted(m.observable_atoms)
+    label = {sid: (tuple(val[a] for a in shown), beta.evaluate(val), sid in m.initial)
+             for sid, val in m.states.items()}
+    moves = successor_ids(m)
+    related = {(a, b) for a in m.states for b in m.states if label[a] == label[b]}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in sorted(related):
+            if any(all((x, y) not in related for y in moves[b]) for x in moves[a]):
+                related -= {(a, b), (b, a)}
+                changed = True
+    return {frozenset(b for b in m.states if (a, b) in related) for a in m.states}
+
+
 class PartialCandidate(Exception):
     """The product reaches a point where the candidate diagnoser has no move
     for the observation of the next state."""

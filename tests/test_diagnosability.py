@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from faultkit import diagnosability
 from faultkit.boolexpr import parse_expr
 from faultkit.diagnosability import (check_diagnosability,
                                      check_trace_diagnosability)
@@ -9,8 +11,9 @@ from faultkit.errors import TraceError
 from faultkit.fdispec import AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay
 from faultkit.model import Trace, load_model, parse_model
 
-from .conftest import corpus_path
-from .oracles import (brute_force_critical_pair, enumerate_traces, naive_past,
+from .conftest import bench_module, corpus_path
+from .oracles import (brute_force_critical_pair, coarsest_bisimulation,
+                      enumerate_traces, naive_past,
                       oracle_diagnosable_bounded, oracle_diagnosable_exact,
                       oracle_diagnosable_finite)
 
@@ -197,6 +200,132 @@ class TestWitness:
         verdict = check_diagnosability(m, s)
         assert verdict.pair.t == 1 and len(verdict.pair.trace1) == 1502
         assert_pair_replays(m, FAULT, s, verdict)
+
+
+@functools.cache
+def kofn_model(n):
+    return parse_model(json.dumps(bench_module("gen").kofn_phase(n)))
+
+
+KOFN_BETAS = ["low", "c0_fail", "c1_fail & !low"]
+QUOTIENT_DELAYS = {"exact1": ExactDelay(1), "exact2": ExactDelay(2), "bound1": BoundedDelay(1),
+                   "bound2": BoundedDelay(2), "finite": FiniteDelay()}
+
+
+def partition_cases():
+    """(model, condition) pairs: every atom of the corpus models, the kofn
+    conditions, and each random model's top level event and first fault."""
+    from .test_acceptance import random_model
+
+    for name in WITNESS_SOURCES[:5]:
+        m = load_model(corpus_path(name))
+        for atom in sorted(m.atoms):
+            yield pytest.param(m, atom, id=f"{name}-{atom}")
+    for n in (3, 4, 5):
+        for beta in KOFN_BETAS:
+            yield pytest.param(kofn_model(n), beta, id=f"kofn{n}-{beta}")
+    for seed in range(20):
+        m, tle = random_model(seed)
+        for beta in (tle, "f0"):
+            yield pytest.param(m, beta, id=f"random{seed}-{beta}")
+    for observed_last, initial in ((False, "ab"), (True, "ab"), (False, "a")):
+        yield pytest.param(layered(4, observed_last, initial), "f",
+                           id=f"layered-{observed_last}-{initial}")
+
+
+def layered(k, observed_last=False, initial="ab"):
+    """Two copies of a chain of k layers, numbered down to 0: each state
+    steps to both states of the next layer, layer 0 to itself, and `f`
+    holds on layer 0.  The layers are the k blocks of 2k states.  There are
+    k + 1 when the observable `x` tells layer 0's states apart, or when only
+    side a's first state is initial."""
+    states = {f"{side}{d}": {} for d in range(k) for side in "ab"}
+    states["a0"]["f"] = states["b0"]["f"] = True
+    if observed_last:
+        states["a0"]["x"] = True
+    transitions = [[f"{side}{d}", f"{other}{max(d - 1, 0)}"]
+                   for d in range(k) for side in "ab" for other in "ab"]
+    return parse_model(json.dumps({"atoms": ["f", "x"], "observables": ["x"],
+                                   "states": states,
+                                   "initial": [f"{side}{k - 1}" for side in initial],
+                                   "transitions": transitions}))
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("m, beta", partition_cases())
+    def test_blocks_are_the_coarsest_bisimulation(self, m, beta):
+        block = diagnosability._bisimulation(m, parse_expr(beta), m.size)
+        groups: dict = {}
+        for i, b in enumerate(block):
+            groups.setdefault(b, set()).add(m.ids[i])
+        want = coarsest_bisimulation(m, beta)
+        assert set(map(frozenset, groups.values())) == want
+        # blocks are numbered by their least states
+        assert list(groups) == list(range(len(groups)))
+        q = diagnosability._quotient(m, beta)
+        if q is None:
+            assert len(want) > m.size // 2
+            return
+        assert q.ids == tuple(sorted(min(group) for group in want))
+        rep = {sid: min(group) for group in want for sid in group}
+        assert set(q.initial) == {rep[sid] for sid in m.initial}
+        for i, nxts in enumerate(m.succ):
+            here = q.number[rep[m.ids[i]]]
+            assert q.succ[here] == sorted({q.number[rep[m.ids[j]]] for j in nxts})
+            assert q.condition(beta)[here] == m.condition(beta)[i]
+            assert q.observation(q.ids[here]) == m.observation(m.ids[i])
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_taken_at_half_the_states_refused_past_it(self, k):
+        # 2k states: k blocks take the quotient, k + 1 refuse it
+        for observed_last, initial, blocks in ((False, "ab", k), (True, "ab", k + 1),
+                                               (False, "a", k + 1)):
+            m = layered(k, observed_last, initial)
+            assert m.size == 2 * k
+            assert len(coarsest_bisimulation(m, "f")) == blocks
+            q = diagnosability._quotient(m, parse_expr("f"))
+            if blocks == k:
+                assert q.size == k
+            else:
+                assert q is None
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("beta", KOFN_BETAS)
+    @pytest.mark.parametrize("delay", QUOTIENT_DELAYS.values(), ids=QUOTIENT_DELAYS)
+    def test_kofn_verdict_and_pair_without_the_quotient(self, monkeypatch, n, beta, delay):
+        m = kofn_model(n)
+        s = spec(delay, beta=parse_expr(beta))
+        if beta == "low":
+            assert diagnosability._quotient(m, s.beta) is not None
+        got = check_diagnosability(m, s)
+        monkeypatch.setattr(diagnosability, "_quotient", lambda m, beta: None)
+        assert got == check_diagnosability(m, s)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_verdict_and_pair_without_the_quotient(self, monkeypatch, seed):
+        from .test_acceptance import random_model
+
+        m, tle = random_model(seed)
+        cases = [spec(delay, beta=parse_expr(beta))
+                 for beta in (tle, "f0") for delay in QUOTIENT_DELAYS.values()]
+        got = [check_diagnosability(m, s) for s in cases]
+        monkeypatch.setattr(diagnosability, "_quotient", lambda m, beta: None)
+        assert got == [check_diagnosability(m, s) for s in cases]
+
+    @pytest.mark.parametrize("beta", ["low", "c1_fail & !low"])
+    def test_oracle_agreement_where_the_quotient_is_taken(self, beta):
+        m, horizon = kofn_model(3), 7
+        beta = parse_expr(beta)
+        assert diagnosability._quotient(m, beta) is not None
+        for delay in QUOTIENT_DELAYS.values():
+            got = check_diagnosability(m, spec(delay, beta=beta)).diagnosable
+            if isinstance(delay, ExactDelay):
+                want = oracle_diagnosable_exact(m, beta, delay.n, horizon)
+            elif isinstance(delay, BoundedDelay):
+                want = oracle_diagnosable_bounded(m, beta, delay.n, horizon)
+            else:
+                want = oracle_diagnosable_finite(m, beta, horizon)
+            assert got == want, delay
 
 
 class TestTraceDiagnosability:
