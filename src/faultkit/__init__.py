@@ -29,12 +29,11 @@ _EXPORTS = {
     "model": ("SystemModel", "Trace", "Violation", "load_model", "parse_model",
               "validate_model"),
     "synthesis": ("Diagnoser", "Verdict", "diagnoser_to_json", "export_diagnoser_dot",
-                  "load_diagnoser", "parse_diagnoser", "run_diagnoser",
-                  "synthesize_diagnoser", "verify_diagnoser"),
+                  "load_diagnoser", "run_diagnoser", "synthesize_diagnoser",
+                  "verify_diagnoser"),
     "tfpg": ("ActivationTrace", "NodeMap", "Tfpg", "TfpgEdge", "behavioral_validate",
-             "check_trace_consistency", "export_tfpg_dot", "induced_activation_trace",
-             "load_node_map", "load_tfpg", "parse_tfpg", "tfpg_to_json",
-             "tighten_edges", "validate_structure"),
+             "check_trace_consistency", "export_tfpg_dot", "load_node_map", "load_tfpg",
+             "parse_tfpg", "tfpg_to_json", "tighten_edges", "validate_structure"),
     "tfpg_synthesis": ("DiscrepancyDecl", "SynthesisConfig", "load_synthesis_config",
                        "synthesize_tfpg"),
 }

@@ -96,9 +96,15 @@ def check_diagnosability(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdi
     if spec.diag != GLOBAL:
         raise ValueError("use check_trace_diagnosability for trace-local specifications")
     quotient = _quotient(m, spec.beta)
-    if quotient is not None and _search(quotient, spec).diagnosable:
+    if quotient is not None and _search(quotient, spec) is None:
         return DiagnosabilityVerdict(True)
-    return _search(m, spec)
+    found = _search(m, spec)
+    if found is None:
+        return DiagnosabilityVerdict(True)
+    nodes, scale, t = found
+    pairs = [divmod(node // scale, m.size) for node in nodes]
+    return DiagnosabilityVerdict(
+        False, CriticalPair(m.trace(a for a, _ in pairs), m.trace(b for _, b in pairs), t))
 
 
 def _quotient(m: SystemModel, beta) -> SystemModel | None:
@@ -146,8 +152,10 @@ def _bisimulation(m: SystemModel, beta, limit: int) -> list[int] | None:
                 for i, nxts in enumerate(m.succ)]
 
 
-def _search(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
-    """The verdict of the twin-plant search on m, with its critical pair."""
+def _search(m: SystemModel, spec: AlarmSpec) -> tuple | None:
+    """The twin-plant search on m: None when the alarm is diagnosable, else
+    the twin-plant nodes of a critical pair, their scale (a node's state
+    pair is node // scale) and the pair's time of the condition."""
     delay = spec.delay
     if isinstance(delay, ExactDelay):
         sides = ExactDelay(0), ExactDelay(0)
@@ -161,30 +169,30 @@ def _search(m: SystemModel, spec: AlarmSpec) -> DiagnosabilityVerdict:
     if isinstance(delay, FiniteDelay):
         found = lasso(parent, {node for node in parent if node % scale in critical}, succ)
         if found is None:
-            return DiagnosabilityVerdict(True)
+            return None
         run, _ = found
         # both memories are latches: the run turns critical where side 1's
         # condition first holds
         t = next(i for i, node in enumerate(run) if node % scale in critical)
-        return DiagnosabilityVerdict(False, _pair_from(m, run, scale, t))
+        return run, scale, t
     if isinstance(delay, BoundedDelay):
         best = next((node for node in parent if node % scale in critical), None)
         if best is None:
-            return DiagnosabilityVerdict(True)
+            return None
         stem = path_to(parent, best)
-        return DiagnosabilityVerdict(False, _pair_from(m, stem, scale, len(stem) - 1 - delay.n))
+        return stem, scale, len(stem) - 1 - delay.n
     n = delay.n
     extends = _walk_exists(succ)
     best = next((node for node in parent if node % scale in critical and extends(node, n)), None)
     if best is None:
-        return DiagnosabilityVerdict(True)
+        return None
     stem = list(path_to(parent, best))
     t = len(stem) - 1
     current = best
     for k in range(n, 0, -1):
         current = next(q for q in sorted(succ(current)) if extends(q, k - 1))
         stem.append(current)
-    return DiagnosabilityVerdict(False, _pair_from(m, stem, scale, t))
+    return stem, scale, t
 
 
 def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
@@ -281,12 +289,6 @@ def _walk_exists(successors):
         return found
 
     return extends
-
-
-def _pair_from(m: SystemModel, nodes, scale: int, t: int) -> CriticalPair:
-    """The critical pair along twin-plant nodes of the given scale."""
-    pairs = [divmod(node // scale, m.size) for node in nodes]
-    return CriticalPair(m.trace(a for a, _ in pairs), m.trace(b for _, b in pairs), t)
 
 
 def check_trace_diagnosability(m: SystemModel, spec: AlarmSpec, tr: Trace,

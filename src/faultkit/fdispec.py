@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .boolexpr import Expr, as_expr
-from .errors import ModelFormatError, TraceError
+from .errors import ModelFormatError
 from .graphs import automaton
 from .jsonio import decode_json, expect, field, read_json
 from .model import SystemModel, Trace
@@ -258,27 +258,19 @@ class BeliefTracker:
         return self.model.ids[state], self.memories[memory]
 
 
-def belief_chain(beliefs: BeliefTracker, obs_seq: list[tuple]) -> list[tuple[int, ...]]:
-    """Beliefs after each prefix of an observation sequence."""
-    classes = {obs: c for c, obs in enumerate(beliefs.model.observations)}
-    chain = [beliefs.initial().get(classes.get(obs_seq[0]), ())]
-    if not chain[0]:
-        raise TraceError("no initial state matches the first observation")
-    for i, obs in enumerate(obs_seq[1:], start=1):
-        chain.append(beliefs.successors(chain[-1]).get(classes.get(obs), ()))
-        if not chain[-1]:
-            raise TraceError(f"observation at step {i} is not producible")
-    return chain
-
-
 def knowledge_chain(m: SystemModel, tr: Trace, t: int, delay: Delay, beta: Expr | str):
     """The belief tracker of the past formula of `delay` over `beta`, and
-    its beliefs after each of the steps 0..t of tr."""
+    its beliefs after each of the steps 0..t of tr.  tr is a trace of m, so
+    every belief holds its state and none is empty."""
     m.require_trace(tr)
     if not (0 <= t < len(tr)):
         raise IndexError(f"time index {t} out of range for trace of length {len(tr)}")
     beliefs = BeliefTracker(m, ((delay, as_expr(beta)),))
-    return beliefs, belief_chain(beliefs, [m.observation(s) for s in tr.steps[: t + 1]])
+    classes = [m.obs_class[m.number[s]] for s in tr.steps[: t + 1]]
+    chain = [beliefs.initial()[classes[0]]]
+    for c in classes[1:]:
+        chain.append(beliefs.successors(chain[-1])[c])
+    return beliefs, chain
 
 
 def eval_knowledge(m: SystemModel, tr: Trace, t: int, delay: Delay, beta: Expr | str) -> bool:

@@ -47,9 +47,6 @@ class Trace:
     def __getitem__(self, i):
         return self.steps[i]
 
-    def to_json(self):
-        return {"steps": list(self.steps)}
-
     @staticmethod
     def from_json(doc) -> "Trace":
         expect(doc, dict, "trace")

@@ -202,15 +202,9 @@ def diagnoser_from_json(doc) -> Diagnoser:
     return Diagnoser(atoms, nodes, entry, delta)
 
 
-_DUPLICATE = "nondeterministic candidate: duplicate key"
-
-
-def parse_diagnoser(text: str) -> Diagnoser:
-    return diagnoser_from_json(decode_json(text, duplicate=_DUPLICATE))
-
-
 def load_diagnoser(path) -> Diagnoser:
-    return diagnoser_from_json(decode_json(read_text(path), str(path), _DUPLICATE))
+    return diagnoser_from_json(decode_json(read_text(path), str(path),
+                                           "nondeterministic candidate: duplicate key"))
 
 
 def export_diagnoser_dot(d: Diagnoser) -> str:
@@ -295,7 +289,7 @@ class _Product:
             raise ObservationError(
                 None, "observation alphabet mismatch between model and diagnoser")
         self.model = m
-        self.beliefs = beliefs = BeliefTracker(m, trackers_for([spec]))
+        beliefs = BeliefTracker(m, trackers_for([spec]))
         observations = m.observations
         found: dict[tuple, int] = {}
         pairs: list[tuple] = []

@@ -107,11 +107,6 @@ class ActivationTrace:
     mode_timeline: tuple[str, ...]
     times: dict[str, int | None]
 
-    def to_json(self):
-        return {"horizon": self.horizon,
-                "mode_timeline": list(self.mode_timeline),
-                "activations": {n: self.times.get(n) for n in sorted(self.times)}}
-
 
 @dataclass(frozen=True)
 class TraceViolation:
@@ -508,16 +503,6 @@ def _projection(g: Tfpg, m: SystemModel, nm: NodeMap):
     return project
 
 
-def induced_activation_trace(g: Tfpg, m: SystemModel, nm: NodeMap,
-                             tr: Trace) -> ActivationTrace:
-    """Project a system trace onto the TFPG: a mapped node activates at the
-    first step its predicate holds; an unmapped AND node activates when its
-    last source does; the mode timeline follows the mode atoms, and a trace
-    through a state without exactly one mode atom true raises."""
-    timeline, times = _projection(g, m, nm)(tuple(m.number[sid] for sid in tr.steps))
-    return ActivationTrace(len(tr) - 1, timeline, dict(zip(sorted(g.nodes), times)))
-
-
 def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int, timelines: list):
     """(run, row) for every run of horizon + 1 states, in lexicographic
     order, where row is (timeline id, *activation times in sorted node
@@ -570,7 +555,6 @@ def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
 
 @dataclass(frozen=True)
 class EdgeChange:
-    edge_index: int
     description: str
     old: tuple[int, float]
     new: tuple[int, float]
@@ -640,7 +624,7 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
             decide = _decider(candidate, timelines)
             found = decide(row)
     changes = tuple(
-        EdgeChange(i, e.describe(), (e.tmin, e.tmax), bounds[i],
+        EdgeChange(e.describe(), (e.tmin, e.tmax), bounds[i],
                    exercised[i], i in promoted)
         for i, e in enumerate(g.edges))
     return TightenResult(candidate, changes)

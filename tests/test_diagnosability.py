@@ -301,6 +301,24 @@ class TestQuotient:
         monkeypatch.setattr(diagnosability, "_quotient", lambda m, beta: None)
         assert got == check_diagnosability(m, s)
 
+    def test_an_accepted_quotient_builds_no_critical_pair(self, monkeypatch):
+        # the quotient is asked for a verdict only: the one pair built is the
+        # concrete model's
+        m = kofn_model(4)
+        s = spec(FiniteDelay(), beta=parse_expr("c1_fail"))
+        assert (diagnosability._quotient(m, s.beta).size, m.size) == (30, 96)
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return critical_pair(*args)
+
+        critical_pair = diagnosability.CriticalPair
+        monkeypatch.setattr(diagnosability, "CriticalPair", counted)
+        verdict = check_diagnosability(m, s)
+        assert not verdict.diagnosable and len(built) == 1
+        assert_pair_replays(m, s.beta, s, verdict)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_random_verdict_and_pair_without_the_quotient(self, monkeypatch, seed):
         from .test_acceptance import random_model

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 from faultkit.boolexpr import Const, parse_expr
 from faultkit.errors import ModelFormatError, TraceError
 from faultkit.fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay,
-                              FiniteDelay, belief_chain, eval_knowledge,
-                              instantiate_pattern, knowledge_counterexample,
-                              memory_bound, memory_init, memory_satisfies, memory_update,
-                              parse_specs)
+                              FiniteDelay, eval_knowledge, instantiate_pattern,
+                              knowledge_counterexample, memory_bound, memory_init,
+                              memory_satisfies, memory_update, parse_specs)
 from faultkit.model import Trace, parse_model
 
 from .oracles import enumerate_traces, knowledge_by_enumeration, naive_past, obs_buckets
@@ -125,7 +124,10 @@ class TestMemory:
                 for b in flags[1:]:
                     mems = tuple(memory_update(d, mem, b) for d, mem in zip(delays, mems))
                 reached.add(mems)
-                belief_chain(beliefs, [sensor_delay.observation(s) for s in tr.steps])
+                classes = [sensor_delay.obs_class[sensor_delay.number[s]] for s in tr.steps]
+                belief = beliefs.initial()[classes[0]]
+                for c in classes[1:]:
+                    belief = beliefs.successors(belief)[c]
         assert sorted(beliefs.memories) == sorted(reached)
         for mems, sat in zip(beliefs.memories, beliefs.sat):
             assert sat == tuple(memory_satisfies(d, mem) for d, mem in zip(delays, mems))

@@ -13,9 +13,9 @@ from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
                               memory_satisfies, trackers_for)
 from faultkit.model import Trace, load_model, parse_model
 from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_correctness,
-                                _check_maximality, _Product, diagnoser_to_json,
-                                export_diagnoser_dot, parse_diagnoser, run_diagnoser,
-                                synthesize_diagnoser, verify_diagnoser)
+                                _check_maximality, _Product, diagnoser_from_json,
+                                diagnoser_to_json, export_diagnoser_dot, load_diagnoser,
+                                run_diagnoser, synthesize_diagnoser, verify_diagnoser)
 
 from .conftest import corpus_path
 from .oracles import (PartialCandidate, brute_force_product_counterexample,
@@ -335,7 +335,7 @@ class TestCounterexampleOracle:
 
     @staticmethod
     def check(m, doc, s):
-        d = parse_diagnoser(json.dumps(doc))
+        d = diagnoser_from_json(doc)
         conjuncts = {"correctness": _check_correctness}
         if not isinstance(s.delay, FiniteDelay):
             conjuncts["completeness"] = lambda product: _check_completeness_global(product, s)
@@ -399,7 +399,7 @@ class TestTraceCompletenessOracle:
 
     @staticmethod
     def check(m, doc, s):
-        d = parse_diagnoser(json.dumps(doc))
+        d = diagnoser_from_json(doc)
         try:
             expected = brute_force_trace_completeness(m, doc, s.beta, s.delay)
         except PartialCandidate:
@@ -433,30 +433,35 @@ class TestTraceCompletenessOracle:
 
 
 class TestSerialization:
-    def test_round_trip(self, sensor_delay, sensor_specs):
+    def test_round_trip(self, sensor_delay, sensor_specs, tmp_path):
         d = synthesize_diagnoser(sensor_delay, [sensor_specs["a_bound3"]])
         doc = diagnoser_to_json(d)
-        loaded = parse_diagnoser(json.dumps(doc))
+        path = tmp_path / "diagnoser.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_diagnoser(path)
         assert diagnoser_to_json(loaded) == doc
         # behavior preserved
         obs = [{"warn": False}, {"warn": False}, {"warn": False}, {"warn": True}]
         assert run_diagnoser(loaded, obs) == run_diagnoser(d, obs)
 
-    def test_nondeterministic_candidate_rejected(self):
-        text = """{
+    def test_nondeterministic_candidate_rejected(self, tmp_path):
+        path = tmp_path / "candidate.json"
+        path.write_text("""{
           "observables": ["w"],
           "nodes": {"q": []},
           "entry": {"{\\"w\\":false}": "q"},
           "delta": {"q": {"{\\"w\\":false}": "q", "{\\"w\\":false}": "q"}}
-        }"""
-        with pytest.raises(ModelFormatError, match="[Nn]ondeterministic"):
-            parse_diagnoser(text)
+        }""")
+        with pytest.raises(ModelFormatError, match="[Nn]ondeterministic") as err:
+            load_diagnoser(path)
+        assert str(err.value).startswith(f"{path}: ")
 
-    def test_malformed_observation_key_is_named(self):
-        doc = {"observables": ["w"], "nodes": {"q": []},
-               "entry": {"{w:false}": "q"}, "delta": {}}
+    def test_malformed_observation_key_is_named(self, tmp_path):
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps({"observables": ["w"], "nodes": {"q": []},
+                                    "entry": {"{w:false}": "q"}, "delta": {}}))
         with pytest.raises(ModelFormatError, match="observation key '{w:false}'"):
-            parse_diagnoser(json.dumps(doc))
+            load_diagnoser(path)
 
     def test_dot_export_mentions_alarms(self, sensor_delay, sensor_specs):
         d = synthesize_diagnoser(sensor_delay, [sensor_specs["a_bound3"]])

@@ -9,9 +9,8 @@ from faultkit.errors import ModelFormatError, SizeGuardExceeded
 from faultkit.model import Trace, parse_model
 from faultkit.tfpg import (INF, ActivationTrace, NodeMap, Tfpg, TfpgEdge, TfpgError,
                            activation_trace_from_json, behavioral_validate,
-                           check_trace_consistency, export_tfpg_dot,
-                           induced_activation_trace, parse_tfpg, tfpg_to_json,
-                           tighten_edges, validate_structure)
+                           check_trace_consistency, export_tfpg_dot, parse_tfpg,
+                           tfpg_to_json, tighten_edges, validate_structure)
 from faultkit.tfpg_synthesis import SynthesisConfig, synthesize_tfpg
 
 from .conftest import bench_module, corpus_json
@@ -23,6 +22,14 @@ from .test_acceptance import random_model
 def tiny_graph(tmin=0, tmax=1, modes=("on",)):
     return Tfpg(modes, {"f": "FM", "d": "OR"},
                 [TfpgEdge("f", "d", tmin, tmax, tuple(sorted(modes)))])
+
+
+def induced_activation_trace(g, m, nm, tr):
+    """The activation trace tr induces on g, by the projection the run
+    checks use: a mapped node activates at the first step its predicate
+    holds, an unmapped AND node when its last source does."""
+    timeline, times = tfpg._projection(g, m, nm)(tuple(m.number[sid] for sid in tr.steps))
+    return ActivationTrace(len(tr) - 1, timeline, dict(zip(sorted(g.nodes), times)))
 
 
 def at(g, horizon, timeline, **times):
