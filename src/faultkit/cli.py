@@ -95,7 +95,7 @@ def _cut_sets(args):
     """The minimal cut sets in --mcs, or those of --tle in --model."""
     from . import cutsets
     if args.mcs:
-        return cutsets.mcs_from_json(read_json(args.mcs))
+        return read_json(args.mcs, cutsets.mcs_from_json)
     _require(args, "model", "tle")
     return list(cutsets.final_mcs(load_model(args.model), args.tle).mcs)
 
@@ -104,13 +104,13 @@ def _tfpg_inputs(args):
     """Graph, model and node map; a synthesis config doubles as a node map."""
     from . import tfpg
     _require(args, "tfpg", "model", "map", "horizon")
-    g = tfpg.load_tfpg(args.tfpg)
-    m = load_model(args.model)
-    doc = read_json(args.map)
-    if not (isinstance(doc, dict) and "fm" in doc):
-        return g, m, tfpg.NodeMap.from_json(doc)
-    from . import tfpg_synthesis
-    return g, m, tfpg_synthesis.SynthesisConfig.from_json(doc).node_map()
+
+    def node_map(doc):
+        if not (isinstance(doc, dict) and "fm" in doc):
+            return tfpg.NodeMap.from_json(doc)
+        from . import tfpg_synthesis
+        return tfpg_synthesis.SynthesisConfig.from_json(doc).node_map()
+    return tfpg.load_tfpg(args.tfpg), load_model(args.model), read_json(args.map, node_map)
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -148,7 +148,7 @@ def cmd_ft_prob(args):
     from . import cutsets
     _require(args, "probs")
     groups = _cut_sets(args)
-    probs = expect(read_json(args.probs), dict, f"probability file {args.probs}")
+    probs = read_json(args.probs, lambda doc: expect(doc, dict, "probabilities"))
     by_enum, value = cutsets.probability_routes(groups, probs)
     doc = {"probability": value,
            "by_enumeration": by_enum,
@@ -174,7 +174,7 @@ def cmd_trace_diag(args):
     from . import diagnosability
     _require(args, "model", "spec", "trace", "time")
     m = load_model(args.model)
-    tr = Trace.from_json(read_json(args.trace))
+    tr = read_json(args.trace, Trace.from_json)
     return _verdicts(_specs(args), lambda spec: diagnosability.check_trace_diagnosability(
         m, spec, tr, args.time), "trace-diagnosable")
 
@@ -190,7 +190,7 @@ def cmd_run_diagnoser(args):
     from . import synthesis
     _require(args, "diagnoser", "obs")
     d = synthesis.load_diagnoser(args.diagnoser)
-    observations = expect(read_json(args.obs), list, f"observation file {args.obs}")
+    observations = read_json(args.obs, lambda doc: expect(doc, list, "observations"))
     doc = [sorted(a) for a in synthesis.run_diagnoser(d, observations)]
     return True, doc, lambda fmt: _lines(
         f"step {i}: {','.join(a) or '-'}" for i, a in enumerate(doc))
@@ -226,7 +226,7 @@ def cmd_tfpg_check_trace(args):
     from . import tfpg
     _require(args, "tfpg", "trace")
     g = tfpg.load_tfpg(args.tfpg)
-    at = tfpg.activation_trace_from_json(read_json(args.trace), g)
+    at = read_json(args.trace, lambda doc: tfpg.activation_trace_from_json(doc, g))
     ok, violations = tfpg.check_trace_consistency(g, at)
     lines = [str(v) for v in violations]
     return ok, {"consistent": ok, "violations": lines}, \
@@ -253,7 +253,7 @@ def cmd_tfpg_synth(args):
     from . import tfpg, tfpg_synthesis
     _require(args, "model", "map", "horizon")
     m = load_model(args.model)
-    config = tfpg_synthesis.SynthesisConfig.from_json(read_json(args.map))
+    config = tfpg_synthesis.load_synthesis_config(args.map)
     result = tfpg_synthesis.synthesize_tfpg(m, config, args.horizon)
     for finding in result.findings:
         print(f"note: {finding}", file=sys.stderr)

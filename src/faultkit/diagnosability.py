@@ -182,17 +182,16 @@ def _search(m: SystemModel, spec: AlarmSpec) -> tuple | None:
         stem = path_to(parent, best)
         return stem, scale, len(stem) - 1 - delay.n
     n = delay.n
-    extends = _walk_exists(succ)
-    best = next((node for node in parent if node % scale in critical and extends(node, n)), None)
+    longest = _longest_walk(succ, n)
+    best = next((node for node in parent if node % scale in critical and longest(node) == n), None)
     if best is None:
         return None
     stem = list(path_to(parent, best))
-    t = len(stem) - 1
     current = best
     for k in range(n, 0, -1):
-        current = next(q for q in sorted(succ(current)) if extends(q, k - 1))
+        current = next(q for q in sorted(succ(current)) if longest(q) >= k - 1)
         stem.append(current)
-    return stem, scale, t
+    return stem, scale, len(stem) - 1 - n
 
 
 def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
@@ -243,52 +242,40 @@ def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
     return roots, succ, critical_memories, scale
 
 
-def _walk_exists(successors):
-    """extends(node, k): whether some walk of k steps leaves `node`.
+def _longest_walk(successors, n: int):
+    """longest(node): the most steps of a walk leaving `node`, capped at n.
 
-    Depth-first and iterative, so k may exceed the recursion limit.  Results
-    are kept across calls: proven[q] is the longest walk proven to leave q,
-    refuted[q] the shortest proven not to.  Meeting a node on the current
-    path closes a cycle, from which every walk length is possible.
+    Depth-first and iterative, so n may exceed the recursion limit, and
+    kept across calls.  A successor on the current path closes a cycle, on
+    which a walk goes on forever, so it scores n; a node stops exploring
+    once it reaches n.
     """
-    proven: dict = {}
-    refuted: dict = {}
+    table: dict = {}
 
-    def known(node, k):
-        if k <= proven.get(node, 0):
-            return True
-        if k >= refuted.get(node, k + 1):
-            return False
-        return None
-
-    def extends(node, k):
-        found = known(node, k)
-        if found is not None:
-            return found
-        frames = [(node, k, iter(successors(node)))]
-        on_path = {node}
-        found = False  # the answer of the frame closed last
+    def longest(node) -> int:
+        if node in table:
+            return table[node]
+        path = {node: 0}  # the nodes on the current path, each its best so far
+        frames = [(node, iter(successors(node)))]
         while frames:
-            q, j, rest = frames[-1]
-            if not found:
-                for nxt in rest:
-                    found = True if nxt in on_path else known(nxt, j - 1)
-                    if found is not False:
-                        break
-                if found is None:
-                    frames.append((nxt, j - 1, iter(successors(nxt))))
-                    on_path.add(nxt)
-                    found = False
-                    continue
-            frames.pop()
-            on_path.discard(q)
-            if found:
-                proven[q] = max(proven.get(q, 0), j)
+            q, rest = frames[-1]
+            nxt = next(rest, None) if path[q] < n else None
+            if nxt is None:
+                frames.pop()
+                table[q] = path.pop(q)
+                if frames:
+                    above = frames[-1][0]
+                    path[above] = max(path[above], min(n, table[q] + 1))
+            elif nxt in path:
+                path[q] = n
+            elif nxt in table:
+                path[q] = max(path[q], min(n, table[nxt] + 1))
             else:
-                refuted[q] = min(refuted.get(q, j), j)
-        return found
+                path[nxt] = 0
+                frames.append((nxt, iter(successors(nxt))))
+        return table[node]
 
-    return extends
+    return longest
 
 
 def check_trace_diagnosability(m: SystemModel, spec: AlarmSpec, tr: Trace,

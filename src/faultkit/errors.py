@@ -12,13 +12,6 @@ class ExpressionError(FaultkitError):
 class ModelFormatError(FaultkitError):
     """An input file cannot be read or does not conform to its format."""
 
-    def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-
 
 class TraceError(FaultkitError):
     """A state sequence is not a trace of the given model."""

@@ -83,7 +83,7 @@ def parse_specs(text: str) -> list[AlarmSpec]:
 
 
 def load_specs(path) -> list[AlarmSpec]:
-    return _specs_from(read_json(path))
+    return read_json(path, _specs_from)
 
 
 def _specs_from(doc) -> list[AlarmSpec]:

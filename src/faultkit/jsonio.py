@@ -1,7 +1,8 @@
 """The one reader of input files: how a JSON input is read and decoded,
 and how a malformed one is reported, always as a :class:`ModelFormatError`
-that says what and where.  A repeated object key is an error, a boolean is
-not an integer, and a string is not a list of names.
+that says what and where, starting with the file's path.  A repeated object
+key is an error, a boolean is not an integer, and a string is not a list of
+names.
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ _KIND_TEXT = {dict: "an object", list: "a list", str: "a string",
               type(None): "null"}
 
 
-def read_text(path) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as err:
-        reason = getattr(err, "strerror", None) or err
-        raise ModelFormatError(f"cannot read {path}: {reason}") from None
-
-
 def decode_json(text: str, source: str = "", duplicate: str = "duplicate key"):
     """Decode JSON text.  An error message starts with `source` when one is
     given; an object with a repeated key is rejected as `duplicate`."""
@@ -48,13 +40,25 @@ def decode_json(text: str, source: str = "", duplicate: str = "duplicate key"):
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
-        raise ModelFormatError(f"{at}syntax error: {err.msg}", err.lineno, err.colno) from None
+        raise ModelFormatError(f"{at}syntax error: {err.msg} "
+                               f"(line {err.lineno}, column {err.colno})") from None
     except RecursionError:
         raise ModelFormatError(f"{at}nested too deeply") from None
 
 
-def read_json(path):
-    return decode_json(read_text(path), source=str(path))
+def read_json(path, convert, duplicate: str = "duplicate key"):
+    """convert(the JSON document in the file at `path`).  An error in
+    reading, decoding or converting it starts with the path, the one place
+    a file's errors are named."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = decode_json(fh.read(), duplicate=duplicate)
+        return convert(doc)
+    except (OSError, UnicodeDecodeError) as err:
+        reason = f"cannot read: {getattr(err, 'strerror', None) or err}"
+    except ModelFormatError as err:
+        reason = err
+    raise ModelFormatError(f"{path}: {reason}")
 
 
 def expect(value, kind, what: str):

@@ -182,7 +182,7 @@ def parse_model(text: str) -> SystemModel:
 
 
 def load_model(path) -> SystemModel:
-    return _model_from(read_json(path))
+    return read_json(path, _model_from)
 
 
 def _model_from(doc) -> SystemModel:

@@ -43,7 +43,7 @@ from .errors import ModelFormatError, ObservationError
 from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
                       memory_automaton, trackers_for)
 from .graphs import automaton, lasso, lexleast_shortest_paths, path_to
-from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_text
+from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_json
 from .model import SystemModel, Trace
 
 
@@ -203,8 +203,7 @@ def diagnoser_from_json(doc) -> Diagnoser:
 
 
 def load_diagnoser(path) -> Diagnoser:
-    return diagnoser_from_json(decode_json(read_text(path), str(path),
-                                           "nondeterministic candidate: duplicate key"))
+    return read_json(path, diagnoser_from_json, "nondeterministic candidate: duplicate key")
 
 
 def export_diagnoser_dot(d: Diagnoser) -> str:

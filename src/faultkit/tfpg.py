@@ -22,7 +22,7 @@ re-entering restarts the clock at the re-entry step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import itemgetter
 
@@ -86,17 +86,6 @@ class Tfpg:
     def discrepancies(self):
         return sorted(n for n, k in self.nodes.items() if k in (OR, AND))
 
-    def replace_bounds_mapped(self, bounds: dict[int, tuple[int, float]]
-                              ) -> tuple["Tfpg", list[int]]:
-        """New graph with per-edge-index delay intervals swapped in, and,
-        per edge index of the new graph, the index of the originating edge
-        (canonical edge order can shuffle parallel edges when their
-        intervals change)."""
-        edges = [TfpgEdge(e.src, e.dst, *bounds.get(i, (e.tmin, e.tmax)), e.modes)
-                 for i, e in enumerate(self.edges)]
-        order = sorted(range(len(edges)), key=lambda i: _edge_key(edges[i]))
-        return Tfpg(self.modes, self.nodes, [edges[i] for i in order]), order
-
 
 @dataclass
 class ActivationTrace:
@@ -126,7 +115,7 @@ def parse_tfpg(text: str) -> Tfpg:
 
 
 def load_tfpg(path) -> Tfpg:
-    return _tfpg_from(read_json(path))
+    return read_json(path, _tfpg_from)
 
 
 def _tfpg_from(doc) -> Tfpg:
@@ -310,31 +299,32 @@ def _forcing_deadline(edge: TfpgEdge, times, timeline, horizon: int) -> int | No
     return None
 
 
-def _node_violation(g: Tfpg, node: str, t_v: int | None, times,
+def _node_violation(g: Tfpg, edges, node: str, t_v: int | None, times,
                     timeline) -> TraceViolation | None:
     """The verdict on one discrepancy: its activation time t_v (None for
     never) against its incoming edges, read through `times`, which maps
     each edge source to its activation time, and the mode timeline of steps
-    0..horizon.  The one statement of the justification and inevitability
+    0..horizon.  `edges` holds g's edges, in g's order, with the bounds to
+    decide by.  The one statement of the justification and inevitability
     rules."""
     inc = g.incoming(node)
     if t_v is not None:
         if g.nodes[node] == OR:
-            if not any(_justifies(g.edges[i], times, t_v, timeline) for i in inc):
+            if not any(_justifies(edges[i], times, t_v, timeline) for i in inc):
                 return TraceViolation(
                     "or-justification", node,
                     f"activation at {t_v} is not explained by any incoming edge",
                     tuple(inc))
             return None
-        bad = tuple(i for i in inc if not _justifies(g.edges[i], times, t_v, timeline))
+        bad = tuple(i for i in inc if not _justifies(edges[i], times, t_v, timeline))
         if not inc or bad:
             detail = ("no incoming edges" if not inc else
                       "edges not satisfied: "
-                      + "; ".join(g.edges[i].describe() for i in bad))
+                      + "; ".join(edges[i].describe() for i in bad))
             return TraceViolation("and-justification", node,
                                   f"activation at {t_v}: {detail}", bad or tuple(inc))
         return None
-    deadlines = {i: _forcing_deadline(g.edges[i], times, timeline, len(timeline) - 1)
+    deadlines = {i: _forcing_deadline(edges[i], times, timeline, len(timeline) - 1)
                  for i in inc}
     forced = tuple(i for i in inc if deadlines[i] is not None)
     if g.nodes[node] == OR and forced:
@@ -354,7 +344,7 @@ def check_trace_consistency(g: Tfpg, at: ActivationTrace) -> tuple[bool, list[Tr
     Returns (consistent, violations); failure modes are free inputs."""
     _check_trace_shape(g, at)
     times = {n: at.times.get(n) for n in g.nodes}
-    verdicts = (_node_violation(g, node, times[node], times, at.mode_timeline)
+    verdicts = (_node_violation(g, g.edges, node, times[node], times, at.mode_timeline)
                 for node in g.discrepancies())
     violations = [v for v in verdicts if v is not None]
     return not violations, violations
@@ -369,9 +359,10 @@ def _slots(g: Tfpg) -> dict[str, int]:
     return {n: k for k, n in enumerate(sorted(g.nodes), 1)}
 
 
-def _decider(g: Tfpg, timelines: list):
+def _decider(g: Tfpg, edges, timelines: list):
     """decide(row) for the rows `_induced` yields: the violations
-    check_trace_consistency reports on the row's activation trace.  Each
+    check_trace_consistency reports on the row's activation trace, with
+    `edges` for g's edges as in `_node_violation`.  Each
     discrepancy is decided by `_node_violation` once per distinct key
     (timeline id, its time, its sources' times), which is exactly what the
     verdict reads; `timelines` holds each id's timeline."""
@@ -389,7 +380,7 @@ def _decider(g: Tfpg, timelines: list):
             verdict = memo.get(key, _UNSEEN)
             if verdict is _UNSEEN:
                 verdict = memo[key] = _node_violation(
-                    g, node, key[1], dict(zip(sources, key[2:])), timelines[key[0]])
+                    g, edges, node, key[1], dict(zip(sources, key[2:])), timelines[key[0]])
             if verdict is not None:
                 found.append(verdict)
         return found
@@ -417,7 +408,7 @@ class NodeMap:
 
 
 def load_node_map(path) -> NodeMap:
-    return NodeMap.from_json(read_json(path))
+    return read_json(path, NodeMap.from_json)
 
 
 @dataclass
@@ -543,7 +534,7 @@ def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
     activation trace of every system run is consistent.  The witness is the
     lexicographically least violating run."""
     timelines: list = []
-    decide = _decider(g, timelines)
+    decide = _decider(g, g.edges, timelines)
     for run, row in _induced(g, m, nm, horizon, timelines):
         found = decide(row)
         if found:
@@ -585,22 +576,22 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
     timelines: list = []
     rows = [row for _, row in _induced(g, m, nm, horizon, timelines)]
     slot = _slots(g)
-    # a delay reads only the timeline and the edge's two activation times,
-    # so each distinct triple is anchored once
-    observed: dict[int, set[int]] = {}
+    # g's edges in g's order, each exercised one shrunk to its observed
+    # delays; a delay reads only the timeline and the edge's two activation
+    # times, so each distinct triple is anchored once
+    edges = list(g.edges)
+    exercised = []
     for i, e in enumerate(g.edges):
-        observed[i] = set()
+        delays = set()
         for tid, act_u, act_v in set(map(itemgetter(0, slot[e.src], slot[e.dst]), rows)):
             if act_v is not None:
                 a = _anchor(e, act_u, act_v, timelines[tid])
                 if a is not None:
-                    observed[i].add(act_v - a)
-    exercised = {i: bool(delays) for i, delays in observed.items()}
-    bounds = {i: (min(observed[i]), max(observed[i])) if exercised[i] else (e.tmin, e.tmax)
-              for i, e in enumerate(g.edges)}
-    promoted: set[int] = set()
-    candidate, index_map = g.replace_bounds_mapped(bounds)
-    decide = _decider(candidate, timelines)
+                    delays.add(act_v - a)
+        exercised.append(bool(delays))
+        if delays:
+            edges[i] = TfpgEdge(e.src, e.dst, min(delays), max(delays), e.modes)
+    decide = _decider(g, edges, timelines)
     # Relaxing an upper bound to infinity only weakens justification and
     # removes forcing, so a trace once consistent stays consistent: one pass
     # that relaxes until the current trace holds checks every trace.
@@ -610,21 +601,20 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
             # only bounds this run introduced may be relaxed; a violation
             # pinned on untouched edges means the input was not complete
             # to begin with
-            relaxed = {index_map[i] for v in found
-                       if v.kind.endswith("inevitability") for i in v.edge_indices}
-            relaxed = {i for i in relaxed if exercised[i] and bounds[i][1] != INF}
+            relaxed = {i for v in found if v.kind.endswith("inevitability")
+                       for i in v.edge_indices if exercised[i] and edges[i].tmax != INF}
             if not relaxed:
                 raise TfpgError(
                     "input TFPG is not complete at this horizon; tightening "
                     "cannot proceed: " + "; ".join(str(v) for v in found))
             for i in relaxed:
-                bounds[i] = (bounds[i][0], INF)
-            promoted |= relaxed
-            candidate, index_map = g.replace_bounds_mapped(bounds)
-            decide = _decider(candidate, timelines)
+                edges[i] = replace(edges[i], tmax=INF)
+            decide = _decider(g, edges, timelines)
             found = decide(row)
+    # observed delays are finite, so an exercised edge ends unbounded only
+    # when it was relaxed
     changes = tuple(
-        EdgeChange(e.describe(), (e.tmin, e.tmax), bounds[i],
-                   exercised[i], i in promoted)
-        for i, e in enumerate(g.edges))
-    return TightenResult(candidate, changes)
+        EdgeChange(e.describe(), (e.tmin, e.tmax), (new.tmin, new.tmax),
+                   hit, hit and new.tmax == INF)
+        for e, new, hit in zip(g.edges, edges, exercised))
+    return TightenResult(Tfpg(g.modes, g.nodes, edges), changes)

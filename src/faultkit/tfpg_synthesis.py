@@ -71,7 +71,7 @@ class SynthesisConfig:
 
 
 def load_synthesis_config(path) -> SynthesisConfig:
-    return SynthesisConfig.from_json(read_json(path))
+    return read_json(path, SynthesisConfig.from_json)
 
 
 @dataclass

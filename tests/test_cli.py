@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultkit.cli import main
+from faultkit.cli import _COMMANDS, main
 
 from .conftest import corpus_json, corpus_path, run_python
 
@@ -76,6 +76,8 @@ class TestExitCodes:
 
     def test_missing_input_is_exit_2(self, capsys):
         assert run_cli("mcs", "--model", "no/such/file.json", "--tle", "x") == 2
+        assert capsys.readouterr().err == \
+            "error: no/such/file.json: cannot read: No such file or directory\n"
 
     def test_missing_required_flag_is_exit_2(self, capsys):
         assert run_cli("mcs", "--model", MODEL) == 2
@@ -224,6 +226,43 @@ class TestExitCodes:
         assert run_cli(*argv, flag, str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: syntax error:")
+
+    @pytest.mark.parametrize("argv,flag,doc,message", [
+        (["validate-model"], "--model", {"atoms": 3},
+         "model: 'atoms' must be a list of names, got 3"),
+        (["diag-check", "--model", SENSOR], "--spec", {}, "spec file must be a list, got {}"),
+        (["tfpg-validate"], "--tfpg", [], "TFPG must be an object, got []"),
+        (["tfpg-behavioral", "--tfpg", TFPG, "--model", MODEL, "--horizon", "4"], "--map",
+         {"nodes": 3}, "node map: 'nodes' must be an object of names, got 3"),
+        (["tfpg-synth", "--model", MODEL, "--horizon", "4"], "--map",
+         {"fm": ["b1_fail"]}, "synthesis config: missing key 'discrepancies'"),
+        (["trace-diag", "--model", SENSOR, "--spec", SPECS, "--time", "0"], "--trace",
+         {"steps": "n"}, "trace: 'steps' must be a list of names, got \"n\""),
+        (["tfpg-check-trace", "--tfpg", POWER], "--trace", {"mode_timeline": []},
+         "activation trace: missing key 'horizon'"),
+        # the line and column are the key's, which the message names
+        (["verify-diagnoser", "--model", SENSOR, "--spec", SPECS], "--diagnoser",
+         {"observables": ["warn"], "nodes": {"q": []}, "entry": {"{w:false}": "q"},
+          "delta": {}},
+         "observation key '{w:false}': syntax error: Expecting property name enclosed "
+         "in double quotes (line 1, column 2)"),
+        (["run-diagnoser", "--diagnoser", "{diagnoser}"], "--obs", {"warn": False},
+         'observations must be a list, got {"warn": false}'),
+        (["fault-tree"], "--mcs", [[1]], "cut set 0 must be a list of names, got [1]"),
+        (["ft-prob", "--model", MODEL, "--tle", "system_dead"], "--probs", [0.5],
+         "probabilities must be an object, got [0.5]"),
+    ], ids=["model", "spec", "tfpg", "node-map", "synthesis-config", "trace",
+            "activation-trace", "diagnoser", "obs", "mcs", "probs"])
+    def test_format_error_names_the_file(self, tmp_path, capsys, argv, flag, doc, message):
+        diagnoser = tmp_path / "diagnoser.json"
+        diagnoser.write_text(json.dumps({
+            "observables": ["warn"], "nodes": {"q": []},
+            "entry": {'{"warn":false}': "q"}, "delta": {}}))
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(diagnoser) if a == "{diagnoser}" else a for a in argv]
+        assert run_cli(*argv, flag, str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestDeterminismAndRoundTrip:
@@ -414,54 +453,143 @@ class TestReports:
     def test_text_format(self, tmp_path, capsys):
         # One request per subcommand and non-JSON format it writes, with its
         # exit code and the first line and line count of its report.
-        probs = tmp_path / "probs.json"
-        probs.write_text(json.dumps({"b1_fail": 0.1, "b2_fail": 0.2}))
-        trace = tmp_path / "trace.json"
-        trace.write_text(json.dumps({"steps": ["n", "n", "f0", "f1", "f2", "f2"]}))
-        obs = tmp_path / "obs.json"
-        obs.write_text(json.dumps([{"warn": False}] * 3 + [{"warn": True}]))
-        diagnoser = tmp_path / "diagnoser.json"
-        assert run_cli("synth-diagnoser", "--model", SENSOR, "--spec", SPECS,
-                       out=diagnoser) == 0
-        sensor = ["--model", SENSOR, "--spec", SPECS]
-        battery_tfpg = ["--tfpg", TFPG, "--model", MODEL, "--map", MAP, "--horizon", "6"]
-        synth = ["--model", MODEL, "--map", SYNTH, "--horizon", "6"]
+        requests = corpus_requests(tmp_path)
         cases = [
-            (["validate-model", "--model", MODEL], "text", 0, "model is valid", 1),
-            (["mcs", "--model", MODEL, "--tle", "system_dead"], "text", 0,
+            ("validate-model", "text", 0, "model is valid", 1),
+            ("mcs", "text", 0,
              "layer 0: 0 minimal cut sets (all minimal cut sets of cardinality "
              "<= 0 are included)", 4),
-            (["fault-tree", "--model", MODEL, "--tle", "power_low"], "dot", 0,
-             "digraph fault_tree {", 14),
-            (["ft-prob", "--model", MODEL, "--tle", "system_dead", "--probs", str(probs)],
-             "text", 0, "P(top level event) = 0.020000000000000004", 2),
-            (["diag-check", *sensor], "text", 1, "a_bound1: NOT diagnosable", 6),
-            (["trace-diag", *sensor, "--trace", str(trace), "--time", "2",
-              "--alarm", "t_exact2"], "text", 0, "t_exact2: trace-diagnosable", 1),
-            (["synth-diagnoser", *sensor], "dot", 0, "digraph diagnoser {", 14),
-            (["run-diagnoser", "--diagnoser", str(diagnoser), "--obs", str(obs)],
-             "text", 0, "step 0: -", 4),
-            (["verify-diagnoser", *sensor, "--diagnoser", str(diagnoser)], "text", 1,
-             "a_bound1/correctness: holds", 25),
-            (["tfpg-validate", "--tfpg", str(corpus_path("tfpg_modegap.json"))], "text",
-             1, "possibility: d2: not reachable from any failure mode through edges "
-             "sharing a common mode", 1),
-            (["tfpg-check-trace", "--tfpg", POWER,
-              "--trace", str(corpus_path("power_trace_late.json"))], "text", 1,
-             "or-justification: d_press: activation at 5 is not explained by any "
-             "incoming edge", 1),
-            (["tfpg-behavioral", *battery_tfpg], "text", 0, "complete", 1),
-            (["tfpg-tighten", *battery_tfpg], "text", 0,
+            ("fault-tree", "dot", 0, "digraph fault_tree {", 14),
+            ("ft-prob", "text", 0, "P(top level event) = 0.020000000000000004", 2),
+            ("diag-check", "text", 1, "a_bound1: NOT diagnosable", 6),
+            ("trace-diag", "text", 0, "t_exact2: trace-diagnosable", 1),
+            ("synth-diagnoser", "dot", 0, "digraph diagnoser {", 14),
+            ("run-diagnoser", "text", 0, "step 0: -", 4),
+            ("verify-diagnoser", "text", 1, "a_bound1/correctness: holds", 25),
+            ("tfpg-validate", "text", 1, "possibility: d2: not reachable from any "
+             "failure mode through edges sharing a common mode", 1),
+            ("tfpg-check-trace", "text", 1, "or-justification: d_press: activation "
+             "at 5 is not explained by any incoming edge", 1),
+            ("tfpg-behavioral", "text", 0, "complete", 1),
+            ("tfpg-tighten", "text", 0,
              '{"edge": "fm_b1 -> d_dead [0,9] {phase_a,phase_b,phase_c}", '
              '"exercised": true, "new": [0, 5], "old": [0, 9], "promoted": false}', 4),
-            (["tfpg-synth", *synth], "text", 0,
+            ("tfpg-synth", "text", 0,
              "b1_fail -> d_dead [0,5] {phase_a,phase_b,phase_c}", 5),
-            (["tfpg-synth", *synth], "dot", 0, "digraph tfpg {", 12),
+            ("tfpg-synth", "dot", 0, "digraph tfpg {", 12),
         ]
-        for argv, fmt, code, first, n_lines in cases:
-            got, out = run_capture(capsys, *argv, "--format", fmt)
+        for command, fmt, code, first, n_lines in cases:
+            got, out = run_capture(capsys, *requests[command], "--format", fmt)
             lines = out.splitlines()
-            assert (got, lines[0], len(lines)) == (code, first, n_lines), (argv[0], fmt)
+            assert (got, lines[0], len(lines)) == (code, first, n_lines), (command, fmt)
+
+    def test_json_report_shape(self, tmp_path, capsys):
+        # Each subcommand's JSON report on its corpus request: the report's
+        # top-level keys, each alarm's keys in a report keyed by alarm, or
+        # the elements of a list report; and the exit code its verdicts give.
+        global_alarms = ["a_exact1", "a_exact2", "a_bound1", "a_bound2", "a_bound3",
+                         "a_finite"]
+        verify = {"alarm", "correctness", "completeness", "all_hold", "pattern"}
+        tfpg = {"modes", "nodes", "edges"}
+        expected = {
+            "validate-model": {"valid", "violations"},
+            "mcs": NAME_LISTS,
+            "fault-tree": {"top", "gates"},
+            "ft-prob": {"probability", "by_enumeration", "by_inclusion_exclusion",
+                        "assumption"},
+            "diag-check": {"a_exact1": {"diagnosable", "critical_pair"},
+                           "a_exact2": {"diagnosable"},
+                           "a_bound1": {"diagnosable", "critical_pair"},
+                           "a_bound2": {"diagnosable"}, "a_bound3": {"diagnosable"},
+                           "a_finite": {"diagnosable"}},
+            "trace-diag": {"t_exact2": {"trace_diagnosable"}},
+            "synth-diagnoser": {"observables", "nodes", "entry", "delta"},
+            "run-diagnoser": NAME_LISTS,
+            "verify-diagnoser": {**{a: verify | {"maximality"} for a in global_alarms},
+                                 "t_exact2": verify, "t_bound2": verify | {"maximality"},
+                                 "t_finite": verify},
+            "tfpg-validate": {"valid", "findings"},
+            "tfpg-check-trace": {"consistent", "violations"},
+            "tfpg-behavioral": {"complete"},
+            "tfpg-tighten": tfpg,
+            "tfpg-synth": tfpg,
+        }
+        requests = corpus_requests(tmp_path)
+        assert set(requests) == set(expected) == set(_COMMANDS)
+        for command, argv in requests.items():
+            code, out = run_capture(capsys, *argv, "--format", "json")
+            doc = json.loads(out)
+            assert report_shape(command, doc) == expected[command], command
+            assert code == (0 if all(verdicts(command, doc)) else 1), command
+
+
+def corpus_requests(tmp_path):
+    """One request per subcommand on corpus inputs; the inputs the corpus
+    has no file for are written to tmp_path."""
+    probs = tmp_path / "probs.json"
+    probs.write_text(json.dumps({"b1_fail": 0.1, "b2_fail": 0.2}))
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"steps": ["n", "n", "f0", "f1", "f2", "f2"]}))
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps([{"warn": False}] * 3 + [{"warn": True}]))
+    diagnoser = tmp_path / "diagnoser.json"
+    assert run_cli("synth-diagnoser", "--model", SENSOR, "--spec", SPECS,
+                   out=diagnoser) == 0
+    sensor = ["--model", SENSOR, "--spec", SPECS]
+    battery_tfpg = ["--tfpg", TFPG, "--model", MODEL, "--map", MAP, "--horizon", "6"]
+    requests = [
+        ["validate-model", "--model", MODEL],
+        ["mcs", "--model", MODEL, "--tle", "system_dead"],
+        ["fault-tree", "--model", MODEL, "--tle", "power_low"],
+        ["ft-prob", "--model", MODEL, "--tle", "system_dead", "--probs", str(probs)],
+        ["diag-check", *sensor],
+        ["trace-diag", *sensor, "--trace", str(trace), "--time", "2", "--alarm", "t_exact2"],
+        ["synth-diagnoser", *sensor],
+        ["run-diagnoser", "--diagnoser", str(diagnoser), "--obs", str(obs)],
+        ["verify-diagnoser", *sensor, "--diagnoser", str(diagnoser)],
+        ["tfpg-validate", "--tfpg", str(corpus_path("tfpg_modegap.json"))],
+        ["tfpg-check-trace", "--tfpg", POWER,
+         "--trace", str(corpus_path("power_trace_late.json"))],
+        ["tfpg-behavioral", *battery_tfpg],
+        ["tfpg-tighten", *battery_tfpg],
+        ["tfpg-synth", "--model", MODEL, "--map", SYNTH, "--horizon", "6"],
+    ]
+    return {argv[0]: argv for argv in requests}
+
+
+# The verdict of each subcommand whose report has one: its key, and whether
+# the report is keyed by alarm name with one verdict per alarm.  The CLI
+# exits 1 exactly when a verdict is false.
+VERDICT_KEYS = {
+    "validate-model": ("valid", False),
+    "diag-check": ("diagnosable", True),
+    "trace-diag": ("trace_diagnosable", True),
+    "verify-diagnoser": ("all_hold", True),
+    "tfpg-validate": ("valid", False),
+    "tfpg-check-trace": ("consistent", False),
+    "tfpg-behavioral": ("complete", False),
+}
+# The shape of a list report whose elements are all lists of names.
+NAME_LISTS = "lists of names"
+
+
+def verdicts(command, doc) -> list:
+    """The verdicts a subcommand's JSON report shows."""
+    if command not in VERDICT_KEYS:
+        return []
+    key, per_alarm = VERDICT_KEYS[command]
+    return [entry[key] for entry in doc.values()] if per_alarm else [doc[key]]
+
+
+def report_shape(command, doc):
+    """A JSON report's top-level keys, each alarm's keys in a report keyed
+    by alarm, or NAME_LISTS for a list of lists of names."""
+    if isinstance(doc, list):
+        names = all(type(x) is list and all(type(y) is str for y in x) for x in doc)
+        return NAME_LISTS if names else doc
+    if VERDICT_KEYS.get(command, (None, False))[1]:
+        return {alarm: set(entry) for alarm, entry in doc.items()}
+    return set(doc)
 
 
 # Inputs for the fuzz test: corpus files, plus the formats the corpus has no
@@ -568,10 +696,14 @@ class TestExitCodeContract:
         files = {n: str(fuzz_dir / n) for n in FUZZ_INPUTS}
         files[name] = str(mutated)
         args = [files[a[1:-1]] if a.startswith("{") else a for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(args)
         assert code in (0, 1, 2)
+        if code != 2:
+            # 1 exactly when the report shows a failing verdict
+            shown = verdicts(argv[0], json.loads(out.getvalue()))
+            assert code == (0 if all(shown) else 1), (argv[0], shown)
 
 
 _FOOTPRINT = """\

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 
 import pytest
 
@@ -200,6 +201,22 @@ class TestWitness:
         verdict = check_diagnosability(m, s)
         assert verdict.pair.t == 1 and len(verdict.pair.trace1) == 1502
         assert_pair_replays(m, FAULT, s, verdict)
+
+    def test_longest_walk_against_walks_step_by_step(self):
+        # random graphs, asked in a random order, so that the table is read
+        # across calls; self-loops and cycles included
+        for seed in range(300):
+            rng = random.Random(seed)
+            size, n = rng.randint(1, 8), rng.randint(0, 10)
+            succ = [rng.sample(range(size), rng.randint(0, min(3, size)))
+                    for _ in range(size)]
+            # leaving[k]: the nodes some walk of k steps leaves
+            leaving = [set(range(size))]
+            for _ in range(n):
+                leaving.append({v for v in range(size) if leaving[-1].intersection(succ[v])})
+            longest = diagnosability._longest_walk(succ.__getitem__, n)
+            for v in rng.sample(range(size), size):
+                assert longest(v) == max(k for k, nodes in enumerate(leaving) if v in nodes)
 
 
 @functools.cache

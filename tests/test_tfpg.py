@@ -548,15 +548,40 @@ class TestTighten:
         assert tfpg_to_json(again.tfpg) == tfpg_to_json(result.tfpg)
 
 
-class TestEdgeIndexing:
-    def test_replace_bounds_mapped_tracks_parallel_edges(self):
-        g = Tfpg(("on",), {"f": "FM", "d": "OR"},
-                 [TfpgEdge("f", "d", 0, 10, ("on",)),
-                  TfpgEdge("f", "d", 5, 6, ("on",))])
-        new, mapping = g.replace_bounds_mapped({0: (7, 8)})
-        # the modified edge now sorts after the untouched parallel edge
-        assert [(e.tmin, e.tmax) for e in new.edges] == [(5, 6), (7, 8)]
-        assert mapping == [1, 0]
+class TestParallelEdges:
+    def test_tightening_swaps_and_promotes_parallel_edges(self):
+        # f holds from step 0; d follows 3 steps later in mode a, and 1 or 2
+        # steps later, or never, in mode b.  The mode never switches.
+        m = parse_model(json.dumps({
+            "atoms": ["f", "d", "a", "b"], "faults": ["f"], "observables": ["d"],
+            "modes": ["a", "b"],
+            "states": {"a0": {"f": True, "a": True}, "a1": {"f": True, "a": True},
+                       "a2": {"f": True, "a": True},
+                       "a3": {"f": True, "a": True, "d": True},
+                       "b0": {"f": True, "b": True}, "c1": {"f": True, "b": True},
+                       "b1": {"f": True, "b": True, "d": True},
+                       "n2": {"f": True, "b": True}},
+            "initial": ["a0", "b0"],
+            "transitions": [["a0", "a1"], ["a1", "a2"], ["a2", "a3"], ["a3", "a3"],
+                            ["b0", "b1"], ["b0", "c1"], ["c1", "b1"], ["c1", "n2"],
+                            ["b1", "b1"], ["n2", "n2"]]}))
+        nm = NodeMap({"f": parse_expr("f"), "d": parse_expr("d")}, {"a": "a", "b": "b"})
+        g = Tfpg(("a", "b"), {"f": "FM", "d": "OR"},
+                 [TfpgEdge("f", "d", 0, 10, ("a",)), TfpgEdge("f", "d", 1, 10, ("b",))])
+        assert behavioral_validate(g, m, nm, 5).complete
+        result = tighten_edges(g, m, nm, 5)
+        # the observed bounds [3,3] and [1,2] sort the mode-b edge first; it
+        # is then promoted, since d may never follow f in mode b
+        assert [e.describe() for e in result.tfpg.edges] == \
+            ["f -> d [1,inf] {b}", "f -> d [3,3] {a}"]
+        assert [(c.description, c.old, c.new, c.exercised, c.promoted)
+                for c in result.changes] == [
+            ("f -> d [0,10] {a}", (0, 10), (3, 3), True, False),
+            ("f -> d [1,10] {b}", (1, 10), (1, INF), True, True)]
+        assert behavioral_validate(result.tfpg, m, nm, 5).complete
+        again = tighten_edges(result.tfpg, m, nm, 5)
+        assert again.tfpg.edges == result.tfpg.edges
+        assert [c.new for c in again.changes] == [c.old for c in again.changes]
 
 
 class TestSerialization:
