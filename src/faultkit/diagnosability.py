@@ -19,6 +19,17 @@ critical when side 1's formula holds and side 2's does not:
 Witnesses are deterministic: the lexicographically least shortest path in
 the twin plant, extended by least choices.
 
+The search claims only nodes that can change the verdict.  Under exact
+and bounded delays it stops at the first critical node it claims (for
+exact(n), the first from which the twin plant can go on n more steps):
+that node ends the witness, and every node claimed before it keeps its
+parent.  Under the finite delay, side 2 keeps to states where the
+condition fails.  Side 2's latch never clears, so a node where side 2 has
+met the condition reaches no critical node.  The nodes kept are closed
+under predecessors, so each keeps its parent and its place in the claim
+order, and the cycle search, which stays among critical nodes, finds the
+same lasso.
+
 The search runs first on the model's coarsest bisimulation quotient that
 respects the observation, the condition and initial membership, when that
 has at most half as many blocks as the model has states.  Bisimilar states
@@ -156,55 +167,60 @@ def _search(m: SystemModel, spec: AlarmSpec) -> tuple | None:
     """The twin-plant search on m: None when the alarm is diagnosable, else
     the twin-plant nodes of a critical pair, their scale (a node's state
     pair is node // scale) and the pair's time of the condition."""
-    delay = spec.delay
-    if isinstance(delay, ExactDelay):
-        sides = ExactDelay(0), ExactDelay(0)
-    elif isinstance(delay, BoundedDelay):
-        sides = ExactDelay(delay.n), BoundedDelay(2 * delay.n)
-    else:
-        sides = delay, delay
-    roots, succ, critical_memories, scale = _twin_plant(m, spec.beta, *sides)
-    parent = lexleast_shortest_paths(roots, succ)
-    critical = critical_memories()
+    delay, beta = spec.delay, spec.beta
     if isinstance(delay, FiniteDelay):
-        found = lasso(parent, {node for node in parent if node % scale in critical}, succ)
+        roots, succ, critical, scale = _twin_plant(m, beta, delay, delay)
+        parent = lexleast_shortest_paths(roots, succ)
+        found = lasso(parent, set(filter(critical, parent)), succ)
         if found is None:
             return None
         run, _ = found
         # both memories are latches: the run turns critical where side 1's
         # condition first holds
-        t = next(i for i, node in enumerate(run) if node % scale in critical)
+        t = next(i for i, node in enumerate(run) if critical(node))
         return run, scale, t
     if isinstance(delay, BoundedDelay):
-        best = next((node for node in parent if node % scale in critical), None)
-        if best is None:
-            return None
-        stem = path_to(parent, best)
-        return stem, scale, len(stem) - 1 - delay.n
-    n = delay.n
-    longest = _longest_walk(succ, n)
-    best = next((node for node in parent if node % scale in critical and longest(node) == n), None)
-    if best is None:
+        roots, succ, goal, scale = _twin_plant(m, beta, ExactDelay(delay.n),
+                                               BoundedDelay(2 * delay.n))
+    else:
+        roots, succ, critical, scale = _twin_plant(m, beta, ExactDelay(0), ExactDelay(0))
+        longest = _longest_walk(succ, delay.n)
+
+        def goal(node):
+            return critical(node) and longest(node) == delay.n
+
+    # the search stops at the least goal node, the last one it claims
+    parent = lexleast_shortest_paths(roots, succ, goal=goal)
+    best = next(reversed(parent), None)
+    if best is None or not goal(best):
         return None
     stem = list(path_to(parent, best))
-    current = best
-    for k in range(n, 0, -1):
-        current = next(q for q in sorted(succ(current)) if longest(q) >= k - 1)
-        stem.append(current)
-    return stem, scale, len(stem) - 1 - n
+    if isinstance(delay, ExactDelay):
+        current = best
+        for k in range(delay.n, 0, -1):
+            current = next(q for q in sorted(succ(current)) if longest(q) >= k - 1)
+            stem.append(current)
+    return stem, scale, len(stem) - 1 - delay.n
 
 
 def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
     """The twin plant whose side i carries the memory of delay i over the
-    condition: (roots, successors, critical_memories, scale).  A node's
-    pair is node // scale and its memories node % scale; critical_memories()
-    gives the memories, of those the search has reached, in which side 1's
-    past formula holds and side 2's fails."""
+    condition: (roots, successors, critical, scale).  A node's pair is
+    node // scale and its memories node % scale; critical(node) tells
+    whether side 1's past formula holds there and side 2's fails.
+
+    Under the finite delay side 2's memory is a latch that the condition
+    sets, after which no node is critical, so side 2 keeps to states where
+    the condition fails."""
     flags = m.condition(beta)
     X1, start1, row1, sat1 = memory_automaton(delay1, range(2))
     X2, start2, row2, sat2 = memory_automaton(delay2, range(2))
     size, moves, scale = m.size, m.succ_by_class, X1 * X2
     width = size * scale
+    by_class2, initial2 = moves, m.initial_by_class
+    if isinstance(delay2, FiniteDelay):
+        by_class2 = [_clear(groups, flags) for groups in moves]
+        initial2 = _clear(initial2, flags)
 
     # steps[memory]: side 1's memory number times X2, then side 2's, after a
     # step into a state whose condition flag is the index; once per memory
@@ -220,7 +236,7 @@ def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
             after = steps[memory] = ([k * X2 for k in row1(memory1)], row2(memory2))
         after1, after2 = after
         a, b = divmod(pair, size)
-        moves2 = moves[b]
+        moves2 = by_class2[b]
         out: list[int] = []
         for c, xs in moves[a].items():
             ys = moves2.get(c)
@@ -231,15 +247,20 @@ def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
                     out += [begin + end for end in ends]
         return out
 
-    def critical_memories() -> set[int]:
-        return {k1 * X2 + k2 for k1, holds1 in enumerate(sat1) if holds1
-                for k2, holds2 in enumerate(sat2) if not holds2}
+    def critical(node: int) -> bool:
+        memory1, memory2 = divmod(node % scale, X2)
+        return sat1[memory1] and not sat2[memory2]
 
     first1 = [start1(0) * X2, start1(1) * X2]
     first2 = [start2(0), start2(1)]
     roots = [x * width + first1[flags[x]] + y * scale + first2[flags[y]]
-             for xs in m.initial_by_class.values() for x in xs for y in xs]
-    return roots, succ, critical_memories, scale
+             for c, xs in m.initial_by_class.items() for x in xs for y in initial2.get(c, ())]
+    return roots, succ, critical, scale
+
+
+def _clear(groups: dict, flags) -> dict:
+    """The states of each group where the condition fails."""
+    return {c: [y for y in ys if not flags[y]] for c, ys in groups.items()}
 
 
 def _longest_walk(successors, n: int):

@@ -10,7 +10,8 @@ from typing import Callable, Iterable
 
 
 def lexleast_shortest_paths(roots: Iterable, successors: Callable,
-                            stop: Callable | None = None) -> dict:
+                            stop: Callable | None = None,
+                            goal: Callable | None = None) -> dict:
     """BFS recording, for every reachable node, its parent on the
     lexicographically least of its shortest paths (None for a root).
 
@@ -18,19 +19,41 @@ def lexleast_shortest_paths(roots: Iterable, successors: Callable,
     and successors in sorted order, so nodes are claimed, and the returned
     dict is ordered, by (path length, path).  Nodes for which `stop` holds
     are recorded but not expanded.
+
+    With `goal`, the search returns as soon as it claims a node for which
+    `goal` holds: that node is then the last of the dict, which is the full
+    search's dict cut after its first goal node, since every node claimed
+    before it is claimed, with the same parent, either way.
     """
-    parent: dict = dict.fromkeys(sorted(set(roots)))
-    layer = list(parent)
+    roots = sorted(set(roots))
+    hit = _first_hit(goal, roots)
+    if hit is not None:
+        return dict.fromkeys(roots[:hit + 1])
+    parent: dict = dict.fromkeys(roots)
+    layer = roots
     while layer:
         next_layer = []
         for node in layer:
             if stop is not None and stop(node):
                 continue
             fresh = sorted(set(successors(node)).difference(parent))
+            hit = _first_hit(goal, fresh)
+            if hit is not None:
+                parent.update(dict.fromkeys(fresh[:hit + 1], node))
+                return parent
             parent.update(dict.fromkeys(fresh, node))
             next_layer += fresh
         layer = next_layer
     return parent
+
+
+def _first_hit(goal: Callable | None, nodes: list) -> int | None:
+    """The index of the first of `nodes` for which `goal` holds, if any."""
+    if goal is not None:
+        for i, node in enumerate(nodes):
+            if goal(node):
+                return i
+    return None
 
 
 def path_to(parent: dict, node) -> tuple:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ModelFormatError
+from .errors import ExpressionError, ModelFormatError
 
 # Kinds beyond JSON types, each a container whose items all have one type.
 NAMES = "a list of names"
@@ -48,15 +48,19 @@ def decode_json(text: str, source: str = "", duplicate: str = "duplicate key"):
 
 def read_json(path, convert, duplicate: str = "duplicate key"):
     """convert(the JSON document in the file at `path`).  An error in
-    reading, decoding or converting it starts with the path, the one place
-    a file's errors are named."""
+    reading, decoding or converting it, an :class:`ExpressionError` or a
+    ``ValueError`` of the converter's included, is a
+    :class:`ModelFormatError` that starts with the path, the one place a
+    file's errors are named."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = decode_json(fh.read(), duplicate=duplicate)
         return convert(doc)
     except (OSError, UnicodeDecodeError) as err:
         reason = f"cannot read: {getattr(err, 'strerror', None) or err}"
-    except ModelFormatError as err:
+    except (ModelFormatError, ExpressionError, ValueError) as err:
+        # a converter's own checks: a malformed expression, a value out of
+        # range
         reason = err
     raise ModelFormatError(f"{path}: {reason}")
 

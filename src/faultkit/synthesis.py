@@ -21,6 +21,9 @@ reachability of a violating product node; the eventualities of the
 finite delay to a reachable cycle of nodes with an obligation pending.
 Candidates only need to speak the model's observation alphabet; they are
 rejected when nondeterministic or partial on producible observations.
+A total candidate's safety search stops at the first violating node it
+claims, which ends the counterexample.  A partial candidate's search runs
+on until it meets a gap, which it reports, or it has claimed every node.
 
 Counterexamples are canonical.  The candidate is deterministic, so every
 component of a product path is a function of its sequence of state ids,
@@ -433,7 +436,10 @@ def _search_safety(product: _Product, extras, violated, bad_pairs=None) -> Conju
     if bad_pairs is not None and product.total and not any(bad_pairs):
         return ConjunctResult(True)
     roots, succ = _searcher(product, extras)
-    parent = lexleast_shortest_paths(roots, succ, stop=violated)
+    # A total candidate's search stops at the first violating node it
+    # claims.  A partial one's runs on, for it must meet the gap.
+    goal = violated if product.total else None
+    parent = lexleast_shortest_paths(roots, succ, stop=violated, goal=goal)
     best = next((node for node in parent if violated(node)), None)
     if best is None:
         return ConjunctResult(True)

@@ -264,6 +264,19 @@ class TestExitCodes:
         assert run_cli(*argv, flag, str(path)) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("beta,n,message", [
+        ("fault &", 1, "unexpected end of expression: 'fault &'"),
+        ("fault", 0, "alarm 'x': delay bound must be >= 1"),
+    ], ids=["expression", "delay-bound"])
+    def test_converter_error_names_the_file(self, tmp_path, capsys, beta, n, message):
+        # an ExpressionError and a ValueError raised while converting the
+        # decoded document, not by the format checks
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([{"alarm": "x", "beta": beta,
+                                     "delay": {"kind": "exact", "n": n}}]))
+        assert run_cli("diag-check", "--model", SENSOR, "--spec", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 class TestDeterminismAndRoundTrip:
     def _bytes_of(self, tmp_path, name, *argv):

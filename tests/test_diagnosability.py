@@ -363,6 +363,49 @@ class TestQuotient:
             assert got == want, delay
 
 
+def small_model(states, initial, transitions, observables=()):
+    return parse_model(json.dumps({"atoms": ["fault", "x"], "faults": ["fault"],
+                                   "observables": list(observables), "states": states,
+                                   "initial": initial, "transitions": transitions}))
+
+
+def side2_cases():
+    """Models for the finite-delay twin plant, whose side 2 keeps to
+    condition-free states: (model, condition, oracle horizon)."""
+    loop = [["n", "n"], ["n", "f"], ["f", "f"]]
+    yield pytest.param(small_model({"i": {"fault": True}, "j": {}}, ["i", "j"],
+                                   [["i", "i"], ["j", "j"], ["j", "i"]]),
+                       "fault", 6, id="beta-in-an-initial-state")
+    yield pytest.param(small_model({"i": {"fault": True}, "j": {"fault": True}, "n": {}},
+                                   ["i", "j"], [["i", "n"], ["j", "j"], ["n", "n"]]),
+                       "fault", 6, id="beta-in-every-initial-state")
+    yield pytest.param(small_model({"n": {}, "f": {"fault": True}}, ["n"], loop),
+                       "fault", 6, id="beta-only-on-a-self-loop")
+    yield pytest.param(small_model({"n": {}, "f": {"fault": True, "x": True}}, ["n"], loop,
+                                   ["x"]),
+                       "fault", 6, id="beta-only-on-an-observed-self-loop")
+    yield pytest.param(small_model({"n": {}, "m": {"x": True}, "f": {}}, ["n"],
+                                   [["n", "m"], ["n", "f"], ["m", "n"], ["f", "f"]], ["x"]),
+                       "fault", 6, id="beta-never-holds")
+    yield pytest.param(layered(4), "f", 7, id="layered-quotient-diagnosable")
+    yield pytest.param(kofn_model(3), "low", 7, id="kofn3-quotient-diagnosable")
+    yield pytest.param(kofn_model(3), "c1_fail & !low", 7,
+                       id="kofn3-quotient-not-diagnosable")
+
+
+class TestFiniteSide2:
+    @pytest.mark.parametrize("m, beta, horizon", side2_cases())
+    def test_verdict_and_pair_as_without_pruning(self, monkeypatch, m, beta, horizon):
+        s = spec(FiniteDelay(), beta=parse_expr(beta))
+        verdict = check_diagnosability(m, s)
+        assert verdict.diagnosable == oracle_diagnosable_finite(m, s.beta, horizon)
+        if not verdict.diagnosable:
+            assert_pair_replays(m, s.beta, s, verdict)
+        # the pruned twin plant gives the pair that the whole one gives
+        monkeypatch.setattr(diagnosability, "_clear", lambda groups, flags: groups)
+        assert verdict == check_diagnosability(m, s)
+
+
 class TestTraceDiagnosability:
     def test_globally_diagnosable_implies_trace(self, sensor_delay, fully_obs):
         for m, delay in ((sensor_delay, ExactDelay(2)), (fully_obs, ExactDelay(1)),

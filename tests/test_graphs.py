@@ -47,3 +47,20 @@ def test_lasso_closes_inside_region(adjacency, roots, region):
         assert run[loop_start] == run[-1] and loop_start < len(run) - 1
         assert all(w in adjacency[v] for v, w in zip(run, run[1:]))
         assert set(run[loop_start:]) <= region
+
+
+@given(digraphs,
+       st.sets(st.sampled_from(NODES), min_size=1),
+       st.sets(st.sampled_from(NODES)),
+       st.sets(st.sampled_from(NODES)))
+@settings(max_examples=150, deadline=None)
+def test_goal_cuts_the_full_search_after_its_first_goal_node(adjacency, roots, stop, goal):
+    full = list(lexleast_shortest_paths(roots, adjacency.__getitem__,
+                                        stop=stop.__contains__).items())
+    parent = lexleast_shortest_paths(roots, adjacency.__getitem__,
+                                     stop=stop.__contains__, goal=goal.__contains__)
+    hits = [i for i, (node, _) in enumerate(full) if node in goal]
+    assert list(parent.items()) == (full[:hits[0] + 1] if hits else full)
+    if goal.intersection(roots):
+        # a goal root returns before any node is expanded
+        assert set(parent) <= roots

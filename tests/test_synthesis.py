@@ -282,6 +282,63 @@ class TestVerify:
             verify_diagnoser(sensor_delay, d, sensor_specs["a_finite"])
 
 
+# Every conjunct is violated before the gap is met.  Correctness is
+# violated at b, claimed at depth 1: q1 raises the alarm with no condition a
+# step ago.  Completeness and maximality are violated at b2, claimed at
+# depth 2: the condition held at b and q3 raises nothing.  The gap, q4 with
+# no move for the observation of d2, is met only when d, of depth 2, is
+# expanded.
+GAP_MODEL = {"atoms": ["fault", "x"], "faults": ["fault"], "observables": ["x"],
+             "states": {"a": {}, "b": {"fault": True, "x": True}, "b2": {"x": True},
+                        "c": {}, "d": {}, "d2": {}},
+             "initial": ["a"],
+             "transitions": [["a", "b"], ["a", "c"], ["b", "b2"], ["b2", "b2"],
+                             ["c", "d"], ["d", "d2"], ["d2", "d2"]]}
+X0, X1 = '{"x":false}', '{"x":true}'
+GAP_CANDIDATE = {"observables": ["x"],
+                 "nodes": {"q0": [], "q1": ["A"], "q2": [], "q3": [], "q4": []},
+                 "entry": {X0: "q0"},
+                 "delta": {"q0": {X0: "q2", X1: "q1"}, "q1": {X1: "q3"}, "q2": {X0: "q4"},
+                           "q3": {X1: "q3"}, "q4": {}}}
+GAP = "candidate is partial: node 'q4' cannot consume the observation of state 'd2'"
+GAP_SPEC = spec(ExactDelay(1))
+GAP_CONJUNCTS = {"correctness": _check_correctness,
+                 "completeness": lambda product: _check_completeness_global(product, GAP_SPEC),
+                 "maximality": _check_maximality}
+
+
+class TestPartialCandidate:
+    def test_violation_before_the_gap_still_raises_the_gap(self):
+        # A total candidate's safety search stops at its first violation; a
+        # partial one's must run on to the gap.
+        m, s = parse_model(json.dumps(GAP_MODEL)), GAP_SPEC
+        total = json.loads(json.dumps(GAP_CANDIDATE))
+        total["delta"]["q4"] = {X0: "q4"}
+        verdict = verify_diagnoser(m, diagnoser_from_json(total), s).to_json()
+        assert {c: verdict[c]["counterexample"] for c in GAP_CONJUNCTS} == {
+            "correctness": ["a", "b"], "completeness": ["a", "b", "b2"],
+            "maximality": ["a", "b", "b2"]}
+        partial = diagnoser_from_json(GAP_CANDIDATE)
+        for check in GAP_CONJUNCTS.values():
+            with pytest.raises(ObservationError, match=GAP):
+                check(_Product(m, partial, s))
+        with pytest.raises(ObservationError, match=GAP):
+            verify_diagnoser(m, partial, s)
+
+    def test_cli_exits_2_on_the_gap(self, tmp_path, capsys):
+        from faultkit.cli import main
+
+        files = {"model": GAP_MODEL, "diagnoser": GAP_CANDIDATE,
+                 "spec": [{"alarm": "A", "beta": "fault", "delay": {"kind": "exact", "n": 1}}]}
+        argv = ["verify-diagnoser"]
+        for flag, doc in files.items():
+            path = tmp_path / f"{flag}.json"
+            path.write_text(json.dumps(doc))
+            argv += [f"--{flag}", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {GAP}\n"
+
+
 def perturbed_candidates(d, rng):
     """The diagnoser's document with one delta edge sent to another node,
     and with one delta edge removed."""
