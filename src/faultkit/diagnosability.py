@@ -4,7 +4,7 @@ A *critical pair* is a pair of runs with identical observation sequences
 that disagree on the monitored condition in the way the delay discipline
 cannot tolerate.  The twin plant synchronizes two copies of the model on
 observations.  Each side carries the memory of a past formula over the
-condition (:func:`faultkit.fdispec.memory_automaton`), and a node is
+condition (:func:`faultkit.fdispec.delay_memory`), and a node is
 critical when side 1's formula holds and side 2's does not:
 
 * exact(n)  -- Y^0 beta, the condition now, on both sides: a reachable
@@ -42,13 +42,13 @@ the concrete twin plant.
 
 The search runs over the model's ints (:mod:`faultkit.model`).  A node is
 ``(pair * X1 + memory1) * X2 + memory2``: a state pair ``a * size + b``,
-then each side's memory, numbered as the search reaches it below the bound
-X of its delay kind.  A pair's successors are the products of the two
-states' successors within each observation class they share.  The witness
-order rests on numbering the states in sorted-id order: a memory is a
-function of its side's state sequence, and the pair is the most
-significant part of a node, so paths compare as their sequences of
-state-id pairs do, whatever numbers the memories get.
+then each side's memory, an int below the bound X of its delay kind.  A
+pair's successors are the products of the two states' successors within
+each observation class they share.  The witness order rests on numbering
+the states in sorted-id order: a memory is a function of its side's state
+sequence, and the pair is the most significant part of a node, so paths
+compare as their sequences of state-id pairs do, whatever the memories
+are.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 from .errors import TraceError
 from .fdispec import (AlarmSpec, BoundedDelay, Delay, ExactDelay, FiniteDelay, GLOBAL,
-                      chain_counterexample, knowledge_chain, memory_automaton)
+                      chain_counterexample, delay_memory, knowledge_chain)
 # Not called here, but the benchmark's spans (perfbench/probes.py) wrap
 # them under this module.
 from .fdispec import eval_knowledge, knowledge_counterexample  # noqa: F401
@@ -213,8 +213,8 @@ def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
     sets, after which no node is critical, so side 2 keeps to states where
     the condition fails."""
     flags = m.condition(beta)
-    X1, start1, row1, sat1 = memory_automaton(delay1, range(2))
-    X2, start2, row2, sat2 = memory_automaton(delay2, range(2))
+    X1, first1, step1, holds1 = delay_memory(delay1)
+    X2, first2, step2, holds2 = delay_memory(delay2)
     size, moves, scale = m.size, m.succ_by_class, X1 * X2
     width = size * scale
     by_class2, initial2 = moves, m.initial_by_class
@@ -222,8 +222,8 @@ def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
         by_class2 = [_clear(groups, flags) for groups in moves]
         initial2 = _clear(initial2, flags)
 
-    # steps[memory]: side 1's memory number times X2, then side 2's, after a
-    # step into a state whose condition flag is the index; once per memory
+    # steps[memory]: side 1's memory times X2, then side 2's, after a step
+    # into a state whose condition flag is the index; once per memory
     steps: dict[int, tuple[list[int], list[int]]] = {}
 
     def succ(node: int) -> list[int]:
@@ -233,7 +233,8 @@ def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
         after = steps.get(memory)
         if after is None:
             memory1, memory2 = divmod(memory, X2)
-            after = steps[memory] = ([k * X2 for k in row1(memory1)], row2(memory2))
+            after = steps[memory] = ([step1(memory1, 0) * X2, step1(memory1, 1) * X2],
+                                     [step2(memory2, 0), step2(memory2, 1)])
         after1, after2 = after
         a, b = divmod(pair, size)
         moves2 = by_class2[b]
@@ -249,11 +250,11 @@ def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
 
     def critical(node: int) -> bool:
         memory1, memory2 = divmod(node % scale, X2)
-        return sat1[memory1] and not sat2[memory2]
+        return holds1(memory1) and not holds2(memory2)
 
-    first1 = [start1(0) * X2, start1(1) * X2]
-    first2 = [start2(0), start2(1)]
-    roots = [x * width + first1[flags[x]] + y * scale + first2[flags[y]]
+    start1 = [first1(0) * X2, first1(1) * X2]
+    start2 = [first2(0), first2(1)]
+    roots = [x * width + start1[flags[x]] + y * scale + start2[flags[y]]
              for c, xs in m.initial_by_class.items() for x in xs for y in initial2.get(c, ())]
     return roots, succ, critical, scale
 

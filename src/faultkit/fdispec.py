@@ -10,11 +10,11 @@ expression) with a delay discipline:
 Each delay kind reads as one past-time formula over the condition β:
 Y^n β (β held exactly n steps ago), O<=n β (within the last n steps) or
 O β (at some point), so a past formula is given by its (delay, β) pair.
-Each has a bounded per-run memory sufficient to evaluate it (a value
-window, a saturating counter, a latched bit), and a certainty reading
-under synchronous perfect-recall observation: the condition is *known* at
-a point iff it holds on every run of the model producing the same
-observation sequence up to that point.
+Each has a bounded per-run memory sufficient to evaluate it, an int below
+a bound (`delay_memory`: a bit window, a saturating count, a latch), and
+a certainty reading under synchronous perfect-recall observation: the
+condition is *known* at a point iff it holds on every run of the model
+producing the same observation sequence up to that point.
 Knowledge is computed by propagating belief states, i.e. sets of
 (state, memory) pairs consistent with the observations.
 """
@@ -26,7 +26,6 @@ from typing import Iterable
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError
-from .graphs import automaton
 from .jsonio import decode_json, expect, field, read_json
 from .model import SystemModel, Trace
 
@@ -113,61 +112,46 @@ def _specs_from(doc) -> list[AlarmSpec]:
 
 # -- bounded per-run memory ---------------------------------------------------
 
-def memory_init(delay: Delay, beta_now: bool):
+def delay_memory(delay: Delay):
+    """The per-run memory of a delay kind's past formula, as ints below a
+    bound: (bound, first, step, holds).
+
+    Labels are ints whose bit 0 says whether the condition holds in the
+    state stepped into.  first(label) is the memory at a run's first
+    state, step(mem, label) the memory one step on, and holds(mem) whether
+    the past formula holds.  exact(n) keeps a window of the last 1 to
+    n + 1 condition values under a leading 1 bit, the newest value lowest;
+    bound(n) the steps since the condition last held, saturating at n + 1;
+    finite a latch.
+    """
     if isinstance(delay, ExactDelay):
-        return (beta_now,)
+        n = delay.n
+        full, top = 1 << n + 2, 1 << n + 1
+
+        def step(mem: int, label: int) -> int:
+            # a full window drops its oldest value, the bit below the lead
+            mem = mem << 1 | label & 1
+            return mem & top - 1 | top if mem >= full else mem
+
+        return full, lambda label: 2 | label & 1, step, lambda mem: mem >> n == 3
     if isinstance(delay, BoundedDelay):
-        return 0 if beta_now else delay.n + 1
-    return beta_now
-
-
-def memory_update(delay: Delay, mem, beta_now: bool):
-    if isinstance(delay, ExactDelay):
-        window = mem + (beta_now,)
-        return window[-(delay.n + 1):]
-    if isinstance(delay, BoundedDelay):
-        return 0 if beta_now else min(mem + 1, delay.n + 1)
-    return mem or beta_now
-
-
-def memory_satisfies(delay: Delay, mem) -> bool:
-    """Whether the past formula of the delay kind holds, given the memory."""
-    if isinstance(delay, ExactDelay):
-        return len(mem) == delay.n + 1 and mem[0]
-    if isinstance(delay, BoundedDelay):
-        return mem <= delay.n
-    return bool(mem)
-
-
-def memory_bound(delay: Delay) -> int:
-    """How many values the memory of a delay kind can take: windows of 1 to
-    n + 1 condition values, counts 0 to n + 1, or a latch."""
-    if isinstance(delay, ExactDelay):
-        return 2 ** (delay.n + 2) - 2
-    if isinstance(delay, BoundedDelay):
-        return delay.n + 2
-    return 2
-
-
-def memory_automaton(delay: Delay, labels: Iterable[int]):
-    """The memory of a delay kind as a `graphs.automaton` over int labels
-    whose bit 0 says whether the condition holds in the state stepped into;
-    a memory is flagged when its past formula holds."""
-    return automaton(memory_bound(delay), lambda label: memory_init(delay, bool(label & 1)),
-                     lambda mem, label: memory_update(delay, mem, bool(label & 1)),
-                     labels, lambda mem: memory_satisfies(delay, mem))
+        n = delay.n
+        return (n + 2, lambda label: 0 if label & 1 else n + 1,
+                lambda mem, label: 0 if label & 1 else min(mem + 1, n + 1),
+                lambda mem: mem <= n)
+    return 2, lambda label: label & 1, lambda mem, label: mem | label & 1, lambda mem: mem == 1
 
 
 # -- belief propagation -------------------------------------------------------
 
 # A tracker is a (delay, beta) pair.  A belief member is a state together
-# with one memory per tracker; decoded, it is (state id, memories).  Over
-# ints it is ``memory * N + state``: the trackers' memories numbered as
-# steps first reach them, and the state's number in the model of N states.
-# A belief is the sorted tuple of its members.  That order is not the order
-# of the decoded members, so a search for a least member compares
-# `BeliefTracker.decode`.  All members of a belief share the
-# observation of the step that produced them.
+# with one memory per tracker, an int of `delay_memory`; decoded, it is
+# (state id, memories).  Over ints it is ``memory * N + state``: the
+# trackers' tuple of memories numbered as steps first reach it, and the
+# state's number in the model of N states.  A belief is the sorted tuple of
+# its members.  That order is not the order of the decoded members, so a
+# search for a least member compares `BeliefTracker.decode`.  All members
+# of a belief share the observation of the step that produced them.
 
 Tracker = tuple[Delay, Expr]
 BeliefMember = tuple[str, tuple]
@@ -180,17 +164,19 @@ def trackers_for(specs: Iterable[AlarmSpec]) -> tuple[Tracker, ...]:
 class BeliefTracker:
     """Belief states of one model under a tuple of trackers, over ints.
 
-    `memory_init`, `memory_update` and `memory_satisfies` define the
-    memories; only those that runs reach are numbered, in `memories`, with
-    each tracker's past formula in `sat`.  A belief steps by walking each
-    member's successors of one observation class
-    (`SystemModel.succ_by_class`); each member's successors are worked out
-    once.
+    Each tracker steps its `delay_memory`; only the tuples of memories
+    that runs reach are numbered, in `memories`, with each tracker's past
+    formula in `sat`.  A belief steps by walking each member's successors
+    of one observation class (`SystemModel.succ_by_class`); each member's
+    successors are worked out once.
     """
 
     def __init__(self, m: SystemModel, trackers: tuple[Tracker, ...]):
         self.model = m
-        self._delays = [delay for delay, _ in trackers]
+        kinds = [delay_memory(delay) for delay, _ in trackers]
+        self._first = [first for _, first, _, _ in kinds]
+        self._step = [step for _, _, step, _ in kinds]
+        self._holds = [holds for _, _, _, holds in kinds]
         flags = [m.condition(beta) for _, beta in trackers]
         # labels[state]: bit i set when tracker i's condition holds
         self._labels = [sum(f[s] << i for i, f in enumerate(flags)) for s in range(m.size)]
@@ -206,14 +192,17 @@ class BeliefTracker:
         key = memory, label
         after = self._after.get(key)
         if after is None:
-            now = [bool(label >> i & 1) for i in range(len(self._delays))]
-            mems = (tuple(map(memory_init, self._delays, now)) if memory is None else
-                    tuple(map(memory_update, self._delays, self.memories[memory], now)))
+            # tracker i reads bit 0 of label >> i
+            if memory is None:
+                mems = tuple(first(label >> i) for i, first in enumerate(self._first))
+            else:
+                mems = tuple(step(mem, label >> i) for i, (step, mem)
+                             in enumerate(zip(self._step, self.memories[memory])))
             after = self._numbers.get(mems)
             if after is None:
                 after = self._numbers[mems] = len(self.memories)
                 self.memories.append(mems)
-                self.sat.append(tuple(map(memory_satisfies, self._delays, mems)))
+                self.sat.append(tuple(holds(mem) for holds, mem in zip(self._holds, mems)))
             self._after[key] = after
         return after
 

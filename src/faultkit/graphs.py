@@ -97,42 +97,6 @@ def lasso(parent: dict, region: set, successors: Callable):
     return None
 
 
-def automaton(bound: int, first: Callable, step: Callable, labels: Iterable,
-              flag: Callable):
-    """A deterministic automaton over labels that a search carries in its
-    nodes, its values numbered as the search reaches them.
-
-    first(label) is the value at a root with that label, and step(value,
-    label) the value after a step into a node with that label.  Returns
-    (bound, start, row, flags): start(label) is the number of first(label),
-    row(k) lists the numbers of the values after value k, one per label in
-    `labels`, and flags[k] is flag(value k).  No more than `bound` values
-    may be reachable, so that a search can pack a number into its node as
-    ``node * bound + number``; none is built before the search meets it.
-    """
-    labels = tuple(labels)
-    values: list = []
-    numbers: dict = {}
-    flags: list = []
-    rows: dict[int, list[int]] = {}
-
-    def number(value) -> int:
-        k = numbers.get(value)
-        if k is None:
-            k = numbers[value] = len(values)
-            values.append(value)
-            flags.append(flag(value))
-        return k
-
-    def row(k: int) -> list[int]:
-        found = rows.get(k)
-        if found is None:
-            found = rows[k] = [number(step(values[k], label)) for label in labels]
-        return found
-
-    return bound, lambda label: number(first(label)), row, flags
-
-
 def nodes_on_cycles(nodes: Iterable, successors: Callable) -> set:
     """Nodes lying on a cycle of the subgraph induced by `nodes`: members of
     a strongly connected component with more than one node or with a

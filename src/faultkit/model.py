@@ -81,7 +81,7 @@ class SystemModel:
         self.observable_atoms = frozenset(observable_atoms)
         self.mode_atoms = frozenset(mode_atoms)
         self.states = states
-        self.initial = tuple(sorted(initial))
+        self.initial = tuple(sorted(set(initial)))
         self.number = number
         self.ids = ids = tuple(number)
         self.size = len(ids)

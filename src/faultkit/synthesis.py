@@ -12,13 +12,14 @@ synchronous product of the model with a candidate automaton.  Knowledge
 subformulas are evaluated by pairing the product with the synthesized
 belief tracker.  A product node is labelled with the condition, the alarm
 and certainty, and each completeness conjunct keeps its obligations in a
-small deterministic automaton over those labels: the age of the oldest
-unserved condition (global bound(n)), whether one is pending (global
-finite), one slot per age recording whether certainty has been reached
-(trace-local bound(n)), and a phase -- nothing pending, pending, pending
-after certainty -- (trace-local finite).  Safety conjuncts reduce to
-reachability of a violating product node; the eventualities of the
-finite delay to a reachable cycle of nodes with an obligation pending.
+small deterministic automaton over those labels, its values ints: the age
+of the oldest unserved condition (global bound(n)), whether one is pending
+(global finite), a bit per age for the pending obligations and one for
+those whose certainty has been reached (trace-local bound(n)), and a phase
+-- nothing pending, pending, pending after certainty -- (trace-local
+finite).  Safety conjuncts reduce to reachability of a violating product
+node; the eventualities of the finite delay to a reachable cycle of nodes
+with an obligation pending.
 Candidates only need to speak the model's observation alphabet; they are
 rejected when nondeterministic or partial on producible observations.
 A total candidate's safety search stops at the first violating node it
@@ -44,8 +45,8 @@ from functools import partial
 
 from .errors import ModelFormatError, ObservationError
 from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
-                      memory_automaton, trackers_for)
-from .graphs import automaton, lasso, lexleast_shortest_paths, path_to
+                      delay_memory, trackers_for)
+from .graphs import lasso, lexleast_shortest_paths, path_to
 from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_json
 from .model import SystemModel, Trace
 
@@ -393,11 +394,11 @@ def verify_diagnoser(m: SystemModel, d: Diagnoser, spec: AlarmSpec) -> Verdict:
     return Verdict(spec.name, correctness, completeness, maximality)
 
 
-# A search's bookkeeping is a `graphs.automaton` over the labels of
-# `_Product.label`: (X, start, row, flags), where start(label) is the extra
-# of a root, row(extra)[label] the extra after a step into a node with that
-# label, X bounds the extras and flags[extra] marks the extras the search
-# looks for.
+# A search's bookkeeping is an int automaton over the labels of
+# `_Product.label`: (X, first, step, flag), where first(label) is the extra
+# of a root, step(extra, label) the extra after a step into a node with
+# that label, every extra is below X, and flag(extra) marks the extras the
+# search looks for.  A delay memory (`fdispec.delay_memory`) is one.
 
 _LABELS = range(8)
 _NO_EXTRA = (1, None, None, None)
@@ -405,24 +406,28 @@ _NO_EXTRA = (1, None, None, None)
 
 def _flagged(extras):
     """Whether a search node's extra is flagged."""
-    X, flags = extras[0], extras[3]
-    return lambda node: flags[node % X]
+    X, flag = extras[0], extras[3]
+    return lambda node: flag(node % X)
 
 
 def _searcher(product: _Product, extras):
     """The roots and the successor function of a search with these extras."""
-    X, start, row, _ = extras
+    X, first, step, _ = extras
     edges = product.edges
     if X == 1:
         return product.roots, lambda sp: edges(sp)[0]
+    # rows[extra][label]: the extra after a step, once per extra
+    rows: dict[int, list[int]] = {}
 
     def succ(node):
         sp, extra = divmod(node, X)
-        after = row(extra)
+        after = rows.get(extra)
+        if after is None:
+            after = rows[extra] = [step(extra, label) for label in _LABELS]
         targets, labels = edges(sp)
         return [t * X + after[label] for t, label in zip(targets, labels)]
 
-    return [sp * X + start(product.label(sp)) for sp in product.roots], succ
+    return [sp * X + first(product.label(sp)) for sp in product.roots], succ
 
 
 def _search_safety(product: _Product, extras, violated, bad_pairs=None) -> ConjunctResult:
@@ -461,11 +466,11 @@ def _search_lasso(product: _Product, extras) -> ConjunctResult:
 
 def _check_correctness(product: _Product) -> ConjunctResult:
     # the alarm while the run's own memory, the extra, fails the formula
-    extras = memory_automaton(product.delay, _LABELS)
-    X, P, alarm, sat = extras[0], product.P, product.alarm, extras[3]
+    extras = X, _, _, holds = delay_memory(product.delay)
+    P, alarm = product.P, product.alarm
 
     def violated(node):
-        return alarm[node // X % P] and not sat[node % X]
+        return alarm[node // X % P] and not holds(node % X)
 
     bad = [alarm and not known for alarm, known in zip(product.alarm, product.known)]
     return _search_safety(product, extras, violated, bad)
@@ -482,11 +487,11 @@ def _check_completeness_global(product: _Product, spec: AlarmSpec) -> ConjunctRe
     delay = spec.delay
     if isinstance(delay, ExactDelay):
         # the condition held exactly n steps ago and the alarm is off
-        extras = memory_automaton(delay, _LABELS)
-        X, P, alarm, sat = extras[0], product.P, product.alarm, extras[3]
+        extras = X, _, _, holds = delay_memory(delay)
+        P, alarm = product.P, product.alarm
 
         def violated(node):
-            return sat[node % X] and not alarm[node // X % P]
+            return holds(node % X) and not alarm[node // X % P]
 
         bad = [possible and not alarm for possible, alarm in zip(product.possible, alarm)]
         return _search_safety(product, extras, violated, bad)
@@ -495,22 +500,21 @@ def _check_completeness_global(product: _Product, spec: AlarmSpec) -> ConjunctRe
         n = delay.n
 
         def age(was, label):
-            # steps since the oldest condition no alarm has served, or -1
+            # 0, or 1 + the steps since the oldest condition no alarm has
+            # served
             if label & 2:
-                return -1
-            if was >= 0:
-                return was + 1
-            return 0 if label & 1 else -1
+                return 0
+            return was + 1 if was else label & 1
 
         # an age of n is a violation, never expanded
-        extras = automaton(n + 2, partial(age, -1), age, _LABELS, lambda age: age == n)
+        extras = n + 2, partial(age, 0), age, lambda age: age == n + 1
         return _search_safety(product, extras, _flagged(extras))
 
     def pending(was, label):
-        # a condition no alarm has served since
-        return bool(was or label & 1) and not label & 2
+        # 1: a condition no alarm has served since
+        return 0 if label & 2 else was | label & 1
 
-    return _search_lasso(product, automaton(2, partial(pending, False), pending, _LABELS, bool))
+    return _search_lasso(product, (2, partial(pending, 0), pending, bool))
 
 
 def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctResult:
@@ -522,22 +526,22 @@ def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctRes
 
     if isinstance(delay, BoundedDelay):
         n = delay.n
-        empty = (None,) * (n + 1)
+        width = 1 << n + 1
 
         def slots(was, label):
-            # slot k: the obligation of the condition k steps ago, None when
-            # there is none or an alarm has served it, else whether
-            # certainty has been reached since
+            # two masks, certain * width + pending: bit k of pending is the
+            # obligation of the condition k steps ago that no alarm has
+            # served, and bit k of certain says certainty has been reached
+            # since; certain is a subset of pending
             if label & 2:
-                return empty
-            now = (False if label & 1 else None,) + was[:-1]
-            if label & 4:
-                now = tuple(None if slot is None else True for slot in now)
-            return now
+                return 0
+            certain, pending = divmod(was, width)
+            pending = (pending << 1 | label & 1) & width - 1
+            certain = pending if label & 4 else certain << 1 & width - 1
+            return certain * width + pending
 
         # an obligation n steps old with certainty reached is a violation
-        extras = automaton(3 ** (n + 1), partial(slots, empty), slots, _LABELS,
-                           lambda slots: slots[n] is True)
+        extras = width * width, partial(slots, 0), slots, lambda was: was >> 2 * n + 1 == 1
         return _search_safety(product, extras, _flagged(extras))
 
     def phase(was, label):
@@ -547,5 +551,4 @@ def _check_completeness_trace(product: _Product, spec: AlarmSpec) -> ConjunctRes
             return 0
         return 2 if was == 2 or label & 4 else 1
 
-    return _search_lasso(product, automaton(3, partial(phase, 0), phase, _LABELS,
-                                            lambda phase: phase == 2))
+    return _search_lasso(product, (3, partial(phase, 0), phase, lambda phase: phase == 2))

@@ -7,8 +7,7 @@ from faultkit.boolexpr import Const, parse_expr
 from faultkit.errors import ModelFormatError, TraceError
 from faultkit.fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay,
                               FiniteDelay, eval_knowledge, instantiate_pattern,
-                              knowledge_counterexample, memory_bound, memory_init,
-                              memory_satisfies, memory_update, parse_specs)
+                              delay_memory, knowledge_counterexample, parse_specs)
 from faultkit.model import Trace, parse_model
 
 from .oracles import enumerate_traces, knowledge_by_enumeration, naive_past, obs_buckets
@@ -52,10 +51,11 @@ class TestSpecParsing:
 def past_by_memory(m, tr, delay, beta, t):
     """The past formula of `delay` over `beta` at step t of tr, read off the
     delay's memory stepped along the run."""
-    mem = memory_init(delay, m.holds(beta, tr[0]))
+    _, first, step, holds = delay_memory(delay)
+    mem = first(m.holds(beta, tr[0]))
     for sid in tr.steps[1:t + 1]:
-        mem = memory_update(delay, mem, m.holds(beta, sid))
-    return memory_satisfies(delay, mem)
+        mem = step(mem, m.holds(beta, sid))
+    return holds(mem)
 
 
 class TestEvalPast:
@@ -98,31 +98,55 @@ class TestMemory:
                 assert past_by_memory(sensor_delay, tr, delay, FAULT, t) == \
                     naive_past(sensor_delay, tr, delay, FAULT, t)
 
-    @pytest.mark.parametrize("delay", [ExactDelay(0), ExactDelay(3), BoundedDelay(0),
-                                       BoundedDelay(4), FiniteDelay()])
-    def test_memory_bound_counts_every_memory(self, delay):
-        reached = {memory_init(delay, b) for b in (False, True)}
+    @pytest.mark.parametrize("delay, count", [
+        (ExactDelay(0), 2), (ExactDelay(3), 2 ** 5 - 2), (BoundedDelay(0), 2),
+        (BoundedDelay(4), 6), (FiniteDelay(), 2)], ids=str)
+    def test_memory_bound_counts_every_memory(self, delay, count):
+        # windows of 1 to n + 1 values, counts 0 to n + 1, or a latch
+        bound, first, step, _ = delay_memory(delay)
+        reached = {first(b) for b in (0, 1)}
         frontier = list(reached)
         while frontier:
             mem = frontier.pop()
-            for b in (False, True):
-                nxt = memory_update(delay, mem, b)
+            for b in (0, 1):
+                nxt = step(mem, b)
                 if nxt not in reached:
                     reached.add(nxt)
                     frontier.append(nxt)
-        assert len(reached) == memory_bound(delay)
+        assert len(reached) == count
+        assert all(0 <= mem < bound for mem in reached)
+
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_memory_matches_direct_evaluation(self, n, data):
+        # Y^n, O<=n and O over a condition sequence long enough for
+        # windows to overflow; a label's bits above bit 0 are ignored
+        labels = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=3 * n + 4))
+        now = [label & 1 for label in labels]
+        past = {ExactDelay(n): lambda t: t >= n and now[t - n] == 1,
+                BoundedDelay(n): lambda t: any(now[max(0, t - n):t + 1]),
+                FiniteDelay(): lambda t: any(now[:t + 1])}
+        for delay, direct in past.items():
+            bound, first, step, holds = delay_memory(delay)
+            mem = first(labels[0])
+            for t, label in enumerate(labels):
+                if t:
+                    mem = step(mem, label)
+                assert 0 <= mem < bound
+                assert holds(mem) == direct(t), (str(delay), labels, t)
 
     def test_tracker_numbers_only_the_memories_runs_reach(self, sensor_delay):
         # exact(20) has 2 ** 22 - 2 windows; runs of up to 6 states reach few
         delays = (ExactDelay(20), BoundedDelay(3), FiniteDelay())
         beliefs = BeliefTracker(sensor_delay, tuple((d, FAULT) for d in delays))
+        kinds = [delay_memory(d) for d in delays]
         reached = set()
         for horizon in range(1, 7):
             for tr in enumerate_traces(sensor_delay, horizon):
                 flags = [sensor_delay.holds(FAULT, s) for s in tr.steps]
-                mems = tuple(memory_init(d, flags[0]) for d in delays)
+                mems = tuple(first(flags[0]) for _, first, _, _ in kinds)
                 for b in flags[1:]:
-                    mems = tuple(memory_update(d, mem, b) for d, mem in zip(delays, mems))
+                    mems = tuple(step(mem, b) for (_, _, step, _), mem in zip(kinds, mems))
                 reached.add(mems)
                 classes = [sensor_delay.obs_class[sensor_delay.number[s]] for s in tr.steps]
                 belief = beliefs.initial()[classes[0]]
@@ -130,7 +154,7 @@ class TestMemory:
                     belief = beliefs.successors(belief)[c]
         assert sorted(beliefs.memories) == sorted(reached)
         for mems, sat in zip(beliefs.memories, beliefs.sat):
-            assert sat == tuple(memory_satisfies(d, mem) for d, mem in zip(delays, mems))
+            assert sat == tuple(holds(mem) for (_, _, _, holds), mem in zip(kinds, mems))
 
 
 class TestKnowledge:

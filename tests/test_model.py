@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from faultkit.boolexpr import as_expr
 from faultkit.errors import ModelFormatError
 from faultkit.model import Trace, parse_model, validate_model
 
@@ -127,6 +128,36 @@ class TestValidation:
             "mode-uniqueness: e: expected exactly one mode atom true, "
             "found ['m1', 'm2']",
         ]
+
+
+class TestRepeatedInitial:
+    # a -> b -> a, nothing observable, the fault true throughout
+    DOC = {"atoms": ["f"], "faults": ["f"], "observables": [], "modes": [],
+           "states": {"a": {"f": True}, "b": {"f": True}},
+           "transitions": [["a", "b"], ["b", "a"]]}
+
+    def models(self):
+        return [parse_model(json.dumps({**self.DOC, "initial": initial}))
+                for initial in (["a"], ["a", "a"])]
+
+    def test_validation_reports_once(self):
+        once, twice = map(validate_model, self.models())
+        assert [str(v) for v in twice] == [str(v) for v in once] == [
+            "initial-faults-false: a: fault atom 'f' is true in initial state"]
+
+    def test_runs_enumerated_once(self):
+        once, twice = self.models()
+        assert list(twice.runs(4)) == list(once.runs(4)) == [(0, 1, 0, 1)]
+
+    def test_diagnoser_has_one_node_per_belief(self):
+        from faultkit.fdispec import AlarmSpec, FiniteDelay
+        from faultkit.synthesis import diagnoser_to_json, synthesize_diagnoser
+
+        spec = AlarmSpec("A", as_expr("f"), FiniteDelay())
+        once, twice = (diagnoser_to_json(synthesize_diagnoser(m, [spec]))
+                       for m in self.models())
+        assert twice == once
+        assert len(once["nodes"]) == 2
 
 
 class TestQueries:

@@ -10,7 +10,7 @@ from faultkit.boolexpr import parse_expr
 from faultkit.diagnosability import check_diagnosability
 from faultkit.errors import ModelFormatError, ObservationError
 from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
-                              memory_satisfies, trackers_for)
+                              delay_memory, trackers_for)
 from faultkit.model import Trace, load_model, parse_model
 from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_correctness,
                                 _check_maximality, _Product, diagnoser_from_json,
@@ -30,8 +30,8 @@ Belief = frozenset
 
 def belief_certain(belief: Belief, index: int, trackers) -> bool:
     """The tracked condition is known iff it holds in every decoded member."""
-    delay = trackers[index][0]
-    return all(memory_satisfies(delay, mems[index]) for _, mems in belief)
+    holds = delay_memory(trackers[index][0])[3]
+    return all(holds(mems[index]) for _, mems in belief)
 
 
 def spec(delay, diag="global", maximal=True):
@@ -76,7 +76,7 @@ class TestSynthesize:
             certain = belief_certain(belief, 0, trackers)
             assert ("A" in d.nodes[nid]) == certain
             for _, mems in belief:
-                if not memory_satisfies(s.delay, mems[0]):
+                if not delay_memory(s.delay)[3](mems[0]):
                     assert "A" not in d.nodes[nid]
 
     def test_belief_count_within_bound(self, sensor_delay, intermittent):
@@ -441,6 +441,8 @@ class TestTraceCompletenessOracle:
         else:
             m = load_model(corpus_path(source))
             betas = sorted(m.atoms)
+            # a slot width neither bound(1) nor bound(2) reaches
+            delays.append(BoundedDelay(3))
         for beta in betas:
             for delay in delays:
                 s = AlarmSpec("A", parse_expr(beta), delay, "trace", False)
