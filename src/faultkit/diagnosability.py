@@ -171,7 +171,7 @@ def _search(m: SystemModel, spec: AlarmSpec) -> tuple | None:
     if isinstance(delay, FiniteDelay):
         roots, succ, critical, scale = _twin_plant(m, beta, delay, delay)
         parent = lexleast_shortest_paths(roots, succ)
-        found = lasso(parent, set(filter(critical, parent)), succ)
+        found = lasso(parent, sorted(filter(critical, parent)), succ)
         if found is None:
             return None
         run, _ = found

@@ -1,12 +1,12 @@
 """Deterministic graph search helpers over implicit graphs.
 
 Nodes must be hashable and mutually comparable; roots and successors are
-explored in sorted order, so that every returned witness is reproducible.
+explored in a fixed order, so that every returned witness is reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 
 def lexleast_shortest_paths(roots: Iterable, successors: Callable,
@@ -64,23 +64,24 @@ def path_to(parent: dict, node) -> tuple:
     return tuple(reversed(path))
 
 
-def lasso(parent: dict, region: set, successors: Callable):
-    """A run that ends in a cycle inside `region`, a set of nodes of the
-    parent map `parent` (from `lexleast_shortest_paths`).
+def lasso(parent: dict, region: Sequence, successors: Callable):
+    """A run that ends in a cycle inside `region`, a sequence of nodes of
+    the parent map `parent` (from `lexleast_shortest_paths`).
 
     Returns (run, loop_start): the path in `parent` to the cycle's entry,
     then the cycle, so that run[loop_start] == run[-1]; or None when no
     cycle lies inside the region.  The cycle is the first that a
-    three-colour iterative DFS inside the region closes, trying roots and
-    successors in sorted order.
+    three-colour iterative DFS inside the region closes, trying roots in
+    the order `region` gives them and successors in sorted order.
     """
+    members = set(region)
     done: set = set()
-    for root in sorted(region):
+    for root in region:
         if root in done:
             continue
         path = [root]
         index = {root: 0}  # the nodes on the path: active
-        iters = [iter(sorted(region.intersection(successors(root))))]
+        iters = [iter(sorted(members.intersection(successors(root))))]
         while path:
             nxt = next(iters[-1], None)
             if nxt is None:
@@ -93,7 +94,7 @@ def lasso(parent: dict, region: set, successors: Callable):
             elif nxt not in done:
                 index[nxt] = len(path)
                 path.append(nxt)
-                iters.append(iter(sorted(region.intersection(successors(nxt)))))
+                iters.append(iter(sorted(members.intersection(successors(nxt)))))
     return None
 
 

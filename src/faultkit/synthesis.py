@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .errors import ModelFormatError, ObservationError
 from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
@@ -143,13 +143,12 @@ def run_diagnoser(d: Diagnoser, observations: list[dict[str, bool]]) -> list[fro
     if not observations:
         raise ValueError("observation sequence must be nonempty")
     out = []
-    obs0 = d.obs_tuple(observations[0])
-    node = d.entry.get(obs0)
-    if node is None:
-        raise ObservationError(0, "impossible observation at step 0")
-    out.append(d.nodes[node])
-    for k, obs in enumerate(observations[1:], start=1):
-        node = d.delta[node].get(d.obs_tuple(obs))
+    for k, obs in enumerate(observations):
+        try:
+            obs = d.obs_tuple(obs)
+        except (ModelFormatError, ObservationError) as err:
+            raise ObservationError(k, f"observation at step {k}: {err}") from None
+        node = (d.delta[node] if k else d.entry).get(obs)
         if node is None:
             raise ObservationError(k, f"impossible observation at step {k}")
         out.append(d.nodes[node])
@@ -177,7 +176,7 @@ def _observations(d: Diagnoser) -> set[tuple]:
 
 def diagnoser_from_json(doc) -> Diagnoser:
     expect(doc, dict, "diagnoser")
-    atoms = tuple(field(doc, "observables", NAMES, "diagnoser"))
+    atoms = tuple(sorted(set(field(doc, "observables", NAMES, "diagnoser"))))
     nodes_doc = field(doc, "nodes", dict, "diagnoser")
     nodes = {nid: frozenset(field(nodes_doc, nid, NAMES, "diagnoser nodes"))
              for nid in nodes_doc}
@@ -279,12 +278,13 @@ class _Product:
 
     The candidate's node and the belief depend only on the observation
     sequence, so the (candidate node, belief) pairs that runs reach are
-    built once, over observation classes, and numbered in (node name,
-    decoded belief) order.  A product state is ``state * P + pair``; each
-    search appends its own bookkeeping as ``* X + extra``.  The successors
-    of a product node differ in their model state, which is the most
-    significant part of their number, so every search below claims nodes in
-    the order of the state-id sequences of their paths.
+    built once, over observation classes, and numbered as reached.  A
+    product state is ``state * P + pair``; a search appends its bookkeeping
+    as ``* X + extra``.  The roots, and the successors of a node, differ in
+    their model state, the most significant part of their number, so every
+    search claims nodes in the order of their paths' state-id sequences,
+    whatever the pair numbers.  Only the finite-delay cycle search ranks
+    pairs, by `order`, to try its pending nodes in a fixed order.
     """
 
     def __init__(self, m: SystemModel, d: Diagnoser, spec: AlarmSpec):
@@ -313,7 +313,7 @@ class _Product:
                     0, f"candidate has no entry for the observation of initial "
                        f"state {sid!r}")
             start.append((m.number[sid], intern((node, entries[c]))))
-        moves = []
+        self.moves = moves = []
         # whether the candidate can consume every observation runs make; a
         # gap is reported when a search meets it
         self.total = True
@@ -328,22 +328,17 @@ class _Product:
                 else:
                     row[c] = intern((tgt, after))
             moves.append(row)
-        decode = beliefs.decode
-        rank = sorted(range(len(pairs)),
-                      key=lambda old: (pairs[old][0], sorted(map(decode, pairs[old][1]))))
-        number = [0] * len(pairs)
-        for p, old in enumerate(rank):
-            number[old] = p
         self.P = P = len(pairs)
-        self.names = [pairs[old][0] for old in rank]
-        self.moves = [{c: number[q] for c, q in moves[old].items()} for old in rank]
-        self.alarm = [spec.name in d.nodes[name] for name in self.names]
+        self.names = [node for node, _ in pairs]
+        self.alarm = [spec.name in d.nodes[node] for node in self.names]
         # the delay's past formula in every member of the belief, and in some
-        self.known = [beliefs.certain(pairs[old][1]) for old in rank]
-        self.possible = [any(map(beliefs.holds, pairs[old][1])) for old in rank]
+        self.known = [beliefs.certain(belief) for _, belief in pairs]
+        self.possible = [any(map(beliefs.holds, belief)) for _, belief in pairs]
         self.beta = m.condition(spec.beta)
         self.delay = spec.delay
-        self.roots = [s * P + number[q] for s, q in start]
+        self.roots = [s * P + q for s, q in start]
+        # a pair's (node name, decoded belief), for `_search_lasso`
+        self.order = cache(lambda q: (pairs[q][0], sorted(map(beliefs.decode, pairs[q][1]))))
         self._pair_label = [2 * alarm + 4 * known for alarm, known in zip(self.alarm, self.known)]
         self._edges: dict[int, tuple[list[int], list[int]]] = {}
 
@@ -457,7 +452,10 @@ def _search_lasso(product: _Product, extras) -> ConjunctResult:
     flag: a reachable cycle of them.  Returns that run as a lasso."""
     roots, succ = _searcher(product, extras)
     parent = lexleast_shortest_paths(roots, succ)
-    found = lasso(parent, set(filter(_flagged(extras), parent)), succ)
+    X, P = extras[0], product.P
+    region = sorted(filter(_flagged(extras), parent),
+                    key=lambda node: (node // X // P, product.order(node // X % P), node % X))
+    found = lasso(parent, region, succ)
     if found is None:
         return ConjunctResult(True)
     run, loop_start = found

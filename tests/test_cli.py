@@ -357,6 +357,18 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         assert json.loads(out)["a_bound3"]["all_hold"]
 
+    def test_diagnoser_with_reordered_observables_verifies(self, tmp_path, capsys):
+        model, dfile = str(corpus_path("fully_obs.json")), tmp_path / "diagnoser.json"
+        assert run_cli("synth-diagnoser", "--model", model, "--spec", SPECS,
+                       "--alarm", "a_exact1", out=dfile) == 0
+        doc = json.loads(dfile.read_text())
+        dfile.write_text(json.dumps(dict(doc, observables=doc["observables"][::-1])))
+        code, out = run_capture(capsys, "verify-diagnoser", "--model", model,
+                                "--spec", SPECS, "--alarm", "a_exact1",
+                                "--diagnoser", str(dfile))
+        assert code == 0
+        assert json.loads(out)["a_exact1"]["all_hold"]
+
     def test_tightened_tfpg_reloads_and_validates(self, tmp_path):
         tightened = tmp_path / "tightened.json"
         assert run_cli("tfpg-tighten", "--tfpg", TFPG, "--model", MODEL,

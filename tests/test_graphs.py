@@ -39,7 +39,7 @@ def test_lasso_closes_inside_region(adjacency, roots, region):
     parent = lexleast_shortest_paths(roots, adjacency.__getitem__)
     region = region.intersection(parent)
     induced = {v: [w for w in adjacency[v] if w in region] for v in region}
-    found = lasso(parent, region, adjacency.__getitem__)
+    found = lasso(parent, sorted(region), adjacency.__getitem__)
     assert (found is None) == (not brute_force_cycle_nodes(induced))
     if found is not None:
         run, loop_start = found
@@ -64,3 +64,12 @@ def test_goal_cuts_the_full_search_after_its_first_goal_node(adjacency, roots, s
     if goal.intersection(roots):
         # a goal root returns before any node is expanded
         assert set(parent) <= roots
+
+
+def test_lasso_tries_region_roots_in_the_order_given():
+    # two disjoint cycles, 1 -> 2 -> 1 and 3 -> 4 -> 3, both in the region;
+    # the DFS closes the cycle of the first root the region lists
+    adjacency = {0: [1, 3], 1: [2], 2: [1], 3: [4], 4: [3]}
+    parent = lexleast_shortest_paths([0], adjacency.__getitem__)
+    assert lasso(parent, [1, 2, 3, 4], adjacency.__getitem__) == ((0, 1, 2, 1), 1)
+    assert lasso(parent, [3, 4, 1, 2], adjacency.__getitem__) == ((0, 3, 4, 3), 1)

@@ -117,6 +117,14 @@ class TestRunDiagnoser:
         d = synthesize_diagnoser(sensor_delay, [spec(FiniteDelay())])
         with pytest.raises(ObservationError):
             run_diagnoser(d, [{"bogus": True}])
+        # a malformed observation after the first names its step
+        first = [{"warn": False}, {"warn": False}]
+        with pytest.raises(ObservationError, match="^observation at step 2: ") as err:
+            run_diagnoser(d, [*first, {"fault": True}])
+        assert err.value.step == 2
+        with pytest.raises(ObservationError, match="^observation at step 2: ") as err:
+            run_diagnoser(d, [*first, {"warn": 1}])
+        assert err.value.step == 2
 
     def test_output_is_function_of_observations(self, sensor_delay):
         d = synthesize_diagnoser(sensor_delay, [spec(BoundedDelay(3))])
@@ -502,6 +510,17 @@ class TestSerialization:
         # behavior preserved
         obs = [{"warn": False}, {"warn": False}, {"warn": False}, {"warn": True}]
         assert run_diagnoser(loaded, obs) == run_diagnoser(d, obs)
+
+    def test_observables_in_any_order(self, fully_obs, sensor_specs):
+        # observation keys name their atoms, so the list's order is free
+        s = sensor_specs["a_exact1"]
+        d = synthesize_diagnoser(fully_obs, [s])
+        doc = diagnoser_to_json(d)
+        assert doc["observables"] == ["fault", "late"]
+        loaded = diagnoser_from_json(dict(doc, observables=["late", "fault"]))
+        assert loaded.obs_atoms == d.obs_atoms
+        assert diagnoser_to_json(loaded) == doc
+        assert verify_diagnoser(fully_obs, loaded, s) == verify_diagnoser(fully_obs, d, s)
 
     def test_nondeterministic_candidate_rejected(self, tmp_path):
         path = tmp_path / "candidate.json"
