@@ -7,13 +7,14 @@ constants `true` / `false`.  Atom names are C-style identifiers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
 from .errors import ExpressionError
+from .records import Frozen
 
 
-class Expr:
+class Expr(Frozen):
     """Base class for expression nodes."""
+
+    __slots__ = ()
 
     def evaluate(self, valuation: dict[str, bool]) -> bool:
         raise NotImplementedError
@@ -22,9 +23,11 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self._set(value)
 
     def evaluate(self, valuation):
         return self.value
@@ -36,9 +39,11 @@ class Const(Expr):
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
 class Atom(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self._set(name)
 
     def evaluate(self, valuation):
         try:
@@ -53,9 +58,11 @@ class Atom(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
 class Not(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self._set(arg)
 
     def evaluate(self, valuation):
         return not self.arg.evaluate(valuation)
@@ -67,10 +74,11 @@ class Not(Expr):
         return f"!{_wrap(self.arg)}"
 
 
-@dataclass(frozen=True)
 class And(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self._set(left, right)
 
     def evaluate(self, valuation):
         return self.left.evaluate(valuation) and self.right.evaluate(valuation)
@@ -82,10 +90,11 @@ class And(Expr):
         return f"{_wrap(self.left, in_and=True)} & {_wrap(self.right, in_and=True)}"
 
 
-@dataclass(frozen=True)
 class Or(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self._set(left, right)
 
     def evaluate(self, valuation):
         return self.left.evaluate(valuation) or self.right.evaluate(valuation)

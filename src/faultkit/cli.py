@@ -13,6 +13,8 @@ report and turns the verdict into the exit code.
 
 Start-up, not analysis, is most of a request on desk-scale models, so each
 handler imports the analysis modules it uses and a request loads no other.
+The record classes are plain `__slots__` classes (`faultkit.records`):
+importing them generates no code and loads no `inspect`.
 `Trace`, `load_model` and `validate_model` stay module-level names, called
 through this module's namespace, so that a wrapper installed on
 `faultkit.cli` sees every call.
@@ -58,14 +60,20 @@ def _require(args, *names):
             raise CliInputError(f"--{name} is required for this subcommand")
 
 
-def _specs(args):
+def _specs(args, m):
+    """The alarms of --spec, or the one --alarm names, each condition over
+    atoms of the model m."""
     from . import fdispec
     specs = fdispec.load_specs(args.spec)
     if args.alarm:
-        matching = [s for s in specs if s.name == args.alarm]
-        if not matching:
+        specs = [s for s in specs if s.name == args.alarm]
+        if not specs:
             raise CliInputError(f"no alarm named {args.alarm!r} in {args.spec}")
-        return matching
+    for spec in specs:
+        unknown = spec.beta.atoms() - m.atoms
+        if unknown:
+            raise CliInputError(f"{args.spec}: alarm {spec.name!r} condition references "
+                                f"unknown atoms: {sorted(unknown)}")
     return specs
 
 
@@ -162,7 +170,7 @@ def cmd_diag_check(args):
     from . import diagnosability, fdispec
     _require(args, "model", "spec")
     m = load_model(args.model)
-    specs = [s for s in _specs(args) if s.diag == fdispec.GLOBAL]
+    specs = [s for s in _specs(args, m) if s.diag == fdispec.GLOBAL]
     if not specs:
         raise CliInputError("no global-row alarm specifications selected "
                             "(trace-local ones are checked with trace-diag)")
@@ -175,14 +183,15 @@ def cmd_trace_diag(args):
     _require(args, "model", "spec", "trace", "time")
     m = load_model(args.model)
     tr = read_json(args.trace, Trace.from_json)
-    return _verdicts(_specs(args), lambda spec: diagnosability.check_trace_diagnosability(
+    return _verdicts(_specs(args, m), lambda spec: diagnosability.check_trace_diagnosability(
         m, spec, tr, args.time), "trace-diagnosable")
 
 
 def cmd_synth_diagnoser(args):
     from . import synthesis
     _require(args, "model", "spec")
-    d = synthesis.synthesize_diagnoser(load_model(args.model), _specs(args))
+    m = load_model(args.model)
+    d = synthesis.synthesize_diagnoser(m, _specs(args, m))
     return True, synthesis.diagnoser_to_json(d), lambda fmt: synthesis.export_diagnoser_dot(d)
 
 
@@ -203,7 +212,7 @@ def cmd_verify_diagnoser(args):
     d = synthesis.load_diagnoser(args.diagnoser)
     results = {}
     ok = True
-    for spec in _specs(args):
+    for spec in _specs(args, m):
         verdict = synthesis.verify_diagnoser(m, d, spec)
         results[spec.name] = verdict.to_json()
         results[spec.name]["pattern"] = " & ".join(fdispec.instantiate_pattern(spec).values())

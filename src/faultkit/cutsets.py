@@ -15,21 +15,20 @@ family.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .boolexpr import Atom, Expr, as_expr
 from .errors import ExpressionError, FaultkitError, SizeGuardExceeded
 from .jsonio import NAMES, expect
 from .model import SystemModel
+from .records import Frozen
 
 # Most worlds the enumeration weighs, and most (cut set, union) updates
 # inclusion-exclusion makes.
 WORK_LIMIT = 1 << 24
 
 
-@dataclass(frozen=True)
-class CutSetReport:
+class CutSetReport(Frozen):
     """The minimal-cut-set family cut off at one cardinality layer.
 
     `mcs` holds every confirmed minimal cut set of cardinality <= the
@@ -37,9 +36,11 @@ class CutSetReport:
     `exhausted` is true the snapshot is the full minimal-cut-set family.
     """
 
-    completed_cardinality: int
-    mcs: tuple[frozenset[str], ...]
-    exhausted: bool
+    __slots__ = ("completed_cardinality", "mcs", "exhausted")
+
+    def __init__(self, completed_cardinality: int, mcs: tuple[frozenset[str], ...],
+                 exhausted: bool):
+        self._set(completed_cardinality, mcs, exhausted)
 
     @property
     def guarantee(self) -> str:
@@ -53,12 +54,13 @@ class CutSetReport:
         return any(len(s) == 0 for s in self.mcs)
 
 
-@dataclass(frozen=True)
-class FaultTree:
+class FaultTree(Frozen):
     """Two-level OR-of-ANDs tree; one AND gate per minimal cut set."""
 
-    top: str
-    gates: tuple[tuple[str, ...], ...]
+    __slots__ = ("top", "gates")
+
+    def __init__(self, top: str, gates: tuple[tuple[str, ...], ...]):
+        self._set(top, gates)
 
     def to_json(self):
         return {"top": self.top, "gates": [list(g) for g in self.gates]}

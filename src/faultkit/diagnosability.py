@@ -53,8 +53,6 @@ are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TraceError
 from .fdispec import (AlarmSpec, BoundedDelay, Delay, ExactDelay, FiniteDelay, GLOBAL,
                       chain_counterexample, delay_memory, knowledge_chain)
@@ -63,25 +61,27 @@ from .fdispec import (AlarmSpec, BoundedDelay, Delay, ExactDelay, FiniteDelay, G
 from .fdispec import eval_knowledge, knowledge_counterexample  # noqa: F401
 from .graphs import lasso, lexleast_shortest_paths, path_to
 from .model import SystemModel, Trace
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(Frozen):
     """Two observation-equivalent runs; trace1 carries the condition."""
 
-    trace1: Trace
-    trace2: Trace
-    t: int
+    __slots__ = ("trace1", "trace2", "t")
+
+    def __init__(self, trace1: Trace, trace2: Trace, t: int):
+        self._set(trace1, trace2, t)
 
     def to_json(self):
         return {"trace1": list(self.trace1.steps), "trace2": list(self.trace2.steps),
                 "t": self.t}
 
 
-@dataclass(frozen=True)
-class DiagnosabilityVerdict:
-    diagnosable: bool
-    pair: CriticalPair | None = None
+class DiagnosabilityVerdict(Frozen):
+    __slots__ = ("diagnosable", "pair")
+
+    def __init__(self, diagnosable: bool, pair: CriticalPair | None = None):
+        self._set(diagnosable, pair)
 
     def to_json(self):
         doc = {"diagnosable": self.diagnosable}
@@ -90,10 +90,11 @@ class DiagnosabilityVerdict:
         return doc
 
 
-@dataclass(frozen=True)
-class TraceDiagnosabilityVerdict:
-    diagnosable: bool
-    confuser: Trace | None = None
+class TraceDiagnosabilityVerdict(Frozen):
+    __slots__ = ("diagnosable", "confuser")
+
+    def __init__(self, diagnosable: bool, confuser: Trace | None = None):
+        self._set(diagnosable, confuser)
 
     def to_json(self):
         doc = {"trace_diagnosable": self.diagnosable}

@@ -21,13 +21,13 @@ Knowledge is computed by propagating belief states, i.e. sets of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError
 from .jsonio import decode_json, expect, field, read_json
 from .model import SystemModel, Trace
+from .records import Frozen
 
 GLOBAL = "global"
 TRACE = "trace"
@@ -35,24 +35,29 @@ TRACE = "trace"
 
 # -- delays ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactDelay:
-    n: int
+class ExactDelay(Frozen):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._set(n)
 
     def __str__(self):
         return f"exact({self.n})"
 
 
-@dataclass(frozen=True)
-class BoundedDelay:
-    n: int
+class BoundedDelay(Frozen):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._set(n)
 
     def __str__(self):
         return f"bound({self.n})"
 
 
-@dataclass(frozen=True)
-class FiniteDelay:
+class FiniteDelay(Frozen):
+    __slots__ = ()
+
     def __str__(self):
         return "finite"
 
@@ -60,19 +65,16 @@ class FiniteDelay:
 Delay = ExactDelay | BoundedDelay | FiniteDelay
 
 
-@dataclass(frozen=True)
-class AlarmSpec:
-    name: str
-    beta: Expr
-    delay: Delay
-    diag: str = GLOBAL
-    maximal: bool = False
+class AlarmSpec(Frozen):
+    __slots__ = ("name", "beta", "delay", "diag", "maximal")
 
-    def __post_init__(self):
-        if isinstance(self.delay, (ExactDelay, BoundedDelay)) and self.delay.n < 1:
-            raise ValueError(f"alarm {self.name!r}: delay bound must be >= 1")
-        if self.diag not in (GLOBAL, TRACE):
-            raise ValueError(f"alarm {self.name!r}: diag must be 'global' or 'trace'")
+    def __init__(self, name: str, beta: Expr, delay: Delay, diag: str = GLOBAL,
+                 maximal: bool = False):
+        if isinstance(delay, (ExactDelay, BoundedDelay)) and delay.n < 1:
+            raise ValueError(f"alarm {name!r}: delay bound must be >= 1")
+        if diag not in (GLOBAL, TRACE):
+            raise ValueError(f"alarm {name!r}: diag must be 'global' or 'trace'")
+        self._set(name, beta, delay, diag, maximal)
 
 
 def parse_specs(text: str) -> list[AlarmSpec]:

@@ -26,20 +26,22 @@ states are numbered in sorted-id order, so comparing numbers compares ids:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, TraceError
 from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_json
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Frozen):
     """A finite run: state ids, consecutive under the transition relation,
     starting in an initial state.  Length = number of states."""
 
-    steps: tuple[str, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[str, ...]):
+        self._set(steps)
 
     def __len__(self):
         return len(self.steps)
@@ -53,13 +55,13 @@ class Trace:
         return Trace(tuple(field(doc, "steps", NAMES, "trace")))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One violated model invariant; violations are data, not exceptions."""
 
-    kind: str
-    subject: str
-    detail: str
+    __slots__ = ("kind", "subject", "detail")
+
+    def __init__(self, kind: str, subject: str, detail: str):
+        self._set(kind, subject, detail)
 
     def __str__(self):
         return f"{self.kind}: {self.subject}: {self.detail}"

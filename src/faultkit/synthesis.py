@@ -40,7 +40,6 @@ hash seed either.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, partial
 
 from .errors import ModelFormatError, ObservationError
@@ -49,18 +48,19 @@ from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
 from .graphs import lasso, lexleast_shortest_paths, path_to
 from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_json
 from .model import SystemModel, Trace
+from .records import Frozen, Record
 
 
-@dataclass(frozen=True)
-class DiagnoserStats:
-    nodes: int
-    # states times the trackers' memories that runs reach: the possible
-    # belief members
-    member_space: int
+class DiagnoserStats(Frozen):
+    __slots__ = ("nodes", "member_space")
+
+    def __init__(self, nodes: int, member_space: int):
+        # member_space: states times the trackers' memories that runs
+        # reach, the possible belief members
+        self._set(nodes, member_space)
 
 
-@dataclass
-class Diagnoser:
+class Diagnoser(Record):
     """Deterministic observation automaton with per-node alarm annotations.
 
     Observations are represented internally as bool tuples over
@@ -68,12 +68,13 @@ class Diagnoser:
     diagnosers only; loaded candidates carry no belief contents.
     """
 
-    obs_atoms: tuple[str, ...]
-    nodes: dict[str, frozenset[str]]
-    entry: dict[tuple, str]
-    delta: dict[str, dict[tuple, str]]
-    beliefs: dict[str, frozenset] | None = None
-    stats: DiagnoserStats | None = None
+    __slots__ = ("obs_atoms", "nodes", "entry", "delta", "beliefs", "stats")
+
+    def __init__(self, obs_atoms: tuple[str, ...], nodes: dict[str, frozenset[str]],
+                 entry: dict[tuple, str], delta: dict[str, dict[tuple, str]],
+                 beliefs: dict[str, frozenset] | None = None,
+                 stats: DiagnoserStats | None = None):
+        self._set(obs_atoms, nodes, entry, delta, beliefs, stats)
 
     def obs_tuple(self, obs: dict[str, bool]) -> tuple:
         if set(expect(obs, FLAGS, "observation")) != set(self.obs_atoms):
@@ -233,11 +234,12 @@ def _edge_label(d: Diagnoser, obs: tuple) -> str:
 
 # -- verification ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjunctResult:
-    holds: bool
-    counterexample: Trace | None = None
-    loop_start: int | None = None
+class ConjunctResult(Frozen):
+    __slots__ = ("holds", "counterexample", "loop_start")
+
+    def __init__(self, holds: bool, counterexample: Trace | None = None,
+                 loop_start: int | None = None):
+        self._set(holds, counterexample, loop_start)
 
     def to_json(self):
         doc = {"holds": self.holds}
@@ -248,12 +250,12 @@ class ConjunctResult:
         return doc
 
 
-@dataclass(frozen=True)
-class Verdict:
-    alarm: str
-    correctness: ConjunctResult
-    completeness: ConjunctResult
-    maximality: ConjunctResult | None
+class Verdict(Frozen):
+    __slots__ = ("alarm", "correctness", "completeness", "maximality")
+
+    def __init__(self, alarm: str, correctness: ConjunctResult,
+                 completeness: ConjunctResult, maximality: ConjunctResult | None):
+        self._set(alarm, correctness, completeness, maximality)
 
     @property
     def all_hold(self) -> bool:

@@ -22,7 +22,6 @@ re-entering restarts the clock at the re-entry step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import compress
 from operator import itemgetter
 
@@ -31,6 +30,7 @@ from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
 from .graphs import lexleast_shortest_paths, nodes_on_cycles
 from .jsonio import NAME_MAP, NAMES, decode_json, expect, field, read_json
 from .model import SystemModel, Trace, Violation
+from .records import Frozen, Record
 
 FM = "FM"
 OR = "OR"
@@ -44,13 +44,12 @@ class TfpgError(FaultkitError):
     pass
 
 
-@dataclass(frozen=True)
-class TfpgEdge:
-    src: str
-    dst: str
-    tmin: int
-    tmax: float  # int, or math.inf
-    modes: tuple[str, ...]
+class TfpgEdge(Frozen):
+    __slots__ = ("src", "dst", "tmin", "tmax", "modes")
+
+    def __init__(self, src: str, dst: str, tmin: int, tmax: float, modes: tuple[str, ...]):
+        # tmax: an int, or math.inf
+        self._set(src, dst, tmin, tmax, modes)
 
     def describe(self) -> str:
         return (f"{self.src} -> {self.dst} [{self.tmin},{_upper(self.tmax)}] "
@@ -87,22 +86,23 @@ class Tfpg:
         return sorted(n for n, k in self.nodes.items() if k in (OR, AND))
 
 
-@dataclass
-class ActivationTrace:
+class ActivationTrace(Record):
     """Mode timeline over steps 0..horizon plus one activation time (or
     None = never) per node."""
 
-    horizon: int
-    mode_timeline: tuple[str, ...]
-    times: dict[str, int | None]
+    __slots__ = ("horizon", "mode_timeline", "times")
+
+    def __init__(self, horizon: int, mode_timeline: tuple[str, ...],
+                 times: dict[str, int | None]):
+        self._set(horizon, mode_timeline, times)
 
 
-@dataclass(frozen=True)
-class TraceViolation:
-    kind: str  # or/and-justification, or/and-inevitability
-    node: str
-    detail: str
-    edge_indices: tuple[int, ...] = ()
+class TraceViolation(Frozen):
+    __slots__ = ("kind", "node", "detail", "edge_indices")
+
+    def __init__(self, kind: str, node: str, detail: str, edge_indices: tuple[int, ...] = ()):
+        # kind: or/and-justification, or/and-inevitability
+        self._set(kind, node, detail, edge_indices)
 
     def __str__(self):
         return f"{self.kind}: {self.node}: {self.detail}"
@@ -155,16 +155,17 @@ def tfpg_to_json(g: Tfpg) -> dict:
 
 
 def activation_trace_from_json(doc, g: Tfpg) -> ActivationTrace:
+    """The activation trace in `doc`, checked against g's modes and nodes."""
     where = "activation trace"
     expect(doc, dict, where)
     horizon = field(doc, "horizon", int, where)
     timeline = tuple(field(doc, "mode_timeline", NAMES, where))
     times = {n: None for n in g.nodes}
     for node, t in field(doc, "activations", dict, where, {}).items():
-        if node not in g.nodes:
-            raise ModelFormatError(f"activation for unknown node {node!r}")
         times[node] = expect(t, (int, type(None)), f"activation of {node!r}")
-    return ActivationTrace(horizon, timeline, times)
+    at = ActivationTrace(horizon, timeline, times)
+    _check_trace_shape(g, at, ModelFormatError)
+    return at
 
 
 def export_tfpg_dot(g: Tfpg) -> str:
@@ -241,20 +242,22 @@ def _impossible_nodes(g: Tfpg) -> list[str]:
 
 # -- trace semantics ------------------------------------------------------------
 
-def _check_trace_shape(g: Tfpg, at: ActivationTrace) -> None:
+def _check_trace_shape(g: Tfpg, at: ActivationTrace, error=TfpgError) -> None:
+    """Raise `error` unless `at` fits g: a ModelFormatError for a trace
+    read from a file, so that `read_json` names the file."""
     if at.horizon < 0:
-        raise TfpgError("horizon must be nonnegative")
+        raise error("horizon must be nonnegative")
     if len(at.mode_timeline) != at.horizon + 1:
-        raise TfpgError(
+        raise error(
             f"mode timeline must have {at.horizon + 1} entries, has {len(at.mode_timeline)}")
     for mode in at.mode_timeline:
         if mode not in g.modes:
-            raise TfpgError(f"undeclared mode {mode!r} in timeline")
+            raise error(f"undeclared mode {mode!r} in timeline")
     for node, t in at.times.items():
         if node not in g.nodes:
-            raise TfpgError(f"activation for unknown node {node!r}")
+            raise error(f"activation for unknown node {node!r}")
         if t is not None and not (0 <= t <= at.horizon):
-            raise TfpgError(f"activation of {node!r} at {t} outside [0,{at.horizon}]")
+            raise error(f"activation of {node!r} at {t} outside [0,{at.horizon}]")
 
 
 def _anchor(edge: TfpgEdge, act_u: int | None, t: int, timeline) -> int | None:
@@ -390,14 +393,15 @@ def _decider(g: Tfpg, edges, timelines: list):
 
 # -- behavioral validation against a system model -------------------------------
 
-@dataclass
-class NodeMap:
+class NodeMap(Record):
     """Binding of TFPG nodes to state predicates and TFPG modes to mode
     atoms.  AND nodes may be left unmapped: they then activate structurally
     when their last source activates (synthesized helper nodes)."""
 
-    exprs: dict[str, Expr]
-    mode_map: dict[str, str]
+    __slots__ = ("exprs", "mode_map")
+
+    def __init__(self, exprs: dict[str, Expr], mode_map: dict[str, str]):
+        self._set(exprs, mode_map)
 
     @staticmethod
     def from_json(doc) -> "NodeMap":
@@ -411,11 +415,12 @@ def load_node_map(path) -> NodeMap:
     return read_json(path, NodeMap.from_json)
 
 
-@dataclass
-class BehavioralResult:
-    complete: bool
-    witness: Trace | None = None
-    violations: tuple[TraceViolation, ...] = ()
+class BehavioralResult(Record):
+    __slots__ = ("complete", "witness", "violations")
+
+    def __init__(self, complete: bool, witness: Trace | None = None,
+                 violations: tuple[TraceViolation, ...] = ()):
+        self._set(complete, witness, violations)
 
     def to_json(self):
         doc = {"complete": self.complete}
@@ -544,13 +549,12 @@ def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
 
 # -- edge tightening -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeChange:
-    description: str
-    old: tuple[int, float]
-    new: tuple[int, float]
-    exercised: bool
-    promoted: bool
+class EdgeChange(Frozen):
+    __slots__ = ("description", "old", "new", "exercised", "promoted")
+
+    def __init__(self, description: str, old: tuple[int, float], new: tuple[int, float],
+                 exercised: bool, promoted: bool):
+        self._set(description, old, new, exercised, promoted)
 
     def to_json(self):
         def fmt(pair):
@@ -560,10 +564,11 @@ class EdgeChange:
                 "exercised": self.exercised, "promoted": self.promoted}
 
 
-@dataclass
-class TightenResult:
-    tfpg: Tfpg
-    changes: tuple[EdgeChange, ...]
+class TightenResult(Record):
+    __slots__ = ("tfpg", "changes")
+
+    def __init__(self, tfpg: Tfpg, changes: tuple[EdgeChange, ...]):
+        self._set(tfpg, changes)
 
 
 def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
@@ -608,7 +613,8 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
                     "input TFPG is not complete at this horizon; tightening "
                     "cannot proceed: " + "; ".join(str(v) for v in found))
             for i in relaxed:
-                edges[i] = replace(edges[i], tmax=INF)
+                e = edges[i]
+                edges[i] = TfpgEdge(e.src, e.dst, e.tmin, INF, e.modes)
             decide = _decider(g, edges, timelines)
             found = decide(row)
     # observed delays are finite, so an exercised edge ends unbounded only

@@ -21,33 +21,33 @@ synthesis horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .boolexpr import Expr, as_expr
 from .cutsets import minimal_cause_sets
 from .graphs import nodes_on_cycles
 from .jsonio import NAME_MAP, NAMES, expect, field, read_json
 from .model import SystemModel
+from .records import Frozen, Record
 from .tfpg import (AND, FM, INF, OR, NodeMap, Tfpg, TfpgEdge, TfpgError,
                    tighten_edges)
 
 
-@dataclass(frozen=True)
-class DiscrepancyDecl:
-    name: str
-    expr: Expr
-    kind: str  # OR or AND intent
+class DiscrepancyDecl(Frozen):
+    __slots__ = ("name", "expr", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (OR, AND):
-            raise ValueError(f"discrepancy {self.name!r}: kind must be OR or AND")
+    def __init__(self, name: str, expr: Expr, kind: str):
+        # kind: the OR or AND intent
+        if kind not in (OR, AND):
+            raise ValueError(f"discrepancy {name!r}: kind must be OR or AND")
+        self._set(name, expr, kind)
 
 
-@dataclass
-class SynthesisConfig:
-    fm_atoms: list[str]
-    discrepancies: list[DiscrepancyDecl]
-    mode_map: dict[str, str]  # TFPG mode -> mode atom
+class SynthesisConfig(Record):
+    __slots__ = ("fm_atoms", "discrepancies", "mode_map")
+
+    def __init__(self, fm_atoms: list[str], discrepancies: list[DiscrepancyDecl],
+                 mode_map: dict[str, str]):
+        # mode_map: TFPG mode -> mode atom
+        self._set(fm_atoms, discrepancies, mode_map)
 
     @staticmethod
     def from_json(doc) -> "SynthesisConfig":
@@ -74,10 +74,11 @@ def load_synthesis_config(path) -> SynthesisConfig:
     return read_json(path, SynthesisConfig.from_json)
 
 
-@dataclass
-class SynthesisResult:
-    tfpg: Tfpg
-    findings: tuple[str, ...]
+class SynthesisResult(Record):
+    __slots__ = ("tfpg", "findings")
+
+    def __init__(self, tfpg: Tfpg, findings: tuple[str, ...]):
+        self._set(tfpg, findings)
 
 
 def synthesize_tfpg(m: SystemModel, config: SynthesisConfig,

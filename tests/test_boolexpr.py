@@ -22,6 +22,18 @@ class TestParsing:
     def test_parentheses(self):
         assert parse_expr("(a | b) & c") == And(Or(Atom("a"), Atom("b")), Atom("c"))
 
+    def test_node_class_is_part_of_equality(self):
+        # expression nodes key SystemModel.condition's cache
+        conj, disj = parse_expr("a & b"), parse_expr("a | b")
+        assert conj != disj
+        assert len({conj: 1, disj: 2}) == 2
+
+    def test_equal_trees_hash_equal(self):
+        e, f = parse_expr("(a | !b) & c"), parse_expr("(a|!b)&c")
+        assert e == f and e is not f
+        assert hash(e) == hash(f)
+        assert {e: 1}[f] == 1
+
     def test_empty_rejected(self):
         with pytest.raises(ExpressionError):
             parse_expr("   ")

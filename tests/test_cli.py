@@ -277,6 +277,46 @@ class TestExitCodes:
         assert run_cli("diag-check", "--model", SENSOR, "--spec", str(path)) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("change,message", [
+        ({"horizon": -1}, "horizon must be nonnegative"),
+        ({"mode_timeline": ["primary"] * 3}, "mode timeline must have 7 entries, has 3"),
+        ({"mode_timeline": ["primary"] * 6 + ["zzz"]}, "undeclared mode 'zzz' in timeline"),
+        ({"activations": {"fm_gen": 0, "d_halt": 99}},
+         "activation of 'd_halt' at 99 outside [0,6]"),
+        ({"activations": {"ghost": 1}}, "activation for unknown node 'ghost'"),
+    ], ids=["negative-horizon", "short-timeline", "undeclared-mode", "late-activation",
+            "unknown-node"])
+    def test_activation_trace_shape_error_names_the_file(self, tmp_path, capsys, change,
+                                                         message):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({**corpus_json("power_trace_ok.json"), **change}))
+        assert run_cli("tfpg-check-trace", "--tfpg", POWER, "--trace", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["diag-check"],
+        ["trace-diag", "--trace", "{trace}", "--time", "0"],
+        ["synth-diagnoser"],
+        ["verify-diagnoser", "--diagnoser", "{diagnoser}"],
+    ], ids=["diag-check", "trace-diag", "synth-diagnoser", "verify-diagnoser"])
+    def test_unknown_atom_in_alarm_condition_is_named(self, tmp_path, capsys, argv):
+        files = {"trace": {"steps": ["n"]},
+                 "diagnoser": {"observables": ["warn"], "nodes": {"q": []},
+                               "entry": {'{"warn":false}': "q"}, "delta": {}},
+                 "spec": [{"alarm": "ok", "beta": "fault", "delay": {"kind": "finite"}},
+                          {"alarm": "x", "beta": "fault & !nope | zz",
+                           "delay": {"kind": "finite"}}]}
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        spec = tmp_path / "spec.json"
+        argv = [str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a for a in argv]
+        assert run_cli(*argv, "--model", SENSOR, "--spec", str(spec)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {spec}: alarm 'x' condition references unknown atoms: ['nope', 'zz']\n")
+        # an alarm --alarm leaves out is not checked
+        run_cli(*argv, "--model", SENSOR, "--spec", str(spec), "--alarm", "ok")
+        assert "unknown atoms" not in capsys.readouterr().err
+
 
 class TestDeterminismAndRoundTrip:
     def _bytes_of(self, tmp_path, name, *argv):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,20 @@ class TestSpecParsing:
     def test_mistyped_entry_rejected(self, text):
         with pytest.raises(ModelFormatError):
             parse_specs(text)
+
+    def test_delays_compare_by_kind_and_bound(self):
+        assert FiniteDelay() == FiniteDelay()
+        assert hash(FiniteDelay()) == hash(FiniteDelay())
+        assert ExactDelay(2) == ExactDelay(2)
+        assert ExactDelay(2) != BoundedDelay(2)
+        assert ExactDelay(2) != ExactDelay(3)
+
+    def test_spec_is_frozen(self, sensor_specs):
+        spec = sensor_specs["a_bound3"]
+        with pytest.raises(AttributeError):
+            spec.maximal = False
+        assert spec.maximal
+        assert copy.deepcopy(spec) == pickle.loads(pickle.dumps(spec)) == spec
 
     def test_delay_bound_must_be_positive(self):
         with pytest.raises(ValueError):

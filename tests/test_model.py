@@ -51,6 +51,13 @@ class TestParsing:
         with pytest.raises(ModelFormatError, match="^nested too deeply$"):
             parse_model("[" * 200_000)
 
+    def test_trace_is_frozen(self):
+        tr = Trace(("a", "b"))
+        with pytest.raises(AttributeError):
+            tr.steps = ("a",)
+        assert tr.steps == ("a", "b")
+        assert hash(tr) == hash(Trace(("a", "b")))
+
     def test_trace_file_steps_must_be_names(self):
         assert Trace.from_json({"steps": ["a", "b"]}) == Trace(("a", "b"))
         with pytest.raises(ModelFormatError, match="steps"):

@@ -589,6 +589,13 @@ class TestSerialization:
         doc = tfpg_to_json(tfpg_power)
         assert tfpg_to_json(parse_tfpg(json.dumps(doc))) == doc
 
+    def test_edge_is_frozen(self, tfpg_power):
+        edge = tfpg_power.edges[0]
+        with pytest.raises(AttributeError):
+            edge.tmax = INF
+        assert edge == parse_tfpg(json.dumps(tfpg_to_json(tfpg_power))).edges[0]
+        assert edge != TfpgEdge(edge.src, edge.dst, edge.tmin, INF, edge.modes)
+
     @pytest.mark.parametrize("edge", [
         {"tmin": 0, "tmax": 1, "modes": "on"},
         {"tmin": "0", "tmax": 1, "modes": ["on"]},
