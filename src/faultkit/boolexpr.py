@@ -2,6 +2,8 @@
 
 Grammar (precedence low to high): `|`, `&`, `!`, with parentheses and the
 constants `true` / `false`.  Atom names are C-style identifiers.
+An expression is evaluated over many valuations at once, int masks in
+which atom a is true when its bit `bits[a]` is set, one list per node.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ class Expr(Frozen):
 
     __slots__ = ()
 
-    def evaluate(self, valuation: dict[str, bool]) -> bool:
+    def over(self, masks: list[int], bits: dict[str, int]) -> list[bool]:
+        """Whether the expression holds in each of the valuations `masks`."""
         raise NotImplementedError
 
     def atoms(self) -> frozenset[str]:
@@ -29,8 +32,8 @@ class Const(Expr):
     def __init__(self, value: bool):
         self._set(value)
 
-    def evaluate(self, valuation):
-        return self.value
+    def over(self, masks, bits):
+        return [self.value] * len(masks)
 
     def atoms(self):
         return frozenset()
@@ -45,11 +48,11 @@ class Atom(Expr):
     def __init__(self, name: str):
         self._set(name)
 
-    def evaluate(self, valuation):
-        try:
-            return valuation[self.name]
-        except KeyError:
-            raise ExpressionError(f"atom {self.name!r} not in valuation") from None
+    def over(self, masks, bits):
+        bit = bits.get(self.name)
+        if bit is None:
+            raise ExpressionError(f"atom {self.name!r} not in valuation")
+        return [x & bit != 0 for x in masks]
 
     def atoms(self):
         return frozenset({self.name})
@@ -64,8 +67,8 @@ class Not(Expr):
     def __init__(self, arg: Expr):
         self._set(arg)
 
-    def evaluate(self, valuation):
-        return not self.arg.evaluate(valuation)
+    def over(self, masks, bits):
+        return [not v for v in self.arg.over(masks, bits)]
 
     def atoms(self):
         return self.arg.atoms()
@@ -80,8 +83,8 @@ class And(Expr):
     def __init__(self, left: Expr, right: Expr):
         self._set(left, right)
 
-    def evaluate(self, valuation):
-        return self.left.evaluate(valuation) and self.right.evaluate(valuation)
+    def over(self, masks, bits):
+        return [a and b for a, b in zip(self.left.over(masks, bits), self.right.over(masks, bits))]
 
     def atoms(self):
         return self.left.atoms() | self.right.atoms()
@@ -96,8 +99,8 @@ class Or(Expr):
     def __init__(self, left: Expr, right: Expr):
         self._set(left, right)
 
-    def evaluate(self, valuation):
-        return self.left.evaluate(valuation) or self.right.evaluate(valuation)
+    def over(self, masks, bits):
+        return [a or b for a, b in zip(self.left.over(masks, bits), self.right.over(masks, bits))]
 
     def atoms(self):
         return self.left.atoms() | self.right.atoms()

@@ -15,7 +15,7 @@ family.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .boolexpr import Atom, Expr, as_expr
 from .errors import ExpressionError, FaultkitError, SizeGuardExceeded
@@ -111,11 +111,13 @@ def minimal_cause_sets(m: SystemModel, target: Expr,
     """
     names = sorted(causes)
     forbidden = m.mask_of(m.fault_atoms - set(names))
-    flags = [m.condition(causes[name]) for name in names]
     hits = m.condition(target)
     # held[state]: the mask of causes true there, None when never entered
-    held = [None if m.masks[i] & forbidden else
-            sum(f[i] << k for k, f in enumerate(flags)) for i in range(m.size)]
+    held = [0] * m.size
+    for k, name in enumerate(names):
+        bit = 1 << k
+        held = [h | bit if x else h for h, x in zip(held, m.condition(causes[name]))]
+    held = [None if x & forbidden else h for x, h in zip(m.masks, held)]
     seen = {(i, held[i]) for i in map(m.number.__getitem__, m.initial)
             if held[i] is not None}
     work = list(seen)

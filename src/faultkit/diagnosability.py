@@ -131,8 +131,9 @@ def _quotient(m: SystemModel, beta) -> SystemModel | None:
     for i, b in enumerate(block):
         first.setdefault(b, i)
     ids = [m.ids[i] for i in first.values()]
-    return SystemModel(m.atoms, m.fault_atoms, m.observable_atoms, m.mode_atoms,
+    return SystemModel(m.bits, m.fault_atoms, m.observable_atoms, m.mode_atoms,
                        {sid: m.states[sid] for sid in ids},
+                       [m.masks[i] for i in first.values()],
                        {ids[block[m.number[sid]]] for sid in m.initial},
                        {sid: b for b, sid in enumerate(ids)},
                        [sorted({block[j] for j in m.succ[i]}) for i in first.values()])

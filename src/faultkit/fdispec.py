@@ -21,7 +21,7 @@ Knowledge is computed by propagating belief states, i.e. sets of
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError

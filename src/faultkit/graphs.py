@@ -6,7 +6,7 @@ explored in a fixed order, so that every returned witness is reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 
 def lexleast_shortest_paths(roots: Iterable, successors: Callable,

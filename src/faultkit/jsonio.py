@@ -32,8 +32,9 @@ def decode_json(text: str, source: str = "", duplicate: str = "duplicate key"):
     def unique_keys(pairs):
         doc = dict(pairs)
         if len(doc) < len(pairs):
-            keys = [key for key, _ in pairs]
-            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            # the key whose second occurrence comes first
+            seen: set[str] = set()
+            repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
             raise ModelFormatError(f"{at}{duplicate} {repeated!r}")
         return doc
 

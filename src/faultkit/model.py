@@ -1,32 +1,34 @@
 """Explicit finite transition systems with fault, observable, and mode labels.
 
-States are explicit and carry full atom valuations.  Observation is
+States are explicit and carry atom valuations.  Observation is
 synchronous: an observer sees the observable-atom valuation of every state,
 every step.  Fault atoms are allowed to be observable (a trivially
 diagnosable configuration).  Faults are meant to be permanent, true on every
 successor once true, but a model need not make them so: :func:`validate_model`
 reports a fault that clears, and the cut sets do not assume permanence.
 
-A model keeps its input as plain records: `states` (each state's full
-valuation) and `initial`.  Every analysis reads one integer form, in which
-states are numbered in sorted-id order, so comparing numbers compares ids:
+A model keeps its input's records as the file wrote them, `states` and
+`initial`.  Every analysis reads one integer form, in which states are
+numbered in sorted-id order, so comparing numbers compares ids:
 
 * `ids[i]` is the id of state i, and `number[sid]` the number of id sid;
-* `masks[i]` holds the bit `bits[a]` of each atom a true in state i, the
-  first atom in sorted order the most significant, so masks cut down to
-  some atoms compare as the bool tuples of those atoms do;
+* `masks[i]`, state i's valuation, holds the bit `bits[a]` of each atom a
+  true in state i (an atom its record leaves out is false), the first atom
+  in sorted order the most significant, so masks cut down to some atoms
+  compare as the bool tuples of those atoms do;
 * `succ[i]` lists state i's successors, ascending and without repeats: the
   transitions;
 * `observations[c]` is the observation of class c, the classes numbered in
   sorted order, and `obs_class[i]` is state i's class;
 * `succ_by_class[i][c]` lists state i's successors in class c, ascending,
-  and `initial_by_class[c]` the initial states in class c;
-* `condition(expr)` flags the states where `expr` holds, once per `expr`.
+  and `initial_by_class[c]` the initial states in class c, built on use;
+* `condition(expr)` flags the states where `expr` holds.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
+from functools import cached_property
 
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, TraceError
@@ -76,38 +78,40 @@ class SystemModel:
     ascending and without repeats.
     """
 
-    def __init__(self, atoms, fault_atoms, observable_atoms, mode_atoms,
-                 states, initial, number, succ):
-        self.atoms = frozenset(atoms)
+    def __init__(self, bits, fault_atoms, observable_atoms, mode_atoms,
+                 states, masks, initial, number, succ):
+        self.atoms = frozenset(bits)
         self.fault_atoms = frozenset(fault_atoms)
         self.observable_atoms = frozenset(observable_atoms)
         self.mode_atoms = frozenset(mode_atoms)
         self.states = states
+        self.masks = masks
         self.initial = tuple(sorted(set(initial)))
         self.number = number
         self.ids = ids = tuple(number)
         self.size = len(ids)
         self.succ = succ
-        order = sorted(self.atoms)
-        self.bits = bits = {a: 1 << (len(order) - 1 - p) for p, a in enumerate(order)}
-        self.masks = masks = [sum(bits[a] for a, v in states[sid].items() if v)
-                              for sid in ids]
+        self.bits = bits
         self.observable_atoms_sorted = shown = tuple(sorted(self.observable_atoms))
         seen = self.mask_of(shown)
         kinds = sorted({x & seen for x in masks})
         self.observations = tuple(tuple(bool(k & bits[a]) for a in shown) for k in kinds)
         classes = {k: c for c, k in enumerate(kinds)}
-        self.obs_class = obs_class = [classes[x & seen] for x in masks]
+        self.obs_class = [classes[x & seen] for x in masks]
 
-        def by_class(numbers) -> dict[int, list[int]]:
-            groups: dict[int, list[int]] = {}
-            for j in numbers:
-                groups.setdefault(obs_class[j], []).append(j)
-            return groups
+    @cached_property
+    def succ_by_class(self) -> list[dict[int, list[int]]]:
+        return [self._by_class(nxts) for nxts in self.succ]
 
-        self.succ_by_class = [by_class(nxts) for nxts in succ]
-        self.initial_by_class = by_class(number[sid] for sid in self.initial)
-        self._conditions: dict[Expr, list[bool]] = {}
+    @cached_property
+    def initial_by_class(self) -> dict[int, list[int]]:
+        return self._by_class(self.number[sid] for sid in self.initial)
+
+    def _by_class(self, numbers) -> dict[int, list[int]]:
+        groups: dict[int, list[int]] = {}
+        for j in numbers:
+            groups.setdefault(self.obs_class[j], []).append(j)
+        return groups
 
     # -- queries -----------------------------------------------------------
 
@@ -120,20 +124,15 @@ class SystemModel:
         return [a for a in atoms if mask & self.bits[a]]
 
     def condition(self, expr: Expr | str) -> list[bool]:
-        """Whether `expr` holds, per state number; evaluated once per model."""
-        expr = as_expr(expr)
-        flags = self._conditions.get(expr)
-        if flags is None:
-            flags = self._conditions[expr] = [expr.evaluate(self.states[sid])
-                                              for sid in self.ids]
-        return flags
+        """Whether `expr` holds, per state number."""
+        return as_expr(expr).over(self.masks, self.bits)
 
     def holds(self, expr: Expr | str, sid: str) -> bool:
-        return as_expr(expr).evaluate(self.states[sid])
+        return as_expr(expr).over([self.masks[self.number[sid]]], self.bits)[0]
 
     def observation(self, sid: str) -> tuple[bool, ...]:
         """Canonical observation: bool tuple over sorted observable atoms."""
-        return tuple(self.states[sid][a] for a in self.observable_atoms_sorted)
+        return self.observations[self.obs_class[self.number[sid]]]
 
     def is_trace(self, tr: Trace) -> bool:
         number, succ = self.number, self.succ
@@ -190,23 +189,36 @@ def load_model(path) -> SystemModel:
 def _model_from(doc) -> SystemModel:
     expect(doc, dict, "model")
     atoms = field(doc, "atoms", NAMES, "model")
+    for name in ("true", "false"):
+        if name in atoms:
+            raise ModelFormatError(f"atom {name!r} cannot be referenced: "
+                                   f"expressions read {name} as a constant")
     faults = field(doc, "faults", NAMES, "model", [])
     observables = field(doc, "observables", NAMES, "model", [])
     modes = field(doc, "modes", NAMES, "model", [])
-    atom_set = set(atoms)
+    # the first atom in sorted order is the most significant
+    bits = {a: 1 << p for p, a in enumerate(sorted(set(atoms), reverse=True))}
     for group, names in (("faults", faults), ("observables", observables), ("modes", modes)):
         for name in names:
-            if name not in atom_set:
+            if name not in bits:
                 raise ModelFormatError(f"unknown atom {name!r} in {group}")
-    if not field(doc, "states", dict, "model"):
+    states = field(doc, "states", dict, "model")
+    if not states:
         raise ModelFormatError("states must be a nonempty object")
-    # Unlisted atoms default to false.
-    blank = dict.fromkeys(atoms, False)
-    states = {}
-    for sid, val in doc["states"].items():
-        if not expect(val, FLAGS, f"state {sid!r}").keys() <= atom_set:
-            raise ModelFormatError(f"state {sid!r}: unknown atom {min(val.keys() - atom_set)!r}")
-        states[sid] = {**blank, **val}
+    masks = {}
+    for sid, val in states.items():
+        # one pass sums the bits of the true atoms; a malformed record (a
+        # non-object at once) is named by the kind check, then the atom check
+        mask = 0
+        for a, v in val.items() if type(val) is dict else [(None, None)]:
+            bit = bits.get(a)
+            if bit is None or type(v) is not bool:
+                expect(val, FLAGS, f"state {sid!r}")
+                unknown = min(val.keys() - bits.keys())
+                raise ModelFormatError(f"state {sid!r}: unknown atom {unknown!r}")
+            if v:
+                mask |= bit
+        masks[sid] = mask
     number = {sid: i for i, sid in enumerate(sorted(states))}
     initial = field(doc, "initial", NAMES, "model")
     if not initial:
@@ -223,7 +235,8 @@ def _model_from(doc) -> SystemModel:
         if type(a) is not str or type(b) is not str or a not in number or b not in number:
             raise ModelFormatError(f"unknown state in transition {item!r}")
         succ[number[a]].add(number[b])
-    return SystemModel(atoms, faults, observables, modes, states, initial, number,
+    return SystemModel(bits, faults, observables, modes, states,
+                       [masks[sid] for sid in number], initial, number,
                        [sorted(nxts) for nxts in succ])
 
 

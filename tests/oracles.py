@@ -20,6 +20,33 @@ from faultkit.tfpg import ActivationTrace, Tfpg
 
 
 # -- model-level -------------------------------------------------------------
+#
+# Valuations are read from the model's own records, `m.states`, as the file
+# wrote them: an atom a record leaves out is false.  The library reads the
+# masks it builds from them, so the oracles never do.
+
+def evaluate(expr, valuation: dict[str, bool]) -> bool:
+    """Whether the expression tree `expr` holds in one state record, by
+    recursion on the node's class name."""
+    kind = type(expr).__name__
+    if kind == "Const":
+        return expr.value
+    if kind == "Atom":
+        return valuation.get(expr.name, False)
+    if kind == "Not":
+        return not evaluate(expr.arg, valuation)
+    if kind == "And":
+        return evaluate(expr.left, valuation) and evaluate(expr.right, valuation)
+    if kind == "Or":
+        return evaluate(expr.left, valuation) or evaluate(expr.right, valuation)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def observed(m: SystemModel, sid: str) -> tuple[bool, ...]:
+    """A state's observation, over the sorted observable atoms, from its
+    record."""
+    return tuple(m.states[sid].get(a, False) for a in sorted(m.observable_atoms))
+
 
 def successor_ids(m: SystemModel) -> dict[str, list[str]]:
     """Each state id's successor ids, ascending: the transitions, read off
@@ -86,7 +113,7 @@ def brute_force_mcs(m: SystemModel, tle) -> list[frozenset[str]]:
     adjacency = successor_ids(m)
     fault_of = {sid: frozenset(f for f in faults if m.states[sid].get(f, False))
                 for sid in m.states}
-    target = {sid for sid in m.states if expr.evaluate(m.states[sid])}
+    target = {sid for sid in m.states if evaluate(expr, m.states[sid])}
 
     def event_reachable(S: frozenset[str]) -> bool:
         seen = {sid for sid in m.initial if fault_of[sid] <= S}
@@ -137,7 +164,7 @@ def world_probability(family, probabilities) -> float:
 def obs_buckets(m: SystemModel, length: int) -> dict[tuple, list[Trace]]:
     buckets: dict[tuple, list[Trace]] = {}
     for tr in enumerate_traces(m, length):
-        key = tuple(m.observation(s) for s in tr.steps)
+        key = tuple(observed(m, s) for s in tr.steps)
         buckets.setdefault(key, []).append(tr)
     return buckets
 
@@ -149,19 +176,19 @@ def naive_past(m: SystemModel, tr: Trace, delay, beta, t: int) -> bool:
 
     beta = as_expr(beta)
     if isinstance(delay, ExactDelay):
-        return t - delay.n >= 0 and beta.evaluate(m.states[tr[t - delay.n]])
+        return t - delay.n >= 0 and evaluate(beta, m.states[tr[t - delay.n]])
     if isinstance(delay, BoundedDelay):
-        return any(beta.evaluate(m.states[tr[u]])
+        return any(evaluate(beta, m.states[tr[u]])
                    for u in range(max(0, t - delay.n), t + 1))
     if isinstance(delay, FiniteDelay):
-        return any(beta.evaluate(m.states[tr[u]]) for u in range(t + 1))
+        return any(evaluate(beta, m.states[tr[u]]) for u in range(t + 1))
     raise TypeError(delay)
 
 
 def knowledge_by_enumeration(m: SystemModel, tr: Trace, t: int, delay, beta) -> bool:
     """K phi at t, phi the past formula of `delay` over `beta`: phi holds at
     t on every obs-equivalent run of length t+1."""
-    key = tuple(m.observation(s) for s in tr.steps[: t + 1])
+    key = tuple(observed(m, s) for s in tr.steps[: t + 1])
     peers = obs_buckets(m, t + 1)[key]
     return all(naive_past(m, peer, delay, beta, t) for peer in peers)
 
@@ -173,7 +200,7 @@ def oracle_diagnosable_exact(m: SystemModel, beta, n: int, horizon: int) -> bool
     for length in range(n + 1, horizon + 1):
         for traces in obs_buckets(m, length).values():
             for t in range(length - n):
-                flags = [beta.evaluate(m.states[tr[t]]) for tr in traces]
+                flags = [evaluate(beta, m.states[tr[t]]) for tr in traces]
                 if any(flags) and not all(flags):
                     return False
     return True
@@ -185,12 +212,12 @@ def oracle_diagnosable_bounded(m: SystemModel, beta, n: int, horizon: int) -> bo
         for traces in obs_buckets(m, length).values():
             for t in range(length - n):
                 witnesses = [tr for tr in traces
-                             if beta.evaluate(m.states[tr[t]])]
+                             if evaluate(beta, m.states[tr[t]])]
                 if not witnesses:
                     continue
                 confusers = [
                     tr for tr in traces
-                    if not any(beta.evaluate(m.states[tr[u]])
+                    if not any(evaluate(beta, m.states[tr[u]])
                                for u in range(max(0, t - n), t + n + 1))]
                 if confusers:
                     return False
@@ -204,16 +231,16 @@ def oracle_diagnosable_finite(m: SystemModel, beta, horizon: int) -> bool:
     for length in range(2, horizon + 1):
         for traces in obs_buckets(m, length).values():
             dirty = [tr for tr in traces
-                     if any(beta.evaluate(m.states[s]) for s in tr.steps)]
+                     if any(evaluate(beta, m.states[s]) for s in tr.steps)]
             clean = [tr for tr in traces
-                     if not any(beta.evaluate(m.states[s]) for s in tr.steps)]
+                     if not any(evaluate(beta, m.states[s]) for s in tr.steps)]
             for tr1 in dirty:
                 for tr2 in clean:
                     for i in range(length):
                         for j in range(i + 1, length):
                             if (tr1[i], tr2[i]) != (tr1[j], tr2[j]):
                                 continue
-                            if any(beta.evaluate(m.states[tr1[k]])
+                            if any(evaluate(beta, m.states[tr1[k]])
                                    for k in range(j + 1)):
                                 return False
     return True
@@ -241,7 +268,7 @@ def brute_force_critical_pair(m: SystemModel, beta, delay):
     assert bounded or isinstance(delay, ExactDelay)
     shown = sorted(m.observable_atoms)
     seen = {sid: tuple(val.get(a, False) for a in shown) for sid, val in m.states.items()}
-    flag = {sid: beta.evaluate(val) for sid, val in m.states.items()}
+    flag = {sid: evaluate(beta, val) for sid, val in m.states.items()}
     moves = successor_ids(m)
 
     def node(a, b, last1=(), since2=2 * n):
@@ -289,7 +316,8 @@ def coarsest_bisimulation(m: SystemModel, beta) -> set[frozenset[str]]:
     state has a successor related to no successor of the other."""
     beta = as_expr(beta)
     shown = sorted(m.observable_atoms)
-    label = {sid: (tuple(val[a] for a in shown), beta.evaluate(val), sid in m.initial)
+    label = {sid: (tuple(val.get(a, False) for a in shown), evaluate(beta, val),
+                   sid in m.initial)
              for sid, val in m.states.items()}
     moves = successor_ids(m)
     related = {(a, b) for a in m.states for b in m.states if label[a] == label[b]}
@@ -314,7 +342,7 @@ def _product_parts(m: SystemModel, diagnoser_doc, beta, alarm: str):
     and successors, and the candidate's entry, moves and alarms."""
     shown = sorted(m.observable_atoms)
     seen = {sid: tuple(val.get(a, False) for a in shown) for sid, val in m.states.items()}
-    flag = {sid: beta.evaluate(val) for sid, val in m.states.items()}
+    flag = {sid: evaluate(beta, val) for sid, val in m.states.items()}
     moves = successor_ids(m)
 
     def read(key):
@@ -657,9 +685,10 @@ def naive_induced_trace(g: Tfpg, m: SystemModel, exprs: dict, mode_map: dict,
     the model has no mode atoms."""
     atom_mode = {atom: mode for mode, atom in mode_map.items()}
     timeline = tuple(
-        next(atom_mode[a] for a in m.mode_atoms if m.states[sid][a])
+        next(atom_mode[a] for a in m.mode_atoms if m.states[sid].get(a, False))
         if m.mode_atoms else g.modes[0] for sid in tr.steps)
-    times = {node: next((t for t, sid in enumerate(tr.steps) if m.holds(expr, sid)), None)
+    times = {node: next((t for t, sid in enumerate(tr.steps)
+                         if evaluate(as_expr(expr), m.states[sid])), None)
              for node, expr in exprs.items() if node in g.nodes}
     changed = True
     while changed:
@@ -762,7 +791,7 @@ def brute_force_cause_family(m: SystemModel, fm_atoms, target, cause_exprs):
     adjacency = successor_ids(m)
     # what each state needs: its true fault atoms and its true predicates
     needs = {sid: frozenset(f for f in m.fault_atoms if val.get(f, False)) |
-             frozenset(name for name, e in exprs.items() if e.evaluate(val))
+             frozenset(name for name, e in exprs.items() if evaluate(e, val))
              for sid, val in m.states.items()}
     sat = []
     for r in range(len(universe) + 1):
@@ -775,7 +804,7 @@ def brute_force_cause_family(m: SystemModel, fm_atoms, target, cause_exprs):
                     if nxt not in reach and needs[nxt] <= S:
                         reach.add(nxt)
                         work.append(nxt)
-            if any(target.evaluate(m.states[sid]) for sid in reach):
+            if any(evaluate(target, m.states[sid]) for sid in reach):
                 sat.append(S)
     return sorted((S for S in sat if not any(T < S for T in sat)),
                   key=lambda s: (len(s), sorted(s)))

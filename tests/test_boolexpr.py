@@ -23,7 +23,7 @@ class TestParsing:
         assert parse_expr("(a | b) & c") == And(Or(Atom("a"), Atom("b")), Atom("c"))
 
     def test_node_class_is_part_of_equality(self):
-        # expression nodes key SystemModel.condition's cache
+        # an And and an Or over the same operands are different values
         conj, disj = parse_expr("a & b"), parse_expr("a | b")
         assert conj != disj
         assert len({conj: 1, disj: 2}) == 2
@@ -51,15 +51,29 @@ class TestParsing:
             parse_expr("a + b")
 
 
+BITS = {"a": 4, "b": 2, "c": 1}
+
+
+def value(expr, valuation):
+    """expr's value in one valuation of a, b and c, evaluated over its mask."""
+    return expr.over([sum(BITS[a] for a, v in valuation.items() if v)], BITS)[0]
+
+
 class TestEvaluation:
     def test_basic(self):
         e = parse_expr("a & (b | !c)")
-        assert e.evaluate({"a": True, "b": False, "c": False})
-        assert not e.evaluate({"a": False, "b": True, "c": False})
+        assert value(e, {"a": True, "b": False, "c": False})
+        assert not value(e, {"a": False, "b": True, "c": False})
 
     def test_missing_atom(self):
         with pytest.raises(ExpressionError):
-            parse_expr("a").evaluate({"b": True})
+            parse_expr("a").over([1], {"b": 1})
+
+    def test_one_flag_per_mask_in_order(self):
+        assert parse_expr("a & !b | c").over(list(range(8)), BITS) == \
+            [False, True, False, True, True, True, False, True]
+        assert parse_expr("true").over([0, 7], BITS) == [True, True]
+        assert parse_expr("false").over([], BITS) == []
 
     def test_atoms(self):
         assert parse_expr("a & !b | c").atoms() == {"a", "b", "c"}
@@ -82,4 +96,4 @@ class TestRoundTrip:
     def test_render_parse_same_semantics(self, expr, values):
         valuation = dict(zip("abc", values))
         reparsed = parse_expr(str(expr))
-        assert reparsed.evaluate(valuation) == expr.evaluate(valuation)
+        assert value(reparsed, valuation) == value(expr, valuation)

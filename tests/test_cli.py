@@ -145,7 +145,7 @@ class TestExitCodes:
         (["validate-model"], "--model", "[" * 200_000),
         (["mcs", "--tle", "(" * 330 + "power_low" + ")" * 330], "--model",
          corpus_json("battery.json")),
-        (["mcs", "--tle", " | ".join(["power_low"] * 600)], "--model",
+        (["mcs", "--tle", " | ".join(["power_low"] * 2000)], "--model",
          corpus_json("battery.json")),
     ], ids=["exact-without-n", "bound-without-n", "tfpg-nodes-list", "n-null",
             "delay-string", "tmax-null", "alarm-name-list", "initial-nested-list",
@@ -154,7 +154,7 @@ class TestExitCodes:
             "probability-string", "spec-directory", "trace-time-99",
             "trace-time-minus-1", "behavioral-state-without-mode",
             "synth-state-without-mode", "behavioral-runs-over-limit",
-            "json-nested-200000-deep", "tle-nested-330-deep", "tle-600-term-or"])
+            "json-nested-200000-deep", "tle-nested-330-deep", "tle-2000-term-or"])
     def test_malformed_input_is_exit_2_without_traceback(self, tmp_path, argv,
                                                           flag, doc):
         path = tmp_path / "input.json"
@@ -168,6 +168,13 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_long_disjunction_within_the_recursion_limit_is_answered(self, capsys):
+        # a 600-term tree is evaluated 600 frames deep, once over all states
+        code, out = run_capture(capsys, "mcs", "--model", MODEL,
+                                "--tle", " | ".join(["power_low"] * 600))
+        assert code == 0
+        assert (code, out) == run_capture(capsys, "mcs", "--model", MODEL, "--tle", "power_low")
 
     def test_behavioral_past_the_recursion_limit_is_exit_0(self, tmp_path):
         # one run of 2,001 states: longer than Python's recursion limit
@@ -263,6 +270,19 @@ class TestExitCodes:
         argv = [str(diagnoser) if a == "{diagnoser}" else a for a in argv]
         assert run_cli(*argv, flag, str(path)) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("name", ["true", "false"])
+    def test_constant_named_atom_is_exit_2(self, tmp_path, capsys, name):
+        # `--tle true` would read the constant, not the atom
+        doc = corpus_json("battery.json")
+        doc["atoms"].append(name)
+        doc["states"]["s11_c"][name] = True
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("mcs", "--model", str(path), "--tle", name) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: atom {name!r} cannot be referenced: "
+            f"expressions read {name} as a constant\n")
 
     @pytest.mark.parametrize("beta,n,message", [
         ("fault &", 1, "unexpected end of expression: 'fault &'"),

@@ -1,12 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from faultkit.boolexpr import as_expr
+from faultkit.boolexpr import And, Atom, Const, Not, Or, as_expr
 from faultkit.errors import ModelFormatError
 from faultkit.model import Trace, parse_model, validate_model
 
-from .oracles import enumerate_traces, path_count_by_matrix_power
+from .oracles import enumerate_traces, evaluate, observed, path_count_by_matrix_power
 
 
 def successor_ids(m, sid):
@@ -65,7 +66,34 @@ class TestParsing:
 
     def test_unlisted_atoms_default_false(self):
         m = parse_model(MINIMAL)
-        assert m.states["s0"]["x"] is False
+        assert m.holds("x", "s0") is False
+
+    @pytest.mark.parametrize("name", ["true", "false"])
+    def test_constant_names_are_no_atoms(self, name):
+        # the expression grammar reads them as constants, so no condition
+        # could name such an atom
+        doc = json.loads(MINIMAL)
+        doc["atoms"].append(name)
+        with pytest.raises(ModelFormatError, match=f"^atom '{name}' cannot be referenced"):
+            parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("record,message", [
+        ([], "state 's0' must be an object of booleans, got []"),
+        # the kind check comes first, wherever the bad value is
+        ({"zzz": True, "x": 1},
+         'state \'s0\' must be an object of booleans, got {"zzz": true, "x": 1}'),
+        ({"x": True, "zzz": False, "yyy": True}, "state 's0': unknown atom 'yyy'"),
+    ], ids=["not-an-object", "not-booleans", "unknown-atoms"])
+    def test_malformed_record_reported_in_order(self, record, message):
+        doc = json.loads(MINIMAL)
+        doc["states"]["s0"] = record
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == message
+
+    def test_states_are_the_input_records(self, battery):
+        from .conftest import corpus_json
+        assert battery.states == corpus_json("battery.json")["states"]
 
     def test_battery_corpus_is_12_states(self, battery):
         assert len(battery.states) == 12
@@ -221,3 +249,46 @@ class TestTraceEnumeration:
     def test_oracle_enumeration_matches_runs(self, battery, sensor_delay, length):
         for m in (battery, sensor_delay):
             assert list(enumerate_traces(m, length)) == list(map(m.trace, m.runs(length)))
+
+
+ATOMS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def exprs(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.one_of(st.sampled_from(ATOMS).map(Atom), st.booleans().map(Const)))
+    kind = draw(st.sampled_from(["not", "and", "or"]))
+    if kind == "not":
+        return Not(draw(exprs(depth=depth - 1)))
+    left, right = draw(exprs(depth=depth - 1)), draw(exprs(depth=depth - 1))
+    return And(left, right) if kind == "and" else Or(left, right)
+
+
+# each atom listed true, listed false or left out
+records = st.lists(st.dictionaries(st.sampled_from(ATOMS), st.booleans()), min_size=1,
+                   max_size=6)
+
+
+class TestValuationsAsMasks:
+    @given(exprs(), records, st.sets(st.sampled_from(ATOMS)))
+    def test_evaluation_over_masks_agrees_with_records(self, expr, vals, shown):
+        states = {f"s{i}": val for i, val in enumerate(vals)}
+        m = parse_model(json.dumps({"atoms": ATOMS, "observables": sorted(shown),
+                                    "states": states, "initial": ["s0"],
+                                    "transitions": [[s, s] for s in states]}))
+        want = {sid: evaluate(expr, val) for sid, val in states.items()}
+        assert m.condition(expr) == [want[sid] for sid in m.ids]
+        for sid in states:
+            assert m.holds(expr, sid) is want[sid]
+            assert m.observation(sid) == observed(m, sid)
+
+    def test_unlisted_atoms_read_false(self):
+        m = parse_model(json.dumps({
+            "atoms": ["x", "y"], "observables": ["x", "y"],
+            "states": {"s0": {"y": True}, "s1": {}, "s2": {"x": False, "y": True}},
+            "initial": ["s0"], "transitions": [["s0", "s1"], ["s1", "s2"], ["s2", "s0"]]}))
+        assert [m.holds("x", sid) for sid in m.ids] == [False, False, False]
+        assert [m.holds("!x & y", sid) for sid in m.ids] == [True, False, True]
+        assert [m.observation(sid) for sid in m.ids] == [(False, True), (False, False),
+                                                         (False, True)]

@@ -46,7 +46,7 @@ class TestSynthesize:
     def test_fully_observable_alarm_fires_exactly_n_after(self, fully_obs):
         d = synthesize_diagnoser(fully_obs, [spec(ExactDelay(1))])
         tr = Trace(("a", "b", "c", "c"))
-        obs = [{a: fully_obs.states[s][a] for a in fully_obs.observable_atoms}
+        obs = [{a: fully_obs.states[s].get(a, False) for a in fully_obs.observable_atoms}
                for s in tr.steps]
         alarms = run_diagnoser(d, obs)
         # condition first true at step 1, exact delay 1: alarm at step 2 on
@@ -60,7 +60,7 @@ class TestSynthesize:
     def test_sensor_alarm_step_matches_knowledge_oracle(self, sensor_delay):
         d = synthesize_diagnoser(sensor_delay, [spec(BoundedDelay(3))])
         for tr in enumerate_traces(sensor_delay, 7):
-            obs = [{a: sensor_delay.states[s][a] for a in sensor_delay.observable_atoms}
+            obs = [{a: sensor_delay.states[s].get(a, False) for a in sensor_delay.observable_atoms}
                    for s in tr.steps]
             alarms = run_diagnoser(d, obs)
             for t in range(len(tr)):
@@ -132,8 +132,8 @@ class TestRunDiagnoser:
         for tr in enumerate_traces(sensor_delay, 6):
             obs = tuple(sensor_delay.observation(s) for s in tr.steps)
             out = tuple(frozenset(a) for a in run_diagnoser(
-                d, [{a: sensor_delay.states[s][a] for a in sensor_delay.observable_atoms}
-                    for s in tr.steps]))
+                d, [{a: sensor_delay.states[s].get(a, False)
+                     for a in sensor_delay.observable_atoms} for s in tr.steps]))
             if obs in seen:
                 assert seen[obs] == out
             seen[obs] = out
