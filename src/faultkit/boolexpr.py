@@ -25,6 +25,22 @@ class Expr(Frozen):
     def atoms(self) -> frozenset[str]:
         raise NotImplementedError
 
+    def _parts(self) -> tuple:
+        """The node's text: strings, and subexpressions to render in place."""
+        raise NotImplementedError
+
+    def __str__(self):
+        # iterative, so a long condition renders whatever its depth
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            part = stack.pop()
+            if type(part) is str:
+                out.append(part)
+            else:
+                stack.extend(reversed(part._parts()))
+        return "".join(out)
+
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -38,8 +54,8 @@ class Const(Expr):
     def atoms(self):
         return frozenset()
 
-    def __str__(self):
-        return "true" if self.value else "false"
+    def _parts(self):
+        return ("true" if self.value else "false",)
 
 
 class Atom(Expr):
@@ -57,8 +73,8 @@ class Atom(Expr):
     def atoms(self):
         return frozenset({self.name})
 
-    def __str__(self):
-        return self.name
+    def _parts(self):
+        return (self.name,)
 
 
 class Not(Expr):
@@ -73,8 +89,8 @@ class Not(Expr):
     def atoms(self):
         return self.arg.atoms()
 
-    def __str__(self):
-        return f"!{_wrap(self.arg)}"
+    def _parts(self):
+        return ("!", *_wrap(self.arg))
 
 
 class And(Expr):
@@ -89,8 +105,8 @@ class And(Expr):
     def atoms(self):
         return self.left.atoms() | self.right.atoms()
 
-    def __str__(self):
-        return f"{_wrap(self.left, in_and=True)} & {_wrap(self.right, in_and=True)}"
+    def _parts(self):
+        return (*_wrap(self.left, in_and=True), " & ", *_wrap(self.right, in_and=True))
 
 
 class Or(Expr):
@@ -105,17 +121,15 @@ class Or(Expr):
     def atoms(self):
         return self.left.atoms() | self.right.atoms()
 
-    def __str__(self):
-        return f"{self.left} | {self.right}"
+    def _parts(self):
+        return (self.left, " | ", self.right)
 
 
-def _wrap(e: Expr, in_and: bool = False) -> str:
+def _wrap(e: Expr, in_and: bool = False) -> tuple:
     # Parenthesize only where precedence requires it.
-    if isinstance(e, Or):
-        return f"({e})"
-    if isinstance(e, And) and not in_and:
-        return f"({e})"
-    return str(e)
+    if isinstance(e, Or) or isinstance(e, And) and not in_and:
+        return ("(", e, ")")
+    return (e,)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[()&|!]))")

@@ -7,9 +7,9 @@ usage or input errors.  Output bytes are deterministic for fixed inputs.
 
 A handler checks the flags it needs, runs its analysis and returns
 (holds, doc, text): doc is the JSON report and text(fmt) renders the report
-in a non-JSON format.  `main` alone checks `--format` against the
-subcommand's row of `_COMMANDS`, before any input is read, writes the
-report and turns the verdict into the exit code.
+in a non-JSON format, or in every format when doc is None.  `main` alone
+checks `--format` against the subcommand's row of `_COMMANDS`, before any
+input is read, writes the report and turns the verdict into the exit code.
 
 Start-up, not analysis, is most of a request on desk-scale models, so each
 handler imports the analysis modules it uses and a request loads no other.
@@ -192,7 +192,9 @@ def cmd_synth_diagnoser(args):
     _require(args, "model", "spec")
     m = load_model(args.model)
     d = synthesis.synthesize_diagnoser(m, _specs(args, m))
-    return True, synthesis.diagnoser_to_json(d), lambda fmt: synthesis.export_diagnoser_dot(d)
+    # the writer lays out the bytes _dump would give diagnoser_to_json(d)
+    return True, None, lambda fmt: (synthesis.dump_diagnoser(d) if fmt == "json"
+                                    else synthesis.export_diagnoser_dot(d))
 
 
 def cmd_run_diagnoser(args):
@@ -334,7 +336,7 @@ def main(argv=None) -> int:
             raise CliInputError(f"--format {args.format} is not supported here "
                                 f"(allowed: {', '.join(formats)})")
         holds, doc, text = handler(args)
-        _emit(args, _dump(doc) if args.format == "json" else text(args.format))
+        _emit(args, text(args.format) if doc is None or args.format != "json" else _dump(doc))
     except (CliInputError, FaultkitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

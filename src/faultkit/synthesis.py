@@ -40,7 +40,9 @@ hash seed either.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 
 from .errors import ModelFormatError, ObservationError
 from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
@@ -65,14 +67,15 @@ class Diagnoser(Record):
 
     Observations are represented internally as bool tuples over
     `obs_atoms` (sorted).  `beliefs` is populated for synthesized
-    diagnosers only; loaded candidates carry no belief contents.
+    diagnosers only, each node's members decoded as it is read; loaded
+    candidates carry no belief contents.
     """
 
     __slots__ = ("obs_atoms", "nodes", "entry", "delta", "beliefs", "stats")
 
     def __init__(self, obs_atoms: tuple[str, ...], nodes: dict[str, frozenset[str]],
                  entry: dict[tuple, str], delta: dict[str, dict[tuple, str]],
-                 beliefs: dict[str, frozenset] | None = None,
+                 beliefs: Mapping[str, frozenset] | None = None,
                  stats: DiagnoserStats | None = None):
         self._set(obs_atoms, nodes, entry, delta, beliefs, stats)
 
@@ -82,6 +85,33 @@ class Diagnoser(Record):
                 None, f"observation domain {sorted(obs)} does not equal "
                       f"observable atoms {list(self.obs_atoms)}")
         return tuple(obs[a] for a in self.obs_atoms)
+
+
+class _Beliefs(Mapping):
+    """Node id -> the decoded members of its belief, decoded on each read
+    from the tracker's ints: a synthesized diagnoser's beliefs are seldom
+    read."""
+
+    __slots__ = ("_raw", "_decode")
+
+    def __init__(self, raw: dict[str, tuple[int, ...]], decode):
+        self._raw, self._decode = raw, decode
+
+    def __getitem__(self, nid):
+        return frozenset(map(self._decode, self._raw[nid]))
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self):
+        return len(self._raw)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+    def __reduce__(self):
+        # copy and pickle see the decoded dict, not the tracker
+        return dict, (dict(self),)
 
 
 def _obs_key(atoms: tuple[str, ...], obs: tuple) -> str:
@@ -133,9 +163,9 @@ def synthesize_diagnoser(m: SystemModel, specs: list[AlarmSpec]) -> Diagnoser:
         for c in sorted(after):
             moves[observations[c]] = intern(after[c])
 
-    decoded = {nid: frozenset(map(beliefs.decode, belief)) for belief, nid in ids.items()}
     stats = DiagnoserStats(len(nodes), m.size * len(beliefs.memories))
-    return Diagnoser(m.observable_atoms_sorted, nodes, entry, delta, decoded, stats)
+    return Diagnoser(m.observable_atoms_sorted, nodes, entry, delta,
+                     _Beliefs(dict(zip(nodes, order)), beliefs.decode), stats)
 
 
 def run_diagnoser(d: Diagnoser, observations: list[dict[str, bool]]) -> list[frozenset[str]]:
@@ -169,6 +199,50 @@ def diagnoser_to_json(d: Diagnoser) -> dict:
     }
 
 
+def dump_diagnoser(d: Diagnoser) -> str:
+    """The text of ``json.dumps(diagnoser_to_json(d), indent=2,
+    sort_keys=True) + "\n"``, laid out directly: each node id and
+    observation key is encoded once, and an edge is one concatenation."""
+    enc = encode_basestring_ascii
+    keys = {obs: _obs_key(d.obs_atoms, obs) for obs in _observations(d)}
+    # sort_keys orders the moves by their raw key
+    rank = {obs: i for i, obs in enumerate(sorted(keys, key=keys.__getitem__))}
+    by_key = rank.__getitem__
+    quoted = {obs: enc(key) for obs, key in keys.items()}
+    # a move out of a node: its line break, indent and key
+    edge = {obs: "\n      " + key + ": " for obs, key in quoted.items()}
+    ids = {nid: enc(nid) for nid in d.nodes}
+    delta = []
+    for nid in sorted(d.delta):
+        out = d.delta[nid]
+        if out:
+            moves = ",".join([edge[obs] + ids[out[obs]] for obs in sorted(out, key=by_key)])
+            delta.append(f"{ids[nid]}: {{{moves}\n    }}")
+        else:
+            delta.append(ids[nid] + ": {}")
+    entry = [quoted[obs] + ": " + ids[d.entry[obs]] for obs in sorted(d.entry, key=by_key)]
+    alarm_lists: dict[frozenset, str] = {}
+    for alarms in d.nodes.values():
+        if alarms not in alarm_lists:
+            alarm_lists[alarms] = _json_block("[]", "    ", [enc(a) for a in sorted(alarms)])
+    nodes = [f"{ids[nid]}: {alarm_lists[d.nodes[nid]]}" for nid in sorted(d.nodes)]
+    return "".join([
+        '{\n  "delta": ', _json_block("{}", "  ", delta),
+        ',\n  "entry": ', _json_block("{}", "  ", entry),
+        ',\n  "nodes": ', _json_block("{}", "  ", nodes),
+        ',\n  "observables": ', _json_block("[]", "  ", [enc(a) for a in d.obs_atoms]),
+        "\n}\n"])
+
+
+def _json_block(brackets: str, pad: str, items: list[str]) -> str:
+    """A container of rendered items as ``json.dumps(indent=2)`` lays it
+    out with its closing bracket at indent `pad`."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def _observations(d: Diagnoser) -> set[tuple]:
     """The distinct observations on a diagnoser's edges: few, against many
     edges, so each is rendered once."""
@@ -179,31 +253,44 @@ def diagnoser_from_json(doc) -> Diagnoser:
     expect(doc, dict, "diagnoser")
     atoms = tuple(sorted(set(field(doc, "observables", NAMES, "diagnoser"))))
     nodes_doc = field(doc, "nodes", dict, "diagnoser")
-    nodes = {nid: frozenset(field(nodes_doc, nid, NAMES, "diagnoser nodes"))
-             for nid in nodes_doc}
+    nodes = {}
+    for nid, alarms in nodes_doc.items():
+        if type(alarms) is not list or not all(type(a) is str for a in alarms):
+            field(nodes_doc, nid, NAMES, "diagnoser nodes")  # raises, naming the node
+        nodes[nid] = frozenset(alarms)
     decoded: dict[str, tuple] = {}  # a diagnoser repeats few distinct keys
 
-    def moves_of(doc, where: str) -> dict[tuple, str]:
+    def moves_of(doc, source: str | None) -> dict[tuple, str]:
+        # the moves out of node `source`, or the entry's when None
+        if type(doc) is not dict:
+            expect(doc, dict, _moves_name(source))
         moves = {}
-        for key, tgt in expect(doc, dict, where).items():
+        for key, tgt in doc.items():
             if type(tgt) is not str or tgt not in nodes:
-                raise ModelFormatError(f"{where}: target {tgt!r} is not a node")
-            if key not in decoded:
-                decoded[key] = _obs_from_key(atoms, key)
-            if decoded[key] in moves:
+                raise ModelFormatError(f"{_moves_name(source)}: target {tgt!r} is not a node")
+            obs = decoded.get(key)
+            if obs is None:
+                obs = decoded[key] = _obs_from_key(atoms, key)
+            if obs in moves:
                 raise ModelFormatError(
-                    f"nondeterministic candidate: {where} has two "
+                    f"nondeterministic candidate: {_moves_name(source)} has two "
                     f"transitions for observation {key}")
-            moves[decoded[key]] = tgt
+            moves[obs] = tgt
         return moves
 
-    entry = moves_of(field(doc, "entry", dict, "diagnoser"), "entry")
+    entry = moves_of(field(doc, "entry", dict, "diagnoser"), None)
     delta: dict[str, dict[tuple, str]] = {nid: {} for nid in nodes}
     for nid, moves in field(doc, "delta", dict, "diagnoser").items():
         if nid not in nodes:
             raise ModelFormatError(f"delta source {nid!r} is not a node")
-        delta[nid] = moves_of(moves, f"delta of {nid!r}")
+        delta[nid] = moves_of(moves, nid)
     return Diagnoser(atoms, nodes, entry, delta)
+
+
+def _moves_name(source: str | None) -> str:
+    """How an error names the moves out of a node, or the entry's; built
+    only for an error."""
+    return "entry" if source is None else f"delta of {source!r}"
 
 
 def load_diagnoser(path) -> Diagnoser:

@@ -91,6 +91,27 @@ def exprs(draw, depth=3):
     return And(left, right) if kind == "and" else Or(left, right)
 
 
+class TestRendering:
+    @pytest.mark.parametrize("expr,text", [
+        (Const(True), "true"),
+        (Not(Not(Atom("a"))), "!!a"),
+        (Not(And(Atom("a"), Atom("b"))), "!(a & b)"),
+        (Not(Or(Atom("a"), Atom("b"))), "!(a | b)"),
+        (And(Or(Atom("a"), Atom("b")), Not(Atom("c"))), "(a | b) & !c"),
+        (And(Atom("a"), And(Atom("b"), Atom("c"))), "a & b & c"),
+        (Or(And(Atom("a"), Atom("b")), Or(Atom("c"), Const(False))), "a & b | c | false"),
+        (And(Not(Or(Atom("a"), Atom("b"))), Or(Atom("c"), And(Atom("a"), Atom("b")))),
+         "!(a | b) & (c | a & b)"),
+    ])
+    def test_parenthesises_only_where_precedence_requires(self, expr, text):
+        assert str(expr) == text
+
+    def test_deep_tree_renders(self):
+        # deeper than the recursion limit, as a long alarm condition is
+        text = " | ".join(["a"] * 5000)
+        assert str(parse_expr(text)) == text
+
+
 class TestRoundTrip:
     @given(exprs(), st.tuples(st.booleans(), st.booleans(), st.booleans()))
     def test_render_parse_same_semantics(self, expr, values):

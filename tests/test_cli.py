@@ -176,6 +176,28 @@ class TestExitCodes:
         assert code == 0
         assert (code, out) == run_capture(capsys, "mcs", "--model", MODEL, "--tle", "power_low")
 
+    def test_long_alarm_condition_is_answered_by_every_diagnoser_command(self, tmp_path,
+                                                                          capsys):
+        # a 600-term condition, rendered into the verify-diagnoser pattern,
+        # gets the answers of its one-term equivalent
+        beta = " | ".join(["fault"] * 600)
+        reports = {}
+        for name, condition in (("long", beta), ("short", "fault")):
+            spec, dfile = tmp_path / f"{name}.json", tmp_path / f"{name}-diagnoser.json"
+            spec.write_text(json.dumps([{"alarm": "a", "beta": condition,
+                                         "delay": {"kind": "finite"}, "maximal": True}]))
+            base = ("--model", SENSOR, "--spec", str(spec))
+            diag = run_capture(capsys, "diag-check", *base)
+            assert run_cli("synth-diagnoser", *base, out=dfile) == 0
+            code, out = run_capture(capsys, "verify-diagnoser", *base, "--diagnoser", str(dfile))
+            doc = json.loads(out)
+            assert doc["a"].pop("pattern") == (f"G (a -> O ({condition})) & "
+                                               f"G (({condition}) -> F a) & "
+                                               f"G (K O ({condition}) -> a)")
+            reports[name] = diag, dfile.read_bytes(), code, doc
+        assert reports["long"] == reports["short"]
+        assert reports["long"][2] == 0
+
     def test_behavioral_past_the_recursion_limit_is_exit_0(self, tmp_path):
         # one run of 2,001 states: longer than Python's recursion limit
         model, tfpg, node_map = (tmp_path / f"{n}.json" for n in ("model", "tfpg", "map"))

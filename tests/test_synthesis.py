@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,14 +12,15 @@ from faultkit.boolexpr import parse_expr
 from faultkit.diagnosability import check_diagnosability
 from faultkit.errors import ModelFormatError, ObservationError
 from faultkit.fdispec import (AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay,
-                              delay_memory, trackers_for)
+                              delay_memory, load_specs, parse_specs, trackers_for)
 from faultkit.model import Trace, load_model, parse_model
 from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_correctness,
                                 _check_maximality, _Product, diagnoser_from_json,
-                                diagnoser_to_json, export_diagnoser_dot, load_diagnoser,
-                                run_diagnoser, synthesize_diagnoser, verify_diagnoser)
+                                diagnoser_to_json, dump_diagnoser, export_diagnoser_dot,
+                                load_diagnoser, run_diagnoser, synthesize_diagnoser,
+                                verify_diagnoser)
 
-from .conftest import corpus_path
+from .conftest import bench_module, corpus_path
 from .oracles import (PartialCandidate, brute_force_product_counterexample,
                       brute_force_trace_completeness, enumerate_traces,
                       knowledge_by_enumeration, successor_ids)
@@ -499,6 +502,23 @@ class TestTraceCompletenessOracle:
             "holds": False, "counterexample": ["s0", "s1", "s2"]}
 
 
+W0, W1 = '{"w":false}', '{"w":true}'
+
+
+def candidate_doc(**changes) -> dict:
+    """A small valid candidate document with some fields replaced, or
+    removed where the change is None."""
+    doc = {"observables": ["w"], "nodes": {"q": [], "r": ["x"]},
+           "entry": {W0: "q"}, "delta": {"q": {W1: "r"}, "r": {}}}
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def json_form(d: Diagnoser) -> str:
+    """The reference bytes of a diagnoser document."""
+    return json.dumps(diagnoser_to_json(d), indent=2, sort_keys=True) + "\n"
+
+
 class TestSerialization:
     def test_round_trip(self, sensor_delay, sensor_specs, tmp_path):
         d = synthesize_diagnoser(sensor_delay, [sensor_specs["a_bound3"]])
@@ -540,6 +560,132 @@ class TestSerialization:
                                     "entry": {"{w:false}": "q"}, "delta": {}}))
         with pytest.raises(ModelFormatError, match="observation key '{w:false}'"):
             load_diagnoser(path)
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "diagnoser must be an object, got []"),
+        (candidate_doc(observables=None), "diagnoser: missing key 'observables'"),
+        (candidate_doc(observables="w"),
+         "diagnoser: 'observables' must be a list of names, got \"w\""),
+        (candidate_doc(nodes=None), "diagnoser: missing key 'nodes'"),
+        (candidate_doc(nodes=["q"]), "diagnoser: 'nodes' must be an object, got [\"q\"]"),
+        (candidate_doc(nodes={"q": [], "r": "x"}),
+         "diagnoser nodes: 'r' must be a list of names, got \"x\""),
+        (candidate_doc(nodes={"q": [], "r": [1]}),
+         "diagnoser nodes: 'r' must be a list of names, got [1]"),
+        (candidate_doc(nodes={"q": 1, "r": 2}),
+         "diagnoser nodes: 'q' must be a list of names, got 1"),
+        (candidate_doc(nodes={"q": 1, "r": []}, entry=None),
+         "diagnoser nodes: 'q' must be a list of names, got 1"),
+        (candidate_doc(entry=None), "diagnoser: missing key 'entry'"),
+        (candidate_doc(entry=[]), "diagnoser: 'entry' must be an object, got []"),
+        (candidate_doc(entry={W0: "z"}), "entry: target 'z' is not a node"),
+        (candidate_doc(entry={W0: 3}), "entry: target 3 is not a node"),
+        (candidate_doc(entry={"{w:false}": "q"}),
+         "observation key '{w:false}': syntax error: Expecting property name enclosed "
+         "in double quotes (line 1, column 2)"),
+        (candidate_doc(entry={'{"w":1}': "q"}),
+         "observation key '{\"w\":1}' must be an object of booleans, got {\"w\": 1}"),
+        (candidate_doc(entry={'{"v":true}': "q"}),
+         "observation key '{\"v\":true}' does not match alphabet"),
+        (candidate_doc(entry={"{w:false}": "z"}), "entry: target 'z' is not a node"),
+        (candidate_doc(entry={W0: "q", '{ "w": false }': "r"}),
+         "nondeterministic candidate: entry has two transitions for observation "
+         "{ \"w\": false }"),
+        (candidate_doc(delta=None), "diagnoser: missing key 'delta'"),
+        (candidate_doc(delta=[]), "diagnoser: 'delta' must be an object, got []"),
+        (candidate_doc(delta={"z": {}}), "delta source 'z' is not a node"),
+        (candidate_doc(delta={"q": 3}), "delta of 'q' must be an object, got 3"),
+        (candidate_doc(delta={"q": {W1: "z"}}), "delta of 'q': target 'z' is not a node"),
+        (candidate_doc(delta={"q": {"{w:true}": "r"}}),
+         "observation key '{w:true}': syntax error: Expecting property name enclosed "
+         "in double quotes (line 1, column 2)"),
+        (candidate_doc(delta={"q": {W1: "r", '{"w": true}': "q"}}),
+         "nondeterministic candidate: delta of 'q' has two transitions for observation "
+         "{\"w\": true}"),
+        (candidate_doc(entry={W0: "z"}, delta=[]), "entry: target 'z' is not a node"),
+        (candidate_doc(delta={"q": 3, "z": {}}), "delta of 'q' must be an object, got 3"),
+        (candidate_doc(delta={"z": {}, "q": 3}), "delta source 'z' is not a node"),
+        (candidate_doc(nodes={"it's": []}, entry={W0: "it's"}, delta={"it's": {W1: "r"}}),
+         "delta of \"it's\": target 'r' is not a node"),
+    ], ids=["not-object", "no-observables", "observables-string", "no-nodes", "nodes-list",
+            "alarms-string", "alarms-not-names", "first-bad-node", "node-before-entry",
+            "no-entry", "entry-list", "entry-target", "entry-target-int", "entry-key-syntax",
+            "entry-key-kind", "entry-key-alphabet", "target-before-key", "entry-twice",
+            "no-delta", "delta-list", "delta-source", "delta-row-kind", "delta-target",
+            "delta-key", "delta-twice", "entry-before-delta", "row-before-source",
+            "source-before-row", "quoted-id"])
+    def test_malformed_candidate_message(self, doc, message):
+        # each message, and which of several faults is reported first
+        with pytest.raises(ModelFormatError) as err:
+            diagnoser_from_json(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("model,specs", [
+        (model, specs) for model in ("sensor_delay", "intermittent", "fully_obs", "unobservable")
+        for specs in ("alarms_sensor", "alarms_intermittent")])
+    def test_writer_bytes_on_corpus_alarms(self, model, specs):
+        m = load_model(corpus_path(f"{model}.json"))
+        alarms = load_specs(corpus_path(f"{specs}.json"))
+        for group in [[a] for a in alarms] + [alarms]:
+            d = synthesize_diagnoser(m, group)
+            assert dump_diagnoser(d) == json_form(d)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_writer_bytes_on_kofn(self, n):
+        m = parse_model(json.dumps(bench_module("gen").kofn_phase(n)))
+        for alarm in parse_specs(json.dumps(bench_module("gen").kofn_specs(1))):
+            d = synthesize_diagnoser(m, [alarm])
+            assert dump_diagnoser(d) == json_form(d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_writer_bytes_and_round_trip_on_partial_models(self, seed, tmp_path):
+        gen = bench_module("gen")
+        rng = random.Random(seed)
+        m = parse_model(json.dumps(gen.partial_model(rng, faults=5, locations=8,
+                                                     observables=2 + seed % 3)))
+        alarms = parse_specs(json.dumps([
+            {"alarm": f"a{j}", "beta": beta, "delay": delay, "maximal": True}
+            for j, (beta, delay) in enumerate(zip(gen.partial_conditions(rng, faults=5),
+                                                  gen.PARTIAL_DELAYS))]))
+        for alarm in alarms:
+            d = synthesize_diagnoser(m, [alarm])
+            text = dump_diagnoser(d)
+            assert text == json_form(d)
+            # synthesize -> write -> load -> verify
+            path = tmp_path / f"{alarm.name}.json"
+            path.write_text(text)
+            loaded = load_diagnoser(path)
+            assert dump_diagnoser(loaded) == text
+            verdict = verify_diagnoser(m, loaded, alarm)
+            assert verdict == verify_diagnoser(m, d, alarm)
+            assert verdict.correctness.holds and verdict.maximality.holds
+            assert verdict.completeness.holds == check_diagnosability(m, alarm).diagnosable
+
+    @pytest.mark.parametrize("doc", [
+        # a node with no alarms and no moves, and one unreachable
+        candidate_doc(nodes={"q": [], "r": ["y", "x"], "s": []}),
+        # no observables: the one key is "{}"
+        {"observables": [], "nodes": {"q": ["x"]}, "entry": {"{}": "q"},
+         "delta": {"q": {"{}": "q"}}},
+        # ids whose escaped text sorts in another order than their raw text
+        {"observables": ["\u00e9", "z"], "nodes": {"n~": [], "n\u00e9": ["\u00ff"], 'n"': []},
+         "entry": {'{"z":true,"\u00e9":false}': "n\u00e9", '{"z":false,"\u00e9":true}': 'n"'},
+         "delta": {'n"': {'{"z":true,"\u00e9":false}': "n~"}, "n\u00e9": {}}},
+        {"observables": [], "nodes": {}, "entry": {}, "delta": {}},
+    ], ids=["no-alarms-no-moves", "no-observables", "non-ascii", "empty"])
+    def test_writer_bytes_on_edge_cases(self, doc):
+        d = diagnoser_from_json(doc)
+        assert dump_diagnoser(d) == json_form(d)
+
+    def test_beliefs_decode_as_read(self, sensor_delay, sensor_specs):
+        s = sensor_specs["a_bound3"]
+        d = synthesize_diagnoser(sensor_delay, [s])
+        beliefs = dict(d.beliefs)
+        assert list(beliefs) == list(d.nodes)
+        assert all(type(b) is frozenset and b for b in beliefs.values())
+        assert d.beliefs == beliefs and repr(d.beliefs) == repr(beliefs)
+        assert pickle.loads(pickle.dumps(d)).beliefs == beliefs
+        assert copy.deepcopy(d) == d
 
     def test_dot_export_mentions_alarms(self, sensor_delay, sensor_specs):
         d = synthesize_diagnoser(sensor_delay, [sensor_specs["a_bound3"]])
