@@ -43,12 +43,14 @@ the concrete twin plant.
 The search runs over the model's ints (:mod:`faultkit.model`).  A node is
 ``(pair * X1 + memory1) * X2 + memory2``: a state pair ``a * size + b``,
 then each side's memory, an int below the bound X of its delay kind.  A
-pair's successors are the products of the two states' successors within
-each observation class they share.  The witness order rests on numbering
-the states in sorted-id order: a memory is a function of its side's state
-sequence, and the pair is the most significant part of a node, so paths
-compare as their sequences of state-id pairs do, whatever the memories
-are.
+node's successors are the products of the two sides' successors within
+each observation class they share.  Each side keeps, per state and memory
+it reaches, its successors of each class as parts of a node, so every
+successor is the sum of one side-1 part and one side-2 part.  The witness
+order rests on numbering the states in sorted-id order: a memory is a
+function of its side's state sequence, and the pair is the most
+significant part of a node, so paths compare as their sequences of
+state-id pairs do, whatever the memories are.
 """
 
 from __future__ import annotations
@@ -213,52 +215,79 @@ def _twin_plant(m: SystemModel, beta, delay1: Delay, delay2: Delay):
 
     Under the finite delay side 2's memory is a latch that the condition
     sets, after which no node is critical, so side 2 keeps to states where
-    the condition fails."""
+    the condition fails.
+
+    Each side's successors of a state under a memory are kept, per
+    observation class, as node parts: x * width + memory1' * X2 on side 1,
+    y * scale + memory2' on side 2.  A node's successors are the sums of
+    the parts of the classes its two sides share."""
     flags = m.condition(beta)
     X1, first1, step1, holds1 = delay_memory(delay1)
     X2, first2, step2, holds2 = delay_memory(delay2)
-    size, moves, scale = m.size, m.succ_by_class, X1 * X2
+    size, scale = m.size, X1 * X2
     width = size * scale
-    by_class2, initial2 = moves, m.initial_by_class
+    moves1, moves2, initial2 = m.succ_by_class, m.succ_by_class, m.initial_by_class
     if isinstance(delay2, FiniteDelay):
-        by_class2 = [_clear(groups, flags) for groups in moves]
+        moves2 = [_clear(groups, flags) for groups in moves2]
         initial2 = _clear(initial2, flags)
 
-    # steps[memory]: side 1's memory times X2, then side 2's, after a step
-    # into a state whose condition flag is the index; once per memory
-    steps: dict[int, tuple[list[int], list[int]]] = {}
+    # parts1[a * X1 + memory1]: side 1's (class, node parts) pairs, read in
+    # order; parts2[b * X2 + memory2]: side 2's node parts by class.  Tuples
+    # where a dict or list is not needed: the tables live as long as the
+    # search.
+    def side1(key: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        a, memory1 = divmod(key, X1)
+        after = [step1(memory1, 0) * X2, step1(memory1, 1) * X2]
+        return tuple((c, tuple([x * width + after[flags[x]] for x in xs]))
+                     for c, xs in moves1[a].items())
+
+    def side2(key: int) -> dict[int, tuple[int, ...]]:
+        b, memory2 = divmod(key, X2)
+        after = [step2(memory2, 0), step2(memory2, 1)]
+        return {c: tuple([y * scale + after[flags[y]] for y in ys])
+                for c, ys in moves2[b].items()}
+
+    parts1, parts2 = _Memo(side1), _Memo(side2)
 
     def succ(node: int) -> list[int]:
-        # the nodes for x and y successors of the pair's states in one
-        # observation class
         pair, memory = divmod(node, scale)
-        after = steps.get(memory)
-        if after is None:
-            memory1, memory2 = divmod(memory, X2)
-            after = steps[memory] = ([step1(memory1, 0) * X2, step1(memory1, 1) * X2],
-                                     [step2(memory2, 0), step2(memory2, 1)])
-        after1, after2 = after
         a, b = divmod(pair, size)
-        moves2 = by_class2[b]
+        memory1, memory2 = divmod(memory, X2)
+        these2 = parts2[b * X2 + memory2]
         out: list[int] = []
-        for c, xs in moves[a].items():
-            ys = moves2.get(c)
+        for c, xs in parts1[a * X1 + memory1]:
+            ys = these2.get(c)
             if ys:
-                ends = [y * scale + after2[flags[y]] for y in ys]
-                for x in xs:
-                    begin = x * width + after1[flags[x]]
-                    out += [begin + end for end in ends]
+                out += [x + y for x in xs for y in ys]
         return out
 
-    def critical(node: int) -> bool:
-        memory1, memory2 = divmod(node % scale, X2)
+    def criticality(memory: int) -> bool:
+        memory1, memory2 = divmod(memory, X2)
         return holds1(memory1) and not holds2(memory2)
+
+    table = _Memo(criticality)
+
+    def critical(node: int) -> bool:
+        return table[node % scale]
 
     start1 = [first1(0) * X2, first1(1) * X2]
     start2 = [first2(0), first2(1)]
     roots = [x * width + start1[flags[x]] + y * scale + start2[flags[y]]
              for c, xs in m.initial_by_class.items() for x in xs for y in initial2.get(c, ())]
     return roots, succ, critical, scale
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with build(key): tables of what the
+    search reaches, when the whole table could be far larger."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 def _clear(groups: dict, flags) -> dict:

@@ -18,7 +18,9 @@ def lexleast_shortest_paths(roots: Iterable, successors: Callable,
     Roots are sorted, every layer is expanded in the order it was generated
     and successors in sorted order, so nodes are claimed, and the returned
     dict is ordered, by (path length, path).  Nodes for which `stop` holds
-    are recorded but not expanded.
+    are recorded but not expanded.  A successor already claimed is dropped
+    before the rest are sorted, so a node with no fresh successor costs one
+    membership test per successor.
 
     With `goal`, the search returns as soon as it claims a node for which
     `goal` holds: that node is then the last of the dict, which is the full
@@ -36,7 +38,10 @@ def lexleast_shortest_paths(roots: Iterable, successors: Callable,
         for node in layer:
             if stop is not None and stop(node):
                 continue
-            fresh = sorted(set(successors(node)).difference(parent))
+            fresh = {q for q in successors(node) if q not in parent}
+            if not fresh:
+                continue
+            fresh = sorted(fresh)
             hit = _first_hit(goal, fresh)
             if hit is not None:
                 parent.update(dict.fromkeys(fresh[:hit + 1], node))

@@ -9,7 +9,8 @@ from faultkit.boolexpr import parse_expr
 from faultkit.diagnosability import (check_diagnosability,
                                      check_trace_diagnosability)
 from faultkit.errors import TraceError
-from faultkit.fdispec import AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay
+from faultkit.fdispec import AlarmSpec, BoundedDelay, ExactDelay, FiniteDelay, delay_memory
+from faultkit.graphs import lexleast_shortest_paths
 from faultkit.model import Trace, load_model, parse_model
 
 from .conftest import bench_module, corpus_path
@@ -404,6 +405,65 @@ class TestFiniteSide2:
         # the pruned twin plant gives the pair that the whole one gives
         monkeypatch.setattr(diagnosability, "_clear", lambda groups, flags: groups)
         assert verdict == check_diagnosability(m, s)
+
+
+def product_successors(m, flags, delays, node):
+    """The successors of a twin-plant node, built directly from the model:
+    every pair of successors with one observation class, each side's
+    memory stepped by its own condition flag; under the finite delay, side
+    2 only into condition-free states."""
+    (X1, _, step1, _), (X2, _, step2, _) = map(delay_memory, delays)
+    pair, memory = divmod(node, X1 * X2)
+    a, b = divmod(pair, m.size)
+    memory1, memory2 = divmod(memory, X2)
+    return {((x * m.size + y) * X1 + step1(memory1, flags[x])) * X2 + step2(memory2, flags[y])
+            for x in m.succ[a] for y in m.succ[b]
+            if m.obs_class[x] == m.obs_class[y]
+            and not (isinstance(delays[1], FiniteDelay) and flags[y])}
+
+
+def twin_plant_models():
+    gen = bench_module("gen")
+    pool = random.Random("partial-pool/9")
+    partial = parse_model(json.dumps(gen.partial_model(pool, observables=5)))
+    yield pytest.param(kofn_model(4), ["low", "c0_fail", "c1_fail & !low"], id="kofn4")
+    yield pytest.param(load_model(corpus_path("sensor_delay.json")), ["fault"],
+                       id="sensor_delay")
+    yield pytest.param(partial, gen.partial_conditions(pool), id="partial-pool-9")
+
+
+# the delay pairs of the twin plants `_search` builds, for exact(2),
+# bound(2) and finite alarms
+TWIN_DELAYS = [(ExactDelay(0), ExactDelay(0)), (ExactDelay(2), BoundedDelay(4)),
+               (FiniteDelay(), FiniteDelay())]
+
+
+class TestTwinPlantSuccessors:
+    @pytest.mark.parametrize("m, betas", twin_plant_models())
+    @pytest.mark.parametrize("delays", TWIN_DELAYS, ids=["exact0", "exact2-bound4", "finite"])
+    def test_successors_are_the_synchronous_product(self, m, betas, delays):
+        for beta in betas:
+            flags = m.condition(beta)
+            roots, succ, critical, scale = diagnosability._twin_plant(m, parse_expr(beta),
+                                                                     *delays)
+            (X1, first1, _, holds1), (X2, first2, _, holds2) = map(delay_memory, delays)
+            assert scale == X1 * X2
+            finite = isinstance(delays[1], FiniteDelay)
+            initial = [m.number[sid] for sid in m.initial]
+            assert sorted(roots) == sorted(
+                ((x * m.size + y) * X1 + first1(flags[x])) * X2 + first2(flags[y])
+                for x in initial for y in initial
+                if m.obs_class[x] == m.obs_class[y] and not (finite and flags[y]))
+            parent = lexleast_shortest_paths(roots, succ)
+            for node in parent:
+                nxts = succ(node)
+                assert len(nxts) == len(set(nxts))
+                assert set(nxts) == product_successors(m, flags, delays, node)
+                memory1, memory2 = divmod(node % scale, X2)
+                assert critical(node) == (holds1(memory1) and not holds2(memory2))
+            # the kept tables answer a second time as they did the first
+            for node in parent:
+                assert set(succ(node)) == product_successors(m, flags, delays, node)
 
 
 class TestTraceDiagnosability:

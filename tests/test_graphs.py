@@ -1,3 +1,5 @@
+from collections import deque
+
 from hypothesis import given, settings, strategies as st
 
 from faultkit.graphs import lasso, lexleast_shortest_paths, nodes_on_cycles, path_to
@@ -64,6 +66,53 @@ def test_goal_cuts_the_full_search_after_its_first_goal_node(adjacency, roots, s
     if goal.intersection(roots):
         # a goal root returns before any node is expanded
         assert set(parent) <= roots
+
+
+def reference_bfs(roots, adjacency, stop=(), goal=()) -> dict:
+    """A plain FIFO breadth-first search: roots in sorted order, each
+    node's distinct successors in sorted order, each node claimed once
+    with the node that first reached it; `stop` nodes are not expanded and
+    the search ends at the first `goal` node it claims."""
+    parent: dict = {}
+    queue: deque = deque()
+    for root in sorted(set(roots)):
+        parent[root] = None
+        if root in goal:
+            return parent
+        queue.append(root)
+    while queue:
+        node = queue.popleft()
+        if node in stop:
+            continue
+        for nxt in sorted(set(adjacency[node])):
+            if nxt not in parent:
+                parent[nxt] = node
+                if nxt in goal:
+                    return parent
+                queue.append(nxt)
+    return parent
+
+
+# strings, whose set order follows the hash seed, not the sort order
+WIDE = tuple("abcdefgh")
+
+# successor lists that repeat nodes, and name roots and nodes claimed earlier
+multigraphs = st.lists(st.lists(st.sampled_from(WIDE), max_size=8),
+                       min_size=len(WIDE), max_size=len(WIDE)).map(
+    lambda rows: dict(zip(WIDE, rows)))
+
+
+@given(multigraphs,
+       st.lists(st.sampled_from(WIDE), min_size=1, max_size=4),
+       st.one_of(st.none(), st.sets(st.sampled_from(WIDE))),
+       st.one_of(st.none(), st.sets(st.sampled_from(WIDE))))
+@settings(max_examples=300, deadline=None)
+def test_lexleast_shortest_paths_match_a_reference_bfs(adjacency, roots, stop, goal):
+    parent = lexleast_shortest_paths(roots, adjacency.__getitem__,
+                                     stop=None if stop is None else stop.__contains__,
+                                     goal=None if goal is None else goal.__contains__)
+    expected = reference_bfs(roots, adjacency, stop or (), goal or ())
+    assert list(parent.items()) == list(expected.items())
 
 
 def test_lasso_tries_region_roots_in_the_order_given():
