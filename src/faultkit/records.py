@@ -4,9 +4,10 @@ A record lists its fields, in order, as `__slots__`, and its `__init__`
 sets them with `_set`.  Two records are equal when they are of the same
 class and their fields are equal in order, so `And(a, b)` never equals
 `Or(a, b)`.  A :class:`Frozen` record is hashable and cannot be assigned
-to, which lets expression nodes key `SystemModel.condition`'s cache.  The
-methods are written once here, so importing a module that defines records
-generates no code: start-up is most of a command-line request.
+to, so a value such as an expression node or a TFPG edge can be shared
+without a copy and can be a set member or a dict key.  The methods are
+written once here, so importing a module that defines records generates
+no code: start-up is most of a command-line request.
 """
 
 

@@ -22,7 +22,7 @@ re-entering restarts the clock at the re-entry step.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, count, islice
 from operator import itemgetter
 
 from .boolexpr import Expr, as_expr
@@ -275,18 +275,18 @@ def _anchor(edge: TfpgEdge, act_u: int | None, t: int, timeline) -> int | None:
     return a
 
 
-def _justifies(edge: TfpgEdge, times, t_v: int, timeline) -> bool:
-    a = _anchor(edge, times[edge.src], t_v, timeline)
+def _justifies(edge: TfpgEdge, act_u: int | None, t_v: int, timeline) -> bool:
+    a = _anchor(edge, act_u, t_v, timeline)
     return a is not None and edge.tmin <= t_v - a <= edge.tmax
 
 
-def _forcing_deadline(edge: TfpgEdge, times, timeline, horizon: int) -> int | None:
+def _forcing_deadline(edge: TfpgEdge, act_u: int | None, timeline) -> int | None:
     """Earliest step by which the edge guarantees its target's activation
-    within the horizon: anchor + tmax for some enabled run lasting that
-    long.  None when nothing is forced."""
-    act_u = times[edge.src]
+    within the timeline's horizon: anchor + tmax for some enabled run
+    lasting that long.  None when nothing is forced."""
     if act_u is None or edge.tmax == INF:
         return None
+    horizon = len(timeline) - 1
     t = act_u
     while t <= horizon:
         if timeline[t] not in edge.modes:
@@ -313,13 +313,14 @@ def _node_violation(g: Tfpg, edges, node: str, t_v: int | None, times,
     inc = g.incoming(node)
     if t_v is not None:
         if g.nodes[node] == OR:
-            if not any(_justifies(edges[i], times, t_v, timeline) for i in inc):
+            if not any(_justifies(edges[i], times[edges[i].src], t_v, timeline) for i in inc):
                 return TraceViolation(
                     "or-justification", node,
                     f"activation at {t_v} is not explained by any incoming edge",
                     tuple(inc))
             return None
-        bad = tuple(i for i in inc if not _justifies(edges[i], times, t_v, timeline))
+        bad = tuple(i for i in inc
+                    if not _justifies(edges[i], times[edges[i].src], t_v, timeline))
         if not inc or bad:
             detail = ("no incoming edges" if not inc else
                       "edges not satisfied: "
@@ -327,8 +328,7 @@ def _node_violation(g: Tfpg, edges, node: str, t_v: int | None, times,
             return TraceViolation("and-justification", node,
                                   f"activation at {t_v}: {detail}", bad or tuple(inc))
         return None
-    deadlines = {i: _forcing_deadline(edges[i], times, timeline, len(timeline) - 1)
-                 for i in inc}
+    deadlines = {i: _forcing_deadline(edges[i], times[edges[i].src], timeline) for i in inc}
     forced = tuple(i for i in inc if deadlines[i] is not None)
     if g.nodes[node] == OR and forced:
         return TraceViolation(
@@ -346,15 +346,17 @@ def check_trace_consistency(g: Tfpg, at: ActivationTrace) -> tuple[bool, list[Tr
     """Check one activation trace against the propagation semantics.
     Returns (consistent, violations); failure modes are free inputs."""
     _check_trace_shape(g, at)
-    times = {n: at.times.get(n) for n in g.nodes}
-    verdicts = (_node_violation(g, g.edges, node, times[node], times, at.mode_timeline)
-                for node in g.discrepancies())
-    violations = [v for v in verdicts if v is not None]
+    violations = _violations(g, g.edges, (0, *map(at.times.get, sorted(g.nodes))),
+                             [at.mode_timeline])
     return not violations, violations
 
 
-# a memo's mark for a key not decided yet: None is a verdict
-_UNSEEN = object()
+def _violations(g: Tfpg, edges, row, timelines: list) -> list[TraceViolation]:
+    """The violations `_node_violation` finds on a row's trace, in node order."""
+    times = dict(zip(sorted(g.nodes), row[1:]))
+    verdicts = (_node_violation(g, edges, node, times[node], times, timelines[row[0]])
+                for node in g.discrepancies())
+    return [v for v in verdicts if v is not None]
 
 
 def _slots(g: Tfpg) -> dict[str, int]:
@@ -362,33 +364,50 @@ def _slots(g: Tfpg) -> dict[str, int]:
     return {n: k for k, n in enumerate(sorted(g.nodes), 1)}
 
 
-def _decider(g: Tfpg, edges, timelines: list):
-    """decide(row) for the rows `_induced` yields: the violations
-    check_trace_consistency reports on the row's activation trace, with
-    `edges` for g's edges as in `_node_violation`.  Each
-    discrepancy is decided by `_node_violation` once per distinct key
-    (timeline id, its time, its sources' times), which is exactly what the
-    verdict reads; `timelines` holds each id's timeline."""
+def _first_violation(g: Tfpg, edges, timelines: list):
+    """first(node, rows, start=0): the index of the first row from `start`
+    on, in a list of rows as `_induced` yields them, on which discrepancy
+    `node` violates `edges` (as in `_node_violation`), else len(rows).  A
+    call decides each distinct key (timeline id, its time, its sources'
+    times) not yet found consistent, from per-edge verdicts kept by
+    (timeline id, source time a, target time t): a justifies t, or forces
+    a target that never activates (t None)."""
     slot = _slots(g)
-    checks = []
+    checks = {}
     for node in g.discrepancies():
         sources = sorted({g.edges[i].src for i in g.incoming(node)})
-        checks.append((node, sources, {},
-                       itemgetter(0, slot[node], *(slot[s] for s in sources))))
+        at = tuple((edges[i], 2 + sources.index(g.edges[i].src), {}) for i in g.incoming(node))
+        checks[node] = (itemgetter(0, slot[node], *(slot[s] for s in sources)),
+                        at, g.nodes[node] == OR, set())
 
-    def decide(row) -> list[TraceViolation]:
-        found = []
-        for node, sources, memo, key_of in checks:
-            key = key_of(row)
-            verdict = memo.get(key, _UNSEEN)
-            if verdict is _UNSEEN:
-                verdict = memo[key] = _node_violation(
-                    g, edges, node, key[1], dict(zip(sources, key[2:])), timelines[key[0]])
-            if verdict is not None:
-                found.append(verdict)
-        return found
+    def holds(edge, memo, tid, a, t) -> bool:
+        verdict = memo.get((tid, a, t))
+        if verdict is None:
+            verdict = memo[tid, a, t] = (
+                _justifies(edge, a, t, timelines[tid]) if t is not None
+                else _forcing_deadline(edge, a, timelines[tid]) is not None)
+        return verdict
 
-    return decide
+    def violates(at, is_or, key) -> bool:
+        tid, t = key[0], key[1]
+        verdicts = (holds(edge, memo, tid, key[k], t) for edge, k, memo in at)
+        # an activation needs one justifying edge (OR) or all of them (AND),
+        # and one forcing edge (OR) or all (AND) forbid never activating; an
+        # AND node without edges is neither justified nor forced
+        return (t is None) == (any(verdicts) if is_or else bool(at) and all(verdicts))
+
+    def first(node, rows, start=0) -> int:
+        key_of, at, is_or, consistent = checks[node]
+        keys = set(map(key_of, islice(rows, start, None))) - consistent
+        bad = {key for key in keys if violates(at, is_or, key)}
+        consistent |= keys - bad
+        if not bad:
+            return len(rows)
+        found = compress(count(start), map(bad.__contains__,
+                                           map(key_of, islice(rows, start, None))))
+        return next(found)
+
+    return first
 
 
 # -- behavioral validation against a system model -------------------------------
@@ -533,18 +552,38 @@ def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int, timelines: list
         yield run, (tid, *times)
 
 
+# a behavioural check decides runs in blocks, doubling from the first size to the cap
+_FIRST_BLOCK = 64
+_BLOCK_CAP = 4096
+
+
 def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
                         horizon: int) -> BehavioralResult:
     """The TFPG is complete for the model at this horizon when the induced
     activation trace of every system run is consistent.  The witness is the
     lexicographically least violating run."""
     timelines: list = []
-    decide = _decider(g, g.edges, timelines)
-    for run, row in _induced(g, m, nm, horizon, timelines):
-        found = decide(row)
-        if found:
-            return BehavioralResult(False, m.trace(run), tuple(found))
-    return BehavioralResult(True)
+    first = _first_violation(g, g.edges, timelines)
+    induced = _induced(g, m, nm, horizon, timelines)
+    size = _FIRST_BLOCK
+    while True:
+        block, error = [], None
+        try:
+            block.extend(islice(induced, size))
+        except TfpgError as err:
+            # an unprojectable run fails the check only if none before it violates
+            error = err
+        rows = [row for _, row in block]
+        k = min((first(node, rows) for node in g.discrepancies()), default=len(rows))
+        if k < len(rows):
+            run, row = block[k]
+            return BehavioralResult(False, m.trace(run),
+                                    tuple(_violations(g, g.edges, row, timelines)))
+        if error is not None:
+            raise error
+        if len(block) < size:
+            return BehavioralResult(True)
+        size = min(2 * size, _BLOCK_CAP)
 
 
 # -- edge tightening -------------------------------------------------------------
@@ -596,27 +635,28 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
         exercised.append(bool(delays))
         if delays:
             edges[i] = TfpgEdge(e.src, e.dst, min(delays), max(delays), e.modes)
-    decide = _decider(g, edges, timelines)
+    first = _first_violation(g, edges, timelines)
+    fails = {node: first(node, rows) for node in g.discrepancies()}
     # Relaxing an upper bound to infinity only weakens justification and
-    # removes forcing, so a trace once consistent stays consistent: one pass
-    # that relaxes until the current trace holds checks every trace.
-    for row in rows:
-        found = decide(row)
-        while found:
-            # only bounds this run introduced may be relaxed; a violation
-            # pinned on untouched edges means the input was not complete
-            # to begin with
-            relaxed = {i for v in found if v.kind.endswith("inevitability")
-                       for i in v.edge_indices if exercised[i] and edges[i].tmax != INF}
-            if not relaxed:
-                raise TfpgError(
-                    "input TFPG is not complete at this horizon; tightening "
-                    "cannot proceed: " + "; ".join(str(v) for v in found))
-            for i in relaxed:
-                e = edges[i]
-                edges[i] = TfpgEdge(e.src, e.dst, e.tmin, INF, e.modes)
-            decide = _decider(g, edges, timelines)
-            found = decide(row)
+    # removes forcing, so the rows before the first failing one hold for good,
+    # and a relaxation needs only its edges' targets decided again from it.
+    while (r := min(fails.values(), default=len(rows))) < len(rows):
+        found = _violations(g, edges, rows[r], timelines)
+        # only bounds this run introduced may be relaxed; a violation
+        # pinned on untouched edges means the input was not complete
+        # to begin with
+        relaxed = {i for v in found if v.kind.endswith("inevitability")
+                   for i in v.edge_indices if exercised[i] and edges[i].tmax != INF}
+        if not relaxed:
+            raise TfpgError(
+                "input TFPG is not complete at this horizon; tightening "
+                "cannot proceed: " + "; ".join(str(v) for v in found))
+        for i in relaxed:
+            e = edges[i]
+            edges[i] = TfpgEdge(e.src, e.dst, e.tmin, INF, e.modes)
+        first = _first_violation(g, edges, timelines)
+        for node in {edges[i].dst for i in relaxed}:
+            fails[node] = first(node, rows, r)
     # observed delays are finite, so an exercised edge ends unbounded only
     # when it was relaxed
     changes = tuple(

@@ -2,11 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultkit import tfpg
 from faultkit.boolexpr import parse_expr
 from faultkit.errors import ModelFormatError, SizeGuardExceeded
-from faultkit.model import Trace, parse_model
+from faultkit.model import SystemModel, Trace, parse_model
 from faultkit.tfpg import (INF, ActivationTrace, NodeMap, Tfpg, TfpgEdge, TfpgError,
                            activation_trace_from_json, behavioral_validate,
                            check_trace_consistency, export_tfpg_dot, parse_tfpg,
@@ -161,6 +162,55 @@ class TestTraceConsistency:
         assert first == second and not first[0]
 
 
+SWITCHING = ("down", "up")
+
+
+@st.composite
+def column_checks(draw):
+    """A discrepancy v of either kind with zero to four incoming edges from
+    the failure modes a, b and c (parallel ones included), bounds with
+    tmin = 0, tmax = inf and tmin > tmax among them, up to three mode
+    timelines that switch between down and up, rows (timeline id, a, b, c,
+    v) drawn from a small pool so that keys repeat, and a start row."""
+    horizon = draw(st.integers(0, 5))
+    bound = st.integers(0, horizon + 1)
+    edges = draw(st.lists(st.tuples(st.sampled_from("abc"), bound, st.one_of(st.just(INF), bound),
+                                    st.sets(st.sampled_from(SWITCHING), min_size=1)),
+                          max_size=4))
+    kind = draw(st.sampled_from(["OR", "AND"]))
+    g = Tfpg(SWITCHING, {"a": "FM", "b": "FM", "c": "FM", "v": kind},
+             [TfpgEdge(src, "v", lo, hi, tuple(sorted(modes))) for src, lo, hi, modes in edges])
+    timelines = draw(st.lists(st.tuples(*[st.sampled_from(SWITCHING)] * (horizon + 1)),
+                              min_size=1, max_size=3))
+    time = st.one_of(st.none(), st.integers(0, horizon))
+    pool = draw(st.lists(st.tuples(st.integers(0, len(timelines) - 1), time, time, time, time),
+                         min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return g, timelines, rows, draw(st.integers(0, len(rows)))
+
+
+class TestColumnVerdicts:
+    @given(column_checks())
+    @settings(max_examples=400, deadline=None)
+    def test_first_violation_matches_node_violation(self, case):
+        """A key decided from per-edge verdicts is bad exactly when
+        `_node_violation` reports a violation on it, and the first bad row
+        of a block, from any start, is the first row it reports on."""
+        g, timelines, rows, start = case
+        bad = []
+        for row in rows:
+            times = dict(zip("abcv", row[1:]))
+            bad.append(tfpg._node_violation(g, g.edges, "v", times["v"], times,
+                                            timelines[row[0]]) is not None)
+            alone = tfpg._first_violation(g, g.edges, timelines)
+            assert alone("v", [row]) == (0 if bad[-1] else 1)
+        first = tfpg._first_violation(g, g.edges, timelines)
+        want = next((k for k in range(start, len(rows)) if bad[k]), len(rows))
+        assert first("v", rows, start) == want
+        # keys found consistent from `start` on are not decided again
+        assert first("v", rows) == next((k for k, b in enumerate(bad) if b), len(rows))
+
+
 class TestBehavioral:
     def test_permissive_graph_is_complete(self, battery, battery_map):
         g = Tfpg(("phase_a", "phase_b", "phase_c"),
@@ -220,6 +270,50 @@ class TestBehavioral:
             edge["tmax"] = "inf"
         widened = parse_tfpg(json.dumps(doc))
         assert behavioral_validate(widened, battery, battery_map, 6).complete
+
+    def test_long_horizon_stops_early(self, monkeypatch):
+        """kofn4's graph synthesized at H=4 fails at H=12 on an early run:
+        the check projects far fewer runs than the model has, and its
+        witness is the least violating run."""
+        gen = bench_module("gen")
+        m = parse_model(json.dumps(gen.kofn_phase(4)))
+        config = SynthesisConfig.from_json(gen.kofn_tfpg_config(4))
+        g, nm = synthesize_tfpg(m, config, 4).tfpg, config.node_map()
+        runs, projected = SystemModel.runs, []
+
+        def counted(self, length):
+            for run in runs(self, length):
+                projected.append(run)
+                yield run
+
+        monkeypatch.setattr(SystemModel, "runs", counted)
+        result = behavioral_validate(g, m, nm, 12)
+        assert 0 < len(projected) < path_count_by_matrix_power(m, 13) // 10
+        least = next(tr for tr in enumerate_traces(m, 13)
+                     if not check_trace_consistency(g, induced_activation_trace(g, m, nm, tr))[0])
+        assert result.witness.steps == least.steps == (
+            "s0_a0", "s0_b0", "s0_c0", "s0_a0", "s0_b0", "s0_c0", "s0_a0", "s0_b0",
+            "s1_c0", "s1_a0", "s1_b0", "s1_c0", "s3_a0")
+        induced = induced_activation_trace(g, m, nm, result.witness)
+        assert list(result.violations) == check_trace_consistency(g, induced)[1]
+
+    def test_violation_before_an_unprojectable_run_is_the_witness(self):
+        # runs s a and s z; z has both mode atoms true, and s a violates
+        # the [0,0] edge unless its bound is infinite
+        m = parse_model(json.dumps({
+            "atoms": ["f", "x", "on", "off"], "faults": ["f"], "modes": ["on", "off"],
+            "states": {"s": {"on": True}, "a": {"on": True, "f": True},
+                       "z": {"on": True, "off": True}},
+            "initial": ["s"], "transitions": [["s", "a"], ["s", "z"]]}))
+        nm = NodeMap({"f": parse_expr("f"), "d": parse_expr("x")}, {"on": "on", "off": "off"})
+        for tmax in (0, INF):
+            g = Tfpg(("off", "on"), {"f": "FM", "d": "OR"},
+                     [TfpgEdge("f", "d", 0, tmax, ("on",))])
+            if tmax == 0:
+                assert behavioral_validate(g, m, nm, 1).witness.steps == ("s", "a")
+            else:
+                with pytest.raises(TfpgError, match="reaches state 'z'"):
+                    behavioral_validate(g, m, nm, 1)
 
 
 def assert_behavioral_matches_oracle(g, m, nm, horizon):
