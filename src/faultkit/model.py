@@ -27,7 +27,6 @@ numbered in sorted-id order, so comparing numbers compares ids:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cached_property
 
 from .boolexpr import Expr, as_expr
@@ -145,31 +144,6 @@ class SystemModel:
     def require_trace(self, tr: Trace) -> None:
         if not self.is_trace(tr):
             raise TraceError(f"not a trace of this model: {list(tr.steps)}")
-
-    def runs(self, length: int) -> Iterator[tuple[int, ...]]:
-        """All runs with exactly `length` states, as state-number tuples in
-        lexicographic order."""
-        if length < 1:
-            raise ValueError("horizon must be >= 1")
-        # Depth first over an explicit stack, so no length makes Python
-        # recurse: stack[i] holds the choices left for position i, prefix
-        # the states chosen before the top one, and the last position is
-        # yielded as one batch.
-        prefix: list[int] = []
-        stack = [iter([self.number[sid] for sid in self.initial])]
-        while stack:
-            if len(stack) < length:
-                state = next(stack[-1], None)
-                if state is not None:
-                    prefix.append(state)
-                    stack.append(iter(self.succ[state]))
-                    continue
-            else:
-                head = tuple(prefix)
-                yield from (head + (last,) for last in stack[-1])
-            stack.pop()
-            if prefix:
-                prefix.pop()
 
     def trace(self, run) -> Trace:
         """The trace of a run given as state numbers."""

@@ -359,9 +359,18 @@ def _violations(g: Tfpg, edges, row, timelines: list) -> list[TraceViolation]:
     return [v for v in verdicts if v is not None]
 
 
-def _slots(g: Tfpg) -> dict[str, int]:
-    """Each node's index in a row: (timeline id, *times in sorted node order)."""
-    return {n: k for k, n in enumerate(sorted(g.nodes), 1)}
+def _keys(g: Tfpg) -> dict[str, tuple]:
+    """Per node, the getter of its key from a row, (timeline id, its time,
+    its sources' times in sorted source order), where a row is (timeline
+    id, *times in sorted node order); and, in the order of g.incoming, the
+    position in the key of each incoming edge's source time."""
+    slot = {n: k for k, n in enumerate(sorted(g.nodes), 1)}
+    layout = {}
+    for node in g.nodes:
+        sources = sorted({g.edges[i].src for i in g.incoming(node)})
+        layout[node] = (itemgetter(0, slot[node], *(slot[s] for s in sources)),
+                        tuple(2 + sources.index(g.edges[i].src) for i in g.incoming(node)))
+    return layout
 
 
 def _first_violation(g: Tfpg, edges, timelines: list):
@@ -372,13 +381,12 @@ def _first_violation(g: Tfpg, edges, timelines: list):
     times) not yet found consistent, from per-edge verdicts kept by
     (timeline id, source time a, target time t): a justifies t, or forces
     a target that never activates (t None)."""
-    slot = _slots(g)
+    keys = _keys(g)
     checks = {}
     for node in g.discrepancies():
-        sources = sorted({g.edges[i].src for i in g.incoming(node)})
-        at = tuple((edges[i], 2 + sources.index(g.edges[i].src), {}) for i in g.incoming(node))
-        checks[node] = (itemgetter(0, slot[node], *(slot[s] for s in sources)),
-                        at, g.nodes[node] == OR, set())
+        key_of, where = keys[node]
+        at = tuple((edges[i], k, {}) for i, k in zip(g.incoming(node), where))
+        checks[node] = (key_of, at, g.nodes[node] == OR, set())
 
     def holds(edge, memo, tid, a, t) -> bool:
         verdict = memo.get((tid, a, t))
@@ -470,61 +478,25 @@ def _check_map(g: Tfpg, m: SystemModel, nm: NodeMap) -> None:
                             "exactly one mode")
 
 
-def _projection(g: Tfpg, m: SystemModel, nm: NodeMap):
-    """project(run) -> (mode timeline, activation times in sorted node
-    order), the induced activation trace of a run of state numbers.  What
-    depends only on g, m and nm is worked out here once: each state's mode,
-    the mapped nodes' condition flags, and an order of the unmapped nodes,
-    each after its sources.  Errors are raised by project."""
-    mode_bits = m.mask_of(m.mode_atoms)
-    modes = ({m.bits[a]: mode for mode, a in nm.mode_map.items() if a in m.bits}
-             if m.mode_atoms else {0: g.modes[0]})
-    mode_of = [modes.get(x & mode_bits) for x in m.masks]
-    order = sorted(g.nodes)
-    slot = {n: k for k, n in enumerate(order)}
-    mapped = [(slot[n], m.condition(nm.exprs[n])) for n in order if n in nm.exprs]
-    pending = [n for n in order if n not in nm.exprs]
-    helpers = []
-    while pending:
-        before = len(pending)
-        for node in list(pending):
-            sources = sorted({g.edges[i].src for i in g.incoming(node)})
-            if not any(s in pending for s in sources):
-                # the first source twice, so that even one source gives a
-                # tuple; a node without sources keeps its None
-                if sources:
-                    helpers.append((slot[node], itemgetter(
-                        *(slot[s] for s in sources), slot[sources[0]])))
-                pending.remove(node)
-        if len(pending) == before:
-            break
-
-    def project(run) -> tuple[tuple[str, ...], tuple[int | None, ...]]:
-        timeline = tuple(map(mode_of.__getitem__, run))
-        if None in timeline:
-            raise TfpgError(f"a run reaches state {m.ids[run[timeline.index(None)]]!r}, "
-                            f"where not exactly one mode atom is true")
-        if pending:
-            raise TfpgError(f"cyclic unmapped AND nodes: {pending}")
-        steps = range(len(run))
-        times = [None] * len(order)
-        for k, flags in mapped:
-            times[k] = next(compress(steps, map(flags.__getitem__, run)), None)
-        for k, sources_of in helpers:
-            acts = sources_of(times)
-            times[k] = None if None in acts else max(acts)
-        return timeline, tuple(times)
-
-    return project
-
-
 def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int, timelines: list):
     """(run, row) for every run of horizon + 1 states, in lexicographic
     order, where row is (timeline id, *activation times in sorted node
     order) of the run's induced activation trace and a timeline's id is its
     index in `timelines`, which this appends to.  The map is checked and
-    the runs are counted before the first one is projected: more than
-    RUN_LIMIT raise."""
+    the runs are counted before the first one is reached: more than
+    RUN_LIMIT raise.
+
+    The runs are the leaves of a depth-first walk of the run tree, on an
+    explicit stack so that no horizon makes Python recurse, and a prefix is
+    projected once for all its extensions.  A mapped node activates at the
+    first state where its predicate holds, an unmapped AND node when the
+    last of its sources does; so reaching a state stamps the current depth
+    on the mapped nodes that hold there and are not yet active, and on the
+    helpers that this completes.  A run of horizon + 1 states that reaches
+    a state without exactly one mode atom, or any such run when unmapped
+    AND nodes form a cycle, raises TfpgError; a shorter branch never does."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     _check_map(g, m, nm)
     # runs ending in each state, layer by layer; a count past the limit
     # reaches the last layer past it or not at all, so it is capped there
@@ -534,22 +506,97 @@ def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int, timelines: list
         ends[m.number[sid]] = 1
     for _ in range(horizon):
         step = [0] * m.size
-        for i, count in enumerate(ends):
+        for i, runs in enumerate(ends):
             for j in m.succ[i]:
-                step[j] += count
-        ends = [min(count, cap) for count in step]
+                step[j] += runs
+        ends = [min(runs, cap) for runs in step]
     if sum(ends) > RUN_LIMIT:
         raise SizeGuardExceeded(f"the model has more than {RUN_LIMIT} runs of "
                                 f"{horizon + 1} states")
-    project = _projection(g, m, nm)
-    ids: dict[tuple[str, ...], int] = {}
-    for run in m.runs(horizon + 1):
-        timeline, times = project(run)
-        tid = ids.get(timeline)
-        if tid is None:
-            tid = ids[timeline] = len(timelines)
-            timelines.append(timeline)
-        yield run, (tid, *times)
+    mode_bits = m.mask_of(m.mode_atoms)
+    modes = ({m.bits[a]: mode for mode, a in nm.mode_map.items() if a in m.bits}
+             if m.mode_atoms else {0: g.modes[0]})
+    mode_of = [modes.get(x & mode_bits) for x in m.masks]
+    # a set of nodes is a mask, bit k for the k-th node in sorted order
+    order = sorted(g.nodes)
+    bit = {n: 1 << k for k, n in enumerate(order)}
+    fires = [0] * m.size
+    for n in order:
+        if n in nm.exprs:
+            for i in compress(count(), m.condition(nm.exprs[n])):
+                fires[i] |= bit[n]
+    # the unmapped nodes with sources as (bit, the bits of their sources),
+    # each after the unmapped ones among its sources; a node without
+    # sources never activates
+    helpers, pending = [], [n for n in order if n not in nm.exprs]
+    while pending:
+        before = len(pending)
+        for node in list(pending):
+            sources = {g.edges[i].src for i in g.incoming(node)}
+            if not sources.intersection(pending):
+                if sources:
+                    helpers.append((bit[node], sum(map(bit.__getitem__, sources))))
+                pending.remove(node)
+        if len(pending) == before:
+            break
+    # a walk meets few distinct masks, so each one's closure under the
+    # helpers and each one's slots are worked out once
+    closed: dict[int, int] = {}
+    slots: dict[int, tuple[int, ...]] = {}
+
+    def stamp(times, active, fired, depth):
+        """times and active nodes after those in `fired` activate at
+        `depth`, with the helpers they complete."""
+        after = closed.get(active | fired)
+        if after is None:
+            after = active | fired
+            for b, need in helpers:
+                if after & need == need:
+                    after |= b
+            closed[active | fired] = after
+        new = after ^ active
+        where = slots.get(new)
+        if where is None:
+            where = slots[new] = tuple(k for k in range(len(order)) if new >> k & 1)
+        times = list(times)
+        for k in where:
+            times[k] = depth
+        return tuple(times), after
+
+    ids: dict[tuple[str | None, ...], int] = {}
+    succ = m.succ
+    # a frame: the choices left for the next state, and the prefix before
+    # it with its activation times, active nodes and timeline
+    stack = [(iter([m.number[sid] for sid in m.initial]), (), (None,) * len(order), 0, ())]
+    while stack:
+        states, head, times, active, timeline = stack[-1]
+        depth = len(stack) - 1
+        if depth < horizon:
+            state = next(states, None)
+            if state is None:
+                stack.pop()
+                continue
+            fired = fires[state] & ~active
+            if fired:
+                times, active = stamp(times, active, fired, depth)
+            stack.append((iter(succ[state]), head + (state,), times, active,
+                          timeline + (mode_of[state],)))
+            continue
+        stack.pop()
+        for state in states:
+            run, line = head + (state,), timeline + (mode_of[state],)
+            fired = fires[state] & ~active
+            at = stamp(times, active, fired, depth)[0] if fired else times
+            tid = ids.get(line)
+            if tid is None:
+                if None in line:
+                    raise TfpgError(f"a run reaches state {m.ids[run[line.index(None)]]!r}, "
+                                    f"where not exactly one mode atom is true")
+                if pending:
+                    raise TfpgError(f"cyclic unmapped AND nodes: {pending}")
+                tid = ids[line] = len(timelines)
+                timelines.append(line)
+            yield run, (tid, *at)
 
 
 # a behavioural check decides runs in blocks, doubling from the first size to the cap
@@ -619,22 +666,24 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
     idempotent at a fixed horizon."""
     timelines: list = []
     rows = [row for _, row in _induced(g, m, nm, horizon, timelines)]
-    slot = _slots(g)
     # g's edges in g's order, each exercised one shrunk to its observed
     # delays; a delay reads only the timeline and the edge's two activation
-    # times, so each distinct triple is anchored once
+    # times, so each distinct triple is anchored once, read off the distinct
+    # keys of the edge's target
     edges = list(g.edges)
-    exercised = []
-    for i, e in enumerate(g.edges):
-        delays = set()
-        for tid, act_u, act_v in set(map(itemgetter(0, slot[e.src], slot[e.dst]), rows)):
-            if act_v is not None:
-                a = _anchor(e, act_u, act_v, timelines[tid])
-                if a is not None:
-                    delays.add(act_v - a)
-        exercised.append(bool(delays))
-        if delays:
-            edges[i] = TfpgEdge(e.src, e.dst, min(delays), max(delays), e.modes)
+    exercised = [False] * len(edges)
+    for node, (key_of, where) in _keys(g).items():
+        keys = set(map(key_of, rows)) if where else ()
+        for i, k in zip(g.incoming(node), where):
+            e, delays = g.edges[i], set()
+            for tid, act_u, act_v in {(key[0], key[k], key[1]) for key in keys}:
+                if act_v is not None:
+                    a = _anchor(e, act_u, act_v, timelines[tid])
+                    if a is not None:
+                        delays.add(act_v - a)
+            exercised[i] = bool(delays)
+            if delays:
+                edges[i] = TfpgEdge(e.src, e.dst, min(delays), max(delays), e.modes)
     first = _first_violation(g, edges, timelines)
     fails = {node: first(node, rows) for node in g.discrepancies()}
     # Relaxing an upper bound to infinity only weakens justification and

@@ -7,7 +7,7 @@ from faultkit.boolexpr import And, Atom, Const, Not, Or, as_expr
 from faultkit.errors import ModelFormatError
 from faultkit.model import Trace, parse_model, validate_model
 
-from .oracles import enumerate_traces, evaluate, observed, path_count_by_matrix_power
+from .oracles import evaluate, observed
 
 
 def successor_ids(m, sid):
@@ -180,10 +180,6 @@ class TestRepeatedInitial:
         assert [str(v) for v in twice] == [str(v) for v in once] == [
             "initial-faults-false: a: fault atom 'f' is true in initial state"]
 
-    def test_runs_enumerated_once(self):
-        once, twice = self.models()
-        assert list(twice.runs(4)) == list(once.runs(4)) == [(0, 1, 0, 1)]
-
     def test_diagnoser_has_one_node_per_belief(self):
         from faultkit.fdispec import AlarmSpec, FiniteDelay
         from faultkit.synthesis import diagnoser_to_json, synthesize_diagnoser
@@ -203,52 +199,6 @@ class TestQueries:
         assert battery.is_trace(Trace(("s00_a", "s10_b", "s10_c")))
         assert not battery.is_trace(Trace(("s10_b", "s10_c")))  # not initial
         assert not battery.is_trace(Trace(("s00_a", "s11_b")))  # no such edge
-
-
-class TestTraceEnumeration:
-    def test_single_selfloop_one_trace(self):
-        m = parse_model(MINIMAL)
-        assert len(list(m.runs(3))) == 1
-
-    def test_long_run_does_not_recurse(self):
-        # past Python's recursion limit of 1000
-        m = parse_model(MINIMAL)
-        assert list(m.runs(5000)) == [(0,) * 5000]
-
-    def test_two_branches(self):
-        doc = {"atoms": [], "states": {"a": {}, "b": {}, "c": {}},
-               "initial": ["a"],
-               "transitions": [["a", "b"], ["a", "c"], ["b", "b"], ["c", "c"]]}
-        m = parse_model(json.dumps(doc))
-        assert len(list(m.runs(2))) == 2
-
-    def test_zero_horizon_rejected(self, battery):
-        with pytest.raises(ValueError):
-            list(battery.runs(0))
-
-    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
-    def test_count_matches_adjacency_power(self, battery, length):
-        # distinct traces of the records, as many as the records allow
-        traces = list(map(battery.trace, battery.runs(length)))
-        assert all(map(battery.is_trace, traces)) and len(set(traces)) == len(traces)
-        assert len(traces) == path_count_by_matrix_power(battery, length)
-
-    def test_faults_monotone_along_traces(self, battery):
-        for tr in map(battery.trace, battery.runs(5)):
-            previous = frozenset()
-            for sid in tr.steps:
-                current = frozenset(f for f in battery.fault_atoms if battery.states[sid][f])
-                assert previous <= current
-                previous = current
-
-    def test_lexicographic_order(self, sensor_delay):
-        traces = [tr.steps for tr in map(sensor_delay.trace, sensor_delay.runs(3))]
-        assert traces == sorted(traces)
-
-    @pytest.mark.parametrize("length", [1, 4, 7])
-    def test_oracle_enumeration_matches_runs(self, battery, sensor_delay, length):
-        for m in (battery, sensor_delay):
-            assert list(enumerate_traces(m, length)) == list(map(m.trace, m.runs(length)))
 
 
 ATOMS = ["a", "b", "c", "d"]

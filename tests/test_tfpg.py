@@ -2,12 +2,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from faultkit import tfpg
 from faultkit.boolexpr import parse_expr
 from faultkit.errors import ModelFormatError, SizeGuardExceeded
-from faultkit.model import SystemModel, Trace, parse_model
+from faultkit.model import Trace, parse_model
 from faultkit.tfpg import (INF, ActivationTrace, NodeMap, Tfpg, TfpgEdge, TfpgError,
                            activation_trace_from_json, behavioral_validate,
                            check_trace_consistency, export_tfpg_dot, parse_tfpg,
@@ -25,12 +25,21 @@ def tiny_graph(tmin=0, tmax=1, modes=("on",)):
                 [TfpgEdge("f", "d", tmin, tmax, tuple(sorted(modes)))])
 
 
+def induced_rows(g, m, nm, horizon):
+    """(trace, its induced activation trace) for every run of horizon + 1
+    states, from the rows the run checks read, in the order `_induced`
+    yields them."""
+    timelines = []
+    for run, row in tfpg._induced(g, m, nm, horizon, timelines):
+        yield m.trace(run), ActivationTrace(horizon, timelines[row[0]],
+                                            dict(zip(sorted(g.nodes), row[1:])))
+
+
 def induced_activation_trace(g, m, nm, tr):
     """The activation trace tr induces on g, by the projection the run
     checks use: a mapped node activates at the first step its predicate
     holds, an unmapped AND node when its last source does."""
-    timeline, times = tfpg._projection(g, m, nm)(tuple(m.number[sid] for sid in tr.steps))
-    return ActivationTrace(len(tr) - 1, timeline, dict(zip(sorted(g.nodes), times)))
+    return next(at for run, at in induced_rows(g, m, nm, len(tr) - 1) if run == tr)
 
 
 def at(g, horizon, timeline, **times):
@@ -279,18 +288,21 @@ class TestBehavioral:
         m = parse_model(json.dumps(gen.kofn_phase(4)))
         config = SynthesisConfig.from_json(gen.kofn_tfpg_config(4))
         g, nm = synthesize_tfpg(m, config, 4).tfpg, config.node_map()
-        runs, projected = SystemModel.runs, []
+        walk, projected = tfpg._induced, []
 
-        def counted(self, length):
-            for run in runs(self, length):
+        def counted(*args):
+            for run, row in walk(*args):
                 projected.append(run)
-                yield run
+                yield run, row
 
-        monkeypatch.setattr(SystemModel, "runs", counted)
+        monkeypatch.setattr(tfpg, "_induced", counted)
         result = behavioral_validate(g, m, nm, 12)
+        monkeypatch.undo()
         assert 0 < len(projected) < path_count_by_matrix_power(m, 13) // 10
-        least = next(tr for tr in enumerate_traces(m, 13)
-                     if not check_trace_consistency(g, induced_activation_trace(g, m, nm, tr))[0])
+        for least, (run, at) in zip(enumerate_traces(m, 13), induced_rows(g, m, nm, 12)):
+            assert run == least
+            if not check_trace_consistency(g, at)[0]:
+                break
         assert result.witness.steps == least.steps == (
             "s0_a0", "s0_b0", "s0_c0", "s0_a0", "s0_b0", "s0_c0", "s0_a0", "s0_b0",
             "s1_c0", "s1_a0", "s1_b0", "s1_c0", "s3_a0")
@@ -354,6 +366,17 @@ def assert_tighten_matches_oracle(g, m, nm, horizon):
             assert change.new == change.old
 
 
+def random_synthesis_config(m, rng):
+    """A synthesis config for a `random_model`: every fault a failure mode,
+    and two to four discrepancies, each over one or two atoms."""
+    atoms = sorted(m.atoms)
+    decls = {f"d{i}": {"expr": rng.choice([" & ", " | "]).join(
+                           rng.sample(atoms, rng.randint(1, 2))),
+                       "kind": rng.choice(["OR", "AND"])}
+             for i in range(rng.randint(2, 4))}
+    return {"fm": sorted(m.fault_atoms), "discrepancies": decls}
+
+
 def finite_bounds(g, rng):
     """g with every upper bound drawn from tmin .. tmin + 3."""
     return Tfpg(g.modes, g.nodes, [TfpgEdge(e.src, e.dst, e.tmin, e.tmin + rng.randint(0, 3),
@@ -385,13 +408,7 @@ class TestBehavioralOracle:
     def test_random_model_finite_bounds(self, seed):
         m, _ = random_model(seed)
         rng = random.Random(seed)
-        atoms = sorted(m.atoms)
-        decls = {f"d{i}": {"expr": rng.choice([" & ", " | "]).join(
-                               rng.sample(atoms, rng.randint(1, 2))),
-                           "kind": rng.choice(["OR", "AND"])}
-                 for i in range(rng.randint(2, 4))}
-        config = SynthesisConfig.from_json({"fm": sorted(m.fault_atoms),
-                                            "discrepancies": decls})
+        config = SynthesisConfig.from_json(random_synthesis_config(m, rng))
         g = finite_bounds(synthesize_tfpg(m, config, 4).tfpg, rng)
         assert_behavioral_matches_oracle(g, m, config.node_map(), 4)
 
@@ -443,8 +460,7 @@ class TestModeSwitch:
     def test_one_horizon_has_many_timelines(self):
         m = mode_switch_model()
         g = mode_switch_tfpg(*MODE_SWITCH_BOUNDS[0])
-        timelines = {induced_activation_trace(g, m, MODE_SWITCH_MAP, tr).mode_timeline
-                     for tr in enumerate_traces(m, 5)}
+        timelines = {at.mode_timeline for _, at in induced_rows(g, m, MODE_SWITCH_MAP, 4)}
         assert len(timelines) == 2 ** 5
 
     def test_exact_warn_and_open_alarm_are_complete(self):
@@ -473,13 +489,17 @@ DEADLOCK = {"atoms": ["f", "x"], "faults": ["f"],
 
 class TestProjection:
     def assert_matches_oracle(self, g, m, nm, horizon):
+        """Every row the walk yields is the oracle's induced trace of its
+        run, and the runs are those of enumerate_traces, in its order."""
         exprs = {node: str(e) for node, e in nm.exprs.items()}
-        for tr in enumerate_traces(m, horizon + 1):
-            want = naive_induced_trace(g, m, exprs, dict(nm.mode_map), tr)
-            assert induced_activation_trace(g, m, nm, tr) == want, tr.steps
+        rows = list(induced_rows(g, m, nm, horizon))
+        assert [tr for tr, _ in rows] == list(enumerate_traces(m, horizon + 1))
+        for tr, at in rows:
+            assert at == naive_induced_trace(g, m, exprs, dict(nm.mode_map), tr), tr.steps
 
-    def test_battery_map(self, battery, tfpg_battery, battery_map):
-        self.assert_matches_oracle(tfpg_battery, battery, battery_map, 6)
+    @pytest.mark.parametrize("horizon", [0, 1, 6])
+    def test_battery_map(self, battery, tfpg_battery, battery_map, horizon):
+        self.assert_matches_oracle(tfpg_battery, battery, battery_map, horizon)
 
     def test_battery_synthesis_config(self, battery):
         config = SynthesisConfig.from_json(corpus_json("battery_synth.json"))
@@ -494,6 +514,42 @@ class TestProjection:
         assert sum(node not in nm.exprs for node in g.nodes) == 12
         self.assert_matches_oracle(g, m, nm, 4)
 
+    @pytest.mark.parametrize("horizon", [0, 1, 2])
+    def test_deadlock(self, horizon):
+        g = Tfpg(("nominal",), {"f": "FM", "d": "OR"},
+                 [TfpgEdge("f", "d", 0, INF, ("nominal",))])
+        nm = NodeMap({"f": parse_expr("f"), "d": parse_expr("x")}, {})
+        self.assert_matches_oracle(g, parse_model(json.dumps(DEADLOCK)), nm, horizon)
+
+    @pytest.mark.parametrize("horizon", range(1, 6))
+    def test_mode_switch(self, horizon):
+        self.assert_matches_oracle(mode_switch_tfpg(*MODE_SWITCH_BOUNDS[3]), mode_switch_model(),
+                                   MODE_SWITCH_MAP, horizon)
+
+    def test_sourceless_unmapped_and_node_feeds_a_helper(self, battery, battery_map):
+        # z has no sources, so it and h, which needs it, never activate;
+        # h2 joins two failure modes and h3 joins h2 with d_low
+        phases = ("phase_a", "phase_b", "phase_c")
+        g = Tfpg(phases, {"fm_b1": "FM", "fm_b2": "FM", "d_low": "OR", "d_dead": "OR",
+                          "z": "AND", "h": "AND", "h2": "AND", "h3": "AND"},
+                 [TfpgEdge(u, v, 0, INF, phases)
+                  for u, v in (("fm_b1", "d_low"), ("fm_b2", "d_low"), ("fm_b1", "d_dead"),
+                               ("fm_b2", "d_dead"), ("z", "h"), ("fm_b1", "h"),
+                               ("fm_b1", "h2"), ("fm_b2", "h2"), ("h2", "h3"),
+                               ("d_low", "h3"))])
+        self.assert_matches_oracle(g, battery, battery_map, 6)
+        active = {n for _, at in induced_rows(g, battery, battery_map, 6)
+                  for n, t in at.times.items() if t is not None}
+        assert {"h2", "h3"} <= active and not {"z", "h"} & active
+
+    @given(st.integers(0, 59), st.integers(1, 6))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_model_synthesis(self, seed, horizon):
+        m, _ = random_model(seed)
+        config = SynthesisConfig.from_json(random_synthesis_config(m, random.Random(seed)))
+        g = synthesize_tfpg(m, config, horizon).tfpg
+        self.assert_matches_oracle(g, m, config.node_map(), horizon)
+
     def test_state_without_one_mode_atom(self, battery, tfpg_battery, battery_map):
         doc = corpus_json("battery.json")
         first = next(enumerate_traces(battery, 3))
@@ -503,6 +559,41 @@ class TestProjection:
             behavioral_validate(tfpg_battery, m, battery_map, 4)
         assert str(err.value) == (f"a run reaches state {first[2]!r}, where not "
                                   f"exactly one mode atom is true")
+
+    def test_state_without_one_mode_atom_on_a_short_branch(self):
+        # a has no mode atom and no successor: s b b is the only run of
+        # three states
+        m = parse_model(json.dumps({
+            "atoms": ["f", "x", "on"], "faults": ["f"], "modes": ["on"],
+            "states": {"s": {"on": True}, "a": {}, "b": {"on": True}},
+            "initial": ["s"], "transitions": [["s", "a"], ["s", "b"], ["b", "b"]]}))
+        g = Tfpg(("on",), {"f": "FM", "d": "OR"}, [TfpgEdge("f", "d", 0, INF, ("on",))])
+        nm = NodeMap({"f": parse_expr("f"), "d": parse_expr("x")}, {"on": "on"})
+        assert behavioral_validate(g, m, nm, 2).complete
+        tighten_edges(g, m, nm, 2)
+        for check in (behavioral_validate, tighten_edges):
+            with pytest.raises(TfpgError, match="reaches state 'a'"):
+                check(g, m, nm, 1)
+
+    @pytest.mark.parametrize("initial_branch, named", [(True, "z"), (False, "m")])
+    def test_error_names_the_first_such_state_of_the_least_such_run(self, initial_branch,
+                                                                    named):
+        # runs s g z, s m k and s t t; z, m and k have no mode atom.  The
+        # least such run is s g z; without s -> g it is s m k, whose first
+        # such state m is not its least
+        transitions = [["g", "z"], ["s", "m"], ["m", "k"], ["s", "t"], ["t", "t"]]
+        m = parse_model(json.dumps({
+            "atoms": ["f", "x", "on"], "faults": ["f"], "modes": ["on"],
+            "states": {"s": {"on": True}, "g": {"on": True}, "t": {"on": True},
+                       "z": {}, "m": {}, "k": {}},
+            "initial": ["s"], "transitions": transitions + [["s", "g"]] * initial_branch}))
+        g = Tfpg(("on",), {"f": "FM", "d": "OR"}, [TfpgEdge("f", "d", 0, INF, ("on",))])
+        nm = NodeMap({"f": parse_expr("f"), "d": parse_expr("x")}, {"on": "on"})
+        for check in (behavioral_validate, tighten_edges):
+            with pytest.raises(TfpgError) as err:
+                check(g, m, nm, 2)
+            assert str(err.value) == (f"a run reaches state {named!r}, where not "
+                                      f"exactly one mode atom is true")
 
     def test_cyclic_unmapped_and_nodes(self):
         g = Tfpg(("nominal",), {"f": "FM", "d": "OR", "h1": "AND", "h2": "AND"},
@@ -515,6 +606,67 @@ class TestProjection:
         assert str(err.value) == "cyclic unmapped AND nodes: ['h1', 'h2']"
         # raised only on a projected run, and no run has three states
         assert behavioral_validate(g, m, nm, 2).complete
+
+
+def walked_runs(m, horizon):
+    """The runs `_induced` walks, on a graph without nodes, as traces."""
+    g = Tfpg(sorted(m.mode_atoms) or ["nominal"], {}, [])
+    nm = NodeMap({}, {a: a for a in m.mode_atoms})
+    return [m.trace(run) for run, _ in tfpg._induced(g, m, nm, horizon, [])]
+
+
+class TestRunEnumeration:
+    SELFLOOP = {"atoms": ["x"], "states": {"s0": {}}, "initial": ["s0"],
+                "transitions": [["s0", "s0"]]}
+
+    def test_single_selfloop_one_run(self):
+        assert len(walked_runs(parse_model(json.dumps(self.SELFLOOP)), 2)) == 1
+
+    def test_long_run_does_not_recurse(self):
+        # past Python's recursion limit of 1000
+        m = parse_model(json.dumps(self.SELFLOOP))
+        assert walked_runs(m, 4999) == [Trace(("s0",) * 5000)]
+
+    def test_two_branches(self):
+        doc = {"atoms": [], "states": {"a": {}, "b": {}, "c": {}},
+               "initial": ["a"],
+               "transitions": [["a", "b"], ["a", "c"], ["b", "b"], ["c", "c"]]}
+        assert len(walked_runs(parse_model(json.dumps(doc)), 1)) == 2
+
+    def test_duplicate_initial_ids_counted_once(self):
+        doc = {"atoms": ["f"], "faults": ["f"], "states": {"a": {"f": True}, "b": {"f": True}},
+               "transitions": [["a", "b"], ["b", "a"]]}
+        once, twice = (parse_model(json.dumps({**doc, "initial": initial}))
+                       for initial in (["a"], ["a", "a"]))
+        assert walked_runs(twice, 3) == walked_runs(once, 3) == [Trace(("a", "b", "a", "b"))]
+
+    def test_negative_horizon_rejected(self, battery):
+        with pytest.raises(ValueError):
+            walked_runs(battery, -1)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 3, 4])
+    def test_count_matches_adjacency_power(self, battery, horizon):
+        # distinct traces of the records, as many as the records allow
+        traces = walked_runs(battery, horizon)
+        assert all(map(battery.is_trace, traces)) and len(set(traces)) == len(traces)
+        assert len(traces) == path_count_by_matrix_power(battery, horizon + 1)
+
+    def test_faults_monotone_along_traces(self, battery):
+        for tr in walked_runs(battery, 4):
+            previous = frozenset()
+            for sid in tr.steps:
+                current = frozenset(f for f in battery.fault_atoms if battery.states[sid][f])
+                assert previous <= current
+                previous = current
+
+    def test_lexicographic_order(self, sensor_delay):
+        traces = [tr.steps for tr in walked_runs(sensor_delay, 2)]
+        assert traces == sorted(traces)
+
+    @pytest.mark.parametrize("horizon", [0, 3, 6])
+    def test_oracle_enumeration_matches_runs(self, battery, sensor_delay, horizon):
+        for m in (battery, sensor_delay):
+            assert list(enumerate_traces(m, horizon + 1)) == walked_runs(m, horizon)
 
 
 class TestRunGuard:

@@ -1,0 +1,244 @@
+"""Same-bytes sweep of the TFPG run checks: `tfpg-behavioral`, `tfpg-tighten`
+and `tfpg-synth`, called in-process through `faultkit.cli.main` over fixed
+families of models, graphs and horizons.
+
+    python tools/sweep.py
+    python tools/sweep.py --against REV
+
+Run from anywhere: faultkit is imported from this checkout's `src`.  The
+first form prints one line per invocation: its argv, its exit code and a
+SHA-256 of its stdout, of its stderr and of its `--out` file.  The inputs
+are written to a temporary directory, the invocations run there and name
+their files relative to it, so the lines depend on nothing but the code.
+With `--against REV` the same invocations also run on `git archive REV`,
+extracted under the temporary directory, in a child process that imports
+faultkit from there; each line that differs is printed with both sides'
+bytes, and the exit code is 1 when any does.
+
+The families (4,200 invocations):
+- `tfpg_battery`, its variant with `d_dead`'s upper bounds at 1,
+  `tfpg_power` and `tfpg_modegap` against `battery` and `battery_map` at
+  H=1-9;
+- synthesis from `battery_synth` at H=1-9;
+- `kofn_phase(3..5)` synthesis at H=3-7, and their graphs synthesized at
+  H=4 with two finite-bound variants at H=3-7;
+- kofn4's H=4 graph at H=8-12;
+- `random_model` seeds 0-59: synthesis with every fault and with the first
+  left out at H=2-4, and the graph synthesized at H=3 with two
+  finite-bound variants at H=2-4;
+- the mode-switch model with its five bound pairs at H=1-8.
+Checks run in json and text; synthesis in json, text and dot, and in json to
+`--out`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CHECKS = ("tfpg-behavioral", "tfpg-tighten")
+CORPUS = ("battery", "battery_map", "battery_synth", "tfpg_battery", "tfpg_power",
+          "tfpg_modegap")
+
+
+def _dump(path: Path, doc) -> str:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path.name
+
+
+def _model_doc(m) -> dict:
+    """The model file of a parsed model."""
+    return {"atoms": sorted(m.atoms), "faults": sorted(m.fault_atoms),
+            "observables": sorted(m.observable_atoms), "modes": sorted(m.mode_atoms),
+            "states": m.states, "initial": list(m.initial),
+            "transitions": [[m.ids[i], m.ids[j]] for i, nxts in enumerate(m.succ)
+                            for j in nxts]}
+
+
+def _variants(work: Path, name: str, g) -> list[str]:
+    """g and two variants whose upper bounds are drawn from tmin .. tmin + 3,
+    written as graph files."""
+    from faultkit.tfpg import Tfpg, TfpgEdge, tfpg_to_json
+
+    files = [_dump(work / f"{name}.json", tfpg_to_json(g))]
+    for k in (1, 2):
+        rng = random.Random(f"{name}/{k}")
+        bounded = Tfpg(g.modes, g.nodes, [TfpgEdge(e.src, e.dst, e.tmin,
+                                                   e.tmin + rng.randint(0, 3), e.modes)
+                                          for e in g.edges])
+        files.append(_dump(work / f"{name}-b{k}.json", tfpg_to_json(bounded)))
+    return files
+
+
+def _checks(graph, model, nmap, horizons):
+    return [[cmd, "--tfpg", graph, "--model", model, "--map", nmap, "--horizon", str(h),
+             "--format", fmt]
+            for h in horizons for cmd in CHECKS for fmt in ("json", "text")]
+
+
+def _synth(model, config, horizons, name):
+    runs = []
+    for h in horizons:
+        base = ["tfpg-synth", "--model", model, "--map", config, "--horizon", str(h)]
+        runs += [base + ["--format", fmt] for fmt in ("json", "text", "dot")]
+        runs.append(base + ["--out", f"out/{name}-h{h}.json"])
+    return runs
+
+
+def families(work: Path) -> list[list[str]]:
+    """Write the sweep's inputs into `work` and return its argv lists."""
+    sys.path[:0] = [str(ROOT), str(ROOT / "perfbench")]
+    import gen
+    from faultkit.model import parse_model
+    from faultkit.tfpg import load_tfpg, tfpg_to_json
+    from faultkit.tfpg_synthesis import SynthesisConfig, synthesize_tfpg
+    from tests.test_acceptance import random_model
+    from tests.test_tfpg import (MODE_SWITCH_BOUNDS, MODE_SWITCH_MAP, mode_switch_model,
+                                 mode_switch_tfpg, random_synthesis_config)
+
+    (work / "out").mkdir()
+    for name in CORPUS:
+        (work / f"{name}.json").write_bytes((ROOT / "corpus" / f"{name}.json").read_bytes())
+    runs = []
+    battery = tfpg_to_json(load_tfpg(ROOT / "corpus" / "tfpg_battery.json"))
+    for edge in battery["edges"]:
+        if edge["to"] == "d_dead":
+            edge["tmax"] = 1
+    graphs = ["tfpg_battery.json", _dump(work / "tfpg_battery-dead1.json", battery),
+              "tfpg_power.json", "tfpg_modegap.json"]
+    for graph in graphs:
+        runs += _checks(graph, "battery.json", "battery_map.json", range(1, 10))
+    runs += _synth("battery.json", "battery_synth.json", range(1, 10), "battery")
+    for n in (3, 4, 5):
+        model = _dump(work / f"kofn{n}.json", gen.kofn_phase(n))
+        config = _dump(work / f"kofn{n}-synth.json", gen.kofn_tfpg_config(n))
+        runs += _synth(model, config, range(3, 8), f"kofn{n}")
+        m = parse_model((work / model).read_text(encoding="utf-8"))
+        g = synthesize_tfpg(m, SynthesisConfig.from_json(gen.kofn_tfpg_config(n)), 4).tfpg
+        for graph in _variants(work, f"kofn{n}-h4", g):
+            runs += _checks(graph, model, config, range(3, 8))
+    runs += _checks("kofn4-h4.json", "kofn4.json", "kofn4-synth.json", range(8, 13))
+    for seed in range(60):
+        m, _ = random_model(seed)
+        model = _dump(work / f"random{seed}.json", _model_doc(m))
+        config = random_synthesis_config(m, random.Random(seed))
+        every = _dump(work / f"random{seed}-synth.json", config)
+        rest = _dump(work / f"random{seed}-rest.json", {**config, "fm": config["fm"][1:]})
+        runs += _synth(model, every, range(2, 5), f"random{seed}")
+        runs += _synth(model, rest, range(2, 5), f"random{seed}-rest")
+        g = synthesize_tfpg(m, SynthesisConfig.from_json(config), 3).tfpg
+        for graph in _variants(work, f"random{seed}-h3", g):
+            runs += _checks(graph, model, every, range(2, 5))
+    model = _dump(work / "mode_switch.json", _model_doc(mode_switch_model()))
+    nmap = _dump(work / "mode_switch_map.json",
+                 {"nodes": {n: str(e) for n, e in MODE_SWITCH_MAP.exprs.items()},
+                  "modes": MODE_SWITCH_MAP.mode_map})
+    for k, bounds in enumerate(MODE_SWITCH_BOUNDS):
+        graph = _dump(work / f"mode_switch{k}.json", tfpg_to_json(mode_switch_tfpg(*bounds)))
+        runs += _checks(graph, model, nmap, range(1, 9))
+    return runs
+
+
+def _sha(data: bytes | None) -> str:
+    return "missing" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def invoke(argv: list[str]) -> tuple[str, dict[str, bytes | None]]:
+    """Run one invocation in the current directory: its line and its bytes."""
+    from faultkit import cli
+
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    if out is not None:
+        Path(out).unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        except Exception as err:  # a crash is a result to compare, not the sweep's end
+            code = f"raised {type(err).__name__}: {err}"
+    blobs = {"stdout": stdout.getvalue().encode(), "stderr": stderr.getvalue().encode()}
+    if out is not None:
+        blobs[out] = Path(out).read_bytes() if Path(out).exists() else None
+    line = "\t".join([" ".join(argv), f"exit {code}",
+                      *(f"{name} {_sha(data)}" for name, data in blobs.items())])
+    return line, blobs
+
+
+def run_all(work: str, record: str | None = None) -> list[str]:
+    """Run the invocations listed in work/argv.json from `work` and return
+    their lines; with `record`, also write each line and its bytes there,
+    as one JSON line per invocation."""
+    lines = []
+    with contextlib.chdir(work), \
+            (open(record, "w", encoding="utf-8") if record else contextlib.nullcontext()) as sink:
+        for argv in json.loads(Path("argv.json").read_text(encoding="utf-8")):
+            line, blobs = invoke(argv)
+            lines.append(line)
+            if record:
+                texts = {name: None if data is None else data.decode()
+                         for name, data in blobs.items()}
+                sink.write(json.dumps([line, texts]) + "\n")
+    return lines
+
+
+def _against(rev: str, work: Path, record: Path) -> None:
+    """Record each invocation at `rev` in a child process that imports
+    faultkit from `git archive rev`, extracted beside `work`."""
+    tree = work.parent / "rev"
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+    code = (f"import sys; sys.path[:0] = [{str(tree / 'src')!r}, {str(ROOT / 'tools')!r}]; "
+            f"import sweep; sweep.run_all({str(work)!r}, {str(record)!r})")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also run at this git revision and print the lines that differ")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="faultkit-sweep-") as tmp:
+        work = Path(tmp) / "work"
+        work.mkdir()
+        (work / "argv.json").write_text(json.dumps(families(work)), encoding="utf-8")
+        if args.against is None:
+            for line in run_all(str(work)):
+                print(line)
+            return 0
+        theirs, ours = Path(tmp) / "rev.jsonl", Path(tmp) / "here.jsonl"
+        _against(args.against, work, theirs)
+        run_all(str(work), str(ours))
+        differ, codes = 0, {}
+        with open(theirs, encoding="utf-8") as old, open(ours, encoding="utf-8") as new:
+            for (line_old, blobs_old), (line, blobs) in zip(map(json.loads, old),
+                                                            map(json.loads, new)):
+                code = line.split("\t")[1]
+                codes[code] = codes.get(code, 0) + 1
+                if line != line_old:
+                    differ += 1
+                    print(f"{args.against}\t{line_old}\nhere\t{line}")
+                    for name in blobs:
+                        print(f"--- {name} at {args.against}\n{blobs_old.get(name)}\n"
+                              f"--- {name} here\n{blobs[name]}")
+        print(f"{differ} of {sum(codes.values())} invocations differ from {args.against}; "
+              + ", ".join(f"{code}: {n}" for code, n in sorted(codes.items())))
+        return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
