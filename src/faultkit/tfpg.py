@@ -565,38 +565,46 @@ def _induced(g: Tfpg, m: SystemModel, nm: NodeMap, horizon: int, timelines: list
 
     ids: dict[tuple[str | None, ...], int] = {}
     succ = m.succ
-    # a frame: the choices left for the next state, and the prefix before
-    # it with its activation times, active nodes and timeline
-    stack = [(iter([m.number[sid] for sid in m.initial]), (), (None,) * len(order), 0, ())]
+    # a frame: the choices left for the next state, and the activation
+    # times and active nodes of the prefix before it; the prefix's states
+    # and modes are two lists shared by all frames, pushed and popped with
+    # the stack, so a run costs memory linear in its length
+    prefix: list[int] = []
+    modes_so_far: list[str | None] = []
+    stack = [(iter([m.number[sid] for sid in m.initial]), (None,) * len(order), 0)]
     while stack:
-        states, head, times, active, timeline = stack[-1]
-        depth = len(stack) - 1
+        states, times, active = stack[-1]
+        depth = len(prefix)
         if depth < horizon:
             state = next(states, None)
-            if state is None:
-                stack.pop()
+            if state is not None:
+                fired = fires[state] & ~active
+                if fired:
+                    times, active = stamp(times, active, fired, depth)
+                prefix.append(state)
+                modes_so_far.append(mode_of[state])
+                stack.append((iter(succ[state]), times, active))
                 continue
-            fired = fires[state] & ~active
-            if fired:
-                times, active = stamp(times, active, fired, depth)
-            stack.append((iter(succ[state]), head + (state,), times, active,
-                          timeline + (mode_of[state],)))
-            continue
+        else:
+            head, before = tuple(prefix), tuple(modes_so_far)
+            for state in states:
+                run, line = head + (state,), before + (mode_of[state],)
+                fired = fires[state] & ~active
+                at = stamp(times, active, fired, depth)[0] if fired else times
+                tid = ids.get(line)
+                if tid is None:
+                    if None in line:
+                        raise TfpgError(f"a run reaches state {m.ids[run[line.index(None)]]!r}, "
+                                        f"where not exactly one mode atom is true")
+                    if pending:
+                        raise TfpgError(f"cyclic unmapped AND nodes: {pending}")
+                    tid = ids[line] = len(timelines)
+                    timelines.append(line)
+                yield run, (tid, *at)
         stack.pop()
-        for state in states:
-            run, line = head + (state,), timeline + (mode_of[state],)
-            fired = fires[state] & ~active
-            at = stamp(times, active, fired, depth)[0] if fired else times
-            tid = ids.get(line)
-            if tid is None:
-                if None in line:
-                    raise TfpgError(f"a run reaches state {m.ids[run[line.index(None)]]!r}, "
-                                    f"where not exactly one mode atom is true")
-                if pending:
-                    raise TfpgError(f"cyclic unmapped AND nodes: {pending}")
-                tid = ids[line] = len(timelines)
-                timelines.append(line)
-            yield run, (tid, *at)
+        if prefix:
+            prefix.pop()
+            modes_so_far.pop()
 
 
 # a behavioural check decides runs in blocks, doubling from the first size to the cap

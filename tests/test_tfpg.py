@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -253,8 +254,9 @@ class TestBehavioral:
                 edge["tmax"] = 1
         g = parse_tfpg(json.dumps(doc))
         result = behavioral_validate(g, battery, battery_map, 6)
-        for tr in enumerate_traces(battery, 7):
-            induced = induced_activation_trace(g, battery, battery_map, tr)
+        for tr, (run, induced) in zip(enumerate_traces(battery, 7),
+                                      induced_rows(g, battery, battery_map, 6)):
+            assert run == tr
             ok, _ = check_trace_consistency(g, induced)
             if not ok:
                 assert tr.steps == result.witness.steps
@@ -626,6 +628,21 @@ class TestRunEnumeration:
         # past Python's recursion limit of 1000
         m = parse_model(json.dumps(self.SELFLOOP))
         assert walked_runs(m, 4999) == [Trace(("s0",) * 5000)]
+
+    def test_long_run_memory_is_linear(self):
+        # the prefix is shared by the frames, not copied into each: a
+        # quadratic walk would hold some 25M tuple slots here
+        m = parse_model(json.dumps(self.SELFLOOP))
+        g = Tfpg(("nominal",), {"f": "FM"}, [])
+        nm = NodeMap({"f": parse_expr("x")}, {})
+        tracemalloc.start()
+        try:
+            runs = [run for run, _ in tfpg._induced(g, m, nm, 4999, [])]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert runs == [(0,) * 5000]
+        assert peak < 4_000_000
 
     def test_two_branches(self):
         doc = {"atoms": [], "states": {"a": {}, "b": {}, "c": {}},
