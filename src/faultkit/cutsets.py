@@ -215,7 +215,7 @@ def export_fault_tree_dot(ft: FaultTree) -> str:
 
 def mcs_to_json(mcs: Iterable[frozenset[str]]) -> list[list[str]]:
     """Canonical form: sorted fault-name lists, sorted by (size, lexicographic)."""
-    return [sorted(s) for s in sorted(mcs, key=lambda s: (len(s), sorted(s)))]
+    return sorted(map(sorted, mcs), key=lambda group: (len(group), group))
 
 
 def mcs_from_json(doc) -> list[frozenset[str]]:

@@ -69,24 +69,26 @@ def path_to(parent: dict, node) -> tuple:
     return tuple(reversed(path))
 
 
-def lasso(parent: dict, region: Sequence, successors: Callable):
-    """A run that ends in a cycle inside `region`, a sequence of nodes of
-    the parent map `parent` (from `lexleast_shortest_paths`).
+def lasso(parent: dict, roots: Sequence, inside: Callable, successors: Callable):
+    """A run that ends in a cycle inside a region of the parent map `parent`
+    (from `lexleast_shortest_paths`, run to completion): `inside` tells the
+    nodes of the region, and `roots` lists them all.
 
     Returns (run, loop_start): the path in `parent` to the cycle's entry,
     then the cycle, so that run[loop_start] == run[-1]; or None when no
     cycle lies inside the region.  The cycle is the first that a
     three-colour iterative DFS inside the region closes, trying roots in
-    the order `region` gives them and successors in sorted order.
+    the order `roots` gives them and successors in sorted order.  Every
+    successor of a node of `parent` is in `parent`, so `inside` alone
+    keeps the DFS in the region.
     """
-    members = set(region)
     done: set = set()
-    for root in region:
+    for root in roots:
         if root in done:
             continue
         path = [root]
         index = {root: 0}  # the nodes on the path: active
-        iters = [iter(sorted(members.intersection(successors(root))))]
+        iters = [iter(sorted(filter(inside, successors(root))))]
         while path:
             nxt = next(iters[-1], None)
             if nxt is None:
@@ -99,7 +101,7 @@ def lasso(parent: dict, region: Sequence, successors: Callable):
             elif nxt not in done:
                 index[nxt] = len(path)
                 path.append(nxt)
-                iters.append(iter(sorted(members.intersection(successors(nxt)))))
+                iters.append(iter(sorted(filter(inside, successors(nxt)))))
     return None
 
 

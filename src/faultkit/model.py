@@ -200,18 +200,33 @@ def _model_from(doc) -> SystemModel:
     for sid in initial:
         if sid not in number:
             raise ModelFormatError(f"unknown state {sid!r} in initial")
-    succ: list[set[int]] = [set() for _ in number]
-    for item in field(doc, "transitions", list, "model"):
-        # Checked inline: a model has many transitions.
+    transitions = field(doc, "transitions", list, "model")
+    succ: list[list[int]] = [[] for _ in number]
+    # one lookup pass; the type check keeps a two-character string or a
+    # two-key object from unpacking as a pair, and a failure re-reads the
+    # list to name its first bad item
+    try:
+        if not set(map(type, transitions)) <= {list}:
+            raise TypeError
+        for a, b in transitions:
+            succ[number[a]].append(number[b])
+    except (KeyError, TypeError, ValueError):
+        _check_transitions(transitions, number)
+        raise
+    return SystemModel(bits, faults, observables, modes, states,
+                       [masks[sid] for sid in number], initial, number,
+                       [sorted(set(nxts)) for nxts in succ])
+
+
+def _check_transitions(transitions, number) -> None:
+    """Raise the error that names the first malformed item of a model's
+    transitions."""
+    for item in transitions:
         if type(item) is not list or len(item) != 2:
             raise ModelFormatError(f"transition must be a [from, to] pair, got {item!r}")
         a, b = item
         if type(a) is not str or type(b) is not str or a not in number or b not in number:
             raise ModelFormatError(f"unknown state in transition {item!r}")
-        succ[number[a]].add(number[b])
-    return SystemModel(bits, faults, observables, modes, states,
-                       [masks[sid] for sid in number], initial, number,
-                       [sorted(nxts) for nxts in succ])
 
 
 def validate_model(m: SystemModel) -> list[Violation]:

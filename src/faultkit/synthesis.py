@@ -542,9 +542,10 @@ def _search_lasso(product: _Product, extras) -> ConjunctResult:
     roots, succ = _searcher(product, extras)
     parent = lexleast_shortest_paths(roots, succ)
     X, P = extras[0], product.P
-    region = sorted(filter(_flagged(extras), parent),
+    flagged = _flagged(extras)
+    region = sorted(filter(flagged, parent),
                     key=lambda node: (node // X // P, product.order(node // X % P), node % X))
-    found = lasso(parent, region, succ)
+    found = lasso(parent, region, flagged, succ)
     if found is None:
         return ConjunctResult(True)
     run, loop_start = found

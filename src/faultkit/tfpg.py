@@ -373,20 +373,17 @@ def _keys(g: Tfpg) -> dict[str, tuple]:
     return layout
 
 
-def _first_violation(g: Tfpg, edges, timelines: list):
-    """first(node, rows, start=0): the index of the first row from `start`
-    on, in a list of rows as `_induced` yields them, on which discrepancy
-    `node` violates `edges` (as in `_node_violation`), else len(rows).  A
-    call decides each distinct key (timeline id, its time, its sources'
-    times) not yet found consistent, from per-edge verdicts kept by
-    (timeline id, source time a, target time t): a justifies t, or forces
-    a target that never activates (t None)."""
-    keys = _keys(g)
+def _first_violation(g: Tfpg, edges, timelines: list, layout: dict[str, tuple]):
+    """first(node, rows, start=0, keys=None): the index of the first row
+    from `start` on, in a list of rows as `_induced` yields them, on which
+    discrepancy `node` violates `edges` (as in `_node_violation`), else
+    len(rows).  `layout` is `_keys(g)`; `keys`, when given, is the set of
+    the node's keys on those rows, which the call then consumes.  A call
+    decides each distinct key (timeline id, its time, its sources' times)
+    not yet found consistent, from per-edge verdicts kept by (timeline id,
+    source time a, target time t): a justifies t, or forces a target that
+    never activates (t None).  A node's edges are read at its first call."""
     checks = {}
-    for node in g.discrepancies():
-        key_of, where = keys[node]
-        at = tuple((edges[i], k, {}) for i, k in zip(g.incoming(node), where))
-        checks[node] = (key_of, at, g.nodes[node] == OR, set())
 
     def holds(edge, memo, tid, a, t) -> bool:
         verdict = memo.get((tid, a, t))
@@ -404,11 +401,18 @@ def _first_violation(g: Tfpg, edges, timelines: list):
         # AND node without edges is neither justified nor forced
         return (t is None) == (any(verdicts) if is_or else bool(at) and all(verdicts))
 
-    def first(node, rows, start=0) -> int:
+    def first(node, rows, start=0, keys=None) -> int:
+        if node not in checks:
+            key_of, where = layout[node]
+            at = tuple((edges[i], k, {}) for i, k in zip(g.incoming(node), where))
+            checks[node] = (key_of, at, g.nodes[node] == OR, set())
         key_of, at, is_or, consistent = checks[node]
-        keys = set(map(key_of, islice(rows, start, None))) - consistent
+        if keys is None:
+            keys = set(map(key_of, islice(rows, start, None)))
+        keys -= consistent
         bad = {key for key in keys if violates(at, is_or, key)}
-        consistent |= keys - bad
+        keys -= bad
+        consistent |= keys
         if not bad:
             return len(rows)
         found = compress(count(start), map(bad.__contains__,
@@ -618,7 +622,7 @@ def behavioral_validate(g: Tfpg, m: SystemModel, nm: NodeMap,
     activation trace of every system run is consistent.  The witness is the
     lexicographically least violating run."""
     timelines: list = []
-    first = _first_violation(g, g.edges, timelines)
+    first = _first_violation(g, g.edges, timelines, _keys(g))
     induced = _induced(g, m, nm, horizon, timelines)
     size = _FIRST_BLOCK
     while True:
@@ -674,14 +678,22 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
     idempotent at a fixed horizon."""
     timelines: list = []
     rows = [row for _, row in _induced(g, m, nm, horizon, timelines)]
+    layout = _keys(g)
     # g's edges in g's order, each exercised one shrunk to its observed
-    # delays; a delay reads only the timeline and the edge's two activation
-    # times, so each distinct triple is anchored once, read off the distinct
-    # keys of the edge's target
+    # delays, and each discrepancy's first violation of them.  A node is
+    # decided from one set of its distinct keys on the rows: a delay reads
+    # only the timeline and the edge's two activation times, so each
+    # distinct triple is anchored once, read off that set; the set is then
+    # handed to `first`, which reads the node's edges at that call.
     edges = list(g.edges)
     exercised = [False] * len(edges)
-    for node, (key_of, where) in _keys(g).items():
-        keys = set(map(key_of, rows)) if where else ()
+    first = _first_violation(g, edges, timelines, layout)
+    fails = {}
+    for node, (key_of, where) in layout.items():
+        is_discrepancy = g.nodes[node] in (OR, AND)
+        if not where and not is_discrepancy:
+            continue
+        keys = set(map(key_of, rows))
         for i, k in zip(g.incoming(node), where):
             e, delays = g.edges[i], set()
             for tid, act_u, act_v in {(key[0], key[k], key[1]) for key in keys}:
@@ -692,8 +704,8 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
             exercised[i] = bool(delays)
             if delays:
                 edges[i] = TfpgEdge(e.src, e.dst, min(delays), max(delays), e.modes)
-    first = _first_violation(g, edges, timelines)
-    fails = {node: first(node, rows) for node in g.discrepancies()}
+        if is_discrepancy:
+            fails[node] = first(node, rows, keys=keys)
     # Relaxing an upper bound to infinity only weakens justification and
     # removes forcing, so the rows before the first failing one hold for good,
     # and a relaxation needs only its edges' targets decided again from it.
@@ -711,7 +723,7 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
         for i in relaxed:
             e = edges[i]
             edges[i] = TfpgEdge(e.src, e.dst, e.tmin, INF, e.modes)
-        first = _first_violation(g, edges, timelines)
+        first = _first_violation(g, edges, timelines, layout)
         for node in {edges[i].dst for i in relaxed}:
             fails[node] = first(node, rows, r)
     # observed delays are finite, so an exercised edge ends unbounded only

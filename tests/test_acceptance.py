@@ -48,6 +48,13 @@ def random_model(seed: int) -> tuple[SystemModel, str]:
     """Deterministic random model plus a random top level event.  Fault
     occurrence may be gated by prerequisite faults so that larger fault
     counts stay within the 200-state budget."""
+    doc, tle = random_model_doc(seed)
+    return parse_model(json.dumps(doc)), tle
+
+
+def random_model_doc(seed: int) -> tuple[dict, str]:
+    """The model file of `random_model(seed)`, as a decoded document, and
+    its top level event."""
     rng = random.Random(1000 + seed)
     n_faults = FAULT_COUNTS[seed % len(FAULT_COUNTS)]
     density = 0.0 if n_faults <= 6 else 0.5
@@ -101,8 +108,7 @@ def random_model(seed: int) -> tuple[SystemModel, str]:
         if rng.random() < 0.3:
             lits.append(rng.choice(locs))
         terms.append("(" + " & ".join(lits) + ")")
-    tle = " | ".join(terms)
-    return parse_model(json.dumps(doc)), tle
+    return doc, " | ".join(terms)
 
 
 def corpus_mcs_cases(battery):

@@ -41,7 +41,7 @@ def test_lasso_closes_inside_region(adjacency, roots, region):
     parent = lexleast_shortest_paths(roots, adjacency.__getitem__)
     region = region.intersection(parent)
     induced = {v: [w for w in adjacency[v] if w in region] for v in region}
-    found = lasso(parent, sorted(region), adjacency.__getitem__)
+    found = lasso(parent, sorted(region), region.__contains__, adjacency.__getitem__)
     assert (found is None) == (not brute_force_cycle_nodes(induced))
     if found is not None:
         run, loop_start = found
@@ -120,5 +120,6 @@ def test_lasso_tries_region_roots_in_the_order_given():
     # the DFS closes the cycle of the first root the region lists
     adjacency = {0: [1, 3], 1: [2], 2: [1], 3: [4], 4: [3]}
     parent = lexleast_shortest_paths([0], adjacency.__getitem__)
-    assert lasso(parent, [1, 2, 3, 4], adjacency.__getitem__) == ((0, 1, 2, 1), 1)
-    assert lasso(parent, [3, 4, 1, 2], adjacency.__getitem__) == ((0, 3, 4, 3), 1)
+    inside = {1, 2, 3, 4}.__contains__
+    assert lasso(parent, [1, 2, 3, 4], inside, adjacency.__getitem__) == ((0, 1, 2, 1), 1)
+    assert lasso(parent, [3, 4, 1, 2], inside, adjacency.__getitem__) == ((0, 3, 4, 3), 1)

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from faultkit.boolexpr import And, Atom, Const, Not, Or, as_expr
 from faultkit.errors import ModelFormatError
@@ -18,6 +18,34 @@ MINIMAL = json.dumps({
     "atoms": ["x"], "faults": [], "observables": [], "modes": [],
     "states": {"s0": {}}, "initial": ["s0"], "transitions": [["s0", "s0"]],
 })
+
+# A name for each bad transition item, the item, and the message naming it
+MALFORMED_TRANSITIONS = {
+    "two-char-string": ("ab", "transition must be a [from, to] pair, got 'ab'"),
+    "two-key-object": ({"a": "b", "b": "a"},
+                       "transition must be a [from, to] pair, got {'a': 'b', 'b': 'a'}"),
+    "number": (3, "transition must be a [from, to] pair, got 3"),
+    "null": (None, "transition must be a [from, to] pair, got None"),
+    "one-element": (["a"], "transition must be a [from, to] pair, got ['a']"),
+    "three-elements": (["a", "b", "a"],
+                       "transition must be a [from, to] pair, got ['a', 'b', 'a']"),
+    "number-id": ([1, "b"], "unknown state in transition [1, 'b']"),
+    "null-id": (["a", None], "unknown state in transition ['a', None]"),
+    "list-id": ([[], "b"], "unknown state in transition [[], 'b']"),
+    "unknown-id": (["a", "ghost"], "unknown state in transition ['a', 'ghost']"),
+}
+
+
+# What follows the bad item: a second bad item of either kind, or a valid one
+FOLLOWERS = {"then-unknown": ["b", "ghost"], "then-string": "b", "then-valid": ["b", "b"]}
+
+
+def malformed_transition_doc(item, second) -> dict:
+    """A model whose transitions put `item` between a valid one and `second`,
+    then a valid one; its states `a` and `b` make "ab" and {"a": .., "b": ..}
+    unpack as pairs."""
+    return {"atoms": ["x"], "states": {"a": {}, "b": {"x": True}}, "initial": ["a"],
+            "transitions": [["a", "b"], item, second, ["b", "a"]]}
 
 
 class TestParsing:
@@ -90,6 +118,31 @@ class TestParsing:
         with pytest.raises(ModelFormatError) as err:
             parse_model(json.dumps(doc))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("item,message", MALFORMED_TRANSITIONS.values(),
+                             ids=MALFORMED_TRANSITIONS)
+    @pytest.mark.parametrize("second", FOLLOWERS.values(), ids=FOLLOWERS)
+    def test_malformed_transition_reported_in_order(self, item, message, second):
+        # the first bad item is named, whatever follows it; followed by
+        # valid items only, "ab" and the two-key object must still fail
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(json.dumps(malformed_transition_doc(item, second)))
+        assert str(err.value) == message
+
+    @given(st.integers(0, 59), st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_successors_are_the_distinct_targets_sorted(self, seed, rng, data):
+        from .test_acceptance import random_model_doc
+        doc, _ = random_model_doc(seed)
+        transitions = doc["transitions"]
+        transitions += data.draw(st.lists(st.sampled_from(transitions), max_size=20))
+        rng.shuffle(transitions)
+        m = parse_model(json.dumps(doc))
+        number = {sid: i for i, sid in enumerate(sorted(doc["states"]))}
+        targets = [set() for _ in number]
+        for a, b in transitions:
+            targets[number[a]].add(number[b])
+        assert m.succ == [sorted(t) for t in targets]
 
     def test_states_are_the_input_records(self, battery):
         from .conftest import corpus_json

@@ -207,18 +207,23 @@ class TestColumnVerdicts:
         `_node_violation` reports a violation on it, and the first bad row
         of a block, from any start, is the first row it reports on."""
         g, timelines, rows, start = case
+        layout = tfpg._keys(g)
         bad = []
         for row in rows:
             times = dict(zip("abcv", row[1:]))
             bad.append(tfpg._node_violation(g, g.edges, "v", times["v"], times,
                                             timelines[row[0]]) is not None)
-            alone = tfpg._first_violation(g, g.edges, timelines)
+            alone = tfpg._first_violation(g, g.edges, timelines, layout)
             assert alone("v", [row]) == (0 if bad[-1] else 1)
-        first = tfpg._first_violation(g, g.edges, timelines)
+        first = tfpg._first_violation(g, g.edges, timelines, layout)
         want = next((k for k in range(start, len(rows)) if bad[k]), len(rows))
         assert first("v", rows, start) == want
         # keys found consistent from `start` on are not decided again
-        assert first("v", rows) == next((k for k, b in enumerate(bad) if b), len(rows))
+        least = next((k for k, b in enumerate(bad) if b), len(rows))
+        assert first("v", rows) == least
+        # a caller's key set decides as the rows do
+        given = tfpg._first_violation(g, g.edges, timelines, layout)
+        assert given("v", rows, keys=set(map(layout["v"][0], rows))) == least
 
 
 class TestBehavioral:

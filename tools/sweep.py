@@ -1,6 +1,5 @@
-"""Same-bytes sweep of the TFPG run checks: `tfpg-behavioral`, `tfpg-tighten`
-and `tfpg-synth`, called in-process through `faultkit.cli.main` over fixed
-families of models, graphs and horizons.
+"""Same-bytes sweep of faultkit's subcommands: fixed families of inputs,
+each invocation called in-process through `faultkit.cli.main`.
 
     python tools/sweep.py
     python tools/sweep.py --against REV
@@ -15,20 +14,34 @@ extracted under the temporary directory, in a child process that imports
 faultkit from there; each line that differs is printed with both sides'
 bytes, and the exit code is 1 when any does.
 
-The families (4,200 invocations):
-- `tfpg_battery`, its variant with `d_dead`'s upper bounds at 1,
-  `tfpg_power` and `tfpg_modegap` against `battery` and `battery_map` at
-  H=1-9;
-- synthesis from `battery_synth` at H=1-9;
-- `kofn_phase(3..5)` synthesis at H=3-7, and their graphs synthesized at
-  H=4 with two finite-bound variants at H=3-7;
-- kofn4's H=4 graph at H=8-12;
-- `random_model` seeds 0-59: synthesis with every fault and with the first
-  left out at H=2-4, and the graph synthesized at H=3 with two
-  finite-bound variants at H=2-4;
-- the mode-switch model with its five bound pairs at H=1-8.
-Checks run in json and text; synthesis in json, text and dot, and in json to
-`--out`.
+The families (4,772 invocations):
+- `tfpg`, the TFPG run checks `tfpg-behavioral`, `tfpg-tighten` and
+  `tfpg-synth` (4,200):
+  - `tfpg_battery`, its variant with `d_dead`'s upper bounds at 1,
+    `tfpg_power` and `tfpg_modegap` against `battery` and `battery_map` at
+    H=1-9;
+  - synthesis from `battery_synth` at H=1-9;
+  - `kofn_phase(3..5)` synthesis at H=3-7, and their graphs synthesized at
+    H=4 with two finite-bound variants at H=3-7;
+  - kofn4's H=4 graph at H=8-12;
+  - `random_model` seeds 0-59: synthesis with every fault and with the
+    first left out at H=2-4, and the graph synthesized at H=3 with two
+    finite-bound variants at H=2-4;
+  - the mode-switch model with its five bound pairs at H=1-8.
+  Checks run in json and text; synthesis in json, text and dot, and in
+  json to `--out`.
+- `models`, model loading, `validate-model` and `mcs --tle` in json and
+  text (502): the corpus models with each atom as the top level event, and
+  battery's `b1_fail | system_dead`; `faultonly_kofn(12, 4)` and
+  `(12, 6)` with their transitions shuffled by three seeds, for `down`;
+  `kofn_phase(3..7)` for `low` and `warn`; the six `random-partial` pool
+  models for each of their three conditions; `random_model` seeds 0-59 for
+  their events; and the malformed-transition models of
+  `tests/test_model.py`, which exit 2 with the message on stderr.
+- `finite`, the finite-delay alarms of `kofn_phase(3..6)` (`low_finite`
+  and `fail_finite`) and of the six pool models (`a2`): `diag-check` in
+  json and text, `synth-diagnoser` to `--out`, then `verify-diagnoser` of
+  that file in json and text (70).
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CHECKS = ("tfpg-behavioral", "tfpg-tighten")
 CORPUS = ("battery", "battery_map", "battery_synth", "tfpg_battery", "tfpg_power",
           "tfpg_modegap")
+MODELS = ("battery", "fully_obs", "intermittent", "sensor_delay", "unobservable")
 
 
 def _dump(path: Path, doc) -> str:
@@ -98,6 +112,11 @@ def _synth(model, config, horizons, name):
 def families(work: Path) -> list[list[str]]:
     """Write the sweep's inputs into `work` and return its argv lists."""
     sys.path[:0] = [str(ROOT), str(ROOT / "perfbench")]
+    (work / "out").mkdir()
+    return tfpg_family(work) + models_family(work) + finite_family(work)
+
+
+def tfpg_family(work: Path) -> list[list[str]]:
     import gen
     from faultkit.model import parse_model
     from faultkit.tfpg import load_tfpg, tfpg_to_json
@@ -106,7 +125,6 @@ def families(work: Path) -> list[list[str]]:
     from tests.test_tfpg import (MODE_SWITCH_BOUNDS, MODE_SWITCH_MAP, mode_switch_model,
                                  mode_switch_tfpg, random_synthesis_config)
 
-    (work / "out").mkdir()
     for name in CORPUS:
         (work / f"{name}.json").write_bytes((ROOT / "corpus" / f"{name}.json").read_bytes())
     runs = []
@@ -146,6 +164,83 @@ def families(work: Path) -> list[list[str]]:
     for k, bounds in enumerate(MODE_SWITCH_BOUNDS):
         graph = _dump(work / f"mode_switch{k}.json", tfpg_to_json(mode_switch_tfpg(*bounds)))
         runs += _checks(graph, model, nmap, range(1, 9))
+    return runs
+
+
+def _models(model: str, tles) -> list[list[str]]:
+    runs = [["validate-model", "--model", model, "--format", fmt] for fmt in ("json", "text")]
+    return runs + [["mcs", "--model", model, "--tle", tle, "--format", fmt]
+                   for tle in tles for fmt in ("json", "text")]
+
+
+def _pool(k: int) -> tuple[dict, list[str]]:
+    """The `random-partial` pool model k and its three conditions, as the
+    benchmark draws them; `gen.PARTIAL_DELAYS` gives each condition's delay."""
+    import gen
+    from workloads import PARTIAL_OBSERVABLES, PARTIAL_POOL
+
+    rng = random.Random(f"partial-pool/{PARTIAL_POOL[k]}")
+    doc = gen.partial_model(rng, observables=PARTIAL_OBSERVABLES)
+    return doc, gen.partial_conditions(rng)
+
+
+def models_family(work: Path) -> list[list[str]]:
+    import gen
+    from tests.test_acceptance import random_model_doc
+    from tests.test_model import FOLLOWERS, MALFORMED_TRANSITIONS, malformed_transition_doc
+
+    runs = []
+    for name in MODELS:
+        data = (ROOT / "corpus" / f"{name}.json").read_bytes()
+        (work / f"{name}.json").write_bytes(data)
+        atoms = json.loads(data)["atoms"]
+        extra = ["b1_fail | system_dead"] if name == "battery" else []
+        runs += _models(f"{name}.json", atoms + extra)
+    for k in (4, 6):
+        for seed in range(3):
+            doc = gen.faultonly_kofn(12, k)
+            random.Random(f"faultonly/{k}/{seed}").shuffle(doc["transitions"])
+            runs += _models(_dump(work / f"faultonly{k}-{seed}.json", doc), ["down"])
+    for n in range(3, 8):
+        runs += _models(_dump(work / f"kofn{n}.json", gen.kofn_phase(n)), ["low", "warn"])
+    for k in range(6):
+        doc, conditions = _pool(k)
+        runs += _models(_dump(work / f"partial{k}.json", doc), conditions)
+    for seed in range(60):
+        doc, tle = random_model_doc(seed)
+        runs += _models(_dump(work / f"random{seed}-doc.json", doc), [tle])
+    for name, (item, _) in MALFORMED_TRANSITIONS.items():
+        for then, second in FOLLOWERS.items():
+            doc = malformed_transition_doc(item, second)
+            runs += _models(_dump(work / f"malformed-{name}-{then}.json", doc), ["x"])
+    return runs
+
+
+def _finite(model: str, spec: str, alarm: str) -> list[list[str]]:
+    base = ["--model", model, "--spec", spec, "--alarm", alarm]
+    diagnoser = f"out/{model[:-5]}-{alarm}-diagnoser.json"
+    return ([["diag-check", *base, "--format", fmt] for fmt in ("json", "text")]
+            + [["synth-diagnoser", *base, "--out", diagnoser]]
+            + [["verify-diagnoser", *base, "--diagnoser", diagnoser, "--format", fmt]
+               for fmt in ("json", "text")])
+
+
+def finite_family(work: Path) -> list[list[str]]:
+    """Run after `models_family`, whose kofn and pool model files it reads."""
+    import gen
+
+    runs = []
+    for n in range(3, 7):
+        spec = _dump(work / f"kofn{n}-alarms.json", gen.kofn_specs(n - 1))
+        for alarm in ("low_finite", "fail_finite"):
+            runs += _finite(f"kofn{n}.json", spec, alarm)
+    for k in range(6):
+        _, conditions = _pool(k)
+        spec = _dump(work / f"partial{k}-alarms.json",
+                     [{"alarm": f"a{j}", "beta": beta, "delay": delay, "diag": "global",
+                       "maximal": True}
+                      for j, (beta, delay) in enumerate(zip(conditions, gen.PARTIAL_DELAYS))])
+        runs += _finite(f"partial{k}.json", spec, "a2")
     return runs
 
 
