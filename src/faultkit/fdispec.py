@@ -167,10 +167,12 @@ class BeliefTracker:
     """Belief states of one model under a tuple of trackers, over ints.
 
     Each tracker steps its `delay_memory`; only the tuples of memories
-    that runs reach are numbered, in `memories`, with each tracker's past
-    formula in `sat`.  A belief steps by walking each member's successors
-    of one observation class (`SystemModel.succ_by_class`); each member's
-    successors are worked out once.
+    that runs reach are numbered, in `memories`, and `sat[memory]` has bit
+    i set when tracker i's past formula holds.  A belief steps by walking
+    each member's successors of one observation class
+    (`SystemModel.succ_by_class`).  Each member's successors are worked
+    out once, a class fed by one member reuses that member's tuple, and
+    certainty is read from the bits of `sat` (`known`).
     """
 
     def __init__(self, m: SystemModel, trackers: tuple[Tracker, ...]):
@@ -182,67 +184,98 @@ class BeliefTracker:
         flags = [m.condition(beta) for _, beta in trackers]
         # labels[state]: bit i set when tracker i's condition holds
         self._labels = [sum(f[s] << i for i, f in enumerate(flags)) for s in range(m.size)]
+        self._width = len(trackers)
         self.memories: list[tuple] = []
-        self.sat: list[tuple[bool, ...]] = []
+        self.sat: list[int] = []
         self._numbers: dict[tuple, int] = {}
-        self._after: dict[tuple, int] = {}
+        # memory << width | label -> N times the memory one step on
+        self._after: dict[int, int] = {}
         self._moves: dict[int, dict[int, tuple[int, ...]]] = {}
 
-    def memory_after(self, memory: int | None, label: int) -> int:
-        """The trackers' memory after a step into a state whose conditions
-        are the bits of `label`; `memory` is None before the first step."""
-        key = memory, label
-        after = self._after.get(key)
-        if after is None:
-            # tracker i reads bit 0 of label >> i
-            if memory is None:
-                mems = tuple(first(label >> i) for i, first in enumerate(self._first))
-            else:
-                mems = tuple(step(mem, label >> i) for i, (step, mem)
-                             in enumerate(zip(self._step, self.memories[memory])))
-            after = self._numbers.get(mems)
-            if after is None:
-                after = self._numbers[mems] = len(self.memories)
-                self.memories.append(mems)
-                self.sat.append(tuple(holds(mem) for holds, mem in zip(self._holds, mems)))
-            self._after[key] = after
-        return after
+    def _number(self, mems: tuple) -> int:
+        """The number of a tuple of memories, numbered when first reached."""
+        number = self._numbers.get(mems)
+        if number is None:
+            number = self._numbers[mems] = len(self.memories)
+            self.memories.append(mems)
+            self.sat.append(sum(holds(mem) << i for i, (holds, mem)
+                                in enumerate(zip(self._holds, mems))))
+        return number
+
+    def _stepped(self, memory: int, label: int) -> int:
+        """N times the memory after a step from `memory` into a state whose
+        conditions are the bits of `label`, stored in `_after`."""
+        # tracker i reads bit 0 of label >> i
+        mems = tuple(step(mem, label >> i) for i, (step, mem)
+                     in enumerate(zip(self._step, self.memories[memory])))
+        base = self._after[memory << self._width | label] = self._number(mems) * self.model.size
+        return base
 
     def initial(self) -> dict[int, tuple[int, ...]]:
         """The belief of each observation class of the initial states."""
         N, labels = self.model.size, self._labels
-        return {c: tuple(sorted(self.memory_after(None, labels[s]) * N + s for s in states))
+        return {c: tuple(sorted(self._number(tuple(first(labels[s] >> i) for i, first
+                                                   in enumerate(self._first))) * N + s
+                                for s in states))
                 for c, states in self.model.initial_by_class.items()}
 
     def moves(self, member: int) -> dict[int, tuple[int, ...]]:
         """A member's successor members, by observation class, ascending."""
         found = self._moves.get(member)
         if found is None:
-            N, labels = self.model.size, self._labels
+            N, labels, after = self.model.size, self._labels, self._after
             memory, state = divmod(member, N)
-            found = self._moves[member] = {
-                c: tuple(sorted(self.memory_after(memory, labels[nxt]) * N + nxt
-                                for nxt in nxts))
-                for c, nxts in self.model.succ_by_class[state].items()}
+            key = memory << self._width
+            found = self._moves[member] = {}
+            for c, nxts in self.model.succ_by_class[state].items():
+                members = []
+                for nxt in nxts:
+                    base = after.get(key | labels[nxt])
+                    if base is None:
+                        base = self._stepped(memory, labels[nxt])
+                    members.append(base + nxt)
+                members.sort()
+                found[c] = tuple(members)
         return found
 
     def successors(self, belief: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-        """The nonempty beliefs one step on, by observation class."""
+        """The nonempty beliefs one step on, by observation class.  The
+        tuples may be shared with other calls' results."""
+        moves = self._moves
         if len(belief) == 1:
-            return self.moves(belief[0])
-        grouped: dict[int, set] = {}
+            return moves.get(belief[0]) or self.moves(belief[0])
+        grouped: dict[int, tuple[int, ...]] = {}
+        merged: dict[int, set] = {}
         for member in belief:
-            for c, members in self.moves(member).items():
-                grouped.setdefault(c, set()).update(members)
-        return {c: tuple(sorted(members)) for c, members in grouped.items()}
+            for c, members in (moves.get(member) or self.moves(member)).items():
+                if c not in grouped:
+                    grouped[c] = members
+                elif c in merged:
+                    merged[c].update(members)
+                else:
+                    merged[c] = {*grouped[c], *members}
+        for c, members in merged.items():
+            grouped[c] = tuple(sorted(members))
+        return grouped
+
+    def known(self, belief: tuple[int, ...]) -> tuple[int, int]:
+        """The trackers whose past formula holds in every member, and those
+        whose formula holds in some, as masks: bit i for tracker i."""
+        N, sat = self.model.size, self.sat
+        every, some = -1, 0
+        for member in belief:
+            bits = sat[member // N]
+            every &= bits
+            some |= bits
+        return every, some
 
     def holds(self, member: int, i: int = 0) -> bool:
         """Whether tracker i's past formula holds in a member."""
-        return self.sat[member // self.model.size][i]
+        return self.sat[member // self.model.size] >> i & 1 == 1
 
     def certain(self, belief: tuple[int, ...], i: int = 0) -> bool:
         """Tracker i's condition is known iff it holds in every member."""
-        return all(self.holds(member, i) for member in belief)
+        return self.known(belief)[0] >> i & 1 == 1
 
     def decode(self, member: int) -> BeliefMember:
         memory, state = divmod(member, self.model.size)

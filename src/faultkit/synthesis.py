@@ -138,31 +138,38 @@ def synthesize_diagnoser(m: SystemModel, specs: list[AlarmSpec]) -> Diagnoser:
     observations = m.observations
 
     ids: dict[tuple, str] = {}
-    nodes: dict[str, frozenset[str]] = {}
-    delta: dict[str, dict[tuple, str]] = {}
     order: list[tuple] = []
-
-    def intern(belief: tuple) -> str:
-        nid = ids.get(belief)
-        if nid is None:
-            nid = ids[belief] = f"b{len(ids)}"
-            nodes[nid] = frozenset(spec.name for i, spec in enumerate(specs)
-                                   if beliefs.certain(belief, i))
-            delta[nid] = {}
-            order.append(belief)
-        return nid
-
-    entries = beliefs.initial()
-    entry = {observations[c]: intern(entries[c]) for c in sorted(entries)}
-    cursor = 0
-    while cursor < len(order):
-        belief = order[cursor]
-        cursor += 1
-        moves = delta[ids[belief]]
-        after = beliefs.successors(belief)
+    rows: list[dict[tuple, str]] = []  # each node's moves, in node order
+    moves = entry = {}
+    after = beliefs.initial()
+    while True:
         for c in sorted(after):
-            moves[observations[c]] = intern(after[c])
+            belief = after[c]
+            nid = ids.get(belief)
+            if nid is None:
+                nid = ids[belief] = f"b{len(order)}"
+                order.append(belief)
+            moves[observations[c]] = nid
+        if len(rows) == len(order):
+            break
+        after = beliefs.successors(order[len(rows)])
+        moves = {}
+        rows.append(moves)
 
+    # a node raises the alarms whose formula holds in every member: the
+    # bits of its belief's `known` mask, one alarm set per mask
+    alarm_sets: dict[int, frozenset[str]] = {}
+
+    def alarms(belief: tuple) -> frozenset[str]:
+        every = beliefs.known(belief)[0]
+        found = alarm_sets.get(every)
+        if found is None:
+            found = alarm_sets[every] = frozenset(
+                name for i, name in enumerate(names) if every >> i & 1)
+        return found
+
+    nodes = dict(zip(ids.values(), map(alarms, order)))
+    delta = dict(zip(ids.values(), rows))
     stats = DiagnoserStats(len(nodes), m.size * len(beliefs.memories))
     return Diagnoser(m.observable_atoms_sorted, nodes, entry, delta,
                      _Beliefs(dict(zip(nodes, order)), beliefs.decode), stats)
@@ -383,15 +390,6 @@ class _Product:
         self.model = m
         beliefs = BeliefTracker(m, trackers_for([spec]))
         observations = m.observations
-        found: dict[tuple, int] = {}
-        pairs: list[tuple] = []
-
-        def intern(pair: tuple) -> int:
-            if pair not in found:
-                found[pair] = len(pairs)
-                pairs.append(pair)
-            return found[pair]
-
         entries = beliefs.initial()
         start = []
         for sid in m.initial:
@@ -401,7 +399,10 @@ class _Product:
                 raise ObservationError(
                     0, f"candidate has no entry for the observation of initial "
                        f"state {sid!r}")
-            start.append((m.number[sid], intern((node, entries[c]))))
+            start.append((m.number[sid], (node, entries[c])))
+        # pairs are numbered as reached, the roots' first
+        pairs = list(dict.fromkeys(pair for _, pair in start))
+        found = {pair: q for q, pair in enumerate(pairs)}
         self.moves = moves = []
         # whether the candidate can consume every observation runs make; a
         # gap is reported when a search meets it
@@ -414,18 +415,27 @@ class _Product:
                 tgt = out.get(observations[c])
                 if tgt is None:
                     self.total = False
-                else:
-                    row[c] = intern((tgt, after))
+                    continue
+                pair = tgt, after
+                q = found.get(pair)
+                if q is None:
+                    q = found[pair] = len(pairs)
+                    pairs.append(pair)
+                row[c] = q
             moves.append(row)
         self.P = P = len(pairs)
         self.names = [node for node, _ in pairs]
         self.alarm = [spec.name in d.nodes[node] for node in self.names]
-        # the delay's past formula in every member of the belief, and in some
-        self.known = [beliefs.certain(belief) for _, belief in pairs]
-        self.possible = [any(map(beliefs.holds, belief)) for _, belief in pairs]
+        # the delay's past formula in every member of the belief, and in
+        # some: bit 0 of the belief's `known` masks
+        self.known, self.possible = known, possible = [], []
+        for _, belief in pairs:
+            every, some = beliefs.known(belief)
+            known.append(every & 1)
+            possible.append(some & 1)
         self.beta = m.condition(spec.beta)
         self.delay = spec.delay
-        self.roots = [s * P + q for s, q in start]
+        self.roots = [s * P + found[pair] for s, pair in start]
         # a pair's (node name, decoded belief), for `_search_lasso`
         self.order = cache(lambda q: (pairs[q][0], sorted(map(beliefs.decode, pairs[q][1]))))
         self._pair_label = [2 * alarm + 4 * known for alarm, known in zip(self.alarm, self.known)]

@@ -170,7 +170,55 @@ class TestMemory:
                     belief = beliefs.successors(belief)[c]
         assert sorted(beliefs.memories) == sorted(reached)
         for mems, sat in zip(beliefs.memories, beliefs.sat):
-            assert sat == tuple(holds(mem) for (_, _, _, holds), mem in zip(kinds, mems))
+            assert sat == sum(holds(mem) << i for i, ((_, _, _, holds), mem)
+                              in enumerate(zip(kinds, mems)))
+
+
+DELAYS = st.one_of(st.builds(ExactDelay, st.integers(1, 3)),
+                   st.builds(BoundedDelay, st.integers(1, 3)), st.just(FiniteDelay()))
+
+
+class TestBeliefSteps:
+    @given(st.integers(0, 59), st.lists(DELAYS, min_size=1, max_size=3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_belief_steps_as_its_members_do(self, seed, delays, data):
+        from .test_acceptance import random_model_doc
+
+        doc, tle = random_model_doc(seed)
+        m = parse_model(json.dumps(doc))
+        betas = [parse_expr(data.draw(st.sampled_from([tle, *doc["atoms"]]))) for _ in delays]
+        kinds = [delay_memory(delay) for delay in delays]
+        flags = [m.condition(beta) for beta in betas]
+        beliefs = BeliefTracker(m, tuple(zip(delays, betas)))
+        N = m.size
+        returned = []
+        frontier = list(beliefs.initial().values())
+        seen = set(frontier)
+        while frontier and len(seen) < 80:
+            belief = frontier.pop(0)
+            after = beliefs.successors(belief)
+            returned.append((after, dict(after)))
+            # each member's class-c successors, its memories stepped by hand
+            expected = {}
+            for member in belief:
+                memory, state = divmod(member, N)
+                for nxt in m.succ[state]:
+                    mems = tuple(step(mem, f[nxt]) for (_, _, step, _), mem, f
+                                 in zip(kinds, beliefs.memories[memory], flags))
+                    expected.setdefault(m.obs_class[nxt], set()).add(
+                        beliefs.memories.index(mems) * N + nxt)
+            assert after == {c: tuple(sorted(members)) for c, members in expected.items()}
+            every, some = beliefs.known(belief)
+            for i, (_, _, _, holds) in enumerate(kinds):
+                members = [holds(beliefs.memories[member // N][i]) for member in belief]
+                assert members == [beliefs.holds(member, i) for member in belief]
+                assert (every >> i & 1, some >> i & 1) == (all(members), any(members))
+            for nxt in after.values():
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        # a later call changes no result handed out before it
+        assert all(after == kept for after, kept in returned)
 
 
 class TestKnowledge:

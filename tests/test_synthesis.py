@@ -82,6 +82,30 @@ class TestSynthesize:
                 if not delay_memory(s.delay)[3](mems[0]):
                     assert "A" not in d.nodes[nid]
 
+    def test_every_alarm_of_a_node_is_known_in_every_member(self):
+        # the three alarms of a random-partial pool model share each belief
+        gen = bench_module("gen")
+        rng = random.Random("partial-pool/9")
+        m = parse_model(json.dumps(gen.partial_model(rng, observables=5)))
+        specs = parse_specs(json.dumps([
+            {"alarm": f"a{j}", "beta": beta, "delay": delay, "maximal": True}
+            for j, (beta, delay) in enumerate(zip(gen.partial_conditions(rng),
+                                                  gen.PARTIAL_DELAYS))]))
+        d = synthesize_diagnoser(m, specs)
+        trackers = trackers_for(specs)
+        for nid, belief in d.beliefs.items():
+            assert d.nodes[nid] == {s.name for i, s in enumerate(specs)
+                                    if belief_certain(belief, i, trackers)}
+        # every subset of the three alarms labels some node
+        assert len(set(d.nodes.values())) == 8
+
+    def test_no_alarms_leave_every_node_without_one(self, sensor_delay, intermittent):
+        # no trackers: a belief's mask of known formulas has no bit to read
+        for m in (sensor_delay, intermittent):
+            d = synthesize_diagnoser(m, [])
+            assert d.nodes and all(alarms == frozenset() for alarms in d.nodes.values())
+            assert d.stats.member_space == m.size
+
     def test_belief_count_within_bound(self, sensor_delay, intermittent):
         second = AlarmSpec("B", FAULT, FiniteDelay(), "global", True)
         for m in (sensor_delay, intermittent):

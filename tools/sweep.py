@@ -14,7 +14,7 @@ extracted under the temporary directory, in a child process that imports
 faultkit from there; each line that differs is printed with both sides'
 bytes, and the exit code is 1 when any does.
 
-The families (4,772 invocations):
+The families (4,950 invocations):
 - `tfpg`, the TFPG run checks `tfpg-behavioral`, `tfpg-tighten` and
   `tfpg-synth` (4,200):
   - `tfpg_battery`, its variant with `d_dead`'s upper bounds at 1,
@@ -42,6 +42,11 @@ The families (4,772 invocations):
   and `fail_finite`) and of the six pool models (`a2`): `diag-check` in
   json and text, `synth-diagnoser` to `--out`, then `verify-diagnoser` of
   that file in json and text (70).
+- `beliefs`, the exact and bound alarms of the same models (`low_exact2`
+  and `low_bound2`, `a0` and `a1`) in the same five invocations; then, for
+  each of those ten alarm files, one `synth-diagnoser --out` of all its
+  alarms, whose trackers share every belief, and `verify-diagnoser` of each
+  alarm against that diagnoser in json and text (178).
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ def families(work: Path) -> list[list[str]]:
     """Write the sweep's inputs into `work` and return its argv lists."""
     sys.path[:0] = [str(ROOT), str(ROOT / "perfbench")]
     (work / "out").mkdir()
-    return tfpg_family(work) + models_family(work) + finite_family(work)
+    return tfpg_family(work) + models_family(work) + finite_family(work) + beliefs_family(work)
 
 
 def tfpg_family(work: Path) -> list[list[str]]:
@@ -216,7 +221,7 @@ def models_family(work: Path) -> list[list[str]]:
     return runs
 
 
-def _finite(model: str, spec: str, alarm: str) -> list[list[str]]:
+def _alarm_runs(model: str, spec: str, alarm: str) -> list[list[str]]:
     base = ["--model", model, "--spec", spec, "--alarm", alarm]
     diagnoser = f"out/{model[:-5]}-{alarm}-diagnoser.json"
     return ([["diag-check", *base, "--format", fmt] for fmt in ("json", "text")]
@@ -233,14 +238,33 @@ def finite_family(work: Path) -> list[list[str]]:
     for n in range(3, 7):
         spec = _dump(work / f"kofn{n}-alarms.json", gen.kofn_specs(n - 1))
         for alarm in ("low_finite", "fail_finite"):
-            runs += _finite(f"kofn{n}.json", spec, alarm)
+            runs += _alarm_runs(f"kofn{n}.json", spec, alarm)
     for k in range(6):
         _, conditions = _pool(k)
         spec = _dump(work / f"partial{k}-alarms.json",
                      [{"alarm": f"a{j}", "beta": beta, "delay": delay, "diag": "global",
                        "maximal": True}
                       for j, (beta, delay) in enumerate(zip(conditions, gen.PARTIAL_DELAYS))])
-        runs += _finite(f"partial{k}.json", spec, "a2")
+        runs += _alarm_runs(f"partial{k}.json", spec, "a2")
+    return runs
+
+
+def beliefs_family(work: Path) -> list[list[str]]:
+    """Run after `finite_family`, whose alarm files it reads."""
+    specs = {f"kofn{n}.json": f"kofn{n}-alarms.json" for n in range(3, 7)}
+    specs.update({f"partial{k}.json": f"partial{k}-alarms.json" for k in range(6)})
+    runs = []
+    for model, spec in specs.items():
+        for alarm in ("low_exact2", "low_bound2") if model.startswith("kofn") else ("a0", "a1"):
+            runs += _alarm_runs(model, spec, alarm)
+    # one diagnoser for every alarm of a file: its trackers share each belief
+    for model, spec in specs.items():
+        diagnoser = f"out/{model[:-5]}-diagnoser.json"
+        runs.append(["synth-diagnoser", "--model", model, "--spec", spec, "--out", diagnoser])
+        for item in json.loads((work / spec).read_text(encoding="utf-8")):
+            runs += [["verify-diagnoser", "--model", model, "--spec", spec, "--alarm",
+                      item["alarm"], "--diagnoser", diagnoser, "--format", fmt]
+                     for fmt in ("json", "text")]
     return runs
 
 
