@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import FaultkitError
 from .jsonio import expect, read_json
@@ -297,9 +298,11 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     # One flat parser: every subcommand takes the same flags, each handler
     # checks the ones it needs (`_require`) and `main` checks `--format`.
+    # Built once per process: parsing leaves it unchanged.
     parser = argparse.ArgumentParser(
         prog="faultkit", usage="%(prog)s command [options]",
         description="explicit-state safety analysis: cut sets, fault trees, "

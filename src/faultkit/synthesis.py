@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from functools import cache, partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import ModelFormatError, ObservationError
@@ -260,11 +261,13 @@ def diagnoser_from_json(doc) -> Diagnoser:
     expect(doc, dict, "diagnoser")
     atoms = tuple(sorted(set(field(doc, "observables", NAMES, "diagnoser"))))
     nodes_doc = field(doc, "nodes", dict, "diagnoser")
-    nodes = {}
-    for nid, alarms in nodes_doc.items():
-        if type(alarms) is not list or not all(type(a) is str for a in alarms):
-            field(nodes_doc, nid, NAMES, "diagnoser nodes")  # raises, naming the node
-        nodes[nid] = frozenset(alarms)
+    lists = nodes_doc.values()
+    # one type pass over every alarm list; the loop only names a bad node
+    if not (set(map(type, lists)) <= {list}
+            and set(map(type, chain.from_iterable(lists))) <= {str}):
+        for nid in nodes_doc:
+            field(nodes_doc, nid, NAMES, "diagnoser nodes")
+    nodes = dict(zip(nodes_doc, map(frozenset, lists)))
     decoded: dict[str, tuple] = {}  # a diagnoser repeats few distinct keys
 
     def moves_of(doc, source: str | None) -> dict[tuple, str]:
@@ -439,30 +442,11 @@ class _Product:
         # a pair's (node name, decoded belief), for `_search_lasso`
         self.order = cache(lambda q: (pairs[q][0], sorted(map(beliefs.decode, pairs[q][1]))))
         self._pair_label = [2 * alarm + 4 * known for alarm, known in zip(self.alarm, self.known)]
-        self._edges: dict[int, tuple[list[int], list[int]]] = {}
 
     def label(self, sp: int) -> int:
         """Bit 0: the condition holds in the state; bit 1: the pair raises
         the alarm; bit 2: the pair's belief makes the condition certain."""
         return self.beta[sp // self.P] | self._pair_label[sp % self.P]
-
-    def edges(self, sp: int) -> tuple[list[int], list[int]]:
-        """The successors of a product state, and their labels."""
-        found = self._edges.get(sp)
-        if found is None:
-            P, beta = self.P, self.beta
-            state, pair = divmod(sp, P)
-            row = self.moves[pair]
-            targets: list[int] = []
-            labels: list[int] = []
-            for c, nxts in self.model.succ_by_class[state].items():
-                q = row.get(c)
-                if q is None:
-                    self._partial(state, pair)
-                targets += [nxt * P + q for nxt in nxts]
-                labels += [beta[nxt] | self._pair_label[q] for nxt in nxts]
-            found = self._edges[sp] = (targets, labels)
-        return found
 
     def _partial(self, state: int, pair: int):
         groups = self.model.succ_by_class[state]
@@ -495,7 +479,7 @@ def verify_diagnoser(m: SystemModel, d: Diagnoser, spec: AlarmSpec) -> Verdict:
 # search looks for.  A delay memory (`fdispec.delay_memory`) is one.
 
 _LABELS = range(8)
-_NO_EXTRA = (1, None, None, None)
+_NO_EXTRA = (1, lambda label: 0, lambda extra, label: 0, None)
 
 
 def _flagged(extras):
@@ -505,21 +489,33 @@ def _flagged(extras):
 
 
 def _searcher(product: _Product, extras):
-    """The roots and the successor function of a search with these extras."""
+    """The roots and the successor function of a search with these extras.
+    A node's successors come from one pass over its state's successors by
+    class, with no table per product state."""
     X, first, step, _ = extras
-    edges = product.edges
-    if X == 1:
-        return product.roots, lambda sp: edges(sp)[0]
+    P, PX, beta, moves = product.P, product.P * X, product.beta, product.moves
+    by_class, pair_label = product.model.succ_by_class, product._pair_label
     # rows[extra][label]: the extra after a step, once per extra
     rows: dict[int, list[int]] = {}
 
     def succ(node):
         sp, extra = divmod(node, X)
+        state, pair = divmod(sp, P)
         after = rows.get(extra)
         if after is None:
             after = rows[extra] = [step(extra, label) for label in _LABELS]
-        targets, labels = edges(sp)
-        return [t * X + after[label] for t, label in zip(targets, labels)]
+        row = moves[pair]
+        out = []
+        for c, nxts in by_class[state].items():
+            q = row.get(c)
+            if q is None:
+                product._partial(state, pair)
+            # a target's number below its state, by its condition bit
+            label = pair_label[q]
+            low = q * X + after[label], q * X + after[label | 1]
+            for nxt in nxts:  # a loop: a class holds few states
+                out.append(nxt * PX + low[beta[nxt]])
+        return out
 
     return [sp * X + first(product.label(sp)) for sp in product.roots], succ
 

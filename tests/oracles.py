@@ -605,6 +605,85 @@ def brute_force_trace_completeness(m: SystemModel, diagnoser_doc, beta, delay,
     return holds, lasso
 
 
+def brute_force_finite_completeness(m: SystemModel, diagnoser_doc, beta, alarm: str = "A"):
+    """The completeness conjunct of a global alarm on `beta` with the
+    finite delay: every condition is eventually served by an alarm.
+
+    A product node is (state, candidate node, belief, pending), built from
+    the transitions, the observable atoms and the diagnoser document; a
+    belief is the set of (state, whether the condition ever held)
+    consistent with the observations, and pending says the condition has
+    held since the run's last alarm, the alarm of the node itself serving
+    it.  Raises PartialCandidate when a reachable node's candidate node
+    cannot consume its successor's observation, or the entry an initial
+    state's.
+
+    Returns (holds, lasso).  The conjunct fails when a cycle of pending
+    nodes is reachable, which is decided by trimming: pending nodes with no
+    pending successor left are removed until none is, and a cycle remains
+    exactly when some node does.  lasso(run, loop_start) tells whether a
+    run replays in the product as a violation: the candidate consumes it,
+    it is pending at every step from loop_start, and it closes on the
+    product node at loop_start."""
+    beta = as_expr(beta)
+    seen, flag, moves, entry, delta, raised = _product_parts(m, diagnoser_doc, beta, alarm)
+
+    def root(sid):
+        if seen[sid] not in entry:
+            raise PartialCandidate(sid)
+        q = entry[seen[sid]]
+        belief = frozenset((x, flag[x]) for x in m.initial if seen[x] == seen[sid])
+        return sid, q, belief, flag[sid] and not raised[q]
+
+    beliefs: dict = {}  # (belief, observation) -> the belief after it
+
+    def step(node, y):
+        _, q, belief, pending = node
+        if seen[y] not in delta.get(q, {}):
+            raise PartialCandidate(q, y)
+        tgt = delta[q][seen[y]]
+        if (belief, seen[y]) not in beliefs:
+            beliefs[belief, seen[y]] = frozenset((z, past or flag[z]) for x, past in belief
+                                                 for z in moves[x] if seen[z] == seen[y])
+        return y, tgt, beliefs[belief, seen[y]], (pending or flag[y]) and not raised[tgt]
+
+    graph: dict = {}
+    work = [root(sid) for sid in m.initial]
+    while work:
+        node = work.pop()
+        if node not in graph:
+            graph[node] = [step(node, y) for y in moves[node[0]]]
+            work.extend(graph[node])
+    region = {node for node in graph if node[3]}
+    left = {node: sum(nxt in region for nxt in graph[node]) for node in region}
+    into: dict = {}
+    for node in region:
+        for nxt in graph[node]:
+            into.setdefault(nxt, []).append(node)
+    work = [node for node, n in left.items() if not n]
+    while work:
+        gone = work.pop()
+        del left[gone]
+        for node in into.get(gone, ()):
+            if node in left:
+                left[node] -= 1
+                if not left[node]:
+                    work.append(node)
+    holds = not left
+
+    def lasso(run, loop_start):
+        if not 0 <= loop_start < len(run) - 1 or run[0] not in m.initial:
+            return False
+        path = [root(run[0])]
+        for y in run[1:]:
+            if y not in moves[path[-1][0]]:
+                return False
+            path.append(step(path[-1], y))
+        return path[loop_start] == path[-1] and all(node[3] for node in path[loop_start:])
+
+    return holds, lasso
+
+
 # -- TFPG semantics ----------------------------------------------------------------
 
 def naive_trace_consistent(g: Tfpg, at: ActivationTrace) -> bool:

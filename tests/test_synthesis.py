@@ -21,9 +21,9 @@ from faultkit.synthesis import (Diagnoser, _check_completeness_global, _check_co
                                 verify_diagnoser)
 
 from .conftest import bench_module, corpus_path
-from .oracles import (PartialCandidate, brute_force_product_counterexample,
-                      brute_force_trace_completeness, enumerate_traces,
-                      knowledge_by_enumeration, successor_ids)
+from .oracles import (PartialCandidate, brute_force_finite_completeness,
+                      brute_force_product_counterexample, brute_force_trace_completeness,
+                      enumerate_traces, knowledge_by_enumeration, successor_ids)
 
 FAULT = parse_expr("fault")
 
@@ -455,11 +455,59 @@ class TestCounterexampleOracle:
         try:
             verdict = verify_diagnoser(m, d, s).to_json()
         except ObservationError:
-            # finite-delay completeness, not covered here, meets every gap
+            # finite-delay completeness, checked in TestFiniteCompletenessOracle,
+            # meets every gap
             assert gaps or isinstance(s.delay, FiniteDelay), doc
         else:
             assert not gaps, doc
             assert all(verdict[c] == want for c, want in expected.items()), doc
+
+
+class TestFiniteCompletenessOracle:
+    """Global finite-delay completeness against a trimming oracle: the
+    verdict, and the reported lasso replayed in the oracle's product.  An
+    alarm that did not serve the condition of its own step (`pending`
+    keeping `label & 1` when bit 1 is set) fails the verdict on
+    `battery.json`, and a `loop_start` one past the cycle's entry fails the
+    replay.  A condition bit read from the source state instead of the
+    target is left to `TestCounterexampleOracle`: it moves a condition one
+    step later, which changes a finite verdict only where the condition
+    held at an alarm's step and never again while no alarm followed, and
+    none of these candidates does that."""
+
+    @pytest.mark.parametrize("source", [
+        "battery.json", "fully_obs.json", "intermittent.json", "sensor_delay.json",
+        "unobservable.json", *range(20)])
+    def test_finite_completeness_matches_brute_force(self, source):
+        from .test_acceptance import random_model
+
+        if isinstance(source, int):
+            m, tle = random_model(source)
+            betas = [tle]
+        else:
+            m = load_model(corpus_path(source))
+            betas = sorted(m.atoms)
+        for beta in betas:
+            s = AlarmSpec("A", parse_expr(beta), FiniteDelay(), "global", False)
+            d = synthesize_diagnoser(m, [s])
+            candidates = [diagnoser_to_json(c) for c in (d, mute_diagnoser(m), eager_diagnoser(m))]
+            candidates += perturbed_candidates(d, random.Random(f"{source} {beta} finite"))
+            for doc in candidates:
+                self.check(m, doc, s)
+
+    @staticmethod
+    def check(m, doc, s):
+        product = _Product(m, diagnoser_from_json(doc), s)
+        try:
+            holds, lasso = brute_force_finite_completeness(m, doc, s.beta)
+        except PartialCandidate:
+            with pytest.raises(ObservationError):
+                _check_completeness_global(product, s)
+            return
+        got = _check_completeness_global(product, s).to_json()
+        assert got["holds"] == holds, doc
+        if not holds:
+            assert lasso(got["counterexample"], got["loop_start"]), (got, doc)
 
 
 class TestTraceCompletenessOracle:

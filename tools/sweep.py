@@ -14,7 +14,7 @@ extracted under the temporary directory, in a child process that imports
 faultkit from there; each line that differs is printed with both sides'
 bytes, and the exit code is 1 when any does.
 
-The families (4,950 invocations):
+The families (5,124 invocations):
 - `tfpg`, the TFPG run checks `tfpg-behavioral`, `tfpg-tighten` and
   `tfpg-synth` (4,200):
   - `tfpg_battery`, its variant with `d_dead`'s upper bounds at 1,
@@ -47,6 +47,14 @@ The families (4,950 invocations):
   each of those ten alarm files, one `synth-diagnoser --out` of all its
   alarms, whose trackers share every belief, and `verify-diagnoser` of each
   alarm against that diagnoser in json and text (178).
+- `candidates`, `verify-diagnoser` in json and text of three mutants of
+  the synthesized diagnoser of each pool alarm (`a0`-`a2`) and of the
+  `low_*` and `fail_finite` alarms of `kofn_phase(4..6)`: an alarm
+  dropped from a node, the alarm added to a node and a delta edge
+  redirected (174; `fail_finite` is raised nowhere, so its diagnosers
+  have no node to drop it from).  Synthesized candidates meet the
+  shortcut of a safety conjunct with no violating pair; these run its
+  search.
 """
 
 from __future__ import annotations
@@ -118,7 +126,8 @@ def families(work: Path) -> list[list[str]]:
     """Write the sweep's inputs into `work` and return its argv lists."""
     sys.path[:0] = [str(ROOT), str(ROOT / "perfbench")]
     (work / "out").mkdir()
-    return tfpg_family(work) + models_family(work) + finite_family(work) + beliefs_family(work)
+    return (tfpg_family(work) + models_family(work) + finite_family(work)
+            + beliefs_family(work) + candidates_family(work))
 
 
 def tfpg_family(work: Path) -> list[list[str]]:
@@ -265,6 +274,51 @@ def beliefs_family(work: Path) -> list[list[str]]:
             runs += [["verify-diagnoser", "--model", model, "--spec", spec, "--alarm",
                       item["alarm"], "--diagnoser", diagnoser, "--format", fmt]
                      for fmt in ("json", "text")]
+    return runs
+
+
+def _mutants(doc: dict, alarm: str, rng: random.Random) -> list[dict]:
+    """Copies of a diagnoser document with the alarm dropped from one node
+    that raises it, added to one that does not, and one delta edge sent to
+    another node; a mutant whose node or edge does not exist is left out."""
+    nodes = sorted(doc["nodes"])
+    edges = [(q, key) for q in sorted(doc["delta"]) for key in sorted(doc["delta"][q])]
+    out = []
+    for raising in (True, False):
+        pick = [q for q in nodes if (alarm in doc["nodes"][q]) == raising]
+        if pick:
+            mutant = json.loads(json.dumps(doc))
+            q = rng.choice(pick)
+            mutant["nodes"][q] = sorted(set(doc["nodes"][q]) ^ {alarm})
+            out.append(mutant)
+    if edges and len(nodes) > 1:
+        mutant = json.loads(json.dumps(doc))
+        q, key = rng.choice(edges)
+        mutant["delta"][q][key] = rng.choice([p for p in nodes if p != doc["delta"][q][key]])
+        out.append(mutant)
+    return out
+
+
+def candidates_family(work: Path) -> list[list[str]]:
+    """Run after `finite_family`, whose alarm files it reads."""
+    from faultkit.fdispec import parse_specs
+    from faultkit.model import parse_model
+    from faultkit.synthesis import diagnoser_to_json, synthesize_diagnoser
+
+    alarms = {f"kofn{n}.json": ("low_exact2", "low_bound2", "low_finite", "fail_finite")
+              for n in range(4, 7)}
+    alarms.update({f"partial{k}.json": ("a0", "a1", "a2") for k in range(6)})
+    runs = []
+    for model, names in alarms.items():
+        spec = f"{model[:-5]}-alarms.json"
+        m = parse_model((work / model).read_text(encoding="utf-8"))
+        specs = {s.name: s for s in parse_specs((work / spec).read_text(encoding="utf-8"))}
+        for alarm in names:
+            doc = diagnoser_to_json(synthesize_diagnoser(m, [specs[alarm]]))
+            for i, mutant in enumerate(_mutants(doc, alarm, random.Random(f"{model}/{alarm}"))):
+                diagnoser = _dump(work / f"{model[:-5]}-{alarm}-mutant{i}.json", mutant)
+                runs += [["verify-diagnoser", "--model", model, "--spec", spec, "--alarm", alarm,
+                          "--diagnoser", diagnoser, "--format", fmt] for fmt in ("json", "text")]
     return runs
 
 
