@@ -26,8 +26,7 @@ def main():
     print("requirement:", " & ".join(instantiate_pattern(spec).values()))
 
     diagnoser = synthesize_diagnoser(model, [spec])
-    print(f"\nsynthesized {diagnoser.stats.nodes} belief nodes "
-          f"(member space {diagnoser.stats.member_space})")
+    print(f"\nsynthesized {len(diagnoser.nodes)} belief nodes")
     for nid in sorted(diagnoser.nodes):
         members = sorted(s for s, _ in diagnoser.beliefs[nid])
         alarms = sorted(diagnoser.nodes[nid]) or ["-"]

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 
 from .boolexpr import Atom, Expr, as_expr
 from .errors import ExpressionError, FaultkitError, SizeGuardExceeded
-from .jsonio import NAMES, expect
+from .jsonio import NAMES, dot_escape, expect
 from .model import SystemModel
 from .records import Frozen
 
@@ -188,11 +188,12 @@ def export_fault_tree_dot(ft: FaultTree) -> str:
     the OR gate (diamond), AND gates (invtrapezium) and basic events
     (circle).  An empty gate list renders a single 'unreachable' node."""
     lines = ["digraph fault_tree {", "  rankdir=TB;"]
+    top = dot_escape(ft.top)
     if not ft.gates:
-        lines.append(f'  "top" [label="{ft.top}: unreachable", shape=box];')
+        lines.append(f'  "top" [label="{top}: unreachable", shape=box];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-    lines.append(f'  "top" [label="{ft.top}", shape=box];')
+    lines.append(f'  "top" [label="{top}", shape=box];')
     if ft.gates == ((),):
         # The empty cut set is minimal: the event needs no faults at all.
         lines.append('  "true" [label="TRUE", shape=diamond];')
@@ -205,7 +206,7 @@ def export_fault_tree_dot(ft: FaultTree) -> str:
         gid = f"and{i}"
         lines.append(f'  "{gid}" [label="AND", shape=invtrapezium];')
         lines.append(f'  "or" -> "{gid}";')
-        for event in gate:
+        for event in map(dot_escape, gate):
             eid = f"{gid}_{event}"
             lines.append(f'  "{eid}" [label="{event}", shape=circle];')
             lines.append(f'  "{gid}" -> "{eid}";')

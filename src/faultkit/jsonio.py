@@ -66,6 +66,11 @@ def read_json(path, convert, duplicate: str = "duplicate key"):
     raise ModelFormatError(f"{path}: {reason}")
 
 
+def dot_escape(name: str) -> str:
+    """`name`, any JSON string, escaped for a DOT quoted string."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def expect(value, kind, what: str):
     """`value` if it has the kind `kind` (a type, :data:`NAMES`,
     :data:`NAME_MAP`, :data:`FLAGS`, or a tuple of these), else an error

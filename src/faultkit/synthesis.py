@@ -49,18 +49,9 @@ from .errors import ModelFormatError, ObservationError
 from .fdispec import (AlarmSpec, BeliefTracker, BoundedDelay, ExactDelay, TRACE,
                       delay_memory, trackers_for)
 from .graphs import lasso, lexleast_shortest_paths, path_to
-from .jsonio import FLAGS, NAMES, decode_json, expect, field, read_json
+from .jsonio import FLAGS, NAMES, decode_json, dot_escape, expect, field, read_json
 from .model import SystemModel, Trace
 from .records import Frozen, Record
-
-
-class DiagnoserStats(Frozen):
-    __slots__ = ("nodes", "member_space")
-
-    def __init__(self, nodes: int, member_space: int):
-        # member_space: states times the trackers' memories that runs
-        # reach, the possible belief members
-        self._set(nodes, member_space)
 
 
 class Diagnoser(Record):
@@ -72,13 +63,12 @@ class Diagnoser(Record):
     candidates carry no belief contents.
     """
 
-    __slots__ = ("obs_atoms", "nodes", "entry", "delta", "beliefs", "stats")
+    __slots__ = ("obs_atoms", "nodes", "entry", "delta", "beliefs")
 
     def __init__(self, obs_atoms: tuple[str, ...], nodes: dict[str, frozenset[str]],
                  entry: dict[tuple, str], delta: dict[str, dict[tuple, str]],
-                 beliefs: Mapping[str, frozenset] | None = None,
-                 stats: DiagnoserStats | None = None):
-        self._set(obs_atoms, nodes, entry, delta, beliefs, stats)
+                 beliefs: Mapping[str, frozenset] | None = None):
+        self._set(obs_atoms, nodes, entry, delta, beliefs)
 
     def obs_tuple(self, obs: dict[str, bool]) -> tuple:
         if set(expect(obs, FLAGS, "observation")) != set(self.obs_atoms):
@@ -171,9 +161,8 @@ def synthesize_diagnoser(m: SystemModel, specs: list[AlarmSpec]) -> Diagnoser:
 
     nodes = dict(zip(ids.values(), map(alarms, order)))
     delta = dict(zip(ids.values(), rows))
-    stats = DiagnoserStats(len(nodes), m.size * len(beliefs.memories))
     return Diagnoser(m.observable_atoms_sorted, nodes, entry, delta,
-                     _Beliefs(dict(zip(nodes, order)), beliefs.decode), stats)
+                     _Beliefs(dict(zip(nodes, order)), beliefs.decode))
 
 
 def run_diagnoser(d: Diagnoser, observations: list[dict[str, bool]]) -> list[frozenset[str]]:
@@ -308,17 +297,18 @@ def load_diagnoser(path) -> Diagnoser:
 
 
 def export_diagnoser_dot(d: Diagnoser) -> str:
-    labels = {obs: _edge_label(d, obs) for obs in _observations(d)}
+    labels = {obs: dot_escape(_edge_label(d, obs)) for obs in _observations(d)}
+    ids = {nid: dot_escape(nid) for nid in d.nodes}
     lines = ["digraph diagnoser {", "  rankdir=LR;"]
     for nid in sorted(d.nodes):
-        alarms = ",".join(sorted(d.nodes[nid])) or "-"
-        lines.append(f'  "{nid}" [label="{nid}\\n{{{alarms}}}", shape=ellipse];')
+        alarms = dot_escape(",".join(sorted(d.nodes[nid])) or "-")
+        lines.append(f'  "{ids[nid]}" [label="{ids[nid]}\\n{{{alarms}}}", shape=ellipse];')
     for i, (obs, nid) in enumerate(sorted(d.entry.items())):
         lines.append(f'  "entry{i}" [shape=point];')
-        lines.append(f'  "entry{i}" -> "{nid}" [label="{labels[obs]}"];')
+        lines.append(f'  "entry{i}" -> "{ids[nid]}" [label="{labels[obs]}"];')
     for nid in sorted(d.delta):
         for obs, tgt in sorted(d.delta[nid].items()):
-            lines.append(f'  "{nid}" -> "{tgt}" [label="{labels[obs]}"];')
+            lines.append(f'  "{ids[nid]}" -> "{ids[tgt]}" [label="{labels[obs]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

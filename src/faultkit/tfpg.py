@@ -28,7 +28,7 @@ from operator import itemgetter
 from .boolexpr import Expr, as_expr
 from .errors import ModelFormatError, SizeGuardExceeded, FaultkitError
 from .graphs import lexleast_shortest_paths, nodes_on_cycles
-from .jsonio import NAME_MAP, NAMES, decode_json, expect, field, read_json
+from .jsonio import NAME_MAP, NAMES, decode_json, dot_escape, expect, field, read_json
 from .model import SystemModel, Trace, Violation
 from .records import Frozen, Record
 
@@ -172,8 +172,8 @@ def export_tfpg_dot(g: Tfpg) -> str:
     """Dotted boxes for failure modes, solid boxes for AND discrepancies,
     circles for OR discrepancies."""
     lines = ["digraph tfpg {", "  rankdir=LR;"]
-    for name in sorted(g.nodes):
-        kind = g.nodes[name]
+    for node in sorted(g.nodes):
+        kind, name = g.nodes[node], dot_escape(node)
         if kind == FM:
             lines.append(f'  "{name}" [shape=box, style=dotted];')
         elif kind == AND:
@@ -181,8 +181,8 @@ def export_tfpg_dot(g: Tfpg) -> str:
         else:
             lines.append(f'  "{name}" [shape=circle];')
     for e in g.edges:
-        label = f"[{e.tmin},{_upper(e.tmax)}] {','.join(e.modes)}"
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{label}"];')
+        label = dot_escape(f"[{e.tmin},{_upper(e.tmax)}] {','.join(e.modes)}")
+        lines.append(f'  "{dot_escape(e.src)}" -> "{dot_escape(e.dst)}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -5,16 +5,19 @@ each invocation called in-process through `faultkit.cli.main`.
     python tools/sweep.py --against REV
 
 Run from anywhere: faultkit is imported from this checkout's `src`.  The
-first form prints one line per invocation: its argv, its exit code and a
-SHA-256 of its stdout, of its stderr and of its `--out` file.  The inputs
-are written to a temporary directory, the invocations run there and name
-their files relative to it, so the lines depend on nothing but the code.
-With `--against REV` the same invocations also run on `git archive REV`,
-extracted under the temporary directory, in a child process that imports
-faultkit from there; each line that differs is printed with both sides'
-bytes, and the exit code is 1 when any does.
+first form prints one line per invocation: its family, its argv, its exit
+code and a SHA-256 of its stdout, of its stderr and of its `--out` file.
+The inputs, `corpus/` among them, are written to a temporary directory, the
+invocations run there and name their files relative to it, so the lines
+depend on nothing but the code.  With `--against REV` the same invocations
+also run on `git archive REV`, extracted under the temporary directory, in
+a child process that imports faultkit from there; each line that differs
+is printed with both sides' bytes, a summary counts the lines that differ
+in each family, and the exit code is 1 when any does.  Either form exits 1
+before it runs anything when a subcommand of `faultkit.cli` appears in no
+invocation.
 
-The families (5,124 invocations):
+The families (5,198 invocations of all 14 subcommands):
 - `tfpg`, the TFPG run checks `tfpg-behavioral`, `tfpg-tighten` and
   `tfpg-synth` (4,200):
   - `tfpg_battery`, its variant with `d_dead`'s upper bounds at 1,
@@ -38,10 +41,11 @@ The families (5,124 invocations):
   models for each of their three conditions; `random_model` seeds 0-59 for
   their events; and the malformed-transition models of
   `tests/test_model.py`, which exit 2 with the message on stderr.
-- `finite`, the finite-delay alarms of `kofn_phase(3..6)` (`low_finite`
-  and `fail_finite`) and of the six pool models (`a2`): `diag-check` in
-  json and text, `synth-diagnoser` to `--out`, then `verify-diagnoser` of
-  that file in json and text (70).
+- `finite`, `diag-check` in json and text of each alarm file of
+  `kofn_phase(3..6)` and of the six pool models, whole; then their
+  finite-delay alarms (`low_finite` and `fail_finite`, `a2`):
+  `diag-check` in json and text, `synth-diagnoser` to `--out`, then
+  `verify-diagnoser` of that file in json and text (90).
 - `beliefs`, the exact and bound alarms of the same models (`low_exact2`
   and `low_bound2`, `a0` and `a1`) in the same five invocations; then, for
   each of those ten alarm files, one `synth-diagnoser --out` of all its
@@ -55,6 +59,9 @@ The families (5,124 invocations):
   have no node to drop it from).  Synthesized candidates meet the
   shortcut of a safety conjunct with no violating pair; these run its
   search.
+- `corpus`, every request of the `cli-corpus` bench
+  (`perfbench/workloads.corpus_requests`) in every format it accepts, on
+  `corpus/` and the bench's extra input files (54).
 """
 
 from __future__ import annotations
@@ -65,16 +72,16 @@ import hashlib
 import io
 import json
 import random
+import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECKS = ("tfpg-behavioral", "tfpg-tighten")
-CORPUS = ("battery", "battery_map", "battery_synth", "tfpg_battery", "tfpg_power",
-          "tfpg_modegap")
 MODELS = ("battery", "fully_obs", "intermittent", "sensor_delay", "unobservable")
 
 
@@ -122,12 +129,17 @@ def _synth(model, config, horizons, name):
     return runs
 
 
-def families(work: Path) -> list[list[str]]:
-    """Write the sweep's inputs into `work` and return its argv lists."""
+def families(work: Path) -> list[tuple[str, list[str]]]:
+    """Write the sweep's inputs into `work` and return its (family, argv)
+    pairs, in the order they run: a family reads files an earlier one
+    wrote."""
     sys.path[:0] = [str(ROOT), str(ROOT / "perfbench")]
     (work / "out").mkdir()
-    return (tfpg_family(work) + models_family(work) + finite_family(work)
-            + beliefs_family(work) + candidates_family(work))
+    shutil.copytree(ROOT / "corpus", work / "corpus")
+    return [(name, argv) for name, family in (
+        ("tfpg", tfpg_family), ("models", models_family), ("finite", finite_family),
+        ("beliefs", beliefs_family), ("candidates", candidates_family),
+        ("corpus", corpus_family)) for argv in family(work)]
 
 
 def tfpg_family(work: Path) -> list[list[str]]:
@@ -139,18 +151,16 @@ def tfpg_family(work: Path) -> list[list[str]]:
     from tests.test_tfpg import (MODE_SWITCH_BOUNDS, MODE_SWITCH_MAP, mode_switch_model,
                                  mode_switch_tfpg, random_synthesis_config)
 
-    for name in CORPUS:
-        (work / f"{name}.json").write_bytes((ROOT / "corpus" / f"{name}.json").read_bytes())
     runs = []
-    battery = tfpg_to_json(load_tfpg(ROOT / "corpus" / "tfpg_battery.json"))
+    battery = tfpg_to_json(load_tfpg(work / "corpus" / "tfpg_battery.json"))
     for edge in battery["edges"]:
         if edge["to"] == "d_dead":
             edge["tmax"] = 1
-    graphs = ["tfpg_battery.json", _dump(work / "tfpg_battery-dead1.json", battery),
-              "tfpg_power.json", "tfpg_modegap.json"]
+    graphs = ["corpus/tfpg_battery.json", _dump(work / "tfpg_battery-dead1.json", battery),
+              "corpus/tfpg_power.json", "corpus/tfpg_modegap.json"]
     for graph in graphs:
-        runs += _checks(graph, "battery.json", "battery_map.json", range(1, 10))
-    runs += _synth("battery.json", "battery_synth.json", range(1, 10), "battery")
+        runs += _checks(graph, "corpus/battery.json", "corpus/battery_map.json", range(1, 10))
+    runs += _synth("corpus/battery.json", "corpus/battery_synth.json", range(1, 10), "battery")
     for n in (3, 4, 5):
         model = _dump(work / f"kofn{n}.json", gen.kofn_phase(n))
         config = _dump(work / f"kofn{n}-synth.json", gen.kofn_tfpg_config(n))
@@ -205,11 +215,9 @@ def models_family(work: Path) -> list[list[str]]:
 
     runs = []
     for name in MODELS:
-        data = (ROOT / "corpus" / f"{name}.json").read_bytes()
-        (work / f"{name}.json").write_bytes(data)
-        atoms = json.loads(data)["atoms"]
+        atoms = json.loads((work / "corpus" / f"{name}.json").read_bytes())["atoms"]
         extra = ["b1_fail | system_dead"] if name == "battery" else []
-        runs += _models(f"{name}.json", atoms + extra)
+        runs += _models(f"corpus/{name}.json", atoms + extra)
     for k in (4, 6):
         for seed in range(3):
             doc = gen.faultonly_kofn(12, k)
@@ -239,6 +247,11 @@ def _alarm_runs(model: str, spec: str, alarm: str) -> list[list[str]]:
                for fmt in ("json", "text")])
 
 
+def _whole_file(model: str, spec: str) -> list[list[str]]:
+    return [["diag-check", "--model", model, "--spec", spec, "--format", fmt]
+            for fmt in ("json", "text")]
+
+
 def finite_family(work: Path) -> list[list[str]]:
     """Run after `models_family`, whose kofn and pool model files it reads."""
     import gen
@@ -246,6 +259,7 @@ def finite_family(work: Path) -> list[list[str]]:
     runs = []
     for n in range(3, 7):
         spec = _dump(work / f"kofn{n}-alarms.json", gen.kofn_specs(n - 1))
+        runs += _whole_file(f"kofn{n}.json", spec)
         for alarm in ("low_finite", "fail_finite"):
             runs += _alarm_runs(f"kofn{n}.json", spec, alarm)
     for k in range(6):
@@ -254,6 +268,7 @@ def finite_family(work: Path) -> list[list[str]]:
                      [{"alarm": f"a{j}", "beta": beta, "delay": delay, "diag": "global",
                        "maximal": True}
                       for j, (beta, delay) in enumerate(zip(conditions, gen.PARTIAL_DELAYS))])
+        runs += _whole_file(f"partial{k}.json", spec)
         runs += _alarm_runs(f"partial{k}.json", spec, "a2")
     return runs
 
@@ -322,6 +337,17 @@ def candidates_family(work: Path) -> list[list[str]]:
     return runs
 
 
+def corpus_family(work: Path) -> list[list[str]]:
+    """The `cli-corpus` bench's requests, in every format each accepts; they
+    read `corpus/` and the extra input files, written beside it."""
+    from workloads import CORPUS_EXTRA, corpus_requests
+
+    for name, doc in CORPUS_EXTRA.items():
+        (work / name).write_text(doc if type(doc) is str else json.dumps(doc), encoding="utf-8")
+    return [[*argv, "--format", fmt] for argv, formats, _ in corpus_requests("")
+            for fmt in formats]
+
+
 def _sha(data: bytes | None) -> str:
     return "missing" if data is None else hashlib.sha256(data).hexdigest()
 
@@ -356,8 +382,9 @@ def run_all(work: str, record: str | None = None) -> list[str]:
     lines = []
     with contextlib.chdir(work), \
             (open(record, "w", encoding="utf-8") if record else contextlib.nullcontext()) as sink:
-        for argv in json.loads(Path("argv.json").read_text(encoding="utf-8")):
+        for family, argv in json.loads(Path("argv.json").read_text(encoding="utf-8")):
             line, blobs = invoke(argv)
+            line = f"{family}\t{line}"
             lines.append(line)
             if record:
                 texts = {name: None if data is None else data.decode()
@@ -385,10 +412,17 @@ def main(argv=None) -> int:
                         help="also run at this git revision and print the lines that differ")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
+    from faultkit.cli import _COMMANDS
+
     with tempfile.TemporaryDirectory(prefix="faultkit-sweep-") as tmp:
         work = Path(tmp) / "work"
         work.mkdir()
-        (work / "argv.json").write_text(json.dumps(families(work)), encoding="utf-8")
+        runs = families(work)
+        missing = sorted(set(_COMMANDS) - {argv[0] for _, argv in runs})
+        if missing:
+            print(f"no invocation of {', '.join(missing)}", file=sys.stderr)
+            return 1
+        (work / "argv.json").write_text(json.dumps(runs), encoding="utf-8")
         if args.against is None:
             for line in run_all(str(work)):
                 print(line)
@@ -396,20 +430,24 @@ def main(argv=None) -> int:
         theirs, ours = Path(tmp) / "rev.jsonl", Path(tmp) / "here.jsonl"
         _against(args.against, work, theirs)
         run_all(str(work), str(ours))
-        differ, codes = 0, {}
+        codes, runs_by, differ_by = Counter(), Counter(), Counter()
         with open(theirs, encoding="utf-8") as old, open(ours, encoding="utf-8") as new:
             for (line_old, blobs_old), (line, blobs) in zip(map(json.loads, old),
                                                             map(json.loads, new)):
-                code = line.split("\t")[1]
-                codes[code] = codes.get(code, 0) + 1
+                family, _, code = line.split("\t")[:3]
+                codes[code] += 1
+                runs_by[family] += 1
                 if line != line_old:
-                    differ += 1
+                    differ_by[family] += 1
                     print(f"{args.against}\t{line_old}\nhere\t{line}")
                     for name in blobs:
                         print(f"--- {name} at {args.against}\n{blobs_old.get(name)}\n"
                               f"--- {name} here\n{blobs[name]}")
-        print(f"{differ} of {sum(codes.values())} invocations differ from {args.against}; "
-              + ", ".join(f"{code}: {n}" for code, n in sorted(codes.items())))
+        differ = differ_by.total()
+        print(f"{differ} of {sum(codes.values())} invocations differ from {args.against} ("
+              + ", ".join(f"{family}: {differ_by[family]} of {n}"
+                          for family, n in runs_by.items())
+              + "); " + ", ".join(f"{code}: {n}" for code, n in sorted(codes.items())))
         return 1 if differ else 0
 
 
