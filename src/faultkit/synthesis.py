@@ -299,13 +299,18 @@ def load_diagnoser(path) -> Diagnoser:
 def export_diagnoser_dot(d: Diagnoser) -> str:
     labels = {obs: dot_escape(_edge_label(d, obs)) for obs in _observations(d)}
     ids = {nid: dot_escape(nid) for nid in d.nodes}
+    # entry points are entry0, entry1, ..., with underscores after "entry"
+    # until no node id takes one of their names
+    entry = "entry"
+    while any(f"{entry}{i}" in d.nodes for i in range(len(d.entry))):
+        entry += "_"
     lines = ["digraph diagnoser {", "  rankdir=LR;"]
     for nid in sorted(d.nodes):
         alarms = dot_escape(",".join(sorted(d.nodes[nid])) or "-")
         lines.append(f'  "{ids[nid]}" [label="{ids[nid]}\\n{{{alarms}}}", shape=ellipse];')
     for i, (obs, nid) in enumerate(sorted(d.entry.items())):
-        lines.append(f'  "entry{i}" [shape=point];')
-        lines.append(f'  "entry{i}" -> "{ids[nid]}" [label="{labels[obs]}"];')
+        lines.append(f'  "{entry}{i}" [shape=point];')
+        lines.append(f'  "{entry}{i}" -> "{ids[nid]}" [label="{labels[obs]}"];')
     for nid in sorted(d.delta):
         for obs, tgt in sorted(d.delta[nid].items()):
             lines.append(f'  "{ids[nid]}" -> "{ids[tgt]}" [label="{labels[obs]}"];')

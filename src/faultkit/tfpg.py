@@ -17,6 +17,11 @@ re-entering restarts the clock at the re-entry step.
 * inevitability: a node that never activates must have no incoming edge
   whose enabled run lasts through anchor + tmax within the horizon (all
   edges, for AND nodes) - otherwise the propagation had to land.
+
+The two rules are stated once, in `_violates`, which decides a discrepancy
+from its per-edge verdicts (`_verdict`); trace checks, behavioural
+validation and tightening all decide through it, and `_explain` only says
+why a discrepancy it rejected fails.
 """
 
 from __future__ import annotations
@@ -302,44 +307,46 @@ def _forcing_deadline(edge: TfpgEdge, act_u: int | None, timeline) -> int | None
     return None
 
 
-def _node_violation(g: Tfpg, edges, node: str, t_v: int | None, times,
-                    timeline) -> TraceViolation | None:
-    """The verdict on one discrepancy: its activation time t_v (None for
-    never) against its incoming edges, read through `times`, which maps
-    each edge source to its activation time, and the mode timeline of steps
-    0..horizon.  `edges` holds g's edges, in g's order, with the bounds to
-    decide by.  The one statement of the justification and inevitability
-    rules."""
-    inc = g.incoming(node)
-    if t_v is not None:
+def _verdict(edge: TfpgEdge, act_u: int | None, t: int | None, timeline) -> bool:
+    """One edge's verdict: source time act_u justifies target time t or,
+    for a target that never activates (t None), forces it."""
+    if t is None:
+        return _forcing_deadline(edge, act_u, timeline) is not None
+    return _justifies(edge, act_u, t, timeline)
+
+
+def _violates(is_or: bool, t: int | None, verdicts, has_edges: bool) -> bool:
+    """The justification and inevitability rules: whether a discrepancy
+    activated at t (None for never) violates them, given the lazily read
+    `_verdict` of each incoming edge.  An activation needs one justifying
+    edge (OR) or all (AND), and one forcing edge (OR) or all (AND) forbid
+    never activating; an AND node without edges is neither justified nor
+    forced."""
+    return (t is None) == (any(verdicts) if is_or else has_edges and all(verdicts))
+
+
+def _explain(g: Tfpg, edges, node: str, times, timeline) -> TraceViolation:
+    """The violation of discrepancy `node`, which `_violates` found on a
+    trace read through `times`: the rule it breaks, the incoming edges that
+    rule names and, for an OR node that never activates, the step its
+    earliest forcing edge forces.  It decides nothing."""
+    inc, t_v = g.incoming(node), times[node]
+    if t_v is None:
+        deadlines = {i: d for i in inc if (d := _forcing_deadline(
+            edges[i], times[edges[i].src], timeline)) is not None}
         if g.nodes[node] == OR:
-            if not any(_justifies(edges[i], times[edges[i].src], t_v, timeline) for i in inc):
-                return TraceViolation(
-                    "or-justification", node,
-                    f"activation at {t_v} is not explained by any incoming edge",
-                    tuple(inc))
-            return None
-        bad = tuple(i for i in inc
-                    if not _justifies(edges[i], times[edges[i].src], t_v, timeline))
-        if not inc or bad:
-            detail = ("no incoming edges" if not inc else
-                      "edges not satisfied: "
-                      + "; ".join(edges[i].describe() for i in bad))
-            return TraceViolation("and-justification", node,
-                                  f"activation at {t_v}: {detail}", bad or tuple(inc))
-        return None
-    deadlines = {i: _forcing_deadline(edges[i], times[edges[i].src], timeline) for i in inc}
-    forced = tuple(i for i in inc if deadlines[i] is not None)
-    if g.nodes[node] == OR and forced:
-        return TraceViolation(
-            "or-inevitability", node, "never activates but forced by step "
-            f"{min(deadlines[i] for i in forced)}", forced)
-    if g.nodes[node] == AND and inc and len(forced) == len(inc):
-        return TraceViolation(
-            "and-inevitability", node,
-            "never activates but every incoming edge completed its "
-            "propagation window", forced)
-    return None
+            return TraceViolation("or-inevitability", node, "never activates but forced by "
+                                  f"step {min(deadlines.values())}", tuple(deadlines))
+        return TraceViolation("and-inevitability", node,
+                              "never activates but every incoming edge completed its "
+                              "propagation window", tuple(deadlines))
+    if g.nodes[node] == OR:
+        return TraceViolation("or-justification", node,
+                              f"activation at {t_v} is not explained by any incoming edge", inc)
+    bad = tuple(i for i in inc if not _justifies(edges[i], times[edges[i].src], t_v, timeline))
+    detail = ("edges not satisfied: " + "; ".join(edges[i].describe() for i in bad) if bad
+              else "no incoming edges")
+    return TraceViolation("and-justification", node, f"activation at {t_v}: {detail}", bad)
 
 
 def check_trace_consistency(g: Tfpg, at: ActivationTrace) -> tuple[bool, list[TraceViolation]]:
@@ -352,65 +359,55 @@ def check_trace_consistency(g: Tfpg, at: ActivationTrace) -> tuple[bool, list[Tr
 
 
 def _violations(g: Tfpg, edges, row, timelines: list) -> list[TraceViolation]:
-    """The violations `_node_violation` finds on a row's trace, in node order."""
-    times = dict(zip(sorted(g.nodes), row[1:]))
-    verdicts = (_node_violation(g, edges, node, times[node], times, timelines[row[0]])
-                for node in g.discrepancies())
-    return [v for v in verdicts if v is not None]
+    """The violations of `edges` on a row's trace, in node order: each
+    discrepancy `_violates` rejects, explained by `_explain`."""
+    times, timeline = dict(zip(sorted(g.nodes), row[1:])), timelines[row[0]]
+    found = []
+    for node in g.discrepancies():
+        t, inc = times[node], g.incoming(node)
+        verdicts = (_verdict(edges[i], times[edges[i].src], t, timeline) for i in inc)
+        if _violates(g.nodes[node] == OR, t, verdicts, bool(inc)):
+            found.append(_explain(g, edges, node, times, timeline))
+    return found
 
 
-def _keys(g: Tfpg) -> dict[str, tuple]:
-    """Per node, the getter of its key from a row, (timeline id, its time,
-    its sources' times in sorted source order), where a row is (timeline
-    id, *times in sorted node order); and, in the order of g.incoming, the
-    position in the key of each incoming edge's source time."""
+def _keys(g: Tfpg) -> dict[str, itemgetter]:
+    """Per node, the getter of its key from a row, where a row is (timeline
+    id, *times in sorted node order): (timeline id, its time, and the source
+    time of each incoming edge, in the order of g.incoming)."""
     slot = {n: k for k, n in enumerate(sorted(g.nodes), 1)}
-    layout = {}
-    for node in g.nodes:
-        sources = sorted({g.edges[i].src for i in g.incoming(node)})
-        layout[node] = (itemgetter(0, slot[node], *(slot[s] for s in sources)),
-                        tuple(2 + sources.index(g.edges[i].src) for i in g.incoming(node)))
-    return layout
+    return {node: itemgetter(0, slot[node], *(slot[g.edges[i].src] for i in g.incoming(node)))
+            for node in g.nodes}
 
 
-def _first_violation(g: Tfpg, edges, timelines: list, layout: dict[str, tuple]):
+def _first_violation(g: Tfpg, edges, timelines: list, getters: dict[str, itemgetter]):
     """first(node, rows, start=0, keys=None): the index of the first row
     from `start` on, in a list of rows as `_induced` yields them, on which
-    discrepancy `node` violates `edges` (as in `_node_violation`), else
-    len(rows).  `layout` is `_keys(g)`; `keys`, when given, is the set of
-    the node's keys on those rows, which the call then consumes.  A call
-    decides each distinct key (timeline id, its time, its sources' times)
-    not yet found consistent, from per-edge verdicts kept by (timeline id,
-    source time a, target time t): a justifies t, or forces a target that
-    never activates (t None).  A node's edges are read at its first call."""
+    discrepancy `node` violates `edges` (`_violates`), else len(rows).
+    `getters` is `_keys(g)`; `keys`, when given, is the set of the node's
+    keys on those rows, which the call then consumes.  A call decides each
+    distinct key not yet found consistent, from `_verdict`s kept by
+    (timeline id, source time a, target time t).  A node's edges are read
+    at its first call."""
     checks = {}
 
     def holds(edge, memo, tid, a, t) -> bool:
         verdict = memo.get((tid, a, t))
         if verdict is None:
-            verdict = memo[tid, a, t] = (
-                _justifies(edge, a, t, timelines[tid]) if t is not None
-                else _forcing_deadline(edge, a, timelines[tid]) is not None)
+            verdict = memo[tid, a, t] = _verdict(edge, a, t, timelines[tid])
         return verdict
-
-    def violates(at, is_or, key) -> bool:
-        tid, t = key[0], key[1]
-        verdicts = (holds(edge, memo, tid, key[k], t) for edge, k, memo in at)
-        # an activation needs one justifying edge (OR) or all of them (AND),
-        # and one forcing edge (OR) or all (AND) forbid never activating; an
-        # AND node without edges is neither justified nor forced
-        return (t is None) == (any(verdicts) if is_or else bool(at) and all(verdicts))
 
     def first(node, rows, start=0, keys=None) -> int:
         if node not in checks:
-            key_of, where = layout[node]
-            at = tuple((edges[i], k, {}) for i, k in zip(g.incoming(node), where))
-            checks[node] = (key_of, at, g.nodes[node] == OR, set())
+            at = tuple((edges[i], k, {}) for k, i in enumerate(g.incoming(node), 2))
+            checks[node] = (getters[node], at, g.nodes[node] == OR, set())
         key_of, at, is_or, consistent = checks[node]
         if keys is None:
             keys = set(map(key_of, islice(rows, start, None)))
         keys -= consistent
-        bad = {key for key in keys if violates(at, is_or, key)}
+        bad = {key for key in keys
+               if _violates(is_or, key[1], (holds(edge, memo, key[0], key[k], key[1])
+                                            for edge, k, memo in at), bool(at))}
         keys -= bad
         consistent |= keys
         if not bad:
@@ -678,7 +675,7 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
     idempotent at a fixed horizon."""
     timelines: list = []
     rows = [row for _, row in _induced(g, m, nm, horizon, timelines)]
-    layout = _keys(g)
+    getters = _keys(g)
     # g's edges in g's order, each exercised one shrunk to its observed
     # delays, and each discrepancy's first violation of them.  A node is
     # decided from one set of its distinct keys on the rows: a delay reads
@@ -687,14 +684,14 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
     # handed to `first`, which reads the node's edges at that call.
     edges = list(g.edges)
     exercised = [False] * len(edges)
-    first = _first_violation(g, edges, timelines, layout)
+    first = _first_violation(g, edges, timelines, getters)
     fails = {}
-    for node, (key_of, where) in layout.items():
+    for node, key_of in getters.items():
         is_discrepancy = g.nodes[node] in (OR, AND)
-        if not where and not is_discrepancy:
+        if not g.incoming(node) and not is_discrepancy:
             continue
         keys = set(map(key_of, rows))
-        for i, k in zip(g.incoming(node), where):
+        for k, i in enumerate(g.incoming(node), 2):
             e, delays = g.edges[i], set()
             for tid, act_u, act_v in {(key[0], key[k], key[1]) for key in keys}:
                 if act_v is not None:
@@ -723,7 +720,7 @@ def tighten_edges(g: Tfpg, m: SystemModel, nm: NodeMap,
         for i in relaxed:
             e = edges[i]
             edges[i] = TfpgEdge(e.src, e.dst, e.tmin, INF, e.modes)
-        first = _first_violation(g, edges, timelines, layout)
+        first = _first_violation(g, edges, timelines, getters)
         for node in {edges[i].dst for i in relaxed}:
             fails[node] = first(node, rows, r)
     # observed delays are finite, so an exercised edge ends unbounded only

@@ -24,10 +24,11 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def bench_module(name: str):
-    """perfbench/<name>.py, loaded from its file: perfbench is no package."""
+    """perfbench/<name>.py, loaded from its file: perfbench is no package.
+    The module is entered in sys.modules, where a dataclass looks it up."""
     spec = importlib.util.spec_from_file_location(
         f"bench_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from faultkit.cli import _COMMANDS, main
 
-from .conftest import corpus_json, corpus_path, run_python
+from .conftest import ROOT, bench_module, corpus_json, corpus_path, run_python
 
 
 def run_cli(*argv, out=None):
@@ -822,6 +822,17 @@ print(code)
 print(" ".join(sorted(m for m in sys.modules if m.startswith("faultkit."))))
 """
 
+_BARE = """\
+import contextlib, io, json, sys
+from faultkit import cli
+codes = []
+for argv, _ in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+print(" ".join(sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))))
+"""
+
 
 class TestImportFootprint:
     """A request imports only the modules its subcommand uses."""
@@ -844,3 +855,27 @@ class TestImportFootprint:
         loaded = {m.split(".", 1)[1] for m in modules.split()}
         assert needed <= loaded
         assert not loaded & unused, sorted(loaded & unused)
+
+    def test_requests_import_no_dataclasses(self, tmp_path, monkeypatch):
+        """Start-up is most of a request on desk-scale models.  faultkit's
+        records are plain __slots__ classes (faultkit.records), so no
+        subcommand loads dataclasses, nor inspect, which it imports; and
+        annotations name collections.abc, so none loads typing.  Every
+        request of the cli-corpus bench that runs its handler (exit 0 or 1)
+        runs in one interpreter under -S, which leaves out site: site may
+        load typing for an installed package."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = bench_module("workloads")
+        for name, doc in workloads.CORPUS_EXTRA.items():
+            (tmp_path / name).write_text(doc if type(doc) is str else json.dumps(doc),
+                                         encoding="utf-8")
+        requests = [(argv, code) for argv, _, code in workloads.corpus_requests(str(tmp_path))
+                    if code < 2]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-S", "-c", _BARE, json.dumps(requests)],
+                              cwd=ROOT, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = proc.stdout.split("\n", 1)
+        assert json.loads(codes) == [code for _, code in requests]
+        assert loaded == "\n"
+        assert {argv[0] for argv, _ in requests} == set(_COMMANDS)

@@ -782,3 +782,15 @@ class TestSerialization:
         dot = export_diagnoser_dot(d)
         assert dot.startswith("digraph diagnoser")
         assert "a_bound3" in dot
+
+    def test_dot_entry_points_avoid_node_ids(self):
+        # a node named like the first entry point, and an edge into it
+        d = diagnoser_from_json({"observables": ["w"], "nodes": {"entry0": [], "q": []},
+                                 "entry": {'{"w":false}': "q"},
+                                 "delta": {"q": {'{"w":true}': "entry0"}, "entry0": {}}})
+        lines = export_diagnoser_dot(d).splitlines()
+        declared = [line.split('"')[1] for line in lines if '" [' in line and "->" not in line]
+        assert sorted(declared) == ["entry0", "entry_0", "q"]
+        assert '  "entry_0" [shape=point];' in lines
+        edges = {tuple(line.split('"')[1:4:2]) for line in lines if "->" in line}
+        assert edges == {("entry_0", "q"), ("q", "entry0")}

@@ -17,7 +17,8 @@ from faultkit.tfpg_synthesis import SynthesisConfig, synthesize_tfpg
 
 from .conftest import bench_module, corpus_json
 from .oracles import (brute_force_behavioral, enumerate_traces, naive_induced_trace,
-                      naive_observed_delays, path_count_by_matrix_power)
+                      naive_observed_delays, naive_violating_nodes,
+                      path_count_by_matrix_power)
 from .test_acceptance import random_model
 
 
@@ -202,28 +203,31 @@ def column_checks(draw):
 class TestColumnVerdicts:
     @given(column_checks())
     @settings(max_examples=400, deadline=None)
-    def test_first_violation_matches_node_violation(self, case):
+    def test_first_violation_matches_oracle(self, case):
         """A key decided from per-edge verdicts is bad exactly when
-        `_node_violation` reports a violation on it, and the first bad row
-        of a block, from any start, is the first row it reports on."""
+        `naive_violating_nodes` rules the row's trace out, a row's report
+        names v exactly then, and the first bad row of a block, from any
+        start, is the first row the oracle rules out."""
         g, timelines, rows, start = case
-        layout = tfpg._keys(g)
+        getters = tfpg._keys(g)
         bad = []
         for row in rows:
-            times = dict(zip("abcv", row[1:]))
-            bad.append(tfpg._node_violation(g, g.edges, "v", times["v"], times,
-                                            timelines[row[0]]) is not None)
-            alone = tfpg._first_violation(g, g.edges, timelines, layout)
+            trace = ActivationTrace(len(timelines[0]) - 1, timelines[row[0]],
+                                    dict(zip("abcv", row[1:])))
+            bad.append(naive_violating_nodes(g, trace) == ["v"])
+            alone = tfpg._first_violation(g, g.edges, timelines, getters)
             assert alone("v", [row]) == (0 if bad[-1] else 1)
-        first = tfpg._first_violation(g, g.edges, timelines, layout)
+            reported = tfpg._violations(g, g.edges, row, timelines)
+            assert [v.node for v in reported] == (["v"] if bad[-1] else [])
+        first = tfpg._first_violation(g, g.edges, timelines, getters)
         want = next((k for k in range(start, len(rows)) if bad[k]), len(rows))
         assert first("v", rows, start) == want
         # keys found consistent from `start` on are not decided again
         least = next((k for k, b in enumerate(bad) if b), len(rows))
         assert first("v", rows) == least
         # a caller's key set decides as the rows do
-        given = tfpg._first_violation(g, g.edges, timelines, layout)
-        assert given("v", rows, keys=set(map(layout["v"][0], rows))) == least
+        given = tfpg._first_violation(g, g.edges, timelines, getters)
+        assert given("v", rows, keys=set(map(getters["v"], rows))) == least
 
 
 class TestBehavioral:

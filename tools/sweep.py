@@ -17,9 +17,11 @@ in each family, and the exit code is 1 when any does.  Either form exits 1
 before it runs anything when a subcommand of `faultkit.cli` appears in no
 invocation.
 
-The families (5,198 invocations of all 14 subcommands):
-- `tfpg`, the TFPG run checks `tfpg-behavioral`, `tfpg-tighten` and
-  `tfpg-synth` (4,200):
+The families (5,202 invocations of all 14 subcommands):
+- `tfpg`, `tfpg-validate` and the TFPG run checks `tfpg-behavioral`,
+  `tfpg-tighten` and `tfpg-synth` (4,204):
+  - `tfpg-validate` of a graph with a six-node propagation cycle and of
+    one with six impossible nodes;
   - `tfpg_battery`, its variant with `d_dead`'s upper bounds at 1,
     `tfpg_power` and `tfpg_modegap` against `battery` and `battery_map` at
     H=1-9;
@@ -31,8 +33,8 @@ The families (5,198 invocations of all 14 subcommands):
     first left out at H=2-4, and the graph synthesized at H=3 with two
     finite-bound variants at H=2-4;
   - the mode-switch model with its five bound pairs at H=1-8.
-  Checks run in json and text; synthesis in json, text and dot, and in
-  json to `--out`.
+  Validation and checks run in json and text; synthesis in json, text
+  and dot, and in json to `--out`.
 - `models`, model loading, `validate-model` and `mcs --tle` in json and
   text (502): the corpus models with each atom as the top level event, and
   battery's `b1_fail | system_dead`; `faultonly_kofn(12, 4)` and
@@ -114,6 +116,23 @@ def _variants(work: Path, name: str, g) -> list[str]:
     return files
 
 
+def _structure_graphs(work: Path) -> list[str]:
+    """Graph files for `tfpg-validate`: a propagation cycle through six
+    discrepancies, and six discrepancies that no failure mode reaches
+    through edges sharing a mode."""
+    from faultkit.tfpg import Tfpg, TfpgEdge, tfpg_to_json
+
+    ring = [f"d{k}" for k in range(6)]
+    cycle = Tfpg(("on",), {"f": "FM", **dict.fromkeys(ring, "OR")},
+                 [TfpgEdge(u, v, 0, 1, ("on",))
+                  for u, v in [("f", "d0"), *zip(ring, ring[1:] + ring[:1])]])
+    gap = Tfpg(("m0", "m1"), {"f": "FM", **{f"e{k}": "OR" for k in range(7)}},
+               [TfpgEdge("f", "e0", 0, 1, ("m0",))]
+               + [TfpgEdge("e0", f"e{k}", 0, 1, ("m1",)) for k in range(1, 7)])
+    return [_dump(work / "tfpg_cycle.json", tfpg_to_json(cycle)),
+            _dump(work / "tfpg_gap.json", tfpg_to_json(gap))]
+
+
 def _checks(graph, model, nmap, horizons):
     return [[cmd, "--tfpg", graph, "--model", model, "--map", nmap, "--horizon", str(h),
              "--format", fmt]
@@ -151,7 +170,8 @@ def tfpg_family(work: Path) -> list[list[str]]:
     from tests.test_tfpg import (MODE_SWITCH_BOUNDS, MODE_SWITCH_MAP, mode_switch_model,
                                  mode_switch_tfpg, random_synthesis_config)
 
-    runs = []
+    runs = [["tfpg-validate", "--tfpg", graph, "--format", fmt]
+            for graph in _structure_graphs(work) for fmt in ("json", "text")]
     battery = tfpg_to_json(load_tfpg(work / "corpus" / "tfpg_battery.json"))
     for edge in battery["edges"]:
         if edge["to"] == "d_dead":
